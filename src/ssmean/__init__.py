@@ -12,8 +12,6 @@ from .calibrators import (
     LinearCovCalibrator,
     SigmoidCalibrator,
     StepCalibrator,
-    calibrator_from_dict,
-    calibrator_to_dict,
     fit_histogram,
     fit_isotonic,
     fit_linear,
@@ -28,22 +26,15 @@ from .design import (
     TwoSampleDesign,
     UnlabeledSample,
     design_from_arrays,
-    pooled_mean,
-    validate_design,
 )
 from .estimators import (
     METHOD_NAMES,
     MethodTag,
     ScoredDesign,
     aipw_general,
-    aipw_raw,
     calibrated_plugin,
-    eem_estimate,
     eem_lambda,
     estimate,
-    labeled_only,
-    ppi,
-    ppi_as_plugin_check,
 )
 from .exceptions import (
     ConfigError,

@@ -36,8 +36,6 @@ __all__ = [
     "fit_linear_cov",
     "fit_venn_abers",
     "predict",
-    "calibrator_to_dict",
-    "calibrator_from_dict",
 ]
 
 DEFAULT_LOGIT_EPS = 1e-6
@@ -132,12 +130,17 @@ class AffineCalibrator:
 
 @dataclass(frozen=True)
 class SigmoidCalibrator:
-    """Platt map sigma(scale * logit(score) + shift); predictions in (0, 1)."""
+    """Platt map sigma(scale * logit(score) + shift); predictions in (0, 1).
+
+    ridge_active records that the fit needed the ridge penalty (separable
+    labels or a near-singular Hessian).
+    """
 
     scale: float
     shift: float
     logit_eps: float = DEFAULT_LOGIT_EPS
     fitted_on: Optional[FitFingerprint] = None
+    ridge_active: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.logit_eps < 0.5):
@@ -380,12 +383,13 @@ def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> Sigmoid
     if not (0.0 < logit_eps < 0.5):
         raise ConfigError(f"logit_eps must lie in (0, 0.5), got {logit_eps}")
     t = _stabilized_logit(s, logit_eps)
-    theta, _, _ = _platt_newton(t, y, ridge_active=_is_separable(t, y))
+    theta, _, ridge_active = _platt_newton(t, y, ridge_active=_is_separable(t, y))
     return SigmoidCalibrator(
         scale=float(theta[0]),
         shift=float(theta[1]),
         logit_eps=logit_eps,
         fitted_on=FitFingerprint.from_data(s, y),
+        ridge_active=ridge_active,
     )
 
 
@@ -486,97 +490,11 @@ def fit_venn_abers(scores, outcomes, eval_scores, shrink_target: float) -> np.nd
 
 
 def predict(calibrator, scores, covariates=None) -> np.ndarray:
-    """Evaluate a fitted calibrator at the given scores."""
+    """Evaluate a fitted calibrator, or any callable on scores, at the given scores.
+
+    Only the covariate-adjusted calibrator receives the covariates.
+    """
     if isinstance(calibrator, LinearCovCalibrator):
         return calibrator(scores, covariates)
     return calibrator(np.asarray(scores, dtype=np.float64))
 
-
-# --- serialization -----------------------------------------------------------
-
-_TYPE_TAGS = {
-    StepCalibrator: "step",
-    AffineCalibrator: "affine",
-    SigmoidCalibrator: "sigmoid",
-    BinnedCalibrator: "binned",
-    LinearCovCalibrator: "linear-cov",
-}
-
-
-def _fingerprint_to_dict(fp: Optional[FitFingerprint]):
-    if fp is None:
-        return None
-    return {
-        "n": fp.n,
-        "scores_sum": fp.scores_sum,
-        "scores_sumsq": fp.scores_sumsq,
-        "outcomes_sum": fp.outcomes_sum,
-        "outcomes_sumsq": fp.outcomes_sumsq,
-    }
-
-
-def _fingerprint_from_dict(d):
-    return None if d is None else FitFingerprint(**d)
-
-
-def calibrator_to_dict(calibrator) -> dict:
-    """JSON-ready description of a fitted calibrator; round-trips exactly."""
-    tag = _TYPE_TAGS.get(type(calibrator))
-    if tag is None:
-        raise ConfigError(f"cannot serialize calibrator of type {type(calibrator).__name__}")
-    d = {"type": tag, "fitted_on": _fingerprint_to_dict(calibrator.fitted_on)}
-    if tag == "step":
-        d["boundaries"] = [float(v) for v in calibrator.boundaries]
-        d["values"] = [float(v) for v in calibrator.values]
-    elif tag == "affine":
-        d["slope"] = calibrator.slope
-        d["intercept"] = calibrator.intercept
-        d["clip_range"] = None if calibrator.clip_range is None else list(calibrator.clip_range)
-    elif tag == "sigmoid":
-        d["scale"] = calibrator.scale
-        d["shift"] = calibrator.shift
-        d["logit_eps"] = calibrator.logit_eps
-    elif tag == "binned":
-        d["edges"] = [float(v) for v in calibrator.edges]
-        d["bin_means"] = [float(v) for v in calibrator.bin_means]
-        d["fallback"] = calibrator.fallback
-        d["empty_bins"] = calibrator.empty_bins
-    else:
-        d["intercept"] = calibrator.intercept
-        d["score_coef"] = calibrator.score_coef
-        d["cov_coefs"] = [float(v) for v in calibrator.cov_coefs]
-        d["clip_range"] = None if calibrator.clip_range is None else list(calibrator.clip_range)
-    return d
-
-
-def calibrator_from_dict(d: dict):
-    """Inverse of calibrator_to_dict."""
-    tag = d.get("type")
-    fp = _fingerprint_from_dict(d.get("fitted_on"))
-    if tag == "step":
-        return StepCalibrator(np.array(d["boundaries"]), np.array(d["values"]), fitted_on=fp)
-    if tag == "affine":
-        clip = d.get("clip_range")
-        return AffineCalibrator(
-            d["slope"], d["intercept"], None if clip is None else tuple(clip), fitted_on=fp
-        )
-    if tag == "sigmoid":
-        return SigmoidCalibrator(d["scale"], d["shift"], d["logit_eps"], fitted_on=fp)
-    if tag == "binned":
-        return BinnedCalibrator(
-            np.array(d["edges"]),
-            np.array(d["bin_means"]),
-            d["fallback"],
-            d.get("empty_bins", 0),
-            fitted_on=fp,
-        )
-    if tag == "linear-cov":
-        clip = d.get("clip_range")
-        return LinearCovCalibrator(
-            d["intercept"],
-            d["score_coef"],
-            np.array(d["cov_coefs"], dtype=np.float64),
-            None if clip is None else tuple(clip),
-            fitted_on=fp,
-        )
-    raise ConfigError(f"unknown calibrator type tag {tag!r}")

@@ -200,10 +200,9 @@ def cmd_bootstrap(args) -> int:
     design = _load_design(args.labeled, args.unlabeled, args.covariates)
     tag = _parse_method(args.method)
     result = bootstrap(design, tag, b=args.b, seed=args.seed, alpha=args.alpha)
-    point = estimate(design, tag, alpha=args.alpha, seed=args.seed)
     payload = {
         "method": tag.name,
-        "estimate": point.estimate,
+        "estimate": result.estimate,
         "se_boot": result.se_boot,
         "percentile_ci": list(result.percentile_ci),
         "normal_ci": list(result.normal_ci),

@@ -10,7 +10,6 @@ to share across threads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,8 +22,6 @@ __all__ = [
     "UnlabeledSample",
     "TwoSampleDesign",
     "EstimateReport",
-    "pooled_mean",
-    "validate_design",
     "design_from_arrays",
 ]
 
@@ -144,7 +141,7 @@ class TwoSampleDesign:
         return self.n / self.m_total
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimateReport:
     """Point estimate with standard error, confidence interval, and diagnostics."""
 
@@ -183,36 +180,6 @@ class EstimateReport:
             N=d["N"],
             diagnostics=d.get("diagnostics", {}),
         )
-
-
-def pooled_mean(design: TwoSampleDesign, f_labeled, f_unlabeled) -> float:
-    """Weighted average rho*mean(f_labeled) + (1-rho)*mean(f_unlabeled).
-
-    Equals the arithmetic mean of the concatenated vectors, since
-    rho = n / (n + N).
-    """
-    fl = np.asarray(f_labeled, dtype=np.float64)
-    fu = np.asarray(f_unlabeled, dtype=np.float64)
-    if fl.shape != (design.n,):
-        raise DimensionError(f"f_labeled has shape {fl.shape}, expected ({design.n},)")
-    if fu.shape != (design.N,):
-        raise DimensionError(f"f_unlabeled has shape {fu.shape}, expected ({design.N},)")
-    if not np.isfinite(fl).all():
-        raise DataError("f_labeled has non-finite entries")
-    if not np.isfinite(fu).all():
-        raise DataError("f_unlabeled has non-finite entries")
-    return (math.fsum(fl) + math.fsum(fu)) / design.m_total
-
-
-def validate_design(labeled: LabeledSample, unlabeled: UnlabeledSample) -> TwoSampleDesign:
-    """Construct a TwoSampleDesign, re-validating both samples.
-
-    Idempotent: validating the samples of a produced design yields an
-    identical design.
-    """
-    relabeled = LabeledSample(labeled.scores, labeled.outcomes, labeled.covariates)
-    reunlabeled = UnlabeledSample(unlabeled.scores, unlabeled.covariates)
-    return TwoSampleDesign(relabeled, reunlabeled)
 
 
 def design_from_arrays(

@@ -1,13 +1,15 @@
-"""The semisupervised mean estimator family and every named method.
+"""The semisupervised mean estimator family and its method registry.
 
 All estimators are members of one family indexed by an adjustment function f:
 
     psi_hat(f) = rho * mean_L{f} + (1 - rho) * mean_U{f} + mean_L{Y - f},
 
-which is unbiased for E[Y] for any fixed f. The named methods differ only in
-their choice of f: zero (labeled-only), the raw score (aipw), the raw score
-implicitly rescaled by 1/(1-rho) (ppi), an empirically rescaled score
-(ppi-pp / aipw-em), or a calibrated score (the *-cal methods).
+which is unbiased for E[Y] for any fixed f. A method is nothing but its fit
+of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
+rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
+(ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), or the shrunk
+interval map of venn-abers. REGISTRY maps every method name to its fit, and
+family_report is the one core that turns adjustment values into a report.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -17,11 +19,14 @@ then
 
     D_L = a - psi + (Y - a)/rho,   D_U = a - psi,
     SE^2 = (sum D_L^2 + sum D_U^2) / (n + N)^2.
+
+labeled-only is the one documented exception: it keeps the classical
+ddof=1 standard error of the labeled mean.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,18 +36,15 @@ from .exceptions import ConfigError, DataError, DimensionError, MisuseError
 from .inference import influence_values, wald_interval, wald_se
 
 __all__ = [
+    "Adjuster",
     "MethodTag",
     "ScoredDesign",
     "METHOD_NAMES",
+    "REGISTRY",
     "aipw_general",
-    "labeled_only",
-    "ppi",
-    "aipw_raw",
+    "family_report",
     "eem_lambda",
-    "eem_estimate",
     "calibrated_plugin",
-    "venn_abers_estimate",
-    "ppi_as_plugin_check",
     "estimate",
 ]
 
@@ -111,74 +113,87 @@ class ScoredDesign:
         object.__setattr__(self, "f_unlabeled", fu)
 
 
+def family_report(
+    scored: ScoredDesign,
+    method: str = "family",
+    alpha: float = 0.05,
+    diagnostics: Optional[dict] = None,
+) -> EstimateReport:
+    """The family core: psi(f), its recentered influence values, SE and CI.
+
+    Every report carries plugin_estimate (the pooled mean of f), residual_mean
+    (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
+    the method's own diagnostics follow.
+    """
+    d = scored.design
+    fl, fu = scored.f_labeled, scored.f_unlabeled
+    rho = d.rho
+    plugin = float(rho * fl.mean() + (1.0 - rho) * fu.mean())
+    residual_mean = float((d.labeled.outcomes - fl).mean())
+    psi = plugin + residual_mean
+    shift = psi - plugin
+    pair = influence_values(d, fl + shift, fu + shift, psi)
+    se = wald_se(pair, d)
+    lo, hi = wald_interval(psi, se, alpha)
+    diagnostics = {
+        "plugin_estimate": plugin,
+        "aipw_estimate": psi,
+        "residual_mean": residual_mean,
+        **(diagnostics or {}),
+    }
+    return EstimateReport(psi, se, lo, hi, alpha, method, d.n, d.N, diagnostics)
+
+
 def aipw_general(scored: ScoredDesign) -> float:
     """rho * mean_L{f} + (1-rho) * mean_U{f} + mean_L{Y - f}."""
-    d = scored.design
-    rho = d.rho
-    return float(
-        rho * scored.f_labeled.mean()
-        + (1.0 - rho) * scored.f_unlabeled.mean()
-        + (d.labeled.outcomes - scored.f_labeled).mean()
-    )
+    return family_report(scored).estimate
 
 
-def _influence_report(
-    design: TwoSampleDesign,
-    adj_labeled: np.ndarray,
-    adj_unlabeled: np.ndarray,
-    psi: float,
-    method: str,
-    alpha: float,
-    diagnostics: dict,
-) -> EstimateReport:
-    """Assemble a report, recentering the adjustment before the influence step."""
-    rho = design.rho
-    pooled = rho * adj_labeled.mean() + (1.0 - rho) * adj_unlabeled.mean()
-    shift = psi - pooled
-    pair = influence_values(design, adj_labeled + shift, adj_unlabeled + shift, psi)
-    se = wald_se(pair, design)
-    lo, hi = wald_interval(psi, se, alpha)
-    return EstimateReport(
-        estimate=psi,
-        std_error=se,
-        ci_lower=lo,
-        ci_upper=hi,
-        alpha=alpha,
-        method=method,
-        n=design.n,
-        N=design.N,
-        diagnostics=diagnostics,
-    )
+def _no_diagnostics(scored: ScoredDesign) -> dict:
+    return {}
 
 
-def labeled_only(design: TwoSampleDesign, alpha: float = 0.05) -> EstimateReport:
-    """Mean of the labeled outcomes, ignoring scores and unlabeled data."""
-    y = design.labeled.outcomes
-    if len(y) < 2:
-        raise DataError("labeled-only standard error needs n >= 2")
-    est = float(y.mean())
-    se = float(y.std(ddof=1) / np.sqrt(len(y)))
-    lo, hi = wald_interval(est, se, alpha)
-    return EstimateReport(est, se, lo, hi, alpha, "labeled-only", design.n, design.N, {})
+class Adjuster(NamedTuple):
+    """A fitted family member: its adjustment map f and its own diagnostics.
 
-
-def ppi(design: TwoSampleDesign, alpha: float = 0.05) -> EstimateReport:
-    """Unlabeled score mean plus the labeled residual correction.
-
-    Equals the family member with f = m / (1 - rho); the standard error uses
-    that implicit scaling.
+    f is evaluated through calibrators.predict, so it is any callable on
+    scores, or a fitted calibrator (the covariate-adjusted one also receives
+    the covariates). describe(scored) gives the member's diagnostics from the
+    values of f on a design.
     """
-    m_l, m_u = design.labeled.scores, design.unlabeled.scores
-    psi = float(m_u.mean() + (design.labeled.outcomes - m_l).mean())
+
+    f: Callable[..., np.ndarray]
+    describe: Callable[[ScoredDesign], dict] = _no_diagnostics
+
+    def scored(self, design: TwoSampleDesign, provenance: str = "raw") -> ScoredDesign:
+        lab, unl = design.labeled, design.unlabeled
+        return ScoredDesign(
+            design,
+            cal.predict(self.f, lab.scores, lab.covariates),
+            cal.predict(self.f, unl.scores, unl.covariates),
+            provenance,
+        )
+
+    def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
+        scored = self.scored(design, method)
+        return family_report(scored, method, alpha, self.describe(scored))
+
+
+# --- adjusters ---------------------------------------------------------------
+
+
+def _fit_zero(design: TwoSampleDesign, params: dict) -> Adjuster:
+    return Adjuster(np.zeros_like)
+
+
+def _fit_ppi(design: TwoSampleDesign, params: dict) -> Adjuster:
+    """f = m / (1 - rho): psi is the unlabeled score mean plus the labeled residual."""
     scale = 1.0 / (1.0 - design.rho)
-    return _influence_report(design, m_l * scale, m_u * scale, psi, "ppi", alpha, {})
+    return Adjuster(lambda t: t * scale)
 
 
-def aipw_raw(design: TwoSampleDesign, alpha: float = 0.05) -> EstimateReport:
-    """The family member with f equal to the raw score."""
-    m_l, m_u = design.labeled.scores, design.unlabeled.scores
-    psi = aipw_general(ScoredDesign(design, m_l, m_u, "raw"))
-    return _influence_report(design, m_l, m_u, psi, "aipw", alpha, {})
+def _fit_aipw(design: TwoSampleDesign, params: dict) -> Adjuster:
+    return Adjuster(np.asarray)
 
 
 def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]):
@@ -212,21 +227,9 @@ def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = No
     return lam
 
 
-def eem_estimate(
-    design: TwoSampleDesign,
-    clip: Optional[Tuple[float, float]] = None,
-    alpha: float = 0.05,
-    method_name: str = "aipw-em",
-) -> EstimateReport:
-    """Family member with f = lambda_hat * m.
-
-    Satisfies psi = mean_L(Y) + (1-rho) * lambda_hat * (mean_U(m) - mean_L(m))
-    exactly.
-    """
+def _scaled(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]) -> Adjuster:
+    """f = lambda_hat * m, so psi = mean_L(Y) + (1-rho) * lambda_hat * (mean_U(m) - mean_L(m))."""
     lam, lam_raw, degenerate, clip_active = _eem_lambda_full(design, clip)
-    m_l, m_u = design.labeled.scores, design.unlabeled.scores
-    f_l, f_u = lam * m_l, lam * m_u
-    psi = aipw_general(ScoredDesign(design, f_l, f_u, f"scaled(lambda={lam!r})"))
     diagnostics = {
         "lambda": lam,
         "lambda_unclipped": lam_raw,
@@ -235,24 +238,111 @@ def eem_estimate(
     }
     if degenerate:
         diagnostics["degenerate_score"] = True
-    return _influence_report(design, f_l, f_u, psi, method_name, alpha, diagnostics)
+    return Adjuster(lambda t: lam * t, lambda scored: diagnostics)
 
 
-def ppi_plusplus(design: TwoSampleDesign, alpha: float = 0.05) -> EstimateReport:
+def _fit_aipw_em(design: TwoSampleDesign, params: dict) -> Adjuster:
+    return _scaled(design, None)
+
+
+def _fit_ppi_pp(design: TwoSampleDesign, params: dict) -> Adjuster:
     """Clipped empirical efficiency maximization: lambda in [0, 1/(1-rho)]."""
-    return eem_estimate(design, clip=(0.0, 1.0 / (1.0 - design.rho)), alpha=alpha, method_name="ppi-pp")
+    return _scaled(design, (0.0, 1.0 / (1.0 - design.rho)))
 
 
-def _calibrated_predictions(design: TwoSampleDesign, calibrator):
-    if isinstance(calibrator, cal.LinearCovCalibrator) and len(calibrator.cov_coefs) > 0:
-        if design.labeled.covariates is None or design.unlabeled.covariates is None:
-            raise DimensionError("covariate-adjusted calibration needs covariates in both samples")
-        pred_l = cal.predict(calibrator, design.labeled.scores, design.labeled.covariates)
-        pred_u = cal.predict(calibrator, design.unlabeled.scores, design.unlabeled.covariates)
+def _calibrated(calibrator) -> Adjuster:
+    """The adjuster of a fitted calibrator, with its fit and calibration facts.
+
+    For mean-calibrated fits (isotonic, least-squares linear with inactive
+    clipping, histogram, covariate-adjusted linear) the labeled residual mean
+    is zero, so the pooled plug-in mean and its residual-corrected form
+    coincide to machine precision. When clipping is active the two differ;
+    the residual-corrected form is the estimate, since it retains the
+    family's unbiasedness, and clip_active records the gap.
+    """
+
+    def describe(scored: ScoredDesign) -> dict:
+        lab = scored.design.labeled
+        y, pred_l = lab.outcomes, scored.f_labeled
+        diagnostics = {
+            "calibration_mse_before": float(np.mean((y - lab.scores) ** 2)),
+            "calibration_mse_after": float(np.mean((y - pred_l) ** 2)),
+        }
+        if isinstance(calibrator, cal.AffineCalibrator):
+            diagnostics["slope"] = calibrator.slope
+            diagnostics["intercept"] = calibrator.intercept
+        if isinstance(calibrator, cal.BinnedCalibrator):
+            diagnostics["empty_bins"] = calibrator.empty_bins
+        if isinstance(calibrator, cal.SigmoidCalibrator):
+            diagnostics["ridge_active"] = calibrator.ridge_active
+        if getattr(calibrator, "clip_range", None) is not None:
+            residual_mean = float((y - pred_l).mean())
+            diagnostics["clip_range"] = list(calibrator.clip_range)
+            diagnostics["clip_active"] = abs(residual_mean) > MEAN_CALIBRATED_TOL * max(1.0, float(np.mean(np.abs(y))))
+        return diagnostics
+
+    return Adjuster(calibrator, describe)
+
+
+def _fit_linear(design: TwoSampleDesign, params: dict) -> Adjuster:
+    lab = design.labeled
+    return _calibrated(cal.fit_linear(lab.scores, lab.outcomes, clip=params.get("clip", True)))
+
+
+def _fit_linear_cov(design: TwoSampleDesign, params: dict) -> Adjuster:
+    lab = design.labeled
+    if lab.covariates is None:
+        raise DimensionError("linear-cov-cal needs labeled covariates")
+    calib = cal.fit_linear_cov(lab.scores, lab.outcomes, lab.covariates, clip=params.get("clip", True))
+    if len(calib.cov_coefs) > 0 and design.unlabeled.covariates is None:
+        raise DimensionError("covariate-adjusted calibration needs covariates in both samples")
+    return _calibrated(calib)
+
+
+def _fit_platt(design: TwoSampleDesign, params: dict) -> Adjuster:
+    lab = design.labeled
+    if not np.all((lab.outcomes == 0.0) | (lab.outcomes == 1.0)):
+        raise DataError("platt-cal requires binary outcomes in {0, 1}")
+    logit_eps = params.get("logit_eps", cal.DEFAULT_LOGIT_EPS)
+    return _calibrated(cal.fit_platt(lab.scores, lab.outcomes, logit_eps=logit_eps))
+
+
+def _fit_isotonic(design: TwoSampleDesign, params: dict) -> Adjuster:
+    return _calibrated(cal.fit_isotonic(design.labeled.scores, design.labeled.outcomes))
+
+
+def _fit_histogram(design: TwoSampleDesign, params: dict) -> Adjuster:
+    m_l = design.labeled.scores
+    edges = params.get("edges")
+    if edges is None and "bins" in params:
+        nbins = int(params["bins"])
+        if nbins < 1:
+            raise ConfigError("hist-cal needs at least one bin")
+        lo, hi = float(m_l.min()), float(m_l.max())
+        edges = np.linspace(lo, hi, nbins + 1) if hi > lo else np.array([lo, lo + 1.0])
+    return _calibrated(cal.fit_histogram(m_l, design.labeled.outcomes, edges=edges))
+
+
+def _fit_venn_abers(design: TwoSampleDesign, params: dict) -> Adjuster:
+    """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
+
+    Outcomes outside [0, 1] are affinely rescaled for the calibration step and
+    the predictions mapped back; the map is recorded in diagnostics.
+    """
+    m_l, y = design.labeled.scores, design.labeled.outcomes
+    if y.min() >= 0.0 and y.max() <= 1.0:
+        lo, span = 0.0, 1.0
     else:
-        pred_l = cal.predict(calibrator, design.labeled.scores)
-        pred_u = cal.predict(calibrator, design.unlabeled.scores)
-    return pred_l, pred_u
+        lo = float(y.min())
+        span = float(y.max()) - lo if y.max() > y.min() else 1.0
+    y_scaled = (y - lo) / span
+    # the anchor must live on the calibration (rescaled) outcome scale
+    target_scaled = (aipw_general(ScoredDesign(design, m_l, design.unlabeled.scores)) - lo) / span
+    diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}
+    return Adjuster(
+        lambda t: lo + span * cal.fit_venn_abers(m_l, y_scaled, t, target_scaled),
+        lambda scored: diagnostics,
+    )
 
 
 def calibrated_plugin(
@@ -261,101 +351,78 @@ def calibrated_plugin(
     alpha: float = 0.05,
     method_name: str = "calibrated",
 ) -> EstimateReport:
-    """Pooled mean of calibrated predictions, in residual-corrected form.
+    """Report of a calibrator fitted elsewhere, in residual-corrected form.
 
-    For mean-calibrated fits (isotonic, least-squares linear with inactive
-    clipping, histogram, covariate-adjusted linear) the labeled residual mean
-    is zero, so the pooled plug-in mean and its residual-corrected form
-    coincide to machine precision. When clipping is active the two differ;
-    both values are reported in diagnostics and the residual-corrected form is
-    used as the estimate, since it retains the family's unbiasedness.
+    The only path that checks the calibrator's fingerprint: a calibrator
+    fitted inside estimate() was fitted on this very labeled sample.
     """
     fp = getattr(calibrator, "fitted_on", None)
     if fp is not None and not fp.matches(design.labeled.scores, design.labeled.outcomes):
         raise MisuseError("calibrator was not fit on this design's labeled sample")
-    pred_l, pred_u = _calibrated_predictions(design, calibrator)
-    y = design.labeled.outcomes
-    rho = design.rho
-    plugin = float(rho * pred_l.mean() + (1.0 - rho) * pred_u.mean())
-    residual_mean = float((y - pred_l).mean())
-    psi = aipw_general(ScoredDesign(design, pred_l, pred_u, f"calibrated({method_name})"))
-    raw_mse = float(np.mean((y - design.labeled.scores) ** 2))
-    cal_mse = float(np.mean((y - pred_l) ** 2))
-    diagnostics = {
-        "plugin_estimate": plugin,
-        "aipw_estimate": psi,
-        "residual_mean": residual_mean,
-        "calibration_mse_before": raw_mse,
-        "calibration_mse_after": cal_mse,
-    }
-    if isinstance(calibrator, cal.AffineCalibrator):
-        diagnostics["slope"] = calibrator.slope
-        diagnostics["intercept"] = calibrator.intercept
-    if isinstance(calibrator, cal.BinnedCalibrator):
-        diagnostics["empty_bins"] = calibrator.empty_bins
-    if getattr(calibrator, "clip_range", None) is not None:
-        diagnostics["clip_range"] = list(calibrator.clip_range)
-        diagnostics["clip_active"] = abs(residual_mean) > MEAN_CALIBRATED_TOL * max(1.0, float(np.mean(np.abs(y))))
-    return _influence_report(design, pred_l, pred_u, psi, method_name, alpha, diagnostics)
+    return _calibrated(calibrator).report(design, method_name, alpha)
 
 
-class PluginCheck(NamedTuple):
-    ppi: float
-    ppi_plugin: float
-    aipw: float
-    aipw_plugin: float
+# --- registry ----------------------------------------------------------------
 
 
-def ppi_as_plugin_check(design: TwoSampleDesign) -> PluginCheck:
-    """Both raw-score estimators recomputed through intercept-only calibration.
+@dataclass(frozen=True)
+class Method:
+    """A registry entry: the fit that gives a method its adjuster f.
 
-    The intercept fit a_hat = mean_L(Y - m) makes m + a_hat mean-calibrated;
-    its unlabeled mean reproduces the ppi estimate and its pooled mean
-    reproduces the aipw estimate. Used as a test oracle.
+    Selectable fits read only the labeled scores and outcomes, so
+    cross-validation and cross-fitting may refit them on any labeled subsample.
     """
-    m_l, m_u = design.labeled.scores, design.unlabeled.scores
-    y = design.labeled.outcomes
-    rho = design.rho
-    a_hat = float((y - m_l).mean())
-    ppi_val = float(m_u.mean() + (y - m_l).mean())
-    aipw_val = aipw_general(ScoredDesign(design, m_l, m_u, "raw"))
-    plugin_u = float((m_u + a_hat).mean())
-    plugin_pooled = float(rho * (m_l + a_hat).mean() + (1.0 - rho) * (m_u + a_hat).mean())
-    return PluginCheck(ppi=ppi_val, ppi_plugin=plugin_u, aipw=aipw_val, aipw_plugin=plugin_pooled)
+
+    fit: Optional[Callable[[TwoSampleDesign, dict], Adjuster]]
+    selectable: bool = False
+
+    def run(self, design: TwoSampleDesign, tag: MethodTag, alpha: float, seed: int) -> EstimateReport:
+        return self.fit(design, tag.params).report(design, tag.name, alpha)
 
 
-def venn_abers_estimate(design: TwoSampleDesign, alpha: float = 0.05) -> EstimateReport:
-    """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
+class _LabeledOnly(Method):
+    """f = 0, but with the classical ddof=1 standard error of the labeled mean."""
 
-    Outcomes outside [0, 1] are affinely rescaled for the calibration step and
-    the predictions mapped back; the map is recorded in diagnostics.
-    """
-    y = design.labeled.outcomes
-    if y.min() >= 0.0 and y.max() <= 1.0:
-        lo, span = 0.0, 1.0
-    else:
-        lo = float(y.min())
-        span = float(y.max()) - lo if y.max() > y.min() else 1.0
-    y_scaled = (y - lo) / span
-    m_l, m_u = design.labeled.scores, design.unlabeled.scores
-    # the anchor must live on the calibration (rescaled) outcome scale
-    target_scaled = (aipw_general(ScoredDesign(design, m_l, m_u, "raw")) - lo) / span
-    pred_l = lo + span * cal.fit_venn_abers(m_l, y_scaled, m_l, target_scaled)
-    pred_u = lo + span * cal.fit_venn_abers(m_l, y_scaled, m_u, target_scaled)
-    psi = aipw_general(ScoredDesign(design, pred_l, pred_u, "calibrated(venn-abers)"))
-    diagnostics = {
-        "plugin_estimate": float(design.rho * pred_l.mean() + (1 - design.rho) * pred_u.mean()),
-        "aipw_estimate": psi,
-        "residual_mean": float((y - pred_l).mean()),
-        "shrink_target": lo + span * target_scaled,
-        "outcome_rescale": [lo, span],
-    }
-    return _influence_report(design, pred_l, pred_u, psi, "venn-abers", alpha, diagnostics)
+    def run(self, design, tag, alpha, seed):
+        y = design.labeled.outcomes
+        if len(y) < 2:
+            raise DataError("labeled-only standard error needs n >= 2")
+        report = super().run(design, tag, alpha, seed)
+        se = float(y.std(ddof=1) / np.sqrt(len(y)))
+        lo, hi = wald_interval(report.estimate, se, alpha)
+        return replace(report, std_error=se, ci_lower=lo, ci_upper=hi)
 
 
-def _binary_outcomes(design: TwoSampleDesign) -> bool:
-    y = design.labeled.outcomes
-    return bool(np.all((y == 0.0) | (y == 1.0)))
+class _AutoCal(Method):
+    """Cross-validated selection among selectable methods; see selection.autocal_select."""
+
+    def run(self, design, tag, alpha, seed):
+        from . import selection
+
+        params = tag.params
+        candidates = selection.CandidateSet(
+            methods=params.get("candidates", ["aipw", "linear-cal", "iso-cal", "hist-cal"]),
+            folds=params.get("folds", 20),
+            unlabeled_cap_factor=params.get("unlabeled_cap_factor", 10),
+        )
+        _, report = selection.autocal_select(design, candidates, seed=seed, alpha=alpha)
+        return report
+
+
+REGISTRY = {
+    "labeled-only": _LabeledOnly(_fit_zero),
+    "ppi": Method(_fit_ppi),
+    "aipw": Method(_fit_aipw, selectable=True),
+    "ppi-pp": Method(_fit_ppi_pp),
+    "aipw-em": Method(_fit_aipw_em),
+    "linear-cal": Method(_fit_linear, selectable=True),
+    "linear-cov-cal": Method(_fit_linear_cov),
+    "platt-cal": Method(_fit_platt, selectable=True),
+    "iso-cal": Method(_fit_isotonic, selectable=True),
+    "hist-cal": Method(_fit_histogram, selectable=True),
+    "venn-abers": Method(_fit_venn_abers),
+    "auto-cal": _AutoCal(None),
+}
 
 
 def estimate(
@@ -372,55 +439,4 @@ def estimate(
     tag = MethodTag.parse(method)
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    name, params = tag.name, tag.params
-    m_l = design.labeled.scores
-    y = design.labeled.outcomes
-    if name == "labeled-only":
-        return labeled_only(design, alpha)
-    if name == "ppi":
-        return ppi(design, alpha)
-    if name == "aipw":
-        return aipw_raw(design, alpha)
-    if name == "ppi-pp":
-        return ppi_plusplus(design, alpha)
-    if name == "aipw-em":
-        return eem_estimate(design, clip=None, alpha=alpha, method_name="aipw-em")
-    if name == "linear-cal":
-        calib = cal.fit_linear(m_l, y, clip=params.get("clip", True))
-        return calibrated_plugin(design, calib, alpha, "linear-cal")
-    if name == "linear-cov-cal":
-        if design.labeled.covariates is None:
-            raise DimensionError("linear-cov-cal needs labeled covariates")
-        calib = cal.fit_linear_cov(m_l, y, design.labeled.covariates, clip=params.get("clip", True))
-        return calibrated_plugin(design, calib, alpha, "linear-cov-cal")
-    if name == "platt-cal":
-        if not _binary_outcomes(design):
-            raise DataError("platt-cal requires binary outcomes in {0, 1}")
-        calib = cal.fit_platt(m_l, y, logit_eps=params.get("logit_eps", cal.DEFAULT_LOGIT_EPS))
-        return calibrated_plugin(design, calib, alpha, "platt-cal")
-    if name == "iso-cal":
-        calib = cal.fit_isotonic(m_l, y)
-        return calibrated_plugin(design, calib, alpha, "iso-cal")
-    if name == "hist-cal":
-        edges = params.get("edges")
-        if edges is None and "bins" in params:
-            nbins = int(params["bins"])
-            if nbins < 1:
-                raise ConfigError("hist-cal needs at least one bin")
-            lo, hi = float(m_l.min()), float(m_l.max())
-            edges = np.linspace(lo, hi, nbins + 1) if hi > lo else np.array([lo, lo + 1.0])
-        calib = cal.fit_histogram(m_l, y, edges=edges)
-        return calibrated_plugin(design, calib, alpha, "hist-cal")
-    if name == "venn-abers":
-        return venn_abers_estimate(design, alpha)
-    if name == "auto-cal":
-        from .selection import CandidateSet, autocal_select
-
-        candidates = CandidateSet(
-            methods=params.get("candidates", ["aipw", "linear-cal", "iso-cal", "hist-cal"]),
-            folds=params.get("folds", 20),
-            unlabeled_cap_factor=params.get("unlabeled_cap_factor", 10),
-        )
-        _, report = autocal_select(design, candidates, seed=seed, alpha=alpha)
-        return report
-    raise ConfigError(f"unknown method {name!r}")
+    return REGISTRY[tag.name].run(design, tag, alpha, seed)

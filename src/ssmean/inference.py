@@ -76,8 +76,9 @@ def wald_interval(estimate: float, se: float, alpha: float) -> Tuple[float, floa
 
 @dataclass
 class BootstrapResult:
-    """Replicate estimates with derived percentile and normal intervals."""
+    """Point estimate and replicate estimates with percentile and normal intervals."""
 
+    estimate: float
     replicates: np.ndarray
     se_boot: float
     percentile_ci: Tuple[float, float]
@@ -87,6 +88,7 @@ class BootstrapResult:
 
     def to_dict(self) -> dict:
         return {
+            "estimate": self.estimate,
             "se_boot": self.se_boot,
             "percentile_ci": list(self.percentile_ci),
             "normal_ci": list(self.normal_ci),
@@ -142,6 +144,7 @@ def bootstrap(design: TwoSampleDesign, method, b: int, seed: int, alpha: float =
     hi = float(np.quantile(reps, 1.0 - alpha / 2.0))
     z = normal_quantile(1.0 - alpha / 2.0)
     return BootstrapResult(
+        estimate=point,
         replicates=reps,
         se_boot=se_boot,
         percentile_ci=(lo, hi),

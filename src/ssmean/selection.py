@@ -12,15 +12,15 @@ for the unlabeled rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, List, Protocol, Tuple, Union
 
 import numpy as np
 
 from . import calibrators as cal
 from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
-from .design import EstimateReport, TwoSampleDesign, design_from_arrays
-from .estimators import MethodTag, _influence_report, estimate
+from .design import EstimateReport, LabeledSample, TwoSampleDesign, UnlabeledSample, design_from_arrays
+from .estimators import REGISTRY, MethodTag, ScoredDesign, estimate, family_report
 from .exceptions import ConfigError, DataError
 
 __all__ = [
@@ -31,7 +31,11 @@ __all__ = [
     "ols_trainer",
 ]
 
-_SELECTABLE = ("aipw", "linear-cal", "iso-cal", "hist-cal", "platt-cal")
+
+def _check_selectable(tag: MethodTag, role: str) -> None:
+    if not REGISTRY[tag.name].selectable:
+        choices = ", ".join(name for name, method in REGISTRY.items() if method.selectable)
+        raise ConfigError(f"{tag.name!r} {role}; choose from {choices}")
 
 
 @dataclass
@@ -47,10 +51,7 @@ class CandidateSet:
             raise ConfigError("candidate list is empty")
         tags = [MethodTag.parse(m) for m in self.methods]
         for t in tags:
-            if t.name not in _SELECTABLE:
-                raise ConfigError(
-                    f"{t.name!r} is not selectable; choose from {', '.join(_SELECTABLE)}"
-                )
+            _check_selectable(t, "is not selectable")
         self.methods = tags
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
@@ -73,33 +74,6 @@ class TrainerContract(Protocol):
 def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> List[np.ndarray]:
     perm = substream(*rng_key).permutation(n)
     return np.array_split(perm, k)
-
-
-def _fit_adjuster(name: str, scores: np.ndarray, outcomes: np.ndarray):
-    """Fit a candidate's calibration on training data; identity for aipw."""
-    if name == "aipw":
-        return lambda t: np.asarray(t, dtype=np.float64)
-    if name == "linear-cal":
-        return cal.fit_linear(scores, outcomes, clip=True)
-    if name == "iso-cal":
-        return cal.fit_isotonic(scores, outcomes)
-    if name == "hist-cal":
-        return cal.fit_histogram(scores, outcomes)
-    if name == "platt-cal":
-        return cal.fit_platt(scores, outcomes)
-    raise ConfigError(f"{name!r} has no fold adjuster")
-
-
-def _fold_variance(a_eval, y_eval, a_unl, rho_f: float) -> float:
-    """Influence-function variance on one held-out fold, recentered."""
-    psi = rho_f * a_eval.mean() + (1.0 - rho_f) * a_unl.mean() + (y_eval - a_eval).mean()
-    pooled = rho_f * a_eval.mean() + (1.0 - rho_f) * a_unl.mean()
-    shift = psi - pooled
-    al = a_eval + shift
-    au = a_unl + shift
-    dl = al - psi + (y_eval - al) / rho_f
-    du = au - psi
-    return float(rho_f * np.mean(dl**2) + (1.0 - rho_f) * np.mean(du**2))
 
 
 def autocal_select(
@@ -126,42 +100,39 @@ def autocal_select(
         sub_idx = substream(seed, UNLABELED_SUBSAMPLE).choice(N, size=cap, replace=False)
     else:
         sub_idx = np.arange(N)
-    m_l, y = design.labeled.scores, design.labeled.outcomes
-    m_sub = design.unlabeled.scores[sub_idx]
+    lab = design.labeled
+    unl_sub = UnlabeledSample(design.unlabeled.scores[sub_idx])
+
+    def part(rows) -> TwoSampleDesign:
+        return TwoSampleDesign(LabeledSample(lab.scores[rows], lab.outcomes[rows]), unl_sub)
+
+    splits = []
+    for fold in folds:
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        splits.append((part(mask), part(fold)))
 
     criteria = {}
-    best_name = None
-    best_val = np.inf
     for tag in candidates.methods:
         if tag.name in criteria:  # duplicate candidates: first occurrence wins
             continue
         total = 0.0
-        for fold in folds:
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            adjuster = _fit_adjuster(tag.name, m_l[mask], y[mask])
-            a_eval = np.asarray(adjuster(m_l[fold]), dtype=np.float64)
-            a_unl = np.asarray(adjuster(m_sub), dtype=np.float64)
-            rho_f = len(fold) / (len(fold) + cap)
-            total += _fold_variance(a_eval, y[fold], a_unl, rho_f)
+        for train, held_out in splits:
+            # the criterion is the held-out influence variance, sigma^2 = M * SE^2
+            se = family_report(REGISTRY[tag.name].fit(train, tag.params).scored(held_out)).std_error
+            total += held_out.m_total * se**2
         criteria[tag.name] = total / k
-        if criteria[tag.name] < best_val:
-            best_val = criteria[tag.name]
-            best_name = tag.name
 
+    best_name = min(criteria, key=criteria.get)  # ties break by candidate order
     winner = next(t for t in candidates.methods if t.name == best_name)
     report = estimate(design, winner, alpha=alpha, seed=seed)
-    report.method = "auto-cal"
-    report.diagnostics = dict(report.diagnostics)
-    report.diagnostics.update(
-        {
-            "selected": winner.name,
-            "cv_criteria": {name: float(v) for name, v in criteria.items()},
-            "cv_folds": int(k),
-            "cv_unlabeled_subsample": int(cap),
-        }
-    )
-    return winner, report
+    cv = {
+        "selected": winner.name,
+        "cv_criteria": {name: float(v) for name, v in criteria.items()},
+        "cv_folds": int(k),
+        "cv_unlabeled_subsample": int(cap),
+    }
+    return winner, replace(report, method="auto-cal", diagnostics={**report.diagnostics, **cv})
 
 
 def ols_trainer(covariates: np.ndarray, outcomes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -215,10 +186,7 @@ def crossfit_calibrated(
     if k > n:
         raise ConfigError(f"cannot split n={n} labeled points into k={k} folds")
     tag = MethodTag.parse(calibration_method)
-    if tag.name not in _SELECTABLE:
-        raise ConfigError(
-            f"{tag.name!r} cannot be used as a cross-fit calibration; choose from {', '.join(_SELECTABLE)}"
-        )
+    _check_selectable(tag, "cannot be used as a cross-fit calibration")
 
     folds = _fold_blocks(n, k, (seed, CROSSFIT_SHUFFLE))
     oof = np.empty(n)
@@ -235,29 +203,8 @@ def crossfit_calibrated(
     if not (np.isfinite(oof).all() and np.isfinite(unl_by_fold).all()):
         raise DataError("trainer produced non-finite scores")
 
-    adjuster = _fit_adjuster(tag.name, oof, y)
-    pred_l = np.asarray(adjuster(oof), dtype=np.float64)
-    pred_u = np.mean(
-        [np.asarray(adjuster(unl_by_fold[j]), dtype=np.float64) for j in range(k)], axis=0
-    )
-
     design = design_from_arrays(oof, y, unl_by_fold.mean(axis=0))
-    rho = design.rho
-    plugin = float(rho * pred_l.mean() + (1.0 - rho) * pred_u.mean())
-    residual_mean = float((y - pred_l).mean())
-    psi = plugin + residual_mean
-    report = _influence_report(
-        design,
-        pred_l,
-        pred_u,
-        psi,
-        f"crossfit-{tag.name}",
-        alpha,
-        {
-            "folds": int(k),
-            "calibration": tag.name,
-            "plugin_estimate": plugin,
-            "residual_mean": residual_mean,
-        },
-    )
-    return report
+    f = REGISTRY[tag.name].fit(design, tag.params).f
+    pred_u = np.mean([cal.predict(f, unl_by_fold[j]) for j in range(k)], axis=0)
+    scored = ScoredDesign(design, cal.predict(f, oof), pred_u, f"crossfit({tag.name})")
+    return family_report(scored, f"crossfit-{tag.name}", alpha, {"folds": int(k), "calibration": tag.name})

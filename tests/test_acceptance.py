@@ -15,12 +15,11 @@ from ssmean import (
     bootstrap,
     calibrated_plugin,
     design_from_arrays,
-    eem_estimate,
     eem_lambda,
+    estimate,
     fit_isotonic,
     fit_linear,
     influence_values,
-    ppi_as_plugin_check,
     predict,
     run_grid,
     wald_se,
@@ -29,6 +28,7 @@ from ssmean.cli import main, write_labeled_csv, write_unlabeled_csv
 from ssmean.estimators import ScoredDesign
 
 from test_calibrators import iso_oracle_sse
+from test_estimators import ppi_as_plugin_check
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -88,7 +88,7 @@ def test_criterion_1c_rescaled_vs_linear_difference():
         d = _random_design(rng)
         lam = eem_lambda(d)  # unclipped
         lin = fit_linear(d.labeled.scores, d.labeled.outcomes, clip=False)
-        psi_pp = eem_estimate(d).estimate
+        psi_pp = estimate(d, "aipw-em").estimate
         psi_lin = calibrated_plugin(d, lin).estimate
         delta = d.unlabeled.scores.mean() - d.labeled.scores.mean()
         want = (1.0 - d.rho) * (lam - lin.slope) * delta

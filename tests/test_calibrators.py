@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,8 @@ from ssmean import (
     ConfigError,
     DataError,
     DimensionError,
-    calibrator_from_dict,
-    calibrator_to_dict,
+    design_from_arrays,
+    estimate,
     fit_histogram,
     fit_isotonic,
     fit_linear,
@@ -283,6 +281,15 @@ def test_platt_objective_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(path[:-1], path[1:]))
 
 
+def test_platt_records_ridge_flag():
+    separable = fit_platt([0.2, 0.3, 0.7, 0.8], [0.0, 0.0, 1.0, 1.0])
+    overlapping = fit_platt([0.2, 0.3, 0.7, 0.8], [0.0, 1.0, 0.0, 1.0])
+    assert separable.ridge_active is True
+    assert overlapping.ridge_active is False
+    d = design_from_arrays([0.2, 0.3, 0.7, 0.8], [0.0, 0.0, 1.0, 1.0], [0.5])
+    assert estimate(d, "platt-cal").diagnostics["ridge_active"] is True
+
+
 def test_platt_rejects_nonbinary():
     with pytest.raises(DataError):
         fit_platt([0.2, 0.8], [0.0, 0.5])
@@ -444,30 +451,3 @@ def test_venn_abers_order_independent():
     b = fit_venn_abers(s, y, evals[::-1], 0.5)[::-1]
     assert np.array_equal(a, b)
 
-
-# --- serialization --------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: fit_isotonic([1.0, 2.0, 3.0], [0.5, 0.2, 0.9]),
-        lambda: fit_linear([0.0, 1.0, 2.0], [1.0, 2.0, 2.5], clip=True),
-        lambda: fit_platt([0.2, 0.8, 0.4, 0.6], [0.0, 1.0, 0.0, 1.0]),
-        lambda: fit_histogram([0.2, 0.7], [1.0, 2.0], edges=[0.0, 0.5, 1.0]),
-        lambda: fit_linear_cov(
-            np.arange(6.0), np.arange(6.0) * 2 + 1, np.arange(6.0).reshape(-1, 1) ** 2
-        ),
-    ],
-)
-def test_serialization_round_trip_exact(make):
-    cal = make()
-    payload = json.dumps(calibrator_to_dict(cal))
-    back = calibrator_from_dict(json.loads(payload))
-    assert type(back) is type(cal)
-    assert back.fitted_on == cal.fitted_on
-    probe = np.linspace(-1.0, 3.0, 7)
-    if hasattr(cal, "cov_coefs"):
-        cov = np.linspace(0.0, 1.0, 7).reshape(-1, 1) if len(cal.cov_coefs) else np.empty((7, 0))
-        assert np.array_equal(predict(back, probe, cov), predict(cal, probe, cov))
-    else:
-        assert np.array_equal(predict(back, probe), predict(cal, probe))

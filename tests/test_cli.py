@@ -207,6 +207,26 @@ def test_bootstrap_degenerate_and_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
+    import ssmean.cli
+    import ssmean.estimators
+
+    calls = []
+    real = ssmean.estimators.estimate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ssmean.estimators, "estimate", counting)
+    monkeypatch.setattr(ssmean.cli, "estimate", counting)
+    lab, unl = toy_files
+    code, out, _ = run_cli(capsys, "bootstrap", "--labeled", lab, "--unlabeled", unl, "--b", "5")
+    assert code == 0
+    assert len(calls) == 6  # the point estimate plus one refit per replicate
+    assert json.loads(out)["estimate"] == real(ssmean.cli._load_design(lab, unl, None), "aipw").estimate
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(82)
     scores = rng.normal(size=40)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,45 +11,7 @@ from ssmean import (
     TwoSampleDesign,
     UnlabeledSample,
     design_from_arrays,
-    pooled_mean,
-    validate_design,
 )
-
-
-def test_pooled_mean_constant():
-    d = design_from_arrays([0.0, 0.0], [1.0, 1.0], [0.0])
-    assert pooled_mean(d, [1.0, 1.0], [1.0]) == 1.0
-
-
-def test_pooled_mean_direct_value():
-    d = design_from_arrays([0.0, 0.0], [0.0, 2.0], [0.0] * 4)
-    assert pooled_mean(d, [0.0, 2.0], [4.0, 4.0, 4.0, 4.0]) == pytest.approx(3.0, abs=1e-15)
-
-
-def test_pooled_mean_half_weight():
-    d = design_from_arrays([0.0], [5.0], [0.0])
-    assert pooled_mean(d, [5.0], [0.0]) == pytest.approx(2.5, abs=1e-15)
-
-
-def test_pooled_mean_equals_concatenated_mean():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = rng.integers(1, 30)
-        N = rng.integers(1, 50)
-        fl = rng.normal(scale=10, size=n)
-        fu = rng.normal(scale=10, size=N)
-        d = design_from_arrays(np.zeros(n), np.zeros(n), np.zeros(N))
-        got = pooled_mean(d, fl, fu)
-        want = np.mean(np.concatenate([fl, fu]))
-        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
-
-
-def test_pooled_mean_errors():
-    d = design_from_arrays([0.0, 0.0], [1.0, 1.0], [0.0])
-    with pytest.raises(DimensionError):
-        pooled_mean(d, [1.0], [1.0])
-    with pytest.raises(DataError):
-        pooled_mean(d, [1.0, np.nan], [1.0])
 
 
 def test_rho_from_sizes():
@@ -65,15 +29,6 @@ def test_rho_permutation_invariant():
     perm = rng.permutation(7)
     d2 = design_from_arrays(s[perm], y[perm], u)
     assert d1.rho == d2.rho
-
-
-def test_validate_design_idempotent():
-    d = design_from_arrays([1.0, 2.0], [0.0, 1.0], [3.0])
-    d2 = validate_design(d.labeled, d.unlabeled)
-    assert np.array_equal(d.labeled.scores, d2.labeled.scores)
-    assert np.array_equal(d.labeled.outcomes, d2.labeled.outcomes)
-    assert np.array_equal(d.unlabeled.scores, d2.unlabeled.scores)
-    assert d.rho == d2.rho
 
 
 def test_empty_sample_rejected():
@@ -117,3 +72,11 @@ def test_report_round_trip():
     rep = EstimateReport(1.0, 0.5, 0.02, 1.98, 0.05, "aipw", 10, 20, {"k": 1.0})
     back = EstimateReport.from_dict(rep.to_dict())
     assert back == rep
+
+
+def test_report_is_frozen():
+    rep = EstimateReport(1.0, 0.5, 0.02, 1.98, 0.05, "aipw", 10, 20, {"k": 1.0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.method = "auto-cal"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.estimate = 2.0

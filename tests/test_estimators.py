@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -9,21 +11,48 @@ from ssmean import (
     MethodTag,
     ScoredDesign,
     aipw_general,
-    aipw_raw,
     calibrated_plugin,
     design_from_arrays,
-    eem_estimate,
     eem_lambda,
     estimate,
     fit_histogram,
     fit_isotonic,
     fit_linear,
     fit_linear_cov,
-    labeled_only,
-    ppi,
-    ppi_as_plugin_check,
 )
 from ssmean.simulate import DgpSpec, draw_dataset
+
+
+class PluginCheck(NamedTuple):
+    ppi: float
+    ppi_plugin: float
+    aipw: float
+    aipw_plugin: float
+
+
+def ppi_as_plugin_check(design) -> PluginCheck:
+    """Both raw-score estimators recomputed through intercept-only calibration.
+
+    The intercept fit a_hat = mean_L(Y - m) makes m + a_hat mean-calibrated;
+    its unlabeled mean reproduces the ppi estimate and its pooled mean
+    reproduces the aipw estimate. The criterion-1b oracle.
+    """
+    m_l, m_u = design.labeled.scores, design.unlabeled.scores
+    y = design.labeled.outcomes
+    rho = design.rho
+    a_hat = float((y - m_l).mean())
+    ppi_val = float(m_u.mean() + (y - m_l).mean())
+    aipw_val = aipw_general(ScoredDesign(design, m_l, m_u, "raw"))
+    plugin_u = float((m_u + a_hat).mean())
+    plugin_pooled = float(rho * (m_l + a_hat).mean() + (1.0 - rho) * (m_u + a_hat).mean())
+    return PluginCheck(ppi=ppi_val, ppi_plugin=plugin_u, aipw=aipw_val, aipw_plugin=plugin_pooled)
+
+
+def scaled_estimate(design, clip):
+    """The family member f = lambda_hat * m with lambda_hat clamped to clip."""
+    lam = eem_lambda(design, clip=clip)
+    m_l, m_u = design.labeled.scores, design.unlabeled.scores
+    return aipw_general(ScoredDesign(design, lam * m_l, lam * m_u))
 
 
 def random_design(rng, n=None, N=None, scale=1.0):
@@ -68,7 +97,7 @@ def test_aipw_general_shift_invariance():
 
 def test_labeled_only_constant():
     d = design_from_arrays([0.0] * 3, [1.0, 1.0, 1.0], [0.0])
-    rep = labeled_only(d)
+    rep = estimate(d, "labeled-only")
     assert rep.estimate == 1.0
     assert rep.std_error == 0.0
     assert rep.ci_lower == rep.ci_upper == 1.0
@@ -76,50 +105,50 @@ def test_labeled_only_constant():
 
 def test_labeled_only_two_points():
     d = design_from_arrays([0.0, 0.0], [0.0, 2.0], [0.0])
-    rep = labeled_only(d)
+    rep = estimate(d, "labeled-only")
     assert rep.estimate == 1.0
     assert rep.std_error == pytest.approx(1.0)
 
 
 def test_labeled_only_mean():
     d = design_from_arrays([0.0] * 4, [0.0, 1.0, 0.0, 1.0], [0.0])
-    assert labeled_only(d).estimate == 0.5
+    assert estimate(d, "labeled-only").estimate == 0.5
 
 
 def test_labeled_only_needs_two():
     d = design_from_arrays([0.0], [1.0], [0.0])
     with pytest.raises(DataError):
-        labeled_only(d)
+        estimate(d, "labeled-only")
 
 
 # --- ppi / aipw ------------------------------------------------------------------
 
 def test_ppi_constant_score_cancels():
     d = design_from_arrays([3.0, 3.0], [1.0, 2.0], [3.0, 3.0, 3.0])
-    assert ppi(d).estimate == pytest.approx(1.5, abs=1e-14)
+    assert estimate(d, "ppi").estimate == pytest.approx(1.5, abs=1e-14)
 
 
 def test_ppi_example_value():
     d = design_from_arrays([1.0, 3.0], [2.0, 4.0], [2.0])
-    assert ppi(d).estimate == pytest.approx(3.0, abs=1e-14)
+    assert estimate(d, "ppi").estimate == pytest.approx(3.0, abs=1e-14)
 
 
 def test_ppi_zero_residuals():
     rng = np.random.default_rng(32)
     y = rng.normal(size=6)
     d = design_from_arrays(y, y, np.full(4, 2.5))
-    assert ppi(d).estimate == pytest.approx(2.5, abs=1e-14)
+    assert estimate(d, "ppi").estimate == pytest.approx(2.5, abs=1e-14)
 
 
 def test_aipw_zero_score_is_labeled_mean():
     d = design_from_arrays([0.0, 0.0], [1.0, 3.0], [0.0, 0.0])
-    assert aipw_raw(d).estimate == pytest.approx(2.0, abs=1e-14)
+    assert estimate(d, "aipw").estimate == pytest.approx(2.0, abs=1e-14)
 
 
 def test_aipw_example_value():
     # rho = 2/3: (2/3)*2 + (1/3)*2 + 1 = 3
     d = design_from_arrays([1.0, 3.0], [2.0, 4.0], [2.0])
-    assert aipw_raw(d).estimate == pytest.approx(3.0, abs=1e-14)
+    assert estimate(d, "aipw").estimate == pytest.approx(3.0, abs=1e-14)
 
 
 def test_aipw_shift_invariant_estimate():
@@ -129,7 +158,7 @@ def test_aipw_shift_invariant_estimate():
     shifted = design_from_arrays(
         d.labeled.scores + c, d.labeled.outcomes, d.unlabeled.scores + c
     )
-    assert aipw_raw(shifted).estimate == pytest.approx(aipw_raw(d).estimate, rel=1e-12, abs=1e-12)
+    assert estimate(shifted, "aipw").estimate == pytest.approx(estimate(d, "aipw").estimate, rel=1e-12, abs=1e-12)
 
 
 # --- empirical efficiency maximization ------------------------------------------
@@ -161,7 +190,7 @@ def test_eem_lambda_clip_clamps():
 def test_eem_degenerate_score_falls_back_to_labeled_mean():
     d = design_from_arrays([2.0, 2.0], [1.0, 3.0], [2.0, 2.0])
     assert eem_lambda(d) == 0.0
-    rep = eem_estimate(d)
+    rep = estimate(d, "aipw-em")
     assert rep.estimate == pytest.approx(2.0, abs=1e-14)
     assert rep.diagnostics["degenerate_score"] is True
 
@@ -169,15 +198,13 @@ def test_eem_degenerate_score_falls_back_to_labeled_mean():
 def test_eem_clip_zero_is_labeled_only_estimate():
     rng = np.random.default_rng(35)
     d = random_design(rng)
-    rep = eem_estimate(d, clip=(0.0, 0.0))
-    assert rep.estimate == pytest.approx(d.labeled.outcomes.mean(), abs=1e-12)
+    assert scaled_estimate(d, clip=(0.0, 0.0)) == pytest.approx(d.labeled.outcomes.mean(), abs=1e-12)
 
 
 def test_eem_clip_one_is_aipw_estimate():
     rng = np.random.default_rng(36)
     d = random_design(rng)
-    rep = eem_estimate(d, clip=(1.0, 1.0))
-    assert rep.estimate == pytest.approx(aipw_raw(d).estimate, abs=1e-12)
+    assert scaled_estimate(d, clip=(1.0, 1.0)) == pytest.approx(estimate(d, "aipw").estimate, abs=1e-12)
 
 
 def test_eem_closed_form_identity():
@@ -187,7 +214,7 @@ def test_eem_closed_form_identity():
         lam = eem_lambda(d)
         delta = d.unlabeled.scores.mean() - d.labeled.scores.mean()
         want = d.labeled.outcomes.mean() + (1 - d.rho) * lam * delta
-        assert eem_estimate(d).estimate == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert estimate(d, "aipw-em").estimate == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_ppi_pp_carries_clip_diagnostics():
@@ -204,7 +231,7 @@ def test_ppi_pp_equals_ppi_when_clip_binds_above():
     y = 5.0 * m_l + rng.normal(scale=0.1, size=50)
     d = design_from_arrays(m_l, y, rng.normal(size=50))
     assert eem_lambda(d) > 1.0 / (1.0 - d.rho)
-    assert estimate(d, "ppi-pp").estimate == pytest.approx(ppi(d).estimate, rel=1e-12)
+    assert estimate(d, "ppi-pp").estimate == pytest.approx(estimate(d, "ppi").estimate, rel=1e-12)
 
 
 # --- calibrated plug-in -----------------------------------------------------------
@@ -304,7 +331,7 @@ def test_scaled_vs_linear_exact_difference():
         d = random_design(rng)
         lam = eem_lambda(d)  # unclipped
         lin = fit_linear(d.labeled.scores, d.labeled.outcomes, clip=False)
-        psi_pp = eem_estimate(d).estimate
+        psi_pp = estimate(d, "aipw-em").estimate
         psi_lin = calibrated_plugin(d, lin).estimate
         delta = d.unlabeled.scores.mean() - d.labeled.scores.mean()
         want = (1 - d.rho) * (lam - lin.slope) * delta
@@ -336,8 +363,8 @@ def test_ppi_less_efficient_than_aipw_at_perfect_score():
     aipw_vals = np.empty(reps)
     for r in range(reps):
         d = draw_dataset(DgpSpec(n=400, ratio=16, seed=1000 + r, miscalibrated=False))
-        ppi_vals[r] = ppi(d).estimate
-        aipw_vals[r] = aipw_raw(d).estimate
+        ppi_vals[r] = estimate(d, "ppi").estimate
+        aipw_vals[r] = estimate(d, "aipw").estimate
     sd_ppi = ppi_vals.std(ddof=1)
     sd_aipw = aipw_vals.std(ddof=1)
     margin = 2.0 * sd_ppi / np.sqrt(2 * (reps - 1))
@@ -349,9 +376,10 @@ def test_ppi_less_efficient_than_aipw_at_perfect_score():
 def test_estimate_dispatch_matches_direct_calls():
     rng = np.random.default_rng(45)
     d = random_design(rng)
-    assert estimate(d, "aipw").estimate == aipw_raw(d).estimate
-    assert estimate(d, "ppi").estimate == ppi(d).estimate
-    assert estimate(d, MethodTag("labeled-only")).estimate == labeled_only(d).estimate
+    m_l, m_u, y = d.labeled.scores, d.unlabeled.scores, d.labeled.outcomes
+    assert estimate(d, "aipw").estimate == aipw_general(ScoredDesign(d, m_l, m_u))
+    assert estimate(d, "ppi").estimate == pytest.approx(m_u.mean() + (y - m_l).mean(), rel=1e-12)
+    assert estimate(d, MethodTag("labeled-only")).estimate == y.mean()
 
 
 def test_estimate_unknown_method():

@@ -1,0 +1,136 @@
+"""Property tests of the estimator family over every registry method.
+
+Designs are drawn on a dyadic grid (scores k/16, outcomes k/4 or binary,
+integer covariates), so the shifts and score transforms below are exact in
+floating point and any failure is the estimator's, not rounding's.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssmean import METHOD_NAMES, ConvergenceError, design_from_arrays, estimate
+from ssmean.inference import normal_quantile
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+Z = normal_quantile(0.975)
+
+# methods whose estimate moves by c when c is added to outcomes and scores
+SHIFT_EQUIVARIANT = (
+    "labeled-only", "ppi", "aipw", "ppi-pp", "aipw-em", "linear-cal", "iso-cal", "hist-cal",
+)
+
+
+@st.composite
+def designs(draw):
+    n = draw(st.integers(4, 24))
+    N = draw(st.integers(2, 30))
+    m_l = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
+    m_u = draw(st.lists(st.integers(0, 16), min_size=N, max_size=N))
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    else:
+        y = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    x_l = x_u = None
+    if draw(st.booleans()):
+        x_l = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+        x_u = np.array(draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N)), dtype=float)
+    return design_from_arrays(np.array(m_l) / 16.0, y, np.array(m_u) / 16.0, x_l, x_u)
+
+
+def applicable(design):
+    """The registry methods whose preconditions the design meets."""
+    lab = design.labeled
+    methods = []
+    for name in METHOD_NAMES:
+        if name == "platt-cal" and not np.all((lab.outcomes == 0.0) | (lab.outcomes == 1.0)):
+            continue
+        if name == "linear-cov-cal":
+            if lab.covariates is None:
+                continue
+            basis = np.column_stack([np.ones(design.n), lab.covariates, lab.scores])
+            if design.n <= 3 or np.linalg.matrix_rank(basis) < basis.shape[1]:
+                continue
+        methods.append(name)
+    return methods
+
+
+def run(design, name):
+    """The method's report, or None when Platt scaling does not converge."""
+    try:
+        return estimate(design, name)
+    except ConvergenceError:
+        if name == "platt-cal":
+            return None
+        raise
+
+
+def permuted(design, perm_l, perm_u):
+    lab, unl = design.labeled, design.unlabeled
+    x_l = None if lab.covariates is None else lab.covariates[perm_l]
+    x_u = None if unl.covariates is None else unl.covariates[perm_u]
+    return design_from_arrays(lab.scores[perm_l], lab.outcomes[perm_l], unl.scores[perm_u], x_l, x_u)
+
+
+def close(a, b, tol=1e-10):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+@SETTINGS
+@given(designs())
+def test_estimate_is_plugin_plus_residual_and_ci_is_wald(design):
+    for name in applicable(design):
+        report = run(design, name)
+        if report is None:
+            continue
+        d = report.diagnostics
+        scale = max(1.0, abs(report.estimate))
+        assert abs(report.estimate - (d["plugin_estimate"] + d["residual_mean"])) <= 1e-12 * scale, name
+        assert report.ci_lower == pytest.approx(report.estimate - Z * report.std_error, abs=1e-12 * scale)
+        assert report.ci_upper == pytest.approx(report.estimate + Z * report.std_error, abs=1e-12 * scale)
+
+
+@SETTINGS
+@given(designs(), st.data())
+def test_row_permutations_leave_estimate_and_se(design, data):
+    perm_l = np.array(data.draw(st.permutations(range(design.n))))
+    perm_u = np.array(data.draw(st.permutations(range(design.N))))
+    shuffled = permuted(design, perm_l, perm_u)
+    # auto-cal is left out: its folds are a seeded split of the labeled rows in their given order
+    for name in applicable(design):
+        if name == "auto-cal":
+            continue
+        a, b = run(design, name), run(shuffled, name)
+        if a is None or b is None:
+            continue
+        assert close(a.estimate, b.estimate), name
+        assert close(a.std_error, b.std_error), name
+
+
+@SETTINGS
+@given(designs(), st.integers(-40, 40))
+def test_shift_moves_estimate_and_keeps_se(design, k):
+    c = k / 8.0
+    lab, unl = design.labeled, design.unlabeled
+    shifted = design_from_arrays(lab.scores + c, lab.outcomes + c, unl.scores + c)
+    for name in SHIFT_EQUIVARIANT:
+        a, b = estimate(design, name), estimate(shifted, name)
+        assert close(b.estimate, a.estimate + c), name
+        assert close(b.std_error, a.std_error), name
+
+
+TRANSFORMS = (
+    lambda t: 4.0 * t - 3.0,
+    lambda t: t**2,
+    lambda t: t**3 + t,
+)
+
+
+@SETTINGS
+@given(designs(), st.sampled_from(TRANSFORMS))
+def test_isotonic_invariant_under_increasing_score_map(design, g):
+    lab, unl = design.labeled, design.unlabeled
+    mapped = design_from_arrays(g(lab.scores), lab.outcomes, g(unl.scores))
+    a, b = estimate(design, "iso-cal"), estimate(mapped, "iso-cal")
+    assert a.estimate == b.estimate
+    assert a.std_error == b.std_error

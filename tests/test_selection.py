@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def test_single_candidate_degenerate_selection():
     assert report.std_error == direct.std_error
     assert report.method == "auto-cal"
     assert report.diagnostics["selected"] == "iso-cal"
+
+
+def test_autocal_report_is_winner_report_plus_cv_keys():
+    rng = np.random.default_rng(69)
+    d = make_design(rng)
+    winner, report = autocal_select(d, CandidateSet(["aipw", "linear-cal", "iso-cal"]), seed=2)
+    direct = estimate(d, winner, seed=2)
+    cv_keys = {"selected", "cv_criteria", "cv_folds", "cv_unlabeled_subsample"}
+    assert set(report.diagnostics) == set(direct.diagnostics) | cv_keys
+    assert {k: v for k, v in report.diagnostics.items() if k not in cv_keys} == direct.diagnostics
+    assert dataclasses.replace(report, method=direct.method, diagnostics=direct.diagnostics) == direct
+    assert report.method == "auto-cal"
+    assert direct.method == winner.name
 
 
 def test_duplicate_candidates_first_wins():
