@@ -52,7 +52,6 @@ from .inference import (
     wald_interval,
     wald_se,
 )
-from .kernels import PAVA_BACKEND
 from .selection import CandidateSet, autocal_select, crossfit_calibrated, ols_trainer
 from .simulate import (
     DgpSpec,

@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .exceptions import ConfigError, ConvergenceError, DataError, DimensionError
-from .kernels import pava
 
 __all__ = [
     "FitFingerprint",
@@ -44,6 +43,7 @@ DEFAULT_HISTOGRAM_BINS = 10
 _PLATT_MAX_ITER = 100
 _PLATT_GRAD_TOL = 1e-10
 _PLATT_RIDGE = 1e-8
+_PLATT_DECREMENT_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -230,6 +230,17 @@ def _check_xy(scores, outcomes):
     return s, y
 
 
+def pava(values, weights) -> np.ndarray:
+    """Weighted least-squares nondecreasing fit of values already ordered by the score.
+
+    SciPy's pooled-adjacent-violators. scipy.optimize is slow to import, so it
+    is imported on the first fit rather than by ``import ssmean``.
+    """
+    from scipy.optimize import isotonic_regression
+
+    return isotonic_regression(values, weights=weights).x
+
+
 def fit_isotonic(scores, outcomes, weights=None) -> StepCalibrator:
     """Exact least-squares monotone nondecreasing fit of outcomes on scores.
 
@@ -352,6 +363,11 @@ def _platt_newton(t: np.ndarray, y: np.ndarray, ridge_active: bool):
             raise ConvergenceError("singular Hessian in Platt scaling", last_iterate=tuple(theta))
         step = np.linalg.solve(hess, -grad)
         current = path[-1]
+        if -float(grad @ step) <= _PLATT_DECREMENT_ULPS * np.finfo(np.float64).eps * abs(current):
+            # the predicted decrease is below the rounding of the loss, so the
+            # line search cannot rank steps; the full Newton step is exact to
+            # second order here
+            return theta + step, path, ridge_active
         scale = 1.0
         for _ in range(60):
             cand = theta + scale * step

@@ -21,7 +21,8 @@ then
     SE^2 = (sum D_L^2 + sum D_U^2) / (n + N)^2.
 
 labeled-only is the one documented exception: it keeps the classical
-ddof=1 standard error of the labeled mean.
+ddof=1 standard error of the labeled mean. Every method refuses n < 2 and
+a standard error that overflows float64.
 """
 from __future__ import annotations
 
@@ -134,6 +135,8 @@ def family_report(
     shift = psi - plugin
     pair = influence_values(d, fl + shift, fu + shift, psi)
     se = wald_se(pair, d)
+    if not np.isfinite(se):
+        raise DataError(f"{method}: standard error overflows float64; rescale the scores and outcomes")
     lo, hi = wald_interval(psi, se, alpha)
     diagnostics = {
         "plugin_estimate": plugin,
@@ -377,17 +380,21 @@ class Method:
     selectable: bool = False
 
     def run(self, design: TwoSampleDesign, tag: MethodTag, alpha: float, seed: int) -> EstimateReport:
+        """The method's report; every method needs n >= 2 for an honest standard error."""
+        if design.n < 2:
+            raise DataError(f"{tag.name} needs n >= 2 labeled points for a standard error, got n={design.n}")
+        return self.report(design, tag, alpha, seed)
+
+    def report(self, design: TwoSampleDesign, tag: MethodTag, alpha: float, seed: int) -> EstimateReport:
         return self.fit(design, tag.params).report(design, tag.name, alpha)
 
 
 class _LabeledOnly(Method):
     """f = 0, but with the classical ddof=1 standard error of the labeled mean."""
 
-    def run(self, design, tag, alpha, seed):
+    def report(self, design, tag, alpha, seed):
         y = design.labeled.outcomes
-        if len(y) < 2:
-            raise DataError("labeled-only standard error needs n >= 2")
-        report = super().run(design, tag, alpha, seed)
+        report = super().report(design, tag, alpha, seed)
         se = float(y.std(ddof=1) / np.sqrt(len(y)))
         lo, hi = wald_interval(report.estimate, se, alpha)
         return replace(report, std_error=se, ci_lower=lo, ci_upper=hi)
@@ -396,7 +403,7 @@ class _LabeledOnly(Method):
 class _AutoCal(Method):
     """Cross-validated selection among selectable methods; see selection.autocal_select."""
 
-    def run(self, design, tag, alpha, seed):
+    def report(self, design, tag, alpha, seed):
         from . import selection
 
         params = tag.params

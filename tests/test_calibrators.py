@@ -17,6 +17,7 @@ from ssmean import (
     predict,
 )
 from ssmean.calibrators import _platt_newton, _stabilized_logit
+from ssmean.simulate import DgpSpec, draw_dataset
 
 
 # --- exhaustive oracles -------------------------------------------------------
@@ -137,6 +138,18 @@ def test_isotonic_training_predictions_match_fit():
     cuts = np.quantile(pred, [0.3, 0.7])
     hstep = np.searchsorted(cuts, pred).astype(float)
     assert float(np.sum(hstep * (y - pred))) == pytest.approx(0.0, abs=1e-9)
+    # weighted, tied scores: monotone in the score, weighted residuals
+    # orthogonal to functions of the fitted values
+    for _ in range(50):
+        n = int(rng.integers(1, 200))
+        s = rng.integers(0, max(1, n // 3), size=n).astype(float)
+        y = rng.normal(size=n)
+        w = rng.uniform(0.1, 3.0, size=n)
+        pred = predict(fit_isotonic(s, y, weights=w), s)
+        order = np.argsort(s, kind="stable")
+        assert np.all(np.diff(pred[order]) >= 0.0)
+        for h in (lambda v: np.ones_like(v), lambda v: v):
+            assert float(np.sum(w * h(pred) * (y - pred))) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_isotonic_calibeating():
@@ -288,6 +301,19 @@ def test_platt_records_ridge_flag():
     assert overlapping.ridge_active is False
     d = design_from_arrays([0.2, 0.3, 0.7, 0.8], [0.0, 0.0, 1.0, 1.0], [0.5])
     assert estimate(d, "platt-cal").diagnostics["ridge_active"] is True
+
+
+def test_platt_converges_at_the_float_floor_of_the_loss():
+    # Newton reaches the optimum while the gradient is still above the
+    # absolute tolerance; further steps leave the loss unchanged in float64
+    d = draw_dataset(DgpSpec(n=1200, ratio=16, seed=1093364357))
+    s, y = d.labeled.scores, d.labeled.outcomes
+    cal = fit_platt(s, y)
+    t = _stabilized_logit(s, cal.logit_eps)
+    a_star, b_star = platt_grid_oracle(t, y, half_width=10.0)
+    assert cal.ridge_active is False
+    assert cal.scale == pytest.approx(a_star, abs=1e-3)
+    assert cal.shift == pytest.approx(b_star, abs=1e-3)
 
 
 def test_platt_rejects_nonbinary():

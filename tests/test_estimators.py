@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssmean import (
+    METHOD_NAMES,
     AffineCalibrator,
     ConfigError,
     DataError,
@@ -119,6 +120,25 @@ def test_labeled_only_needs_two():
     d = design_from_arrays([0.0], [1.0], [0.0])
     with pytest.raises(DataError):
         estimate(d, "labeled-only")
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_every_method_refuses_a_single_labeled_point(name):
+    # one labeled point gives no honest standard error for any method
+    d = design_from_arrays([0.4], [1.0], [0.2, 0.5, 0.9], [[0.1]], [[0.3], [0.2], [0.7]])
+    with pytest.raises(DataError, match=f"^{name} needs n >= 2"):
+        estimate(d, name)
+
+
+@pytest.mark.parametrize("name", ["aipw", "iso-cal"])
+def test_overflowing_standard_error_raises(name):
+    # the point estimate is finite, but the squared influence values overflow
+    rng = np.random.default_rng(91)
+    m = rng.uniform(1.0, 2.0, size=20) * 1e200
+    y = rng.uniform(1.0, 2.0, size=20) * 1e200
+    d = design_from_arrays(m, y, rng.uniform(1.0, 2.0, size=40) * 1e200)
+    with pytest.raises(DataError, match="standard error overflows float64"):
+        estimate(d, name)
 
 
 # --- ppi / aipw ------------------------------------------------------------------
