@@ -6,7 +6,10 @@ arbitrary scores. Supported families: isotonic step functions (exact
 least-squares monotone fit via pooled adjacent violators), affine least
 squares, Platt scaling (logistic loss on the stabilized logit), histogram
 binning on a fixed partition, covariate-adjusted affine maps, and
-interval-based shrinkage built from two label-augmented isotonic fits.
+Venn-Abers interval shrinkage. The Venn-Abers interval at a score holds the
+values there of the isotonic fits with that score added under label 0 and
+under label 1; all of them are read from one cumulative-sum diagram of the
+labeled sample, with no isotonic fit per evaluation point.
 
 Fitted calibrators are immutable and carry a fingerprint of their training
 data so downstream estimators can detect misuse.
@@ -62,18 +65,20 @@ class FitFingerprint:
 
     @classmethod
     def from_data(cls, scores: np.ndarray, outcomes: np.ndarray) -> "FitFingerprint":
+        # Python floats: faster than numpy scalars, and a square that
+        # overflows is inf without a numpy warning
+        sl = np.asarray(scores, dtype=np.float64).tolist()
+        yl = np.asarray(outcomes, dtype=np.float64).tolist()
         return cls(
-            n=len(scores),
-            scores_sum=math.fsum(scores),
-            scores_sumsq=math.fsum(s * s for s in scores),
-            outcomes_sum=math.fsum(outcomes),
-            outcomes_sumsq=math.fsum(y * y for y in outcomes),
+            n=len(sl),
+            scores_sum=math.fsum(sl),
+            scores_sumsq=math.fsum(s * s for s in sl),
+            outcomes_sum=math.fsum(yl),
+            outcomes_sumsq=math.fsum(y * y for y in yl),
         )
 
     def matches(self, scores: np.ndarray, outcomes: np.ndarray) -> bool:
-        return self == FitFingerprint.from_data(
-            np.asarray(scores, dtype=np.float64), np.asarray(outcomes, dtype=np.float64)
-        )
+        return self == FitFingerprint.from_data(scores, outcomes)
 
 
 def _freeze(arr) -> np.ndarray:
@@ -474,14 +479,123 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> LinearCo
     )
 
 
+def _prefix_sums(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Prefix sums 0, v1, v1 + v2, ... as hi + lo, each accurate to about one rounding.
+
+    np.cumsum adds in order, and lo accumulates the exact rounding error of
+    each of its additions (Knuth's two-sum). A difference of two prefix sums
+    then keeps the relative accuracy of the block sum it stands for, instead
+    of the absolute accuracy of the running total.
+    """
+    hi = np.concatenate(([0.0], np.cumsum(values)))
+    prev, total = hi[:-1], hi[1:]
+    added = total - prev
+    errors = (prev - (total - added)) + (values - added)
+    return hi, np.concatenate(([0.0], np.cumsum(errors)))
+
+
+def _minorant_links(x: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """Greatest convex minorants of every prefix of a cumulative-sum diagram.
+
+    The points are (x[j], hi[j] + lo[j]), x strictly increasing. One
+    left-to-right scan gives link[j], the vertex before j on the minorant of
+    points 0..j (link[0] = 0), and edge[j], the slope of that last edge
+    (-inf at j = 0). A vertex's links are fixed when it is pushed, so following
+    link from j walks the whole minorant of prefix j.
+    """
+    xs, his, los = x.tolist(), hi.tolist(), lo.tolist()
+
+    def slope(i, j):
+        return ((his[j] - his[i]) + (los[j] - los[i])) / (xs[j] - xs[i])
+
+    link = [0] * len(xs)
+    edge = [-math.inf] * len(xs)
+    stack = [0]
+    for j in range(1, len(xs)):
+        while len(stack) >= 2 and slope(stack[-2], stack[-1]) >= slope(stack[-1], j):
+            stack.pop()
+        link[j] = stack[-1]
+        edge[j] = slope(stack[-1], j)
+        stack.append(j)
+    return np.array(link), np.array(edge)
+
+
+def _jump_table(link: np.ndarray, levels: int) -> list:
+    """link applied 2**l times, for l = levels - 1 down to 0."""
+    table = [link]
+    for _ in range(levels - 1):
+        table.append(table[-1][table[-1]])
+    return table[::-1]
+
+
+def _inserted_point_values(x, hi, lo, m, m2, label) -> np.ndarray:
+    """Isotonic fitted value of one inserted point, for each query (m, m2, label).
+
+    The diagram P_j = (x[j], hi[j] + lo[j]) has one vertex per tie-pooled
+    labeled block. A query's augmented diagram is the prefix P_0..P_m, then
+    the suffix P_m2..P_k shifted by (1, label): m2 = m for a point inserted
+    between blocks m and m + 1, m2 = m + 1 for a point tied with block m + 1,
+    whose pooled block then spans x[m]..x[m + 1] + 1. The fitted value there
+    is the slope of the bridge between the two parts' convex minorants,
+
+        min over r >= m2 of  max over i <= m of  (C_r - C_i + label) / (x_r - x_i + 1),
+
+    where only minorant vertices matter. The inner max is the tangent from the
+    shifted right vertex Q_r to the left minorant; the outer min stops at the
+    first right vertex whose next edge does not fall below that tangent. Both
+    tests are monotone along their chains, so each is a binary search over a
+    jump table, run for all queries at once.
+    """
+    levels = (len(x) - 1).bit_length()
+    pred, left_edge = _minorant_links(x, hi, lo)
+    # the suffix minorants are the prefix minorants of the mirrored diagram
+    rev_pred, rev_edge = _minorant_links(-x[::-1], hi[::-1], lo[::-1])
+    succ, right_edge = len(x) - 1 - rev_pred[::-1], -rev_edge[::-1]
+    pred_jumps, succ_jumps = _jump_table(pred, levels), _jump_table(succ, levels)
+
+    def slope_to(i, r):
+        return ((hi[r] - hi[i]) + (lo[r] - lo[i]) + label) / (x[r] - x[i] + 1.0)
+
+    def tangent(r):
+        # first vertex on the left minorant from m whose predecessor lies on
+        # or above the line through it and Q_r
+        i = m
+        for jump in pred_jumps:
+            far = jump[i]
+            i = np.where(left_edge[far] <= slope_to(far, r), i, far)
+        return np.where(left_edge[i] <= slope_to(i, r), i, pred[i])
+
+    def at_bridge(r):
+        return right_edge[r] >= slope_to(tangent(r), r)
+
+    r = m2
+    for jump in succ_jumps:
+        far = jump[r]
+        r = np.where(at_bridge(far), r, far)
+    r = np.where(at_bridge(r), r, succ[r])
+    return slope_to(tangent(r), r)
+
+
 def fit_venn_abers(scores, outcomes, eval_scores, shrink_target: float) -> np.ndarray:
     """Interval-based calibrated predictions shrunk toward an anchor estimate.
 
-    For each evaluation score t, two isotonic calibrators are fit on the
-    labeled sample augmented with the hypothetical points (t, 0) and (t, 1);
-    the prediction is the interval midpoint moved toward shrink_target in
-    proportion to the interval width. Evaluation points are independent, so
-    the output does not depend on their order.
+    For each evaluation score t, f0 and f1 are the values at t of the isotonic
+    fits of the labeled sample augmented with the hypothetical points (t, 0)
+    and (t, 1); the prediction is the interval midpoint moved toward
+    shrink_target in proportion to the interval width,
+
+        mid + (f1 - f0) * (shrink_target - mid),   mid = (f0 + f1) / 2.
+
+    No fit is rerun per point. (f0, f1) depends only on where t falls among
+    the k unique labeled scores, tied with one or strictly between two, so
+    there are at most 2k + 1 classes. Following the cumulative-sum-diagram
+    construction of inductive Venn-Abers predictors (Vovk, Petej and
+    Fedorova, 2015), every class's f0 and f1 is the slope of a bridge between
+    the greatest convex minorants of a prefix and a shifted suffix of one
+    diagram of the tie-pooled sample (_inserted_point_values). The classes
+    cost O(n log n + k log^2 k), and placing the N evaluation points with
+    searchsorted O(N log k). Each point is placed on its own, so the output
+    does not depend on their order.
     """
     s, y = _check_xy(scores, outcomes)
     if (y < 0).any() or (y > 1).any():
@@ -489,20 +603,28 @@ def fit_venn_abers(scores, outcomes, eval_scores, shrink_target: float) -> np.nd
     ts = np.asarray(eval_scores, dtype=np.float64)
     if ts.ndim != 1:
         raise DimensionError("eval_scores must be one-dimensional")
-    out = np.empty(len(ts))
-    aug_s = np.empty(len(s) + 1)
-    aug_s[:-1] = s
-    aug_y = np.empty(len(y) + 1)
-    aug_y[:-1] = y
-    for i, t in enumerate(ts):
-        aug_s[-1] = t
-        aug_y[-1] = 0.0
-        f0 = float(fit_isotonic(aug_s, aug_y)([t])[0])
-        aug_y[-1] = 1.0
-        f1 = float(fit_isotonic(aug_s, aug_y)([t])[0])
-        mid = 0.5 * (f0 + f1)
-        out[i] = mid + (f1 - f0) * (shrink_target - mid)
-    return out
+    if not np.isfinite(ts).all():
+        raise DataError("eval_scores have non-finite entries")
+
+    uniq, block, counts = np.unique(s, return_inverse=True, return_counts=True)
+    k = len(uniq)
+    x = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
+    hi, lo = _prefix_sums(np.bincount(block, weights=y, minlength=k))
+
+    # class 2 * pos: strictly below uniq[pos] (above uniq[pos - 1]);
+    # class 2 * pos + 1: tied with uniq[pos]
+    pos = np.searchsorted(uniq, ts)
+    key = 2 * pos + (uniq[np.minimum(pos, k - 1)] == ts)
+    present = np.zeros(2 * k + 1, dtype=bool)
+    present[key] = True
+    classes = np.flatnonzero(present)
+    m = np.tile(classes // 2, 2)
+    m2 = m + np.tile(classes % 2, 2)
+    label = np.repeat([0.0, 1.0], len(classes))
+    f0, f1 = np.split(_inserted_point_values(x, hi, lo, m, m2, label), 2)
+    mid = 0.5 * (f0 + f1)
+    shrunk = mid + (f1 - f0) * (shrink_target - mid)
+    return shrunk[(np.cumsum(present) - 1)[key]]
 
 
 def predict(calibrator, scores, covariates=None) -> np.ndarray:

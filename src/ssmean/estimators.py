@@ -179,7 +179,9 @@ class Adjuster(NamedTuple):
 
     def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
         scored = self.scored(design, method)
-        return family_report(scored, method, alpha, self.describe(scored))
+        # describe only data whose standard error family_report has found finite
+        report = family_report(scored, method, alpha)
+        return replace(report, diagnostics={**report.diagnostics, **self.describe(scored)})
 
 
 # --- adjusters ---------------------------------------------------------------

@@ -55,7 +55,9 @@ def wald_se(pair: InfluencePair, design: TwoSampleDesign) -> float:
     sigma2 = rho * mean(D_L^2) + (1 - rho) * mean(D_U^2).
     """
     m = design.m_total
-    total = float(np.sum(pair.labeled_vals**2) + np.sum(pair.unlabeled_vals**2))
+    # an overflowing square makes the SE inf, which the caller reports
+    with np.errstate(over="ignore"):
+        total = float(np.sum(pair.labeled_vals**2) + np.sum(pair.unlabeled_vals**2))
     return float(np.sqrt(total)) / m
 
 

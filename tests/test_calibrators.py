@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmean import (
     AffineCalibrator,
@@ -16,7 +20,7 @@ from ssmean import (
     fit_venn_abers,
     predict,
 )
-from ssmean.calibrators import _platt_newton, _stabilized_logit
+from ssmean.calibrators import FitFingerprint, _platt_newton, _stabilized_logit
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -476,4 +480,64 @@ def test_venn_abers_order_independent():
     a = fit_venn_abers(s, y, evals, 0.5)
     b = fit_venn_abers(s, y, evals[::-1], 0.5)[::-1]
     assert np.array_equal(a, b)
+
+
+def test_venn_abers_empty_evaluation_returns_empty():
+    out = fit_venn_abers([0.1, 0.4, 0.4], [0.0, 1.0, 0.5], [], 0.5)
+    assert out.shape == (0,)
+
+
+def test_venn_abers_rejects_nan_evaluation_score():
+    with pytest.raises(DataError, match="non-finite"):
+        fit_venn_abers([0.1, 0.4], [0.0, 1.0], [0.2, np.nan], 0.5)
+
+
+@st.composite
+def tie_heavy_samples(draw):
+    """Labeled scores on a small grid, outcomes in [0, 1], and evaluation
+    points tied with labeled scores, between them, below, above, repeated."""
+    grid = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    s = np.array(draw(st.lists(st.integers(0, grid), min_size=n, max_size=n))) / grid
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    else:
+        y = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    pool = np.concatenate([s, s + 0.5 / grid, s - 0.5 / grid, [s.min() - 1.0, s.max() + 1.0]])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return s, y, pool[picks]
+
+
+@given(tie_heavy_samples(), st.floats(-0.5, 1.5), st.randoms(use_true_random=False))
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+def test_venn_abers_sweep_matches_per_point_refits(sample, target, random):
+    s, y, evals = sample
+    got = fit_venn_abers(s, y, evals, target)
+    for t, out in zip(evals, got):
+        f0, f1, want = va_oracle(s, y, t, target)
+        assert out == pytest.approx(want, abs=1e-12)
+        if f0 <= target <= f1:
+            assert f0 - 1e-12 <= out <= f1 + 1e-12
+    order = list(range(len(evals)))
+    random.shuffle(order)
+    assert np.array_equal(fit_venn_abers(s, y, evals[order], target), got[order])
+
+
+# --- fingerprint ----------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fingerprint_matches_sums_over_numpy_scalars(seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
+    y = rng.uniform(-5.0, 5.0, size=300)
+    want = FitFingerprint(
+        n=len(s),
+        scores_sum=math.fsum(s),
+        scores_sumsq=math.fsum(v * v for v in s),
+        outcomes_sum=math.fsum(y),
+        outcomes_sumsq=math.fsum(v * v for v in y),
+    )
+    assert FitFingerprint.from_data(s, y) == want
+    perm = rng.permutation(len(s))
+    assert FitFingerprint.from_data(s[perm], y[perm]) == want
 

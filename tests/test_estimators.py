@@ -1,3 +1,4 @@
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -137,8 +138,10 @@ def test_overflowing_standard_error_raises(name):
     m = rng.uniform(1.0, 2.0, size=20) * 1e200
     y = rng.uniform(1.0, 2.0, size=20) * 1e200
     d = design_from_arrays(m, y, rng.uniform(1.0, 2.0, size=40) * 1e200)
-    with pytest.raises(DataError, match="standard error overflows float64"):
-        estimate(d, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match="standard error overflows float64"):
+            estimate(d, name)
 
 
 # --- ppi / aipw ------------------------------------------------------------------
