@@ -11,13 +11,15 @@ values there of the isotonic fits with that score added under label 0 and
 under label 1; all of them are read from one cumulative-sum diagram of the
 labeled sample, with no isotonic fit per evaluation point.
 
-Fitted calibrators are immutable and carry a fingerprint of their training
-data so downstream estimators can detect misuse.
+Fitted calibrators are immutable. A fit keeps a read-only copy of its
+training (score, outcome) pairs in fitted_on, which is left out of equality
+and repr; estimators.calibrated_plugin compares it with a design's labeled
+pairs to refuse a calibrator fit on another sample.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,7 +27,6 @@ import numpy as np
 from .exceptions import ConfigError, ConvergenceError, DataError, DimensionError
 
 __all__ = [
-    "FitFingerprint",
     "StepCalibrator",
     "AffineCalibrator",
     "SigmoidCalibrator",
@@ -49,38 +50,6 @@ _PLATT_RIDGE = 1e-8
 _PLATT_DECREMENT_ULPS = 8
 
 
-@dataclass(frozen=True)
-class FitFingerprint:
-    """Permutation-invariant digest of the training sample.
-
-    Sums are exact (math.fsum), so reordering training rows does not change
-    the fingerprint.
-    """
-
-    n: int
-    scores_sum: float
-    scores_sumsq: float
-    outcomes_sum: float
-    outcomes_sumsq: float
-
-    @classmethod
-    def from_data(cls, scores: np.ndarray, outcomes: np.ndarray) -> "FitFingerprint":
-        # Python floats: faster than numpy scalars, and a square that
-        # overflows is inf without a numpy warning
-        sl = np.asarray(scores, dtype=np.float64).tolist()
-        yl = np.asarray(outcomes, dtype=np.float64).tolist()
-        return cls(
-            n=len(sl),
-            scores_sum=math.fsum(sl),
-            scores_sumsq=math.fsum(s * s for s in sl),
-            outcomes_sum=math.fsum(yl),
-            outcomes_sumsq=math.fsum(y * y for y in yl),
-        )
-
-    def matches(self, scores: np.ndarray, outcomes: np.ndarray) -> bool:
-        return self == FitFingerprint.from_data(scores, outcomes)
-
-
 def _freeze(arr) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64).copy()
     out.setflags(write=False)
@@ -99,7 +68,7 @@ class StepCalibrator:
 
     boundaries: np.ndarray
     values: np.ndarray
-    fitted_on: Optional[FitFingerprint] = None
+    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries", _freeze(self.boundaries))
@@ -118,7 +87,7 @@ class AffineCalibrator:
     slope: float
     intercept: float
     clip_range: Optional[Tuple[float, float]] = None
-    fitted_on: Optional[FitFingerprint] = None
+    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
@@ -144,7 +113,7 @@ class SigmoidCalibrator:
     scale: float
     shift: float
     logit_eps: float = DEFAULT_LOGIT_EPS
-    fitted_on: Optional[FitFingerprint] = None
+    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     ridge_active: bool = False
 
     def __post_init__(self):
@@ -170,7 +139,7 @@ class BinnedCalibrator:
     bin_means: np.ndarray
     fallback: float
     empty_bins: int = 0
-    fitted_on: Optional[FitFingerprint] = None
+    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _freeze(self.edges))
@@ -193,7 +162,7 @@ class LinearCovCalibrator:
     score_coef: float
     cov_coefs: np.ndarray
     clip_range: Optional[Tuple[float, float]] = None
-    fitted_on: Optional[FitFingerprint] = None
+    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cov_coefs", _freeze(self.cov_coefs))
@@ -278,7 +247,7 @@ def fit_isotonic(scores, outcomes, weights=None) -> StepCalibrator:
     return StepCalibrator(
         boundaries=uniq[keep],
         values=fitted[keep],
-        fitted_on=FitFingerprint.from_data(s, y),
+        fitted_on=_freeze(np.column_stack((s, y))),
     )
 
 
@@ -293,18 +262,21 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     if len(s) < 2:
         raise DataError("linear calibration needs at least two labeled points")
     sc = s - s.mean()
-    denom = float(np.dot(sc, sc))
+    # weights sc / 2**e lie in (-1, 1), so no product below overflows; a power
+    # of two scales both sums exactly, so the slope is sum(sc*yc) / sum(sc*sc)
+    w = np.ldexp(sc, -np.frexp(np.abs(sc).max())[1])
+    denom = float(np.dot(w, sc))
     if denom == 0.0:
         slope = 0.0
     else:
-        slope = float(np.dot(sc, y - y.mean()) / denom)
+        slope = float(np.dot(w, y - y.mean()) / denom)
     intercept = float(y.mean() - slope * s.mean())
     clip_range = (float(y.min()), float(y.max())) if clip else None
     return AffineCalibrator(
         slope=slope,
         intercept=intercept,
         clip_range=clip_range,
-        fitted_on=FitFingerprint.from_data(s, y),
+        fitted_on=_freeze(np.column_stack((s, y))),
     )
 
 
@@ -409,7 +381,7 @@ def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> Sigmoid
         scale=float(theta[0]),
         shift=float(theta[1]),
         logit_eps=logit_eps,
-        fitted_on=FitFingerprint.from_data(s, y),
+        fitted_on=_freeze(np.column_stack((s, y))),
         ridge_active=ridge_active,
     )
 
@@ -445,7 +417,7 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
         bin_means=bin_means,
         fallback=fallback,
         empty_bins=int(np.sum(~nonempty)),
-        fitted_on=FitFingerprint.from_data(s, y),
+        fitted_on=_freeze(np.column_stack((s, y))),
     )
 
 
@@ -475,7 +447,7 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> LinearCo
         score_coef=float(coef[d + 1]),
         cov_coefs=coef[1 : d + 1],
         clip_range=clip_range,
-        fitted_on=FitFingerprint.from_data(s, y),
+        fitted_on=_freeze(np.column_stack((s, y))),
     )
 
 

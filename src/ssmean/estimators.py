@@ -99,7 +99,6 @@ class ScoredDesign:
     design: TwoSampleDesign
     f_labeled: np.ndarray
     f_unlabeled: np.ndarray
-    provenance: str = "raw"
 
     def __post_init__(self):
         fl = np.asarray(self.f_labeled, dtype=np.float64)
@@ -168,17 +167,16 @@ class Adjuster(NamedTuple):
     f: Callable[..., np.ndarray]
     describe: Callable[[ScoredDesign], dict] = _no_diagnostics
 
-    def scored(self, design: TwoSampleDesign, provenance: str = "raw") -> ScoredDesign:
+    def scored(self, design: TwoSampleDesign) -> ScoredDesign:
         lab, unl = design.labeled, design.unlabeled
         return ScoredDesign(
             design,
             cal.predict(self.f, lab.scores, lab.covariates),
             cal.predict(self.f, unl.scores, unl.covariates),
-            provenance,
         )
 
     def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
-        scored = self.scored(design, method)
+        scored = self.scored(design)
         # describe only data whose standard error family_report has found finite
         report = family_report(scored, method, alpha)
         return replace(report, diagnostics={**report.diagnostics, **self.describe(scored)})
@@ -205,11 +203,14 @@ def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]
     m_l, m_u = design.labeled.scores, design.unlabeled.scores
     y = design.labeled.outcomes
     rho = design.rho
-    num = float(np.mean((y - y.mean()) * (m_l - m_l.mean())))
-    var_l = float(np.mean((m_l - m_l.mean()) ** 2))
-    var_u = float(np.mean((m_u - m_u.mean()) ** 2))
+    # scores whose squares overflow make den and scale inf, i.e. degenerate
+    # with lambda 0 whatever num is; family_report then refuses an overflowing SE
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = float(np.mean((y - y.mean()) * (m_l - m_l.mean())))
+        var_l = float(np.mean((m_l - m_l.mean()) ** 2))
+        var_u = float(np.mean((m_u - m_u.mean()) ** 2))
+        scale = max(1.0, float(np.mean(m_l**2)) + float(np.mean(m_u**2)))
     den = (1.0 - rho) * var_l + rho * var_u
-    scale = max(1.0, float(np.mean(m_l**2)) + float(np.mean(m_u**2)))
     degenerate = den <= 1e-12 * scale
     lam_raw = 0.0 if degenerate else num / den
     lam = lam_raw
@@ -328,6 +329,17 @@ def _fit_histogram(design: TwoSampleDesign, params: dict) -> Adjuster:
     return _calibrated(cal.fit_histogram(m_l, design.labeled.outcomes, edges=edges))
 
 
+class _JointAdjuster(Adjuster):
+    """An adjuster that evaluates f once, on both samples' scores together.
+
+    For an f that maps each score on its own, the values are those of two calls.
+    """
+
+    def scored(self, design: TwoSampleDesign) -> ScoredDesign:
+        values = self.f(np.concatenate((design.labeled.scores, design.unlabeled.scores)))
+        return ScoredDesign(design, values[: design.n], values[design.n :])
+
+
 def _fit_venn_abers(design: TwoSampleDesign, params: dict) -> Adjuster:
     """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
 
@@ -342,9 +354,10 @@ def _fit_venn_abers(design: TwoSampleDesign, params: dict) -> Adjuster:
         span = float(y.max()) - lo if y.max() > y.min() else 1.0
     y_scaled = (y - lo) / span
     # the anchor must live on the calibration (rescaled) outcome scale
-    target_scaled = (aipw_general(ScoredDesign(design, m_l, design.unlabeled.scores)) - lo) / span
+    anchor = family_report(ScoredDesign(design, m_l, design.unlabeled.scores), "venn-abers").estimate
+    target_scaled = (anchor - lo) / span
     diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}
-    return Adjuster(
+    return _JointAdjuster(
         lambda t: lo + span * cal.fit_venn_abers(m_l, y_scaled, t, target_scaled),
         lambda scored: diagnostics,
     )
@@ -358,12 +371,19 @@ def calibrated_plugin(
 ) -> EstimateReport:
     """Report of a calibrator fitted elsewhere, in residual-corrected form.
 
-    The only path that checks the calibrator's fingerprint: a calibrator
-    fitted inside estimate() was fitted on this very labeled sample.
+    The one place that checks what a calibrator was fit on: its fitted_on
+    pairs must be exactly this design's labeled (score, outcome) pairs, in any
+    row order, or MisuseError is raised. A hand-built calibrator (fitted_on
+    None, or any callable without it) is taken as given. estimate() runs no
+    check, since it fits its calibrators on the very labeled sample.
     """
-    fp = getattr(calibrator, "fitted_on", None)
-    if fp is not None and not fp.matches(design.labeled.scores, design.labeled.outcomes):
-        raise MisuseError("calibrator was not fit on this design's labeled sample")
+    pairs = getattr(calibrator, "fitted_on", None)
+    if pairs is not None:
+        lab = design.labeled
+        ours = np.column_stack((lab.scores, lab.outcomes))
+        # equal as multisets: both sets of rows sorted by (outcome, score)
+        if pairs.shape != ours.shape or not np.array_equal(pairs[np.lexsort(pairs.T)], ours[np.lexsort(ours.T)]):
+            raise MisuseError("calibrator was not fit on this design's labeled sample")
     return _calibrated(calibrator).report(design, method_name, alpha)
 
 

@@ -119,7 +119,7 @@ def autocal_select(
         total = 0.0
         for train, held_out in splits:
             # the criterion is the held-out influence variance, sigma^2 = M * SE^2
-            se = family_report(REGISTRY[tag.name].fit(train, tag.params).scored(held_out)).std_error
+            se = family_report(REGISTRY[tag.name].fit(train, tag.params).scored(held_out), "auto-cal").std_error
             total += held_out.m_total * se**2
         criteria[tag.name] = total / k
 
@@ -206,5 +206,5 @@ def crossfit_calibrated(
     design = design_from_arrays(oof, y, unl_by_fold.mean(axis=0))
     f = REGISTRY[tag.name].fit(design, tag.params).f
     pred_u = np.mean([cal.predict(f, unl_by_fold[j]) for j in range(k)], axis=0)
-    scored = ScoredDesign(design, cal.predict(f, oof), pred_u, f"crossfit({tag.name})")
+    scored = ScoredDesign(design, cal.predict(f, oof), pred_u)
     return family_report(scored, f"crossfit-{tag.name}", alpha, {"folds": int(k), "calibration": tag.name})

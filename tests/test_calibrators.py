@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,7 @@ from ssmean import (
     fit_venn_abers,
     predict,
 )
-from ssmean.calibrators import FitFingerprint, _platt_newton, _stabilized_logit
+from ssmean.calibrators import _platt_newton, _stabilized_logit
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -521,23 +519,3 @@ def test_venn_abers_sweep_matches_per_point_refits(sample, target, random):
     order = list(range(len(evals)))
     random.shuffle(order)
     assert np.array_equal(fit_venn_abers(s, y, evals[order], target), got[order])
-
-
-# --- fingerprint ----------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(3))
-def test_fingerprint_matches_sums_over_numpy_scalars(seed):
-    rng = np.random.default_rng(seed)
-    s = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
-    y = rng.uniform(-5.0, 5.0, size=300)
-    want = FitFingerprint(
-        n=len(s),
-        scores_sum=math.fsum(s),
-        scores_sumsq=math.fsum(v * v for v in s),
-        outcomes_sum=math.fsum(y),
-        outcomes_sumsq=math.fsum(v * v for v in y),
-    )
-    assert FitFingerprint.from_data(s, y) == want
-    perm = rng.permutation(len(s))
-    assert FitFingerprint.from_data(s[perm], y[perm]) == want
-

@@ -1,13 +1,17 @@
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssmean import (
     METHOD_NAMES,
     AffineCalibrator,
     ConfigError,
+    ConvergenceError,
     DataError,
     MisuseError,
     MethodTag,
@@ -21,6 +25,7 @@ from ssmean import (
     fit_isotonic,
     fit_linear,
     fit_linear_cov,
+    fit_platt,
 )
 from ssmean.simulate import DgpSpec, draw_dataset
 
@@ -44,7 +49,7 @@ def ppi_as_plugin_check(design) -> PluginCheck:
     rho = design.rho
     a_hat = float((y - m_l).mean())
     ppi_val = float(m_u.mean() + (y - m_l).mean())
-    aipw_val = aipw_general(ScoredDesign(design, m_l, m_u, "raw"))
+    aipw_val = aipw_general(ScoredDesign(design, m_l, m_u))
     plugin_u = float((m_u + a_hat).mean())
     plugin_pooled = float(rho * (m_l + a_hat).mean() + (1.0 - rho) * (m_u + a_hat).mean())
     return PluginCheck(ppi=ppi_val, ppi_plugin=plugin_u, aipw=aipw_val, aipw_plugin=plugin_pooled)
@@ -131,17 +136,20 @@ def test_every_method_refuses_a_single_labeled_point(name):
         estimate(d, name)
 
 
-@pytest.mark.parametrize("name", ["aipw", "iso-cal"])
+@pytest.mark.parametrize(
+    "name", ["aipw", "ppi-pp", "aipw-em", "linear-cal", "iso-cal", "hist-cal", "venn-abers", "auto-cal"]
+)
 def test_overflowing_standard_error_raises(name):
-    # the point estimate is finite, but the squared influence values overflow
+    # the point estimate is finite, but the squared influence values overflow;
+    # near 1e154 each square is finite but their sums are not
     rng = np.random.default_rng(91)
-    m = rng.uniform(1.0, 2.0, size=20) * 1e200
-    y = rng.uniform(1.0, 2.0, size=20) * 1e200
-    d = design_from_arrays(m, y, rng.uniform(1.0, 2.0, size=40) * 1e200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DataError, match="standard error overflows float64"):
-            estimate(d, name)
+    for scale, n, N in ((1e200, 20, 40), (1e154, 50, 50)):
+        m, y, m_u = (rng.uniform(1.0, 2.0, size=k) * scale for k in (n, n, N))
+        d = design_from_arrays(m, y, m_u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match=f"^{name}: standard error overflows float64"):
+                estimate(d, name)
 
 
 # --- ppi / aipw ------------------------------------------------------------------
@@ -322,6 +330,83 @@ def test_manual_calibrator_without_fingerprint_is_allowed():
     assert rep.estimate == pytest.approx(2.0)
 
 
+# each calibrator fit with the arguments its estimate() method passes
+PLUGIN_FITS = {
+    "linear-cal": lambda s, y, x: fit_linear(s, y, clip=True),
+    "linear-cov-cal": lambda s, y, x: fit_linear_cov(s, y, x, clip=True),
+    "platt-cal": lambda s, y, x: fit_platt(s, y),
+    "iso-cal": lambda s, y, x: fit_isotonic(s, y),
+    "hist-cal": lambda s, y, x: fit_histogram(s, y),
+}
+
+
+@st.composite
+def plugin_cases(draw):
+    """A method, a dyadic-grid design and a row permutation of its labeled sample."""
+    name = draw(st.sampled_from(sorted(PLUGIN_FITS)))
+    n = draw(st.integers(4, 20))
+    N = draw(st.integers(1, 20))
+
+    def column(size, lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)), dtype=float)
+
+    if name == "platt-cal" or draw(st.booleans()):
+        y = column(n, 0, 1)
+    else:
+        y = column(n, -8, 8) / 4.0
+    x_l = x_u = None
+    if name == "linear-cov-cal":
+        x_l, x_u = column(n, -3, 3), column(N, -3, 3)
+    d = design_from_arrays(column(n, 0, 16) / 16.0, y, column(N, 0, 16) / 16.0, x_l, x_u)
+    return name, d, np.array(draw(st.permutations(range(n))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(plugin_cases())
+def test_calibrated_plugin_accepts_exactly_the_labeled_pairs(case):
+    name, d, perm = case
+    lab = d.labeled
+    s, y, x = lab.scores, lab.outcomes, lab.covariates
+
+    def fit(rows, outcomes):
+        return PLUGIN_FITS[name](s[rows], outcomes[rows], None if x is None else x[rows])
+
+    try:
+        calib = fit(perm, y)
+    except (ConvergenceError, DataError):  # Platt without an optimum; collinear covariates
+        assume(False)
+
+    # fit on the same pairs in another row order: accepted, with estimate()'s report
+    got = calibrated_plugin(d, calib, method_name=name)
+    want = estimate(d, name)
+    assert got.method == want.method
+    for key in ("estimate", "std_error", "ci_lower", "ci_upper"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=1e-12)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        assert got.diagnostics[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    # the same map built by hand, with no training pairs: taken as given
+    assert calibrated_plugin(d, replace(calib, fitted_on=None), method_name=name) == got
+
+    # a sample of another size: refused
+    with pytest.raises(MisuseError):
+        calibrated_plugin(d, fit(np.append(perm, perm[0]), y))
+
+    # the same rows with two unequal outcomes swapped: refused
+    pairs = [(i, j) for i in range(d.n) for j in range(i) if s[i] != s[j] and y[i] != y[j]]
+    if pairs:
+        i, j = pairs[0]
+        swapped = y.copy()
+        swapped[[i, j]] = y[[j, i]]
+        try:
+            other = fit(perm, swapped)
+        except ConvergenceError:
+            return
+        with pytest.raises(MisuseError):
+            calibrated_plugin(d, other)
+
+
 # --- intercept-only representation -------------------------------------------------
 
 def test_plugin_check_random_instances():
@@ -448,6 +533,23 @@ def test_venn_abers_rescales_outcomes():
     rep = estimate(d, "venn-abers")
     assert rep.diagnostics["outcome_rescale"][0] == pytest.approx(y.min())
     assert np.isfinite(rep.estimate)
+
+
+def test_venn_abers_runs_one_sweep_per_estimate(monkeypatch):
+    import ssmean.calibrators
+
+    calls = []
+    real = ssmean.calibrators.fit_venn_abers
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ssmean.calibrators, "fit_venn_abers", counting)
+    rng = np.random.default_rng(17)
+    d = design_from_arrays(rng.uniform(size=15), rng.uniform(size=15), rng.uniform(size=25))
+    estimate(d, "venn-abers")
+    assert calls == [d.n + d.N]  # both samples' scores in one sweep
 
 
 def test_venn_abers_keeps_unit_interval_outcomes_unscaled():
