@@ -5,6 +5,10 @@ prediction score into efficient estimates of a population mean, with
 post-hoc calibration of the score, influence-function and bootstrap
 inference, cross-validated method selection, cross-fitting, a Monte Carlo
 study harness, and a two-arm treatment-effect wrapper.
+
+A method is one of the names in METHOD_NAMES, each run with fixed settings
+by estimate(). Other settings go through the fit_* functions with
+calibrated_plugin, or through CandidateSet with autocal_select.
 """
 from .calibrators import (
     AffineCalibrator,
@@ -29,9 +33,7 @@ from .design import (
 )
 from .estimators import (
     METHOD_NAMES,
-    MethodTag,
     ScoredDesign,
-    aipw_general,
     calibrated_plugin,
     eem_lambda,
     estimate,
@@ -44,14 +46,7 @@ from .exceptions import (
     MisuseError,
     SsmeanError,
 )
-from .inference import (
-    BootstrapResult,
-    InfluencePair,
-    bootstrap,
-    influence_values,
-    wald_interval,
-    wald_se,
-)
+from .inference import BootstrapResult, bootstrap, wald_interval
 from .selection import CandidateSet, autocal_select, crossfit_calibrated, ols_trainer
 from .simulate import (
     DgpSpec,

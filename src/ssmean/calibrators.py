@@ -215,29 +215,19 @@ def pava(values, weights) -> np.ndarray:
     return isotonic_regression(values, weights=weights).x
 
 
-def fit_isotonic(scores, outcomes, weights=None) -> StepCalibrator:
+def fit_isotonic(scores, outcomes) -> StepCalibrator:
     """Exact least-squares monotone nondecreasing fit of outcomes on scores.
 
-    Equal scores are pooled by weighted mean before running PAVA, so the fit
-    is a genuine function of the score. On every fitted block the weighted
-    residuals sum to zero.
+    Equal scores are pooled by their mean before running PAVA, weighted by
+    their count, so the fit is a genuine function of the score. On every
+    fitted block the residuals sum to zero.
     """
     s, y = _check_xy(scores, outcomes)
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != y.shape:
-            raise DimensionError("weights must match the sample length")
-        if not np.isfinite(w).all() or (w <= 0).any():
-            raise DataError("weights must be positive and finite")
-
     order = np.argsort(s, kind="stable")
-    s_sorted, y_sorted, w_sorted = s[order], y[order], w[order]
-    uniq, first = np.unique(s_sorted, return_index=True)
-    w_pooled = np.add.reduceat(w_sorted, first)
-    wy_pooled = np.add.reduceat(w_sorted * y_sorted, first)
-    y_pooled = wy_pooled / w_pooled
+    s_sorted, y_sorted = s[order], y[order]
+    uniq, first, counts = np.unique(s_sorted, return_index=True, return_counts=True)
+    w_pooled = counts.astype(np.float64)
+    y_pooled = np.add.reduceat(y_sorted, first) / w_pooled
 
     fitted = pava(y_pooled, w_pooled)
 

@@ -17,12 +17,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .design import TwoSampleDesign, design_from_arrays
-from .estimators import METHOD_NAMES, MethodTag, estimate
+from .estimators import METHOD_NAMES, estimate, method_name
 from .exceptions import ConfigError, DataError, SsmeanError
 from .inference import bootstrap
 from .simulate import run_grid, summaries_to_csv
-
-_COMPARE_ORDER = [m for m in METHOD_NAMES]
 
 
 def _read_csv_columns(path: str, required: List[str], optional: List[str]) -> dict:
@@ -124,13 +122,9 @@ def _emit(text: str, output: Optional[str]) -> None:
             handle.write(text)
 
 
-def _parse_method(value: str) -> MethodTag:
-    return MethodTag.parse(value.strip())
-
-
 def cmd_estimate(args) -> int:
     design = _load_design(args.labeled, args.unlabeled, args.covariates)
-    report = estimate(design, _parse_method(args.method), alpha=args.alpha, seed=args.seed)
+    report = estimate(design, args.method.strip(), alpha=args.alpha, seed=args.seed)
     _emit(json.dumps(report.to_dict(), indent=2, default=_json_default), args.output)
     return 0
 
@@ -140,7 +134,7 @@ def _applicable_methods(design: TwoSampleDesign) -> List[str]:
     binary = bool(np.all((y == 0.0) | (y == 1.0)))
     has_cov = design.labeled.covariates is not None and design.unlabeled.covariates is not None
     methods = []
-    for name in _COMPARE_ORDER:
+    for name in METHOD_NAMES:
         if name == "linear-cov-cal" and not has_cov:
             continue
         if name == "platt-cal" and not binary:
@@ -182,7 +176,7 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
 
 
 def cmd_simulate(args) -> int:
-    methods = [_parse_method(m) for m in args.method.split(",") if m.strip()]
+    methods = [method_name(m.strip()) for m in args.method.split(",") if m.strip()]
     rows = run_grid(
         ns=_parse_int_list(args.ns, "--ns"),
         ratios=_parse_int_list(args.ratios, "--ratios"),
@@ -198,10 +192,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     design = _load_design(args.labeled, args.unlabeled, args.covariates)
-    tag = _parse_method(args.method)
-    result = bootstrap(design, tag, b=args.b, seed=args.seed, alpha=args.alpha)
+    name = method_name(args.method.strip())
+    result = bootstrap(design, name, b=args.b, seed=args.seed, alpha=args.alpha)
     payload = {
-        "method": tag.name,
+        "method": name,
         "estimate": result.estimate,
         "se_boot": result.se_boot,
         "percentile_ci": list(result.percentile_ci),

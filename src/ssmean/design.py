@@ -167,20 +167,6 @@ class EstimateReport:
             "diagnostics": self.diagnostics,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimateReport":
-        return cls(
-            estimate=d["estimate"],
-            std_error=d["std_error"],
-            ci_lower=d["ci"][0],
-            ci_upper=d["ci"][1],
-            alpha=d["alpha"],
-            method=d["method"],
-            n=d["n"],
-            N=d["N"],
-            diagnostics=d.get("diagnostics", {}),
-        )
-
 
 def design_from_arrays(
     labeled_scores,

@@ -26,70 +26,32 @@ a standard error that overflows float64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import calibrators as cal
 from .design import EstimateReport, TwoSampleDesign
 from .exceptions import ConfigError, DataError, DimensionError, MisuseError
-from .inference import influence_values, wald_interval, wald_se
+from .inference import wald_interval
 
 __all__ = [
     "Adjuster",
-    "MethodTag",
     "ScoredDesign",
     "METHOD_NAMES",
     "REGISTRY",
-    "aipw_general",
+    "method_name",
     "family_report",
     "eem_lambda",
     "calibrated_plugin",
     "estimate",
 ]
 
-METHOD_NAMES = (
-    "labeled-only",
-    "ppi",
-    "aipw",
-    "ppi-pp",
-    "aipw-em",
-    "linear-cal",
-    "linear-cov-cal",
-    "platt-cal",
-    "iso-cal",
-    "hist-cal",
-    "venn-abers",
-    "auto-cal",
-)
-
 # families whose fit makes the labeled residual mean exactly zero, so the
 # pooled plug-in coincides with its residual-corrected form
 MEAN_CALIBRATED_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MethodTag:
-    """A method name plus free-form parameters; names are the stable contract."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ConfigError(
-                f"unknown method {self.name!r}; valid methods: {', '.join(METHOD_NAMES)}"
-            )
-
-    @classmethod
-    def parse(cls, method: Union[str, "MethodTag"]) -> "MethodTag":
-        if isinstance(method, MethodTag):
-            return method
-        return cls(name=str(method))
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -121,6 +83,10 @@ def family_report(
 ) -> EstimateReport:
     """The family core: psi(f), its recentered influence values, SE and CI.
 
+    With a = f + (psi - plugin), the influence values are D_L = a - psi +
+    (Y - a)/rho on the labeled rows and D_U = a - psi on the unlabeled rows,
+    and SE = sqrt(sum D_L^2 + sum D_U^2) / (n + N).
+
     Every report carries plugin_estimate (the pooled mean of f), residual_mean
     (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
     the method's own diagnostics follow.
@@ -132,8 +98,13 @@ def family_report(
     residual_mean = float((d.labeled.outcomes - fl).mean())
     psi = plugin + residual_mean
     shift = psi - plugin
-    pair = influence_values(d, fl + shift, fu + shift, psi)
-    se = wald_se(pair, d)
+    a_l, a_u = fl + shift, fu + shift
+    d_l = a_l - psi + (d.labeled.outcomes - a_l) / rho
+    d_u = a_u - psi
+    # an overflowing square makes the SE inf, which is refused below
+    with np.errstate(over="ignore"):
+        total = float(np.sum(d_l**2) + np.sum(d_u**2))
+    se = float(np.sqrt(total)) / d.m_total
     if not np.isfinite(se):
         raise DataError(f"{method}: standard error overflows float64; rescale the scores and outcomes")
     lo, hi = wald_interval(psi, se, alpha)
@@ -144,11 +115,6 @@ def family_report(
         **(diagnostics or {}),
     }
     return EstimateReport(psi, se, lo, hi, alpha, method, d.n, d.N, diagnostics)
-
-
-def aipw_general(scored: ScoredDesign) -> float:
-    """rho * mean_L{f} + (1-rho) * mean_U{f} + mean_L{Y - f}."""
-    return family_report(scored).estimate
 
 
 def _no_diagnostics(scored: ScoredDesign) -> dict:
@@ -185,34 +151,36 @@ class Adjuster(NamedTuple):
 # --- adjusters ---------------------------------------------------------------
 
 
-def _fit_zero(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_zero(design: TwoSampleDesign) -> Adjuster:
     return Adjuster(np.zeros_like)
 
 
-def _fit_ppi(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_ppi(design: TwoSampleDesign) -> Adjuster:
     """f = m / (1 - rho): psi is the unlabeled score mean plus the labeled residual."""
     scale = 1.0 / (1.0 - design.rho)
     return Adjuster(lambda t: t * scale)
 
 
-def _fit_aipw(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_aipw(design: TwoSampleDesign) -> Adjuster:
     return Adjuster(np.asarray)
 
 
 def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]):
-    m_l, m_u = design.labeled.scores, design.unlabeled.scores
     y = design.labeled.outcomes
     rho = design.rho
-    # scores whose squares overflow make den and scale inf, i.e. degenerate
-    # with lambda 0 whatever num is; family_report then refuses an overflowing SE
+    # m / 2**e lies in (-1, 1), so none of its squares overflow; a power of two
+    # scales num by 2**-e and den and the threshold by 4**-e exactly
+    e = int(np.frexp(max(np.abs(design.labeled.scores).max(), np.abs(design.unlabeled.scores).max()))[1])
+    m_l, m_u = np.ldexp(design.labeled.scores, -e), np.ldexp(design.unlabeled.scores, -e)
+    # outcomes near the float64 limit can still overflow num; the report refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         num = float(np.mean((y - y.mean()) * (m_l - m_l.mean())))
         var_l = float(np.mean((m_l - m_l.mean()) ** 2))
         var_u = float(np.mean((m_u - m_u.mean()) ** 2))
-        scale = max(1.0, float(np.mean(m_l**2)) + float(np.mean(m_u**2)))
+        scale = max(float(np.ldexp(1.0, -2 * e)), float(np.mean(m_l**2)) + float(np.mean(m_u**2)))
     den = (1.0 - rho) * var_l + rho * var_u
     degenerate = den <= 1e-12 * scale
-    lam_raw = 0.0 if degenerate else num / den
+    lam_raw = 0.0 if degenerate else float(np.ldexp(num / den, -e))
     lam = lam_raw
     clip_active = False
     if clip is not None and not degenerate:
@@ -247,11 +215,11 @@ def _scaled(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]) -> Adj
     return Adjuster(lambda t: lam * t, lambda scored: diagnostics)
 
 
-def _fit_aipw_em(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_aipw_em(design: TwoSampleDesign) -> Adjuster:
     return _scaled(design, None)
 
 
-def _fit_ppi_pp(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_ppi_pp(design: TwoSampleDesign) -> Adjuster:
     """Clipped empirical efficiency maximization: lambda in [0, 1/(1-rho)]."""
     return _scaled(design, (0.0, 1.0 / (1.0 - design.rho)))
 
@@ -270,10 +238,11 @@ def _calibrated(calibrator) -> Adjuster:
     def describe(scored: ScoredDesign) -> dict:
         lab = scored.design.labeled
         y, pred_l = lab.outcomes, scored.f_labeled
-        diagnostics = {
-            "calibration_mse_before": float(np.mean((y - lab.scores) ** 2)),
-            "calibration_mse_after": float(np.mean((y - pred_l) ** 2)),
-        }
+        with np.errstate(over="ignore"):
+            mse = [float(np.mean((y - pred) ** 2)) for pred in (lab.scores, pred_l)]
+        # a mean square that overflows float64 is reported as unknown
+        before, after = (v if math.isfinite(v) else None for v in mse)
+        diagnostics = {"calibration_mse_before": before, "calibration_mse_after": after}
         if isinstance(calibrator, cal.AffineCalibrator):
             diagnostics["slope"] = calibrator.slope
             diagnostics["intercept"] = calibrator.intercept
@@ -290,43 +259,34 @@ def _calibrated(calibrator) -> Adjuster:
     return Adjuster(calibrator, describe)
 
 
-def _fit_linear(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_linear(design: TwoSampleDesign) -> Adjuster:
     lab = design.labeled
-    return _calibrated(cal.fit_linear(lab.scores, lab.outcomes, clip=params.get("clip", True)))
+    return _calibrated(cal.fit_linear(lab.scores, lab.outcomes, clip=True))
 
 
-def _fit_linear_cov(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
     lab = design.labeled
     if lab.covariates is None:
         raise DimensionError("linear-cov-cal needs labeled covariates")
-    calib = cal.fit_linear_cov(lab.scores, lab.outcomes, lab.covariates, clip=params.get("clip", True))
+    calib = cal.fit_linear_cov(lab.scores, lab.outcomes, lab.covariates, clip=True)
     if len(calib.cov_coefs) > 0 and design.unlabeled.covariates is None:
         raise DimensionError("covariate-adjusted calibration needs covariates in both samples")
     return _calibrated(calib)
 
 
-def _fit_platt(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_platt(design: TwoSampleDesign) -> Adjuster:
     lab = design.labeled
     if not np.all((lab.outcomes == 0.0) | (lab.outcomes == 1.0)):
         raise DataError("platt-cal requires binary outcomes in {0, 1}")
-    logit_eps = params.get("logit_eps", cal.DEFAULT_LOGIT_EPS)
-    return _calibrated(cal.fit_platt(lab.scores, lab.outcomes, logit_eps=logit_eps))
+    return _calibrated(cal.fit_platt(lab.scores, lab.outcomes))
 
 
-def _fit_isotonic(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_isotonic(design: TwoSampleDesign) -> Adjuster:
     return _calibrated(cal.fit_isotonic(design.labeled.scores, design.labeled.outcomes))
 
 
-def _fit_histogram(design: TwoSampleDesign, params: dict) -> Adjuster:
-    m_l = design.labeled.scores
-    edges = params.get("edges")
-    if edges is None and "bins" in params:
-        nbins = int(params["bins"])
-        if nbins < 1:
-            raise ConfigError("hist-cal needs at least one bin")
-        lo, hi = float(m_l.min()), float(m_l.max())
-        edges = np.linspace(lo, hi, nbins + 1) if hi > lo else np.array([lo, lo + 1.0])
-    return _calibrated(cal.fit_histogram(m_l, design.labeled.outcomes, edges=edges))
+def _fit_histogram(design: TwoSampleDesign) -> Adjuster:
+    return _calibrated(cal.fit_histogram(design.labeled.scores, design.labeled.outcomes))
 
 
 class _JointAdjuster(Adjuster):
@@ -340,7 +300,7 @@ class _JointAdjuster(Adjuster):
         return ScoredDesign(design, values[: design.n], values[design.n :])
 
 
-def _fit_venn_abers(design: TwoSampleDesign, params: dict) -> Adjuster:
+def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
 
     Outcomes outside [0, 1] are affinely rescaled for the calibration step and
@@ -398,42 +358,38 @@ class Method:
     cross-validation and cross-fitting may refit them on any labeled subsample.
     """
 
-    fit: Optional[Callable[[TwoSampleDesign, dict], Adjuster]]
+    fit: Optional[Callable[[TwoSampleDesign], Adjuster]]
     selectable: bool = False
 
-    def run(self, design: TwoSampleDesign, tag: MethodTag, alpha: float, seed: int) -> EstimateReport:
+    def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         """The method's report; every method needs n >= 2 for an honest standard error."""
         if design.n < 2:
-            raise DataError(f"{tag.name} needs n >= 2 labeled points for a standard error, got n={design.n}")
-        return self.report(design, tag, alpha, seed)
+            raise DataError(f"{name} needs n >= 2 labeled points for a standard error, got n={design.n}")
+        return self.report(design, name, alpha, seed)
 
-    def report(self, design: TwoSampleDesign, tag: MethodTag, alpha: float, seed: int) -> EstimateReport:
-        return self.fit(design, tag.params).report(design, tag.name, alpha)
+    def report(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
+        return self.fit(design).report(design, name, alpha)
 
 
 class _LabeledOnly(Method):
     """f = 0, but with the classical ddof=1 standard error of the labeled mean."""
 
-    def report(self, design, tag, alpha, seed):
+    def report(self, design, name, alpha, seed):
         y = design.labeled.outcomes
-        report = super().report(design, tag, alpha, seed)
+        report = super().report(design, name, alpha, seed)
         se = float(y.std(ddof=1) / np.sqrt(len(y)))
         lo, hi = wald_interval(report.estimate, se, alpha)
         return replace(report, std_error=se, ci_lower=lo, ci_upper=hi)
 
 
 class _AutoCal(Method):
-    """Cross-validated selection among selectable methods; see selection.autocal_select."""
+    """Cross-validated selection among aipw, linear-cal, iso-cal and hist-cal
+    with CandidateSet's default folds and cap; see selection.autocal_select."""
 
-    def report(self, design, tag, alpha, seed):
+    def report(self, design, name, alpha, seed):
         from . import selection
 
-        params = tag.params
-        candidates = selection.CandidateSet(
-            methods=params.get("candidates", ["aipw", "linear-cal", "iso-cal", "hist-cal"]),
-            folds=params.get("folds", 20),
-            unlabeled_cap_factor=params.get("unlabeled_cap_factor", 10),
-        )
+        candidates = selection.CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"])
         _, report = selection.autocal_select(design, candidates, seed=seed, alpha=alpha)
         return report
 
@@ -453,10 +409,20 @@ REGISTRY = {
     "auto-cal": _AutoCal(None),
 }
 
+METHOD_NAMES = tuple(REGISTRY)
+
+
+def method_name(method: str) -> str:
+    """The method's registered name; ConfigError for any other value."""
+    name = str(method)
+    if name not in REGISTRY:
+        raise ConfigError(f"unknown method {name!r}; valid methods: {', '.join(METHOD_NAMES)}")
+    return name
+
 
 def estimate(
     design: TwoSampleDesign,
-    method: Union[str, MethodTag],
+    method: str,
     alpha: float = 0.05,
     seed: int = 0,
 ) -> EstimateReport:
@@ -465,7 +431,7 @@ def estimate(
     The seed only matters for auto-cal (fold shuffling and the unlabeled
     subsample); every other method is deterministic in the data.
     """
-    tag = MethodTag.parse(method)
+    name = method_name(method)
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    return REGISTRY[tag.name].run(design, tag, alpha, seed)
+    return REGISTRY[name].run(design, name, alpha, seed)

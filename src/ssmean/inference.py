@@ -1,4 +1,7 @@
-"""Influence-function variance, Wald intervals, and the refitting bootstrap."""
+"""Wald intervals and the refitting bootstrap.
+
+The influence-function standard error is computed by estimators.family_report.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,56 +12,14 @@ from scipy.special import ndtri
 
 from ._rng import BOOT_RESAMPLE, derive_seed, substream
 from .design import LabeledSample, TwoSampleDesign, UnlabeledSample
-from .exceptions import ConfigError, DimensionError
+from .exceptions import ConfigError
 
 __all__ = [
-    "InfluencePair",
     "BootstrapResult",
-    "influence_values",
-    "wald_se",
     "wald_interval",
     "normal_quantile",
     "bootstrap",
 ]
-
-
-@dataclass(frozen=True)
-class InfluencePair:
-    """Estimated influence values for the labeled and unlabeled samples."""
-
-    labeled_vals: np.ndarray
-    unlabeled_vals: np.ndarray
-
-
-def influence_values(design: TwoSampleDesign, adj_labeled, adj_unlabeled, psi_hat: float) -> InfluencePair:
-    """Influence values for the estimator family at adjustment values a.
-
-    Labeled: a_i - psi_hat + (1/rho) * (Y_i - a_i).
-    Unlabeled: a_j - psi_hat.
-    """
-    a_l = np.asarray(adj_labeled, dtype=np.float64)
-    a_u = np.asarray(adj_unlabeled, dtype=np.float64)
-    if a_l.shape != (design.n,):
-        raise DimensionError(f"adj_labeled has shape {a_l.shape}, expected ({design.n},)")
-    if a_u.shape != (design.N,):
-        raise DimensionError(f"adj_unlabeled has shape {a_u.shape}, expected ({design.N},)")
-    rho = design.rho
-    labeled = a_l - psi_hat + (design.labeled.outcomes - a_l) / rho
-    unlabeled = a_u - psi_hat
-    return InfluencePair(labeled_vals=labeled, unlabeled_vals=unlabeled)
-
-
-def wald_se(pair: InfluencePair, design: TwoSampleDesign) -> float:
-    """Plug-in standard error sqrt{ (sum D_L^2 + sum D_U^2) / (n+N)^2 }.
-
-    Algebraically identical to sqrt(sigma2 / M) with
-    sigma2 = rho * mean(D_L^2) + (1 - rho) * mean(D_U^2).
-    """
-    m = design.m_total
-    # an overflowing square makes the SE inf, which the caller reports
-    with np.errstate(over="ignore"):
-        total = float(np.sum(pair.labeled_vals**2) + np.sum(pair.unlabeled_vals**2))
-    return float(np.sqrt(total)) / m
 
 
 def normal_quantile(p: float) -> float:
@@ -111,7 +72,7 @@ def bootstrap_indices(seed: int, rep: int, n: int, N: int) -> Tuple[np.ndarray, 
     return lab, unl
 
 
-def bootstrap(design: TwoSampleDesign, method, b: int, seed: int, alpha: float = 0.05) -> BootstrapResult:
+def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: float = 0.05) -> BootstrapResult:
     """Nonparametric bootstrap that refits the method within each replicate.
 
     Rows are resampled with replacement, independently for the labeled and

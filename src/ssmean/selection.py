@@ -13,62 +13,48 @@ for the unlabeled rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Protocol, Tuple, Union
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from . import calibrators as cal
 from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from .design import EstimateReport, LabeledSample, TwoSampleDesign, UnlabeledSample, design_from_arrays
-from .estimators import REGISTRY, MethodTag, ScoredDesign, estimate, family_report
+from .estimators import REGISTRY, ScoredDesign, estimate, family_report, method_name
 from .exceptions import ConfigError, DataError
 
 __all__ = [
     "CandidateSet",
-    "TrainerContract",
     "autocal_select",
     "crossfit_calibrated",
     "ols_trainer",
 ]
 
 
-def _check_selectable(tag: MethodTag, role: str) -> None:
-    if not REGISTRY[tag.name].selectable:
-        choices = ", ".join(name for name, method in REGISTRY.items() if method.selectable)
-        raise ConfigError(f"{tag.name!r} {role}; choose from {choices}")
+def _check_selectable(name: str, role: str) -> None:
+    if not REGISTRY[name].selectable:
+        choices = ", ".join(key for key, method in REGISTRY.items() if method.selectable)
+        raise ConfigError(f"{name!r} {role}; choose from {choices}")
 
 
 @dataclass
 class CandidateSet:
     """Ordered estimator candidates for cross-validated selection."""
 
-    methods: List[Union[str, MethodTag]]
+    methods: List[str]
     folds: int = 20
     unlabeled_cap_factor: int = 10
 
     def __post_init__(self):
         if not self.methods:
             raise ConfigError("candidate list is empty")
-        tags = [MethodTag.parse(m) for m in self.methods]
-        for t in tags:
-            _check_selectable(t, "is not selectable")
-        self.methods = tags
+        self.methods = [method_name(m) for m in self.methods]
+        for name in self.methods:
+            _check_selectable(name, "is not selectable")
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if self.unlabeled_cap_factor < 1:
             raise ConfigError("unlabeled_cap_factor must be >= 1")
-
-
-class TrainerContract(Protocol):
-    """A score trainer: (covariate matrix, outcomes) -> score function.
-
-    The returned callable maps a covariate matrix to a score vector. Trainers
-    must be deterministic given their inputs; this is what makes cross-fitted
-    results reproducible.
-    """
-
-    def __call__(self, covariates: np.ndarray, outcomes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        ...
 
 
 def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> List[np.ndarray]:
@@ -81,14 +67,15 @@ def autocal_select(
     candidates: CandidateSet,
     seed: int,
     alpha: float = 0.05,
-) -> Tuple[MethodTag, EstimateReport]:
+) -> Tuple[str, EstimateReport]:
     """Pick the candidate with the smallest cross-validated variance criterion.
 
     The labeled sample is shuffled once (by seed) into K contiguous folds,
     with K clamped so every fold holds at least two points; the unlabeled
     evaluation subsample of size min(N, cap_factor * n) is drawn once per
     call. Ties break by candidate order. The winner is refit on the full
-    sample and its report returned with the CV table in diagnostics.
+    sample; its name is returned with its report, which carries the CV table
+    in diagnostics.
     """
     n, N = design.n, design.N
     k = min(candidates.folds, n // 2)
@@ -113,21 +100,20 @@ def autocal_select(
         splits.append((part(mask), part(fold)))
 
     criteria = {}
-    for tag in candidates.methods:
-        if tag.name in criteria:  # duplicate candidates: first occurrence wins
+    for name in candidates.methods:
+        if name in criteria:  # duplicate candidates: first occurrence wins
             continue
         total = 0.0
         for train, held_out in splits:
             # the criterion is the held-out influence variance, sigma^2 = M * SE^2
-            se = family_report(REGISTRY[tag.name].fit(train, tag.params).scored(held_out), "auto-cal").std_error
+            se = family_report(REGISTRY[name].fit(train).scored(held_out), "auto-cal").std_error
             total += held_out.m_total * se**2
-        criteria[tag.name] = total / k
+        criteria[name] = total / k
 
-    best_name = min(criteria, key=criteria.get)  # ties break by candidate order
-    winner = next(t for t in candidates.methods if t.name == best_name)
+    winner = min(criteria, key=criteria.get)  # ties break by candidate order
     report = estimate(design, winner, alpha=alpha, seed=seed)
     cv = {
-        "selected": winner.name,
+        "selected": winner,
         "cv_criteria": {name: float(v) for name, v in criteria.items()},
         "cv_folds": int(k),
         "cv_unlabeled_subsample": int(cap),
@@ -156,8 +142,8 @@ def crossfit_calibrated(
     labeled_covariates,
     labeled_outcomes,
     unlabeled_covariates,
-    trainer: TrainerContract,
-    calibration_method: Union[str, MethodTag] = "iso-cal",
+    trainer: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    calibration_method: str = "iso-cal",
     k: int = 5,
     seed: int = 0,
     alpha: float = 0.05,
@@ -170,6 +156,10 @@ def crossfit_calibrated(
     (score, outcome) pairs. Labeled rows are calibrated through their own
     out-of-fold score; unlabeled predictions average the calibrated scores
     over the K fold models, which makes them invariant to fold relabeling.
+
+    trainer(covariates, outcomes) returns a score function that maps a
+    covariate matrix to a score vector. Trainers must be deterministic given
+    their inputs; this is what makes cross-fitted results reproducible.
     """
     x_l = np.asarray(labeled_covariates, dtype=np.float64)
     if x_l.ndim == 1:
@@ -185,8 +175,8 @@ def crossfit_calibrated(
         raise ConfigError(f"cross-fitting needs k >= 2 folds, got {k}")
     if k > n:
         raise ConfigError(f"cannot split n={n} labeled points into k={k} folds")
-    tag = MethodTag.parse(calibration_method)
-    _check_selectable(tag, "cannot be used as a cross-fit calibration")
+    name = method_name(calibration_method)
+    _check_selectable(name, "cannot be used as a cross-fit calibration")
 
     folds = _fold_blocks(n, k, (seed, CROSSFIT_SHUFFLE))
     oof = np.empty(n)
@@ -204,7 +194,7 @@ def crossfit_calibrated(
         raise DataError("trainer produced non-finite scores")
 
     design = design_from_arrays(oof, y, unl_by_fold.mean(axis=0))
-    f = REGISTRY[tag.name].fit(design, tag.params).f
+    f = REGISTRY[name].fit(design).f
     pred_u = np.mean([cal.predict(f, unl_by_fold[j]) for j in range(k)], axis=0)
     scored = ScoredDesign(design, cal.predict(f, oof), pred_u)
-    return family_report(scored, f"crossfit-{tag.name}", alpha, {"folds": int(k), "calibration": tag.name})
+    return family_report(scored, f"crossfit-{name}", alpha, {"folds": int(k), "calibration": name})

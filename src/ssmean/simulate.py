@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from ._rng import SIM_DRAW, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
-from .estimators import MethodTag, estimate
+from .estimators import estimate, method_name
 from .exceptions import ConfigError, DataError
 from .inference import wald_interval
 
@@ -113,7 +113,7 @@ class McSummary:
 def run_grid(
     ns: Sequence[int],
     ratios: Sequence[int],
-    methods: Sequence[Union[str, MethodTag]],
+    methods: Sequence[str],
     reps: int,
     alpha: float = 0.05,
     seed: int = 0,
@@ -131,15 +131,14 @@ def run_grid(
     """
     if reps < 2:
         raise ConfigError(f"need reps >= 2, got {reps}")
-    tags = [MethodTag.parse(m) for m in methods]
+    names = [method_name(m) for m in methods]
     if draw_fn is None:
         draw_fn = draw_dataset
     rows: List[McSummary] = []
     for n in ns:
         for ratio in ratios:
-            names = [t.name for t in tags]
-            est = {t.name: np.empty(reps) for t in tags}
-            cov = {t.name: np.empty(reps, dtype=bool) for t in tags}
+            est = {name: np.empty(reps) for name in names}
+            cov = {name: np.empty(reps, dtype=bool) for name in names}
             ppi_est = np.empty(reps)
             for rep in range(reps):
                 spec = DgpSpec(
@@ -150,10 +149,10 @@ def run_grid(
                 )
                 design = draw_fn(spec)
                 rep_seed = derive_seed(seed, SIM_DRAW, n, ratio, rep, 1)
-                for tag in tags:
-                    report = estimate(design, tag, alpha=alpha, seed=rep_seed)
-                    est[tag.name][rep] = report.estimate
-                    cov[tag.name][rep] = report.ci_lower <= TRUE_MEAN <= report.ci_upper
+                for name in names:
+                    report = estimate(design, name, alpha=alpha, seed=rep_seed)
+                    est[name][rep] = report.estimate
+                    cov[name][rep] = report.ci_lower <= TRUE_MEAN <= report.ci_upper
                 if "ppi" in est:
                     ppi_est[rep] = est["ppi"][rep]
                 else:
@@ -215,7 +214,7 @@ def ate_two_arm(
     treated_scores,
     control_outcomes,
     control_scores,
-    method: Union[str, MethodTag] = "aipw",
+    method: str = "aipw",
     alpha: float = 0.05,
     seed: int = 0,
 ) -> EstimateReport:
@@ -246,14 +245,13 @@ def ate_two_arm(
     tau = r1.estimate - r0.estimate
     se = math.hypot(r1.std_error, r0.std_error)
     lo, hi = wald_interval(tau, se, alpha)
-    tag = MethodTag.parse(method)
     return EstimateReport(
         estimate=tau,
         std_error=se,
         ci_lower=lo,
         ci_upper=hi,
         alpha=alpha,
-        method=f"ate({tag.name})",
+        method=f"ate({r1.method})",
         n=len(y1),
         N=len(y0),
         diagnostics={"treated_mean": r1.to_dict(), "control_mean": r0.to_dict()},

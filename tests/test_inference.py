@@ -3,22 +3,46 @@ import pytest
 
 from ssmean import (
     ConfigError,
-    EstimateReport,
     bootstrap,
     design_from_arrays,
     estimate,
-    influence_values,
     wald_interval,
-    wald_se,
 )
+from ssmean.estimators import ScoredDesign, family_report
 from ssmean.inference import bootstrap_indices, normal_quantile
+
+
+def influence_oracle(design, a_l, a_u, psi):
+    """Per-row influence values (D_L, D_U) of the family at adjustment values a.
+
+    D_L = a - psi + (Y - a)/rho on the labeled rows and D_U = a - psi on the
+    unlabeled rows; the oracle for family_report's standard error.
+    """
+    a_l, a_u = np.asarray(a_l, float), np.asarray(a_u, float)
+    return a_l - psi + (design.labeled.outcomes - a_l) / design.rho, a_u - psi
+
+
+def oracle_se(design, f_l, f_u):
+    """sqrt(sigma2 / M), sigma2 = rho mean D_L^2 + (1-rho) mean D_U^2, at the
+    adjustment f recentered by the labeled residual mean."""
+    y, rho = design.labeled.outcomes, design.rho
+    shift = np.mean(y - f_l)
+    psi = rho * np.mean(f_l) + (1 - rho) * np.mean(f_u) + shift
+    d_l, d_u = influence_oracle(design, f_l + shift, f_u + shift, psi)
+    sigma2 = rho * np.mean(d_l**2) + (1 - rho) * np.mean(d_u**2)
+    return float(np.sqrt(sigma2 / design.m_total))
 
 
 def test_influence_formula_single_point():
     d = design_from_arrays([0.0], [2.0], [0.0])  # rho = 1/2
-    pair = influence_values(d, [1.0], [1.0], psi_hat=1.0)
-    assert pair.labeled_vals[0] == pytest.approx(2.0)  # 1 - 1 + 2*(2-1)
-    assert pair.unlabeled_vals[0] == pytest.approx(0.0)
+    d_l, d_u = influence_oracle(d, [1.0], [1.0], psi=1.0)
+    assert d_l[0] == pytest.approx(2.0)  # 1 - 1 + 2*(2-1)
+    assert d_u[0] == pytest.approx(0.0)
+    # f = (0 | 1): psi = 2.5, a = f + 2, so D_L = -1/2 and D_U = 1/2
+    rep = family_report(ScoredDesign(d, [0.0], [1.0]))
+    assert rep.estimate == 2.5
+    assert rep.std_error == pytest.approx(np.sqrt(0.5) / 2.0, rel=1e-15)
+    assert rep.std_error == pytest.approx(oracle_se(d, np.array([0.0]), np.array([1.0])), rel=1e-15)
 
 
 def test_influence_outcome_adjustment_drops_residual():
@@ -27,32 +51,34 @@ def test_influence_outcome_adjustment_drops_residual():
     d = design_from_arrays(np.zeros(5), y, np.zeros(3))
     adj_u = rng.normal(size=3)
     psi = (y.sum() + adj_u.sum()) / 8.0
-    pair = influence_values(d, y, adj_u, psi)
-    assert np.allclose(pair.labeled_vals, y - psi, atol=1e-14)
+    d_l, _ = influence_oracle(d, y, adj_u, psi)
+    assert np.allclose(d_l, y - psi, atol=1e-14)
+    # f = Y on the labeled rows leaves no residual, so no recentering
+    rep = family_report(ScoredDesign(d, y, adj_u))
+    assert rep.diagnostics["residual_mean"] == 0.0
+    assert rep.estimate == pytest.approx(psi, abs=1e-14)
+    assert rep.std_error == pytest.approx(oracle_se(d, y, adj_u), rel=1e-12)
 
 
 def test_influence_constant_everything_is_zero():
     c = 3.0
     d = design_from_arrays([0.0, 0.0], [c, c], [0.0])
-    pair = influence_values(d, [c, c], [c], psi_hat=c)
-    assert np.all(pair.labeled_vals == 0.0)
-    assert np.all(pair.unlabeled_vals == 0.0)
+    d_l, d_u = influence_oracle(d, [c, c], [c], psi=c)
+    assert np.all(d_l == 0.0)
+    assert np.all(d_u == 0.0)
+    assert family_report(ScoredDesign(d, [c, c], [c])).std_error == 0.0
 
 
 def test_wald_se_examples():
     d = design_from_arrays([0.0], [0.0], [0.0])
-    zero = influence_values(d, [0.0], [0.0], 0.0)
-    assert wald_se(zero, d) == 0.0
-    # D_L = [2], D_U = [0], M = 2 -> sqrt(4/4) = 1
-    pair = type(zero)(labeled_vals=np.array([2.0]), unlabeled_vals=np.array([0.0]))
-    assert wald_se(pair, d) == 1.0
-    doubled = type(zero)(labeled_vals=np.array([4.0]), unlabeled_vals=np.array([0.0]))
-    assert wald_se(doubled, d) == 2.0
+    assert family_report(ScoredDesign(d, [0.0], [0.0])).std_error == 0.0
+    # f = (2 | 0): psi = -1, a = f - 2, so D_L = 1, D_U = -1 and M = 2
+    assert family_report(ScoredDesign(d, [2.0], [0.0])).std_error == np.sqrt(2.0) / 2.0
+    assert family_report(ScoredDesign(d, [4.0], [0.0])).std_error == np.sqrt(2.0)
 
 
 def test_influence_centering_for_mean_calibrated_adjustments():
     from ssmean import fit_isotonic, predict
-    from ssmean.estimators import ScoredDesign, aipw_general
 
     rng = np.random.default_rng(59)
     for _ in range(20):
@@ -63,10 +89,10 @@ def test_influence_centering_for_mean_calibrated_adjustments():
         d = design_from_arrays(m_l, y, m_u)
         cal = fit_isotonic(m_l, y)
         pred_l, pred_u = predict(cal, m_l), predict(cal, m_u)
-        psi = aipw_general(ScoredDesign(d, pred_l, pred_u))
-        pair = influence_values(d, pred_l, pred_u, psi)
+        psi = family_report(ScoredDesign(d, pred_l, pred_u)).estimate
+        d_l, d_u = influence_oracle(d, pred_l, pred_u, psi)
         rho = d.rho
-        pooled = rho * pair.labeled_vals.mean() + (1 - rho) * pair.unlabeled_vals.mean()
+        pooled = rho * d_l.mean() + (1 - rho) * d_u.mean()
         assert abs(pooled) <= 1e-9
 
 
@@ -76,11 +102,9 @@ def test_wald_se_two_forms_agree():
         n = int(rng.integers(1, 20))
         N = int(rng.integers(1, 30))
         d = design_from_arrays(np.zeros(n), np.zeros(n), np.zeros(N))
-        pair = influence_values(d, rng.normal(size=n), rng.normal(size=N), rng.normal())
-        direct = wald_se(pair, d)
-        rho = d.rho
-        sigma2 = rho * np.mean(pair.labeled_vals**2) + (1 - rho) * np.mean(pair.unlabeled_vals**2)
-        assert direct == pytest.approx(np.sqrt(sigma2 / d.m_total), rel=1e-12)
+        f_l, f_u = rng.normal(size=n), rng.normal(size=N)
+        direct = family_report(ScoredDesign(d, f_l, f_u)).std_error
+        assert direct == pytest.approx(oracle_se(d, f_l, f_u), rel=1e-12)
 
 
 def test_wald_interval_values():
@@ -189,10 +213,3 @@ def test_bootstrap_percentile_quantiles():
     assert res.percentile_ci[0] == pytest.approx(np.quantile(res.replicates, 0.05))
     assert res.percentile_ci[1] == pytest.approx(np.quantile(res.replicates, 0.95))
     assert res.se_boot == pytest.approx(res.replicates.std(ddof=1))
-
-
-def test_report_json_round_trip():
-    rng = np.random.default_rng(58)
-    d = design_from_arrays(rng.normal(size=12), rng.normal(size=12), rng.normal(size=20))
-    rep = estimate(d, "aipw-em")
-    assert EstimateReport.from_dict(rep.to_dict()) == rep

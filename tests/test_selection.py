@@ -27,7 +27,7 @@ def test_single_candidate_degenerate_selection():
     rng = np.random.default_rng(60)
     d = make_design(rng)
     winner, report = autocal_select(d, CandidateSet(["iso-cal"]), seed=0)
-    assert winner.name == "iso-cal"
+    assert winner == "iso-cal"
     direct = estimate(d, "iso-cal")
     assert report.estimate == direct.estimate
     assert report.std_error == direct.std_error
@@ -45,14 +45,14 @@ def test_autocal_report_is_winner_report_plus_cv_keys():
     assert {k: v for k, v in report.diagnostics.items() if k not in cv_keys} == direct.diagnostics
     assert dataclasses.replace(report, method=direct.method, diagnostics=direct.diagnostics) == direct
     assert report.method == "auto-cal"
-    assert direct.method == winner.name
+    assert direct.method == winner
 
 
 def test_duplicate_candidates_first_wins():
     rng = np.random.default_rng(61)
     d = make_design(rng)
     winner, report = autocal_select(d, CandidateSet(["aipw", "aipw"]), seed=0)
-    assert winner.name == "aipw"
+    assert winner == "aipw"
     assert list(report.diagnostics["cv_criteria"]) == ["aipw"]
 
 
@@ -61,7 +61,7 @@ def test_perfect_score_selects_aipw_over_binning():
     m_l = rng.normal(size=80)
     d = design_from_arrays(m_l, m_l.copy(), rng.normal(size=100))
     winner, _ = autocal_select(d, CandidateSet(["hist-cal", "aipw"]), seed=0)
-    assert winner.name == "aipw"
+    assert winner == "aipw"
 
 
 def test_selection_deterministic_in_seed():
