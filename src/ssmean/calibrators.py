@@ -11,6 +11,10 @@ values there of the isotonic fits with that score added under label 0 and
 under label 1; all of them are read from one cumulative-sum diagram of the
 labeled sample, with no isotonic fit per evaluation point.
 
+The two step maps (isotonic and histogram) also give their cut points and
+block values through steps(), so the counts of a sorted sample in each
+block stand in for evaluating them per score.
+
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
 and repr; estimators.calibrated_plugin compares it with a design's labeled
@@ -73,11 +77,17 @@ class StepCalibrator:
     def __post_init__(self):
         object.__setattr__(self, "boundaries", _freeze(self.boundaries))
         object.__setattr__(self, "values", _freeze(self.values))
+        if len(self.values) != len(self.boundaries):
+            raise DimensionError("values must have one entry per boundary")
 
     def __call__(self, scores) -> np.ndarray:
         t = np.asarray(scores, dtype=np.float64)
         idx = np.searchsorted(self.boundaries, t, side="right") - 1
         return self.values[np.clip(idx, 0, len(self.values) - 1)]
+
+    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(cuts, values): values[j] on [cuts[j-1], cuts[j]), unbounded at both ends."""
+        return self.boundaries[1:], self.values
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,11 @@ class SigmoidCalibrator:
 
 @dataclass(frozen=True)
 class BinnedCalibrator:
-    """Per-bin outcome means on a fixed partition; empty bins use the fallback."""
+    """Per-bin outcome means on a fixed partition; empty bins use the fallback.
+
+    Scores below and above the partition take the end bins' means, so this
+    is a step function with StepCalibrator's floor lookup at the inner edges.
+    """
 
     edges: np.ndarray
     bin_means: np.ndarray
@@ -152,6 +166,10 @@ class BinnedCalibrator:
         idx = np.searchsorted(self.edges, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.bin_means) - 1)
         return self.bin_means[idx]
+
+    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(cuts, values) as in StepCalibrator.steps: the inner edges and the bin means."""
+        return self.edges[1:-1], self.bin_means
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,18 @@ model evaluated at each unit's covariates. Optional covariate matrices are
 carried only for the covariate-adjusted linear calibration method.
 
 All arrays are stored as read-only float64; instances are immutable and safe
-to share across threads.
+to share across threads. An unlabeled sample also keeps two things computed
+from its scores on first use: a sorted copy (8 bytes per row, held for the
+sample's lifetime) and the scores' mean and root centered sum of squares.
+Every estimate run on a sample, and every auto-cal fold that shares it,
+reuses them; this is what lets estimators.family_report summarise step and
+affine adjustments on the unlabeled side without evaluating them per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -104,6 +110,29 @@ class UnlabeledSample:
     @property
     def n(self) -> int:
         return len(self.scores)
+
+    @cached_property
+    def sorted_scores(self) -> np.ndarray:
+        """The scores in ascending order, read-only; sorted once, on first use."""
+        out = np.sort(self.scores)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def score_moments(self) -> Tuple[float, float]:
+        """The scores' mean and the square root of their centered sum of squares.
+
+        Both are taken from the scores scaled by a power of two into (-1, 1),
+        which is exact, so no sum or square overflows; the root then scales
+        with any coefficient applied to the scores without under- or
+        overflowing in between.
+        """
+        e = int(np.frexp(np.abs(self.scores).max())[1])
+        dev = np.ldexp(self.scores, -e)
+        mean = dev.mean()
+        dev -= mean
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(mean, e)), float(np.ldexp(np.sqrt(np.sum(np.square(dev, out=dev))), e))
 
 
 @dataclass(frozen=True)

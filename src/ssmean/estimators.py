@@ -11,6 +11,14 @@ rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 interval map of venn-abers. REGISTRY maps every method name to its fit, and
 family_report is the one core that turns adjustment values into a report.
 
+The core reads the unlabeled side only as a summary: the count N, the mean
+of f and its centered sum of squares (UnlabeledSummary). Step maps
+(iso-cal, hist-cal) give it from the counts of the sample's once-sorted
+scores in each of their k blocks, in O(k log N); affine maps (ppi, aipw,
+ppi-pp, aipw-em, unclipped linear maps) from the sample's cached score
+moments, in O(1), and the constant zero of labeled-only directly. Every
+other f is evaluated at the N scores and the values summarised.
+
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
 recentering that appears in the asymptotic theory; exact intercept
@@ -18,7 +26,9 @@ calibration for the raw-score methods, a no-op for mean-calibrated ones),
 then
 
     D_L = a - psi + (Y - a)/rho,   D_U = a - psi,
-    SE^2 = (sum D_L^2 + sum D_U^2) / (n + N)^2.
+    SE^2 = (sum D_L^2 + sum D_U^2) / (n + N)^2,
+
+where sum D_U^2 = css + N (mean_U f - plugin)^2 comes from the summary.
 
 labeled-only is the one documented exception: it keeps the classical
 ddof=1 standard error of the labeled mean. Every method refuses n < 2 and
@@ -28,17 +38,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from . import calibrators as cal
-from .design import EstimateReport, TwoSampleDesign
+from .design import EstimateReport, TwoSampleDesign, UnlabeledSample
 from .exceptions import ConfigError, DataError, DimensionError, MisuseError
 from .inference import wald_interval
 
 __all__ = [
     "Adjuster",
+    "UnlabeledSummary",
     "ScoredDesign",
     "METHOD_NAMES",
     "REGISTRY",
@@ -54,22 +65,45 @@ __all__ = [
 MEAN_CALIBRATED_TOL = 1e-10
 
 
+class UnlabeledSummary(NamedTuple):
+    """The unlabeled side of a report: N, the mean of f and sum (f - mean)^2."""
+
+    count: int
+    mean: float
+    css: float
+
+
 @dataclass(frozen=True)
 class ScoredDesign:
-    """A design together with adjustment values f evaluated on both samples."""
+    """A design with adjustment values f on the labeled rows and their summary on the unlabeled ones.
+
+    f_unlabeled is given as the N values of f or as their UnlabeledSummary;
+    it is stored as the summary.
+    """
 
     design: TwoSampleDesign
     f_labeled: np.ndarray
-    f_unlabeled: np.ndarray
+    f_unlabeled: Union[np.ndarray, UnlabeledSummary]
 
     def __post_init__(self):
         fl = np.asarray(self.f_labeled, dtype=np.float64)
-        fu = np.asarray(self.f_unlabeled, dtype=np.float64)
+        fu = self.f_unlabeled
         if fl.shape != (self.design.n,):
             raise DimensionError(f"f_labeled has shape {fl.shape}, expected ({self.design.n},)")
-        if fu.shape != (self.design.N,):
-            raise DimensionError(f"f_unlabeled has shape {fu.shape}, expected ({self.design.N},)")
-        if not (np.isfinite(fl).all() and np.isfinite(fu).all()):
+        if not isinstance(fu, UnlabeledSummary):
+            fu = np.asarray(fu, dtype=np.float64)
+            if fu.shape != (self.design.N,):
+                raise DimensionError(f"f_unlabeled has shape {fu.shape}, expected ({self.design.N},)")
+            if not np.isfinite(fu).all():
+                raise DataError("adjustment values must be finite")
+            mean = float(fu.mean())
+            dev = fu - mean
+            # an overflowing square makes css inf, which family_report refuses
+            with np.errstate(over="ignore"):
+                fu = UnlabeledSummary(len(dev), mean, float(np.sum(np.square(dev, out=dev))))
+        elif fu.count != self.design.N:
+            raise DimensionError(f"f_unlabeled summarises {fu.count} values, expected {self.design.N}")
+        if not (np.isfinite(fl).all() and math.isfinite(fu.mean)):
             raise DataError("adjustment values must be finite")
         object.__setattr__(self, "f_labeled", fl)
         object.__setattr__(self, "f_unlabeled", fu)
@@ -84,8 +118,9 @@ def family_report(
     """The family core: psi(f), its recentered influence values, SE and CI.
 
     With a = f + (psi - plugin), the influence values are D_L = a - psi +
-    (Y - a)/rho on the labeled rows and D_U = a - psi on the unlabeled rows,
-    and SE = sqrt(sum D_L^2 + sum D_U^2) / (n + N).
+    (Y - a)/rho on the labeled rows and D_U = a - psi = f - plugin on the
+    unlabeled rows, and SE = sqrt(sum D_L^2 + sum D_U^2) / (n + N). The
+    unlabeled sum is css + N (mean - plugin)^2 of the summary.
 
     Every report carries plugin_estimate (the pooled mean of f), residual_mean
     (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
@@ -94,16 +129,15 @@ def family_report(
     d = scored.design
     fl, fu = scored.f_labeled, scored.f_unlabeled
     rho = d.rho
-    plugin = float(rho * fl.mean() + (1.0 - rho) * fu.mean())
+    plugin = float(rho * fl.mean() + (1.0 - rho) * fu.mean)
     residual_mean = float((d.labeled.outcomes - fl).mean())
     psi = plugin + residual_mean
-    shift = psi - plugin
-    a_l, a_u = fl + shift, fu + shift
+    a_l = fl + (psi - plugin)
     d_l = a_l - psi + (d.labeled.outcomes - a_l) / rho
-    d_u = a_u - psi
+    gap = fu.mean - plugin
     # an overflowing square makes the SE inf, which is refused below
     with np.errstate(over="ignore"):
-        total = float(np.sum(d_l**2) + np.sum(d_u**2))
+        total = float(np.sum(d_l**2)) + fu.css + fu.count * gap * gap
     se = float(np.sqrt(total)) / d.m_total
     if not np.isfinite(se):
         raise DataError(f"{method}: standard error overflows float64; rescale the scores and outcomes")
@@ -121,24 +155,54 @@ def _no_diagnostics(scored: ScoredDesign) -> dict:
     return {}
 
 
+def _unlabeled_side(f, sample: UnlabeledSample) -> Union[UnlabeledSummary, np.ndarray]:
+    """f on an unlabeled sample, as ScoredDesign takes it.
+
+    A step map (StepCalibrator, BinnedCalibrator) is summarised from the
+    counts of the sorted scores in each of its blocks, and an unclipped
+    AffineCalibrator from the scores' mean and root centered sum of squares;
+    neither is evaluated per score. Any other f is evaluated at every score
+    through calibrators.predict, and ScoredDesign checks and summarises the
+    values.
+    """
+    if isinstance(f, (cal.StepCalibrator, cal.BinnedCalibrator)):
+        cuts, values = f.steps()
+        counts = np.diff(np.concatenate(([0], np.searchsorted(sample.sorted_scores, cuts), [sample.n])))
+        # only the values some score takes, as when f is evaluated per score
+        taken = counts > 0
+        counts, values = counts[taken], values[taken]
+        mean = float(counts @ values) / sample.n
+        dev = values - mean
+        with np.errstate(over="ignore"):
+            return UnlabeledSummary(sample.n, mean, float(counts @ (dev * dev)))
+    if isinstance(f, cal.AffineCalibrator) and f.clip_range is None:
+        if not f.slope:  # constant, even where the scores' root overflows
+            return UnlabeledSummary(sample.n, f.intercept, 0.0)
+        mean, root_css = sample.score_moments
+        spread = f.slope * root_css
+        return UnlabeledSummary(sample.n, f.slope * mean + f.intercept, spread * spread)
+    return cal.predict(f, sample.scores, sample.covariates)
+
+
 class Adjuster(NamedTuple):
     """A fitted family member: its adjustment map f and its own diagnostics.
 
-    f is evaluated through calibrators.predict, so it is any callable on
-    scores, or a fitted calibrator (the covariate-adjusted one also receives
-    the covariates). describe(scored) gives the member's diagnostics from the
-    values of f on a design.
+    f is evaluated on the labeled rows through calibrators.predict, so it is
+    any callable on scores, or a fitted calibrator (the covariate-adjusted one
+    also receives the covariates), and summarised on the unlabeled sample by
+    _unlabeled_side. describe(scored) gives the member's diagnostics from
+    the values of f on a design.
     """
 
     f: Callable[..., np.ndarray]
     describe: Callable[[ScoredDesign], dict] = _no_diagnostics
 
     def scored(self, design: TwoSampleDesign) -> ScoredDesign:
-        lab, unl = design.labeled, design.unlabeled
+        lab = design.labeled
         return ScoredDesign(
             design,
             cal.predict(self.f, lab.scores, lab.covariates),
-            cal.predict(self.f, unl.scores, unl.covariates),
+            _unlabeled_side(self.f, design.unlabeled),
         )
 
     def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
@@ -152,17 +216,16 @@ class Adjuster(NamedTuple):
 
 
 def _fit_zero(design: TwoSampleDesign) -> Adjuster:
-    return Adjuster(np.zeros_like)
+    return Adjuster(cal.AffineCalibrator(0.0, 0.0))
 
 
 def _fit_ppi(design: TwoSampleDesign) -> Adjuster:
     """f = m / (1 - rho): psi is the unlabeled score mean plus the labeled residual."""
-    scale = 1.0 / (1.0 - design.rho)
-    return Adjuster(lambda t: t * scale)
+    return Adjuster(cal.AffineCalibrator(1.0 / (1.0 - design.rho), 0.0))
 
 
 def _fit_aipw(design: TwoSampleDesign) -> Adjuster:
-    return Adjuster(np.asarray)
+    return Adjuster(cal.AffineCalibrator(1.0, 0.0))
 
 
 def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]):
@@ -212,7 +275,7 @@ def _scaled(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]) -> Adj
     }
     if degenerate:
         diagnostics["degenerate_score"] = True
-    return Adjuster(lambda t: lam * t, lambda scored: diagnostics)
+    return Adjuster(cal.AffineCalibrator(lam, 0.0), lambda scored: diagnostics)
 
 
 def _fit_aipw_em(design: TwoSampleDesign) -> Adjuster:

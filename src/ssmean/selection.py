@@ -85,10 +85,11 @@ def autocal_select(
     cap = min(N, candidates.unlabeled_cap_factor * n)
     if cap < N:
         sub_idx = substream(seed, UNLABELED_SUBSAMPLE).choice(N, size=cap, replace=False)
+        unl_sub = UnlabeledSample(design.unlabeled.scores[sub_idx])
     else:
-        sub_idx = np.arange(N)
+        # the folds then share the design's sample, and its sort, with the winner's refit
+        unl_sub = design.unlabeled
     lab = design.labeled
-    unl_sub = UnlabeledSample(design.unlabeled.scores[sub_idx])
 
     def part(rows) -> TwoSampleDesign:
         return TwoSampleDesign(LabeledSample(lab.scores[rows], lab.outcomes[rows]), unl_sub)

@@ -18,7 +18,7 @@ from scipy.special import expit
 from ._rng import SIM_DRAW, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .estimators import estimate, method_name
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, DimensionError
 from .inference import wald_interval
 
 __all__ = [
@@ -209,6 +209,15 @@ def summaries_to_csv(rows: Sequence[McSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _score_pair(scores, arm: str):
+    """(own-arm scores, other-arm scores); DimensionError for anything but a pair."""
+    try:
+        own, other = scores
+    except (TypeError, ValueError):
+        raise DimensionError(f"{arm}_scores must be a pair (own-arm scores, other-arm scores)") from None
+    return own, other
+
+
 def ate_two_arm(
     treated_outcomes,
     treated_scores,
@@ -229,6 +238,11 @@ def ate_two_arm(
     - control_scores = (control-model scores on control units,
                         control-model scores on treated units)
 
+    Rows are aligned across arms: treated_scores[1] holds the treated model's
+    scores on the control units in the order of control_outcomes, and
+    control_scores[1] the control model's scores on the treated units in the
+    order of treated_outcomes. Misaligned lengths raise DimensionError.
+
     The reported standard error combines the two arm-specific influence
     variances as independent contributions.
     """
@@ -236,8 +250,12 @@ def ate_two_arm(
     y0 = np.asarray(control_outcomes, dtype=np.float64)
     if y1.size == 0 or y0.size == 0:
         raise DataError("both arms must be nonempty")
-    m1_own, m1_other = treated_scores
-    m0_own, m0_other = control_scores
+    m1_own, m1_other = _score_pair(treated_scores, "treated")
+    m0_own, m0_other = _score_pair(control_scores, "control")
+    if np.size(m1_other) != y0.size:
+        raise DimensionError(f"treated_scores[1] has {np.size(m1_other)} scores, control_outcomes {y0.size}")
+    if np.size(m0_other) != y1.size:
+        raise DimensionError(f"control_scores[1] has {np.size(m0_other)} scores, treated_outcomes {y1.size}")
     design1 = design_from_arrays(m1_own, y1, m1_other)
     design0 = design_from_arrays(m0_own, y0, m0_other)
     r1 = estimate(design1, method, alpha=alpha, seed=seed)

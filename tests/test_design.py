@@ -74,3 +74,21 @@ def test_report_is_frozen():
         rep.method = "auto-cal"
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.estimate = 2.0
+
+
+def test_sorted_scores_are_cached_and_read_only():
+    s = UnlabeledSample([3.0, 1.0, 2.0, 1.0])
+    assert s.sorted_scores is s.sorted_scores
+    assert s.sorted_scores.tolist() == [1.0, 1.0, 2.0, 3.0]
+    assert not s.sorted_scores.flags.writeable
+    with pytest.raises(ValueError):
+        s.sorted_scores[0] = 0.0
+    assert s.scores.tolist() == [3.0, 1.0, 2.0, 1.0]
+
+
+def test_score_moments_survive_overflowing_squares():
+    # the centered squares near 1e160 overflow, but the root of their sum does not
+    s = UnlabeledSample(np.array([1.0, 2.0, 3.0, 6.0]) * 1e160)
+    mean, root_css = s.score_moments
+    assert mean == pytest.approx(3e160, rel=1e-15)
+    assert root_css == pytest.approx(np.sqrt(14.0) * 1e160, rel=1e-15)

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmean import METHOD_NAMES, ConvergenceError, design_from_arrays, estimate
+from ssmean import (
+    METHOD_NAMES,
+    AffineCalibrator,
+    ConvergenceError,
+    UnlabeledSample,
+    design_from_arrays,
+    estimate,
+    fit_histogram,
+    fit_isotonic,
+)
+from ssmean.estimators import UnlabeledSummary, _unlabeled_side
 from ssmean.inference import normal_quantile
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -134,3 +144,70 @@ def test_isotonic_invariant_under_increasing_score_map(design, g):
     a, b = estimate(design, "iso-cal"), estimate(mapped, "iso-cal")
     assert a.estimate == b.estimate
     assert a.std_error == b.std_error
+
+
+# --- counted unlabeled summaries ---------------------------------------------
+# Step and unclipped affine maps are summarised on the unlabeled side from
+# block counts of the sorted scores or from the scores' moments; each must
+# give the mean and centered sum of squares of f evaluated per score.
+
+
+def assert_matches_pointwise(f, scores):
+    got = _unlabeled_side(f, UnlabeledSample(scores))
+    assert isinstance(got, UnlabeledSummary)
+    values = f(np.asarray(scores, dtype=float))
+    mean = values.mean()
+    css = np.sum((values - mean) ** 2)
+    scale = np.abs(values).max()
+    assert got.count == len(values)
+    # relative to the mean, or to the values' scale when the mean cancels
+    assert abs(got.mean - mean) <= 1e-12 * max(abs(mean), scale)
+    # the floor is the rounding of a mean that all N values share
+    assert abs(got.css - css) <= 1e-12 * css + len(values) * (4 * np.finfo(float).eps * scale) ** 2
+
+
+@st.composite
+def step_fits(draw):
+    """Tie-heavy labeled pairs on the grid k/8, k in 0..12; one_block forces a single block."""
+    n = draw(st.integers(1, 20))
+    m_l = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))) / 8.0
+    if draw(st.booleans()):
+        y = -m_l
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    return m_l, y
+
+
+def unlabeled_around(draw, points):
+    """1 to 40 scores, each a given point or a grid value below, inside or above the fitted range."""
+    grid = st.integers(-8, 20).map(lambda k: k / 8.0)
+    return draw(st.lists(st.one_of(st.sampled_from(sorted(set(points))), grid), min_size=1, max_size=40))
+
+
+@SETTINGS
+@given(step_fits(), st.data())
+def test_isotonic_counted_summary_matches_pointwise(fit, data):
+    f = fit_isotonic(*fit)
+    assert_matches_pointwise(f, unlabeled_around(data.draw, f.boundaries))
+
+
+@SETTINGS
+@given(step_fits(), st.booleans(), st.data())
+def test_histogram_counted_summary_matches_pointwise(fit, own_edges, data):
+    edges = None
+    if own_edges:
+        edges = np.array(sorted(data.draw(st.sets(st.integers(-4, 16), min_size=2, max_size=8)))) / 8.0
+    f = fit_histogram(*fit, edges=edges)
+    assert_matches_pointwise(f, unlabeled_around(data.draw, f.edges))
+
+
+@SETTINGS
+@given(
+    st.integers(-64, 64).map(lambda k: k / 8.0),
+    st.integers(-1000, 1000).map(lambda k: k / 4.0),
+    st.sampled_from([0.0, 1.0, -1000.0, 1e6]),
+    st.lists(st.integers(-64, 64), min_size=1, max_size=40),
+)
+def test_affine_summary_from_score_moments_matches_pointwise(slope, intercept, offset, ks):
+    # slope * score + intercept is exact on this grid, so the pointwise values are exact
+    assert_matches_pointwise(AffineCalibrator(slope, intercept), offset + np.array(ks) / 16.0)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
 from ssmean import (
+    METHOD_NAMES,
     ConfigError,
     bootstrap,
     design_from_arrays,
     estimate,
+    predict,
     wald_interval,
 )
-from ssmean.estimators import ScoredDesign, family_report
+from ssmean.estimators import REGISTRY, ScoredDesign, family_report
 from ssmean.inference import bootstrap_indices, normal_quantile
 
 
@@ -105,6 +109,51 @@ def test_wald_se_two_forms_agree():
         f_l, f_u = rng.normal(size=n), rng.normal(size=N)
         direct = family_report(ScoredDesign(d, f_l, f_u)).std_error
         assert direct == pytest.approx(oracle_se(d, f_l, f_u), rel=1e-12)
+
+
+def oracle_design(seed):
+    """Covariates and binary outcomes, so every method applies; scores rounded
+    to 0.01, so the unlabeled scores tie with each other and with the labeled ones."""
+    n, N = ((40, 300), (120, 900), (300, 2400))[seed]
+    rng = np.random.default_rng(300 + seed)
+    x_l, x_u = rng.normal(size=(n, 2)), rng.normal(size=(N, 2))
+    m_l, m_u = (np.round(expit(x[:, 0] + 0.3 * x[:, 1]), 2) for x in (x_l, x_u))
+    y = (rng.uniform(size=n) < expit(1.5 * x_l[:, 0])).astype(float)
+    return design_from_arrays(m_l, y, m_u, x_l, x_u)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_method_matches_the_per_row_oracle(seed):
+    d = oracle_design(seed)
+    lab, unl = d.labeled, d.unlabeled
+    for name in METHOD_NAMES:
+        rep = estimate(d, name, seed=seed)
+        # auto-cal reports its refit winner
+        f = REGISTRY[rep.diagnostics.get("selected", name)].fit(d).f
+        f_l, f_u = predict(f, lab.scores, lab.covariates), predict(f, unl.scores, unl.covariates)
+        psi = d.rho * np.mean(f_l) + (1 - d.rho) * np.mean(f_u) + np.mean(lab.outcomes - f_l)
+        if name == "labeled-only":
+            se = np.std(lab.outcomes, ddof=1) / np.sqrt(d.n)
+        else:
+            se = oracle_se(d, f_l, f_u)
+        assert rep.estimate == pytest.approx(psi, rel=1e-12), name
+        assert rep.std_error == pytest.approx(se, rel=1e-12), name
+
+
+def test_warm_unlabeled_caches_reproduce_a_fresh_report_bit_for_bit():
+    d = oracle_design(0)
+    lab, unl = d.labeled, d.unlabeled
+
+    def fresh():
+        return design_from_arrays(lab.scores, lab.outcomes, unl.scores, lab.covariates, unl.covariates)
+
+    warm = fresh()
+    for name in METHOD_NAMES:
+        estimate(warm, name)
+    assert {"sorted_scores", "score_moments"} <= set(vars(warm.unlabeled))
+    for name in METHOD_NAMES:
+        a, b = estimate(fresh(), name), estimate(warm, name)
+        assert (a.estimate, a.std_error, a.ci_lower, a.ci_upper) == (b.estimate, b.std_error, b.ci_lower, b.ci_upper)
 
 
 def test_wald_interval_values():

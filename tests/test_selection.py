@@ -12,8 +12,10 @@ from ssmean import (
     design_from_arrays,
     estimate,
     ols_trainer,
+    predict,
 )
-from ssmean._rng import CROSSFIT_SHUFFLE, substream
+from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, substream
+from ssmean.estimators import REGISTRY, ScoredDesign, family_report
 
 
 def make_design(rng, n=60, N=120):
@@ -101,6 +103,38 @@ def test_unlabeled_subsample_capped():
     d = make_design(rng, n=8, N=200)
     _, report = autocal_select(d, CandidateSet(["aipw"], unlabeled_cap_factor=10), seed=0)
     assert report.diagnostics["cv_unlabeled_subsample"] == 80
+
+
+def cv_criteria_oracle(design, names, k, seed):
+    """autocal_select's criteria with per-row adjustment values on a copy of
+    the whole unlabeled sample, which is what it evaluates when cap >= N."""
+    lab, unl = design.labeled, design.unlabeled.scores.copy()
+    folds = np.array_split(substream(seed, FOLD_SHUFFLE).permutation(design.n), k)
+    criteria = {}
+    for name in names:
+        total = 0.0
+        for fold in folds:
+            rest = np.setdiff1d(np.arange(design.n), fold)
+            f = REGISTRY[name].fit(design_from_arrays(lab.scores[rest], lab.outcomes[rest], unl)).f
+            held_out = design_from_arrays(lab.scores[fold], lab.outcomes[fold], unl)
+            scored = ScoredDesign(held_out, predict(f, held_out.labeled.scores), predict(f, unl))
+            total += held_out.m_total * family_report(scored).std_error ** 2
+        criteria[name] = total / k
+    return criteria
+
+
+def test_uncapped_selection_evaluates_the_design_sample_itself():
+    rng = np.random.default_rng(67)
+    d = make_design(rng, n=40, N=300)  # N / n = 7.5, under the default cap factor of 10
+    names = ["aipw", "linear-cal", "iso-cal", "hist-cal"]
+    winner, report = autocal_select(d, CandidateSet(names), seed=3)
+    assert report.diagnostics["cv_unlabeled_subsample"] == d.N
+    # the folds sorted the design's own sample, which the winner's refit shares
+    assert "sorted_scores" in vars(d.unlabeled)
+    want = cv_criteria_oracle(d, names, 20, seed=3)
+    assert winner == min(want, key=want.get)
+    for name in names:
+        assert report.diagnostics["cv_criteria"][name] == pytest.approx(want[name], rel=1e-12), name
 
 
 def test_candidate_validation():

@@ -5,6 +5,7 @@ from scipy import integrate
 from ssmean import (
     DataError,
     DgpSpec,
+    DimensionError,
     ate_two_arm,
     design_from_arrays,
     draw_dataset,
@@ -163,3 +164,15 @@ def test_ate_labeled_only_difference_of_means():
 def test_ate_empty_arm_rejected():
     with pytest.raises(DataError):
         ate_two_arm([], (np.zeros(0), np.zeros(2)), [1.0], (np.zeros(1), np.zeros(0)), "aipw")
+
+
+def test_ate_misaligned_arms_rejected():
+    zeros = np.zeros
+    # treated scores on 7 control units, but 2 control outcomes
+    with pytest.raises(DimensionError, match=r"treated_scores\[1\]"):
+        ate_two_arm([1, 2, 3], (zeros(3), zeros(7)), [0, 1], (zeros(2), zeros(5)))
+    with pytest.raises(DimensionError, match=r"control_scores\[1\]"):
+        ate_two_arm([1, 2, 3], (zeros(3), zeros(2)), [0, 1], (zeros(2), zeros(5)))
+    for bad in (zeros(3), (zeros(3),), (zeros(3), zeros(2), zeros(2)), None):
+        with pytest.raises(DimensionError, match="must be a pair"):
+            ate_two_arm([1, 2, 3], bad, [0, 1], (zeros(2), zeros(3)))
