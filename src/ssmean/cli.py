@@ -3,15 +3,29 @@
 Subcommands: estimate (one method, JSON report), compare (every applicable
 method, CSV), simulate (Monte Carlo grid, CSV), bootstrap (refitting
 bootstrap, JSON). Exit codes: 0 success, 2 user/config/data error, 1
-internal error.
+internal error. ``--trace`` on estimate, compare and bootstrap prints the
+wall time of each stage (ingest, design, fit+report) and n, N as one JSON
+line on stderr; stdout and ``--output`` do not change.
+
+Input CSV files are UTF-8 (a byte-order mark is allowed) with a header row,
+comma-delimited, with RFC-4180 double-quote quoting. Blank lines are
+skipped, and every field of a used column must parse as a float (``nan``
+and ``inf`` parse; estimation then refuses non-finite values). Columns are
+found by name; other columns are ignored, and of two columns with one name
+the last is read. A pipe (``--unlabeled /dev/stdin``) is read once, row by
+row.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
+import time
 import traceback
+import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -23,11 +37,61 @@ from .inference import bootstrap
 from .simulate import run_grid, summaries_to_csv
 
 
+_ENCODING = "utf-8-sig"  # a byte-order mark, as Excel writes, is not part of the header
+_WRITE_CHUNK_ROWS = 65536
+
+
 def _read_csv_columns(path: str, required: List[str], optional: List[str]) -> dict:
+    """Read named numeric columns as float64 vectors.
+
+    The body of a regular file is parsed in one ``np.loadtxt`` pass. Wherever
+    that pass might differ from the row loop, or whenever it raises or warns,
+    the row loop reads the file instead: its values and its error messages
+    (which cite the file, line and column) are the only ones there are. A
+    pipe or other stream goes straight to the row loop, which reads it once:
+    the header read and ``loadtxt`` would each open it, and the bytes the
+    first one buffered would be lost to the second.
+    """
+    try:
+        columns = _read_columns_at_once(path, required, optional)
+    except Exception:  # the row loop names what is wrong
+        columns = None
+    return _read_columns_by_row(path, required, optional) if columns is None else columns
+
+
+def _read_columns_at_once(path: str, required: List[str], optional: List[str]) -> Optional[dict]:
+    if not os.path.isfile(path):
+        return None
+    with open(path, newline="", encoding=_ENCODING) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or reader.line_num != 1:  # skiprows=1 counts physical lines
+            return None
+    index = {name: i for i, name in enumerate(header)}  # the last of a repeated name, as DictReader keeps
+    names = required + [name for name in optional if name in index]
+    if len(set(names)) < len(names) or not all(name in index for name in required):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+        table = np.loadtxt(
+            path,
+            dtype=np.float64,
+            delimiter=",",
+            skiprows=1,
+            usecols=[index[name] for name in names],
+            ndmin=2,
+            comments=None,
+            quotechar='"',
+            encoding=_ENCODING,
+        )
+    return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
+
+
+def _read_columns_by_row(path: str, required: List[str], optional: List[str]) -> dict:
     """Read named numeric columns; errors cite the file, line, and column."""
     columns = {name: [] for name in required + optional}
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding=_ENCODING)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with handle:
@@ -55,10 +119,16 @@ def _read_csv_columns(path: str, required: List[str], optional: List[str]) -> di
     return {name: np.array(vals, dtype=np.float64) for name, vals in columns.items()}
 
 
-def _load_design(labeled_path: str, unlabeled_path: str, covariate_columns: Optional[List[str]]) -> TwoSampleDesign:
+def _load_design(
+    labeled_path: str, unlabeled_path: str, covariate_columns: Optional[List[str]]
+) -> Tuple[TwoSampleDesign, Tuple[float, float]]:
+    """The design the two files give, and the wall times of reading them and
+    of building the design from their columns."""
+    start = time.perf_counter()
     covs = covariate_columns or []
     lab = _read_csv_columns(labeled_path, required=["y", "score"], optional=covs)
     unl = _read_csv_columns(unlabeled_path, required=["score"], optional=covs)
+    ingested = time.perf_counter()
     if covs:
         for name in covs:
             if name not in lab:
@@ -74,32 +144,57 @@ def _load_design(labeled_path: str, unlabeled_path: str, covariate_columns: Opti
         raise DataError(f"{labeled_path}: no data rows")
     if len(unl["score"]) == 0:
         raise DataError(f"{unlabeled_path}: no data rows")
-    return design_from_arrays(lab["score"], lab["y"], unl["score"], lab_cov, unl_cov)
+    design = design_from_arrays(lab["score"], lab["y"], unl["score"], lab_cov, unl_cov)
+    return design, (ingested - start, time.perf_counter() - ingested)
+
+
+def _data_command(run):
+    """Make ``run(args, design)`` a subcommand on the --labeled and --unlabeled
+    files. With --trace it also prints the wall time of each stage (ingest,
+    design, fit+report), n and N as one JSON line on stderr."""
+
+    @functools.wraps(run)
+    def command(args) -> int:
+        design, (ingest_s, design_s) = _load_design(args.labeled, args.unlabeled, args.covariates)
+        start = time.perf_counter()
+        status = run(args, design)
+        if args.trace:
+            record = {
+                "command": args.command,
+                "n": design.n,
+                "N": design.N,
+                "ingest_s": ingest_s,
+                "design_s": design_s,
+                "fit_report_s": time.perf_counter() - start,
+            }
+            print(json.dumps(record), file=sys.stderr)
+        return status
+
+    return command
+
+
+def _write_float_csv(path: str, header: List[str], columns) -> None:
+    """Write float columns as csv.writer writes their shortest round-trip
+    reprs, one joined string per chunk of rows."""
+    table = np.column_stack([np.asarray(col, dtype=np.float64) for col in columns])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(table), _WRITE_CHUNK_ROWS):
+            cells = [map(repr, col) for col in table[start : start + _WRITE_CHUNK_ROWS].T.tolist()]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_labeled_csv(path: str, scores, outcomes, covariates=None, covariate_names=None) -> None:
     """Write a labeled dataset; floats use shortest round-trip decimals."""
     names = list(covariate_names or [])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y", "score"] + names)
-        for i in range(len(scores)):
-            row = [repr(float(outcomes[i])), repr(float(scores[i]))]
-            if names:
-                row += [repr(float(v)) for v in covariates[i]]
-            writer.writerow(row)
+    columns = [outcomes, scores] + ([covariates] if names else [])
+    _write_float_csv(path, ["y", "score"] + names, columns)
 
 
 def write_unlabeled_csv(path: str, scores, covariates=None, covariate_names=None) -> None:
     names = list(covariate_names or [])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["score"] + names)
-        for i in range(len(scores)):
-            row = [repr(float(scores[i]))]
-            if names:
-                row += [repr(float(v)) for v in covariates[i]]
-            writer.writerow(row)
+    columns = [scores] + ([covariates] if names else [])
+    _write_float_csv(path, ["score"] + names, columns)
 
 
 def _json_default(obj):
@@ -122,8 +217,8 @@ def _emit(text: str, output: Optional[str]) -> None:
             handle.write(text)
 
 
-def cmd_estimate(args) -> int:
-    design = _load_design(args.labeled, args.unlabeled, args.covariates)
+@_data_command
+def cmd_estimate(args, design: TwoSampleDesign) -> int:
     report = estimate(design, args.method.strip(), alpha=args.alpha, seed=args.seed)
     _emit(json.dumps(report.to_dict(), indent=2, default=_json_default), args.output)
     return 0
@@ -145,8 +240,8 @@ def _applicable_methods(design: TwoSampleDesign) -> List[str]:
     return methods
 
 
-def cmd_compare(args) -> int:
-    design = _load_design(args.labeled, args.unlabeled, args.covariates)
+@_data_command
+def cmd_compare(args, design: TwoSampleDesign) -> int:
     lines = ["method,estimate,std_error,ci_lo,ci_hi"]
     for name in _applicable_methods(design):
         report = estimate(design, name, alpha=args.alpha, seed=args.seed)
@@ -190,8 +285,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_bootstrap(args) -> int:
-    design = _load_design(args.labeled, args.unlabeled, args.covariates)
+@_data_command
+def cmd_bootstrap(args, design: TwoSampleDesign) -> int:
     name = method_name(args.method.strip())
     result = bootstrap(design, name, b=args.b, seed=args.seed, alpha=args.alpha)
     payload = {
@@ -219,6 +314,11 @@ def _add_io_args(parser, need_data: bool = True) -> None:
             type=lambda s: [c.strip() for c in s.split(",") if c.strip()],
             default=None,
             help="comma-separated covariate column names",
+        )
+        parser.add_argument(
+            "--trace",
+            action="store_true",
+            help="print per-stage wall times (ingest, design, fit+report) as one JSON line on stderr",
         )
     parser.add_argument("--alpha", type=float, default=0.05, help="confidence level is 1 - alpha")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")

@@ -1,9 +1,18 @@
+import csv
 import json
+import os
+import tempfile
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ssmean.cli import main, write_labeled_csv, write_unlabeled_csv
+import ssmean.cli
+from ssmean.cli import _read_csv_columns, main, write_labeled_csv, write_unlabeled_csv
+from ssmean.exceptions import DataError
 
 
 def run_cli(capsys, *argv):
@@ -223,7 +232,7 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
     code, out, _ = run_cli(capsys, "bootstrap", "--labeled", lab, "--unlabeled", unl, "--b", "5")
     assert code == 0
     assert len(calls) == 6  # the point estimate plus one refit per replicate
-    assert json.loads(out)["estimate"] == real(ssmean.cli._load_design(lab, unl, None), "aipw").estimate
+    assert json.loads(out)["estimate"] == real(ssmean.cli._load_design(lab, unl, None)[0], "aipw").estimate
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -255,3 +264,213 @@ def test_covariate_columns_flow_through(capsys, tmp_path):
     )
     assert code == 0
     assert np.isfinite(json.loads(out)["estimate"])
+
+
+def _row_loop_oracle(path, required, optional):
+    """The reader as it was before the loadtxt pass, opened as utf-8-sig."""
+    columns = {name: [] for name in required + optional}
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    with handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        for name in required:
+            if name not in reader.fieldnames:
+                raise DataError(f"{path}: missing column '{name}'")
+        present_optional = [name for name in optional if name in reader.fieldnames]
+        for name in optional:
+            if name not in reader.fieldnames:
+                del columns[name]
+        for row in reader:
+            for name in required + present_optional:
+                raw = row.get(name)
+                if raw is None or raw == "":
+                    raise DataError(f"{path} line {reader.line_num}: empty value in column '{name}'")
+                try:
+                    columns[name].append(float(raw))
+                except ValueError:
+                    raise DataError(
+                        f"{path} line {reader.line_num}: could not parse {raw!r} in column '{name}'"
+                    ) from None
+    return {name: np.array(vals, dtype=np.float64) for name, vals in columns.items()}
+
+
+def _outcome(reader, path, required, optional):
+    try:
+        columns = reader(path, required, optional)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    for vec in columns.values():
+        assert vec.dtype == np.float64 and vec.ndim == 1
+    return "ok", {name: vec.view(np.int64).tolist() for name, vec in columns.items()}
+
+
+_ODD_FIELDS = [
+    "", " ", "\t", "nan", "-nan", "NaN", "inf", "-Infinity", "1e999", "-1e999", "1e-400", "abc",
+    "1_000", " 1.5 ", "١", "１", "0x1p3", "1e", "+.5", "#1", "1,5", '"2"', 'x"y', "a\nb", "3\r",
+]
+_float_fields = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.integers(-99, 99).map(str)
+_fields = st.integers(0, 14).flatmap(
+    lambda k: _float_fields if k else st.sampled_from(_ODD_FIELDS) | st.text(',"\r\n a1.e', max_size=6)
+)
+_newlines = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _quote(field, quoted):
+    return '"' + field.replace('"', '""') + '"' if quoted else field
+
+
+@st.composite
+def _csv_cases(draw):
+    """(CSV bytes, required, optional): an optional BOM, mixed line endings, quoting,
+    blank lines, ragged rows, and headers that mostly hold the required names."""
+    required = draw(st.sampled_from([["y", "score"], ["score"]]))
+    optional = draw(st.sampled_from([[], ["age"], ["note", "age"], ["score"]]))
+    names = st.sampled_from(["y", "score", "age", "note", ""])
+    header = draw(st.lists(names, max_size=3))
+    if draw(st.integers(0, 4)):
+        header = draw(st.permutations(header + required))
+    header = header or [""]
+    width = len(header)
+    rows = draw(st.lists(st.lists(_fields, min_size=width, max_size=width), max_size=5))
+    if rows and draw(st.integers(0, 3)) == 0:  # a ragged row
+        rows[-1] = rows[-1][: draw(st.integers(0, width - 1))] + draw(st.lists(_fields, max_size=2))
+    lines = [header] + rows
+    text = ""
+    for i, cells in enumerate(lines):
+        if i and draw(st.integers(0, 5)) == 0:
+            text += draw(st.sampled_from(["", "  ", '""'])) + draw(_newlines)
+        text += ",".join(_quote(cell, draw(st.booleans())) for cell in cells)
+        if i < len(lines) - 1 or draw(st.booleans()):
+            text += draw(_newlines)
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), required, optional
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(case=_csv_cases())
+@example(case=(b'note,score\r\n"a,7,b",3.5\r\n', ["score"], []))
+@example(case=(b"score,y,score\n1,2,3\n", ["y", "score"], []))
+@example(case=(b"y,score\n", ["y", "score"], []))
+@example(case=(b'score,"a\n1,2"\n3,4\n', ["score"], []))
+@example(case=(b"score\n#1\n2\n", ["score"], []))
+@example(case=(b"\xef\xbb\xbfscore\r\n0.5\r\n", ["score"], []))
+def test_ingest_matches_the_row_loop_bit_for_bit(case):
+    """Each file gives the row loop's values bit for bit, or its exact error, and no warning."""
+    data, required, optional = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        want = _outcome(_row_loop_oracle, path, required, optional)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(_read_csv_columns, path, required, optional)
+    assert got == want
+    assert [str(w.message) for w in caught] == []
+
+
+def test_well_formed_files_never_reach_the_row_loop(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row loop called")
+
+    monkeypatch.setattr(ssmean.cli, "_read_columns_by_row", refuse)
+    path = tmp_path / "in.csv"
+    path.write_bytes(b'\xef\xbb\xbfnote,y,score,y\r\n"a,""b""\r\nc",9,0.25,1e-3\r\n\r\n x ,9,-0.0,nan\r\n')
+    cols = _read_csv_columns(str(path), required=["y", "score"], optional=["age"])
+    assert set(cols) == {"y", "score"}
+    assert cols["y"][0] == 1e-3 and np.isnan(cols["y"][1])
+    assert cols["score"].tolist() == [0.25, 0.0] and np.signbit(cols["score"][1])
+
+
+def test_piped_input_is_read_once_and_whole(tmp_path):
+    """A pipe named by path (as ``/dev/stdin`` or ``<(zcat u.csv.gz)`` are) can be
+    read once: every row must arrive, though the file is well past one 8 KB buffer."""
+    path = tmp_path / "u.csv"
+    write_unlabeled_csv(path, scores=np.random.default_rng(84).normal(size=5000))
+    data = path.read_bytes()
+    assert len(data) > 64 * 1024
+    want = _outcome(_row_loop_oracle, str(path), ["score"], [])
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        got = _outcome(_read_csv_columns, f"/dev/fd/{read_end}", ["score"], [])
+    finally:
+        os.close(read_end)
+        feeder.join(timeout=30)
+    assert not feeder.is_alive()
+    assert got == want
+
+
+def test_utf8_bom_is_not_part_of_the_header(capsys, tmp_path):
+    lab = tmp_path / "l.csv"
+    unl = tmp_path / "u.csv"
+    write_labeled_csv(lab, scores=[0.0, 1.0], outcomes=[1.0, 3.0])
+    write_unlabeled_csv(unl, scores=[0.5])
+    for path in (lab, unl):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    code, out, err = run_cli(
+        capsys, "estimate", "--labeled", str(lab), "--unlabeled", str(unl), "--method", "linear-cal"
+    )
+    assert code == 0, err
+    assert json.loads(out)["estimate"] == 2.0
+
+
+def _reference_csv(path, header, columns):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in zip(*[np.asarray(col).tolist() for col in columns]):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("covariates", [False, True])
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
+def test_writers_match_csv_writer_byte_for_byte(tmp_path, covariates, chunks, extra):
+    rows = chunks * ssmean.cli._WRITE_CHUNK_ROWS + extra
+    rng = np.random.default_rng(rows + covariates)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e300, -1e300, 3.0, -42.0, 1e16, np.inf, np.nan]
+    exotic = np.concatenate([special, rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, size=400)])
+    values = rng.integers(-9999, 9999, size=(rows, 3)) / 8.0  # short reprs keep the 65k-row cases quick
+    values.flat[: min(values.size, exotic.size)] = exotic[: values.size]
+    y, score, cov = values[:, 0], values[:, 1], values[:, 2:]
+    names = ['a,"b"'] if covariates else None
+    write_labeled_csv(tmp_path / "l.csv", scores=score, outcomes=y, covariates=cov if covariates else None,
+                      covariate_names=names)
+    write_unlabeled_csv(tmp_path / "u.csv", scores=score, covariates=cov if covariates else None,
+                        covariate_names=names)
+    cov_cols = list(cov.T) if covariates else []
+    _reference_csv(tmp_path / "l_ref.csv", ["y", "score"] + (names or []), [y, score] + cov_cols)
+    _reference_csv(tmp_path / "u_ref.csv", ["score"] + (names or []), [score] + cov_cols)
+    assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "l_ref.csv").read_bytes()
+    assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "u_ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "bootstrap"])
+def test_trace_leaves_stdout_and_output_byte_identical(capsys, tmp_path, toy_files, command):
+    lab, unl = toy_files
+    argv = [command, "--labeled", lab, "--unlabeled", unl] + (["--b", "5"] if command == "bootstrap" else [])
+    code, plain, plain_err = run_cli(capsys, *argv)
+    assert code == 0 and plain_err == ""
+    code, traced, traced_err = run_cli(capsys, *argv, "--trace")
+    assert code == 0 and traced == plain
+    record = json.loads(traced_err)
+    assert record["command"] == command and record["n"] == 2 and record["N"] == 1
+    assert set(record) == {"command", "n", "N", "ingest_s", "design_s", "fit_report_s"}
+    assert all(record[k] >= 0.0 for k in ("ingest_s", "design_s", "fit_report_s"))
+    outputs = []
+    for flags in ([], ["--trace"]):
+        out = tmp_path / f"{command}{len(flags)}.out"
+        code, stdout, _ = run_cli(capsys, *argv, *flags, "--output", str(out))
+        assert code == 0 and stdout == ""
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].decode("utf-8").rstrip("\n") == plain.rstrip("\n")
