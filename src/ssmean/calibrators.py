@@ -8,12 +8,14 @@ squares, Platt scaling (logistic loss on the stabilized logit), histogram
 binning on a fixed partition, covariate-adjusted affine maps, and
 Venn-Abers interval shrinkage. The Venn-Abers interval at a score holds the
 values there of the isotonic fits with that score added under label 0 and
-under label 1; all of them are read from one cumulative-sum diagram of the
-labeled sample, with no isotonic fit per evaluation point.
+under label 1; it depends only on the score's place among the unique
+labeled scores, so the shrunk map is a step function, and all of its
+values are read from one cumulative-sum diagram of the labeled sample,
+with no isotonic fit per evaluation point.
 
-The two step maps (isotonic and histogram) also give their cut points and
-block values through steps(), so the counts of a sorted sample in each
-block stand in for evaluating them per score.
+The step maps (isotonic, Venn-Abers and histogram) also give their cut
+points and block values through steps(), so the counts of a sorted sample
+in each block stand in for evaluating them per score.
 
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
@@ -62,12 +64,14 @@ def _freeze(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepCalibrator:
-    """Nondecreasing step function from isotonic regression.
+    """Step function of the score: the isotonic fit, or the Venn-Abers map.
 
-    boundaries[j] is the smallest training score in block j; the prediction
-    is values[j] on [boundaries[j], boundaries[j+1]) and values[0] / values[-1]
-    below / above the training range. This floor lookup reproduces the fitted
-    value of every training point exactly.
+    The prediction is values[j] on [boundaries[j], boundaries[j+1]),
+    values[0] below boundaries[1] and values[-1] from boundaries[-1] on. For
+    the isotonic fit, values are nondecreasing and boundaries[j] is the
+    smallest training score of block j, so this floor lookup reproduces the
+    fitted value of every training point exactly. Equal boundaries leave an
+    empty block.
     """
 
     boundaries: np.ndarray
@@ -556,55 +560,51 @@ def _inserted_point_values(x, hi, lo, m, m2, label) -> np.ndarray:
     return slope_to(tangent(r), r)
 
 
-def fit_venn_abers(scores, outcomes, eval_scores, shrink_target: float) -> np.ndarray:
-    """Interval-based calibrated predictions shrunk toward an anchor estimate.
+def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
+    """Venn-Abers interval predictions shrunk toward an anchor estimate, as a step map.
 
-    For each evaluation score t, f0 and f1 are the values at t of the isotonic
-    fits of the labeled sample augmented with the hypothetical points (t, 0)
-    and (t, 1); the prediction is the interval midpoint moved toward
-    shrink_target in proportion to the interval width,
+    At a score t, f0 and f1 are the values at t of the isotonic fits of the
+    labeled sample augmented with the hypothetical points (t, 0) and (t, 1);
+    the prediction is the interval midpoint moved toward shrink_target in
+    proportion to the interval width,
 
         mid + (f1 - f0) * (shrink_target - mid),   mid = (f0 + f1) / 2.
 
     No fit is rerun per point. (f0, f1) depends only on where t falls among
-    the k unique labeled scores, tied with one or strictly between two, so
-    there are at most 2k + 1 classes. Following the cumulative-sum-diagram
-    construction of inductive Venn-Abers predictors (Vovk, Petej and
-    Fedorova, 2015), every class's f0 and f1 is the slope of a bridge between
-    the greatest convex minorants of a prefix and a shifted suffix of one
-    diagram of the tie-pooled sample (_inserted_point_values). The classes
-    cost O(n log n + k log^2 k), and placing the N evaluation points with
-    searchsorted O(N log k). Each point is placed on its own, so the output
-    does not depend on their order.
+    the k unique labeled scores u_0 < ... < u_{k-1}: below u_0, tied with
+    u_j, strictly between two, or above u_{k-1}. So the map is a step
+    function of 2k + 1 classes: class 2j is the open interval below u_j
+    (above u_{j-1}), class 2j + 1 the point u_j, and class 2k everything
+    above u_{k-1}. Its cuts interleave each u_j with the next float up, so
+    the floor lookup puts u_j alone in its block (two labeled scores that
+    are adjacent floats leave an empty block between them). Following the cumulative-sum-diagram construction of
+    inductive Venn-Abers predictors (Vovk, Petej and Fedorova, 2015), every
+    class's f0 and f1 is the slope of a bridge between the greatest convex
+    minorants of a prefix and a shifted suffix of one diagram of the
+    tie-pooled sample (_inserted_point_values). The fit costs
+    O(n log n + k log^2 k), and evaluating it at N scores O(N log k).
     """
     s, y = _check_xy(scores, outcomes)
     if (y < 0).any() or (y > 1).any():
         raise DataError("outcomes must lie in [0, 1]; rescale before calling")
-    ts = np.asarray(eval_scores, dtype=np.float64)
-    if ts.ndim != 1:
-        raise DimensionError("eval_scores must be one-dimensional")
-    if not np.isfinite(ts).all():
-        raise DataError("eval_scores have non-finite entries")
 
     uniq, block, counts = np.unique(s, return_inverse=True, return_counts=True)
     k = len(uniq)
     x = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
     hi, lo = _prefix_sums(np.bincount(block, weights=y, minlength=k))
 
-    # class 2 * pos: strictly below uniq[pos] (above uniq[pos - 1]);
-    # class 2 * pos + 1: tied with uniq[pos]
-    pos = np.searchsorted(uniq, ts)
-    key = 2 * pos + (uniq[np.minimum(pos, k - 1)] == ts)
-    present = np.zeros(2 * k + 1, dtype=bool)
-    present[key] = True
-    classes = np.flatnonzero(present)
+    classes = np.arange(2 * k + 1)
     m = np.tile(classes // 2, 2)
     m2 = m + np.tile(classes % 2, 2)
     label = np.repeat([0.0, 1.0], len(classes))
     f0, f1 = np.split(_inserted_point_values(x, hi, lo, m, m2, label), 2)
     mid = 0.5 * (f0 + f1)
-    shrunk = mid + (f1 - f0) * (shrink_target - mid)
-    return shrunk[(np.cumsum(present) - 1)[key]]
+    cuts = np.column_stack((uniq, np.nextafter(uniq, np.inf))).ravel()
+    return StepCalibrator(
+        boundaries=np.concatenate(([-np.inf], cuts)),
+        values=mid + (f1 - f0) * (shrink_target - mid),
+        fitted_on=_freeze(np.column_stack((s, y))),
+    )
 
 
 def predict(calibrator, scores, covariates=None) -> np.ndarray:

@@ -126,6 +126,11 @@ def _load_design(
     of building the design from their columns."""
     start = time.perf_counter()
     covs = covariate_columns or []
+    for name in covs:
+        if name in ("y", "score"):
+            raise ConfigError(f"--covariates: {name!r} is a required column, not a covariate")
+        if covs.count(name) > 1:
+            raise ConfigError(f"--covariates: {name!r} is given more than once")
     lab = _read_csv_columns(labeled_path, required=["y", "score"], optional=covs)
     unl = _read_csv_columns(unlabeled_path, required=["score"], optional=covs)
     ingested = time.perf_counter()
@@ -208,10 +213,11 @@ def _json_default(obj):
 
 
 def _emit(text: str, output: Optional[str]) -> None:
+    """Write text, ending in a newline, to stdout or to the --output file."""
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)

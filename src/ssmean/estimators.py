@@ -13,11 +13,12 @@ family_report is the one core that turns adjustment values into a report.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
-(iso-cal, hist-cal) give it from the counts of the sample's once-sorted
-scores in each of their k blocks, in O(k log N); affine maps (ppi, aipw,
-ppi-pp, aipw-em, unclipped linear maps) from the sample's cached score
-moments, in O(1), and the constant zero of labeled-only directly. Every
-other f is evaluated at the N scores and the values summarised.
+(iso-cal, hist-cal, venn-abers) give it from the counts of the sample's
+once-sorted scores in each of their k blocks, in O(k log N); affine maps
+(ppi, aipw, ppi-pp, aipw-em, unclipped linear maps) from the sample's
+cached score moments, in O(1), and the constant zero of labeled-only
+directly. Every other f is evaluated at the N scores and the values
+summarised.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -352,22 +353,12 @@ def _fit_histogram(design: TwoSampleDesign) -> Adjuster:
     return _calibrated(cal.fit_histogram(design.labeled.scores, design.labeled.outcomes))
 
 
-class _JointAdjuster(Adjuster):
-    """An adjuster that evaluates f once, on both samples' scores together.
-
-    For an f that maps each score on its own, the values are those of two calls.
-    """
-
-    def scored(self, design: TwoSampleDesign) -> ScoredDesign:
-        values = self.f(np.concatenate((design.labeled.scores, design.unlabeled.scores)))
-        return ScoredDesign(design, values[: design.n], values[design.n :])
-
-
 def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
 
     Outcomes outside [0, 1] are affinely rescaled for the calibration step and
-    the predictions mapped back; the map is recorded in diagnostics.
+    the predictions mapped back; the map is recorded in diagnostics. The
+    shrunk map is a step function, so the unlabeled side is counted per block.
     """
     m_l, y = design.labeled.scores, design.labeled.outcomes
     if y.min() >= 0.0 and y.max() <= 1.0:
@@ -375,15 +366,14 @@ def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     else:
         lo = float(y.min())
         span = float(y.max()) - lo if y.max() > y.min() else 1.0
-    y_scaled = (y - lo) / span
+    rho = design.rho
+    # the aipw estimate; the unlabeled score mean is the sample's cached one
+    anchor = float(rho * m_l.mean() + (1.0 - rho) * design.unlabeled.score_moments[0]) + float((y - m_l).mean())
     # the anchor must live on the calibration (rescaled) outcome scale
-    anchor = family_report(ScoredDesign(design, m_l, design.unlabeled.scores), "venn-abers").estimate
     target_scaled = (anchor - lo) / span
+    va = cal.fit_venn_abers(m_l, (y - lo) / span, target_scaled)
     diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}
-    return _JointAdjuster(
-        lambda t: lo + span * cal.fit_venn_abers(m_l, y_scaled, t, target_scaled),
-        lambda scored: diagnostics,
-    )
+    return Adjuster(cal.StepCalibrator(va.boundaries, lo + span * va.values), lambda scored: diagnostics)
 
 
 def calibrated_plugin(

@@ -49,16 +49,6 @@ class BootstrapResult:
     seed: int
     b: int
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "se_boot": self.se_boot,
-            "percentile_ci": list(self.percentile_ci),
-            "normal_ci": list(self.normal_ci),
-            "seed": self.seed,
-            "b": self.b,
-        }
-
 
 def bootstrap_indices(seed: int, rep: int, n: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
     """With-replacement row indices for one replicate.

@@ -266,6 +266,26 @@ def test_covariate_columns_flow_through(capsys, tmp_path):
     assert np.isfinite(json.loads(out)["estimate"])
 
 
+@pytest.mark.parametrize(
+    "covariates, refused",
+    [("score", "'score' is a required column"), ("y", "'y' is a required column"),
+     ("age,age", "'age' is given more than once"), ("age,score", "'score' is a required column")],
+)
+def test_covariates_that_repeat_or_name_a_required_column_are_refused(capsys, tmp_path, covariates, refused):
+    rng = np.random.default_rng(84)
+    lab = tmp_path / "l.csv"
+    unl = tmp_path / "u.csv"
+    write_labeled_csv(lab, scores=rng.normal(size=20), outcomes=rng.normal(size=20),
+                      covariates=rng.normal(size=(20, 1)), covariate_names=["age"])
+    write_unlabeled_csv(unl, scores=rng.normal(size=30), covariates=rng.normal(size=(30, 1)), covariate_names=["age"])
+    code, out, err = run_cli(
+        capsys, "estimate", "--labeled", str(lab), "--unlabeled", str(unl),
+        "--method", "linear-cov-cal", "--covariates", covariates,
+    )
+    assert code == 2 and out == ""
+    assert f"--covariates: {refused}" in err
+
+
 def _row_loop_oracle(path, required, optional):
     """The reader as it was before the loadtxt pass, opened as utf-8-sig."""
     columns = {name: [] for name in required + optional}
@@ -473,4 +493,4 @@ def test_trace_leaves_stdout_and_output_byte_identical(capsys, tmp_path, toy_fil
         code, stdout, _ = run_cli(capsys, *argv, *flags, "--output", str(out))
         assert code == 0 and stdout == ""
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] and outputs[0].decode("utf-8").rstrip("\n") == plain.rstrip("\n")
+    assert outputs == [plain.encode("utf-8")] * 2

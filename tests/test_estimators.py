@@ -611,18 +611,25 @@ def test_venn_abers_rescales_outcomes():
 def test_venn_abers_runs_one_sweep_per_estimate(monkeypatch):
     import ssmean.calibrators
 
-    calls = []
-    real = ssmean.calibrators.fit_venn_abers
+    fits, evaluated = [], []
+    real_fit = ssmean.calibrators.fit_venn_abers
+    real_call = ssmean.calibrators.StepCalibrator.__call__
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[2]))
-        return real(*args, **kwargs)
+    def counting_fit(*args, **kwargs):
+        fits.append(len(args[0]))
+        return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(ssmean.calibrators, "fit_venn_abers", counting)
+    def counting_call(self, scores):
+        evaluated.append(len(scores))
+        return real_call(self, scores)
+
+    monkeypatch.setattr(ssmean.calibrators, "fit_venn_abers", counting_fit)
+    monkeypatch.setattr(ssmean.calibrators.StepCalibrator, "__call__", counting_call)
     rng = np.random.default_rng(17)
     d = design_from_arrays(rng.uniform(size=15), rng.uniform(size=15), rng.uniform(size=25))
     estimate(d, "venn-abers")
-    assert calls == [d.n + d.N]  # both samples' scores in one sweep
+    assert fits == [d.n]  # one fit, on the labeled sample
+    assert evaluated == [d.n]  # the unlabeled side is counted per block, not evaluated
 
 
 def test_venn_abers_keeps_unit_interval_outcomes_unscaled():

@@ -18,6 +18,7 @@ from ssmean import (
     estimate,
     fit_histogram,
     fit_isotonic,
+    fit_venn_abers,
 )
 from ssmean.estimators import UnlabeledSummary, _unlabeled_side
 from ssmean.inference import normal_quantile
@@ -199,6 +200,20 @@ def test_histogram_counted_summary_matches_pointwise(fit, own_edges, data):
         edges = np.array(sorted(data.draw(st.sets(st.integers(-4, 16), min_size=2, max_size=8)))) / 8.0
     f = fit_histogram(*fit, edges=edges)
     assert_matches_pointwise(f, unlabeled_around(data.draw, f.edges))
+
+
+@SETTINGS
+@given(step_fits(), st.floats(-0.5, 1.5), st.data())
+def test_venn_abers_counted_summary_matches_pointwise(fit, target, data):
+    m_l, _ = fit
+    n = len(m_l)
+    # some scores move up one float: adjacent labeled floats give an empty block
+    bumped = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    m_l = np.where(bumped, np.nextafter(m_l, np.inf), m_l)
+    y = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    f = fit_venn_abers(m_l, y, target)
+    cuts, _ = f.steps()
+    assert_matches_pointwise(f, unlabeled_around(data.draw, cuts))
 
 
 @SETTINGS
