@@ -247,8 +247,13 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     s, y = _check_xy(scores, outcomes)
     order = np.argsort(s, kind="stable")
     s_sorted, y_sorted = s[order], y[order]
-    uniq, first, counts = np.unique(s_sorted, return_index=True, return_counts=True)
-    w_pooled = counts.astype(np.float64)
+    # tie blocks start where a sorted score differs from its left neighbour
+    starts = np.empty(len(s_sorted), dtype=bool)
+    starts[0] = True
+    np.not_equal(s_sorted[1:], s_sorted[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    uniq = s_sorted[first]
+    w_pooled = np.diff(first, append=len(s_sorted)).astype(np.float64)
     y_pooled = np.add.reduceat(y_sorted, first) / w_pooled
 
     fitted = pava(y_pooled, w_pooled)

@@ -12,10 +12,12 @@ sample's lifetime) and the scores' mean and root centered sum of squares.
 Every estimate run on a sample, and every auto-cal fold that shares it,
 reuses them; this is what lets estimators.family_report summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
+A sample's take(rows) gathers rows into a new sample without checking the
+values again; bootstrap replicates and auto-cal folds are built that way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -65,6 +67,28 @@ def _as_readonly_matrix(x, n_rows: int, name: str) -> np.ndarray:
     return arr
 
 
+def _taken(sample, rows):
+    """A new sample of sample's type holding the given rows of each array field, read-only.
+
+    The values passed the checks when sample was built, so they are not
+    checked again; only a selection that is not one-dimensional, or is
+    empty, is refused.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise DimensionError(f"rows must be one-dimensional, got shape {rows.shape}")
+    out = object.__new__(type(sample))
+    for name in (f.name for f in fields(sample)):
+        arr = getattr(sample, name)
+        if arr is not None:
+            arr = arr[rows]
+            arr.setflags(write=False)
+        object.__setattr__(out, name, arr)
+    if out.scores.size == 0:
+        raise DataError(f"{type(sample).__name__}.take selects no rows")
+    return out
+
+
 @dataclass(frozen=True)
 class LabeledSample:
     """Scores m(X_i) paired with observed outcomes Y_i, plus optional covariates."""
@@ -91,6 +115,14 @@ class LabeledSample:
     def n(self) -> int:
         return len(self.scores)
 
+    def take(self, rows) -> "LabeledSample":
+        """The sample restricted to rows (an index array or a boolean mask), in that order.
+
+        Scores, outcomes and covariate rows stay aligned. The values are not
+        checked again, since they passed this sample's checks.
+        """
+        return _taken(self, rows)
+
 
 @dataclass(frozen=True)
 class UnlabeledSample:
@@ -110,6 +142,15 @@ class UnlabeledSample:
     @property
     def n(self) -> int:
         return len(self.scores)
+
+    def take(self, rows) -> "UnlabeledSample":
+        """The sample restricted to rows (an index array or a boolean mask), in that order.
+
+        Scores and covariate rows stay aligned; the sorted copy and moments
+        are computed afresh for the new sample on first use. The values are
+        not checked again, since they passed this sample's checks.
+        """
+        return _taken(self, rows)
 
     @cached_property
     def sorted_scores(self) -> np.ndarray:

@@ -9,7 +9,9 @@ of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
 rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 (ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), or the shrunk
 interval map of venn-abers. REGISTRY maps every method name to its fit, and
-family_report is the one core that turns adjustment values into a report.
+_family_core is the one place that turns adjustment values into psi and its
+SE: family_report adds the interval and diagnostics, and Method.point, which
+the bootstrap runs per replicate, returns psi alone.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
@@ -110,22 +112,14 @@ class ScoredDesign:
         object.__setattr__(self, "f_unlabeled", fu)
 
 
-def family_report(
-    scored: ScoredDesign,
-    method: str = "family",
-    alpha: float = 0.05,
-    diagnostics: Optional[dict] = None,
-) -> EstimateReport:
-    """The family core: psi(f), its recentered influence values, SE and CI.
+def _family_core(scored: ScoredDesign, method: str) -> Tuple[float, float, float, float]:
+    """The family algebra of a scored design: (plugin, residual_mean, psi, se).
 
     With a = f + (psi - plugin), the influence values are D_L = a - psi +
     (Y - a)/rho on the labeled rows and D_U = a - psi = f - plugin on the
     unlabeled rows, and SE = sqrt(sum D_L^2 + sum D_U^2) / (n + N). The
-    unlabeled sum is css + N (mean - plugin)^2 of the summary.
-
-    Every report carries plugin_estimate (the pooled mean of f), residual_mean
-    (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
-    the method's own diagnostics follow.
+    unlabeled sum is css + N (mean - plugin)^2 of the summary. A standard
+    error that overflows float64 is refused with DataError naming method.
     """
     d = scored.design
     fl, fu = scored.f_labeled, scored.f_unlabeled
@@ -142,6 +136,22 @@ def family_report(
     se = float(np.sqrt(total)) / d.m_total
     if not np.isfinite(se):
         raise DataError(f"{method}: standard error overflows float64; rescale the scores and outcomes")
+    return plugin, residual_mean, psi, se
+
+
+def family_report(
+    scored: ScoredDesign,
+    method: str = "family",
+    alpha: float = 0.05,
+    diagnostics: Optional[dict] = None,
+) -> EstimateReport:
+    """The family core's psi(f) and SE (see _family_core) with their Wald CI.
+
+    Every report carries plugin_estimate (the pooled mean of f), residual_mean
+    (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
+    the method's own diagnostics follow.
+    """
+    plugin, residual_mean, psi, se = _family_core(scored, method)
     lo, hi = wald_interval(psi, se, alpha)
     diagnostics = {
         "plugin_estimate": plugin,
@@ -149,6 +159,7 @@ def family_report(
         "residual_mean": residual_mean,
         **(diagnostics or {}),
     }
+    d = scored.design
     return EstimateReport(psi, se, lo, hi, alpha, method, d.n, d.N, diagnostics)
 
 
@@ -403,6 +414,11 @@ def calibrated_plugin(
 # --- registry ----------------------------------------------------------------
 
 
+def _check_n(design: TwoSampleDesign, name: str) -> None:
+    if design.n < 2:
+        raise DataError(f"{name} needs n >= 2 labeled points for a standard error, got n={design.n}")
+
+
 @dataclass(frozen=True)
 class Method:
     """A registry entry: the fit that gives a method its adjuster f.
@@ -416,16 +432,23 @@ class Method:
 
     def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         """The method's report; every method needs n >= 2 for an honest standard error."""
-        if design.n < 2:
-            raise DataError(f"{name} needs n >= 2 labeled points for a standard error, got n={design.n}")
+        _check_n(design, name)
         return self.report(design, name, alpha, seed)
+
+    def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
+        """run(...).estimate with the same refusals, but with no interval or diagnostics built."""
+        _check_n(design, name)
+        return _family_core(self.fit(design).scored(design), name)[2]
 
     def report(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         return self.fit(design).report(design, name, alpha)
 
 
 class _LabeledOnly(Method):
-    """f = 0, but with the classical ddof=1 standard error of the labeled mean."""
+    """f = 0, but with the classical ddof=1 standard error of the labeled mean.
+
+    Its estimate is the family's, so it keeps Method.point.
+    """
 
     def report(self, design, name, alpha, seed):
         y = design.labeled.outcomes
@@ -445,6 +468,10 @@ class _AutoCal(Method):
         candidates = selection.CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"])
         _, report = selection.autocal_select(design, candidates, seed=seed, alpha=alpha)
         return report
+
+    def point(self, design, name, seed):
+        # alpha moves only the report's interval, not the selection or the estimate
+        return self.run(design, name, 0.05, seed).estimate
 
 
 REGISTRY = {

@@ -4,6 +4,7 @@ The influence-function standard error is computed by estimators.family_report.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -11,7 +12,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._rng import BOOT_RESAMPLE, derive_seed, substream
-from .design import LabeledSample, TwoSampleDesign, UnlabeledSample
+from .design import TwoSampleDesign
 from .exceptions import ConfigError
 
 __all__ = [
@@ -69,29 +70,33 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     unlabeled samples, keeping (score, outcome, covariates) together. Any
     calibrator or scaling coefficient the method uses is re-estimated on the
     resampled data. Deterministic given the seed.
-    """
-    from .estimators import estimate as _estimate
 
+    The point estimate is estimate() on the design. A replicate runs only its
+    two index draws (bootstrap_indices), the gather of those rows (without
+    re-checking values the design already checked), the method's refit and
+    its point estimate (Method.point); no per-replicate report, interval or
+    diagnostics are built. It refuses exactly what estimate() on the
+    resampled design would refuse.
+    """
+    from .estimators import REGISTRY, estimate, method_name
+
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise ConfigError(f"bootstrap needs an integer number of replicates b, got {b!r}") from None
     if b < 2:
         raise ConfigError(f"bootstrap needs b >= 2 replicates, got {b}")
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    point = estimate(design, method, alpha=alpha, seed=seed).estimate
+    name = method_name(method)
     lab, unl = design.labeled, design.unlabeled
-    point = _estimate(design, method, alpha=alpha, seed=seed).estimate
     reps = np.empty(b)
     for i in range(b):
         idx_l, idx_u = bootstrap_indices(seed, i, design.n, design.N)
-        lab_b = LabeledSample(
-            lab.scores[idx_l],
-            lab.outcomes[idx_l],
-            None if lab.covariates is None else lab.covariates[idx_l],
-        )
-        unl_b = UnlabeledSample(
-            unl.scores[idx_u],
-            None if unl.covariates is None else unl.covariates[idx_u],
-        )
-        design_b = TwoSampleDesign(lab_b, unl_b)
-        reps[i] = _estimate(design_b, method, alpha=alpha, seed=derive_seed(seed, BOOT_RESAMPLE, i, 2)).estimate
+        # the labeled rows stay in draw order: auto-cal's folds split them in that order
+        design_b = TwoSampleDesign(lab.take(idx_l), unl.take(idx_u))
+        reps[i] = REGISTRY[name].point(design_b, name, derive_seed(seed, BOOT_RESAMPLE, i, 2))
     se_boot = float(np.std(reps, ddof=1))
     lo = float(np.quantile(reps, alpha / 2.0))
     hi = float(np.quantile(reps, 1.0 - alpha / 2.0))

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import calibrators as cal
 from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
-from .design import EstimateReport, LabeledSample, TwoSampleDesign, UnlabeledSample, design_from_arrays
-from .estimators import REGISTRY, ScoredDesign, estimate, family_report, method_name
+from .design import EstimateReport, TwoSampleDesign, design_from_arrays
+from .estimators import REGISTRY, ScoredDesign, _family_core, estimate, family_report, method_name
 from .exceptions import ConfigError, DataError
 
 __all__ = [
@@ -85,20 +85,17 @@ def autocal_select(
     cap = min(N, candidates.unlabeled_cap_factor * n)
     if cap < N:
         sub_idx = substream(seed, UNLABELED_SUBSAMPLE).choice(N, size=cap, replace=False)
-        unl_sub = UnlabeledSample(design.unlabeled.scores[sub_idx])
+        unl_sub = design.unlabeled.take(sub_idx)
     else:
         # the folds then share the design's sample, and its sort, with the winner's refit
         unl_sub = design.unlabeled
     lab = design.labeled
 
-    def part(rows) -> TwoSampleDesign:
-        return TwoSampleDesign(LabeledSample(lab.scores[rows], lab.outcomes[rows]), unl_sub)
-
     splits = []
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        splits.append((part(mask), part(fold)))
+        splits.append((TwoSampleDesign(lab.take(mask), unl_sub), TwoSampleDesign(lab.take(fold), unl_sub)))
 
     criteria = {}
     for name in candidates.methods:
@@ -107,7 +104,7 @@ def autocal_select(
         total = 0.0
         for train, held_out in splits:
             # the criterion is the held-out influence variance, sigma^2 = M * SE^2
-            se = family_report(REGISTRY[name].fit(train).scored(held_out), "auto-cal").std_error
+            se = _family_core(REGISTRY[name].fit(train).scored(held_out), "auto-cal")[3]
             total += held_out.m_total * se**2
         criteria[name] = total / k
 

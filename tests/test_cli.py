@@ -219,20 +219,34 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
     import ssmean.cli
     import ssmean.estimators
 
-    calls = []
-    real = ssmean.estimators.estimate
+    calls, points = [], []
+    real, real_point = ssmean.estimators.estimate, ssmean.estimators.Method.point
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
+    def counting_point(self, design, name, seed):
+        points.append(name)
+        return real_point(self, design, name, seed)
+
     monkeypatch.setattr(ssmean.estimators, "estimate", counting)
     monkeypatch.setattr(ssmean.cli, "estimate", counting)
+    monkeypatch.setattr(ssmean.estimators.Method, "point", counting_point)
     lab, unl = toy_files
     code, out, _ = run_cli(capsys, "bootstrap", "--labeled", lab, "--unlabeled", unl, "--b", "5")
     assert code == 0
-    assert len(calls) == 6  # the point estimate plus one refit per replicate
+    assert calls == ["aipw"]  # one report, for the point estimate
+    assert points == ["aipw"] * 5  # each replicate computes its point estimate alone
     assert json.loads(out)["estimate"] == real(ssmean.cli._load_design(lab, unl, None)[0], "aipw").estimate
+
+
+def test_negative_seed_is_a_usage_error(capsys, toy_files):
+    lab, unl = toy_files
+    code, out, err = run_cli(capsys, "bootstrap", "--labeled", lab, "--unlabeled", unl, "--b", "5", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "ssmean: error: seed must be a non-negative integer, got -1"
 
 
 def test_dataset_csv_round_trip(tmp_path):

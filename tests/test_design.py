@@ -92,3 +92,37 @@ def test_score_moments_survive_overflowing_squares():
     mean, root_css = s.score_moments
     assert mean == pytest.approx(3e160, rel=1e-15)
     assert root_css == pytest.approx(np.sqrt(14.0) * 1e160, rel=1e-15)
+
+
+def test_take_keeps_rows_aligned_and_read_only():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 2))
+    lab = LabeledSample(rng.normal(size=6), rng.normal(size=6), x)
+    unl = UnlabeledSample(rng.normal(size=5), rng.normal(size=(5, 2)))
+    rows = np.array([4, 0, 4, 5, 1, 1])
+    lab_t = lab.take(rows)
+    assert isinstance(lab_t, LabeledSample)
+    assert np.array_equal(lab_t.scores, lab.scores[rows])
+    assert np.array_equal(lab_t.outcomes, lab.outcomes[rows])
+    assert np.array_equal(lab_t.covariates, x[rows])
+    mask = np.array([True, False, True, True, False])
+    unl_t = unl.take(mask)
+    assert isinstance(unl_t, UnlabeledSample)
+    assert np.array_equal(unl_t.scores, unl.scores[mask])
+    assert np.array_equal(unl_t.covariates, unl.covariates[mask])
+    assert unl_t.sorted_scores.tolist() == sorted(unl.scores[mask].tolist())
+    for arr in (lab_t.scores, lab_t.outcomes, lab_t.covariates, unl_t.scores, unl_t.covariates):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the new sample owns its values rather than viewing the parent's
+    assert not np.shares_memory(lab_t.scores, lab.scores)
+    assert LabeledSample(rng.normal(size=2), rng.normal(size=2)).take([1, 0]).covariates is None
+
+
+def test_take_refuses_empty_and_non_vector_selections():
+    lab = LabeledSample([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+    with pytest.raises(DataError):
+        lab.take(np.zeros(3, dtype=bool))
+    with pytest.raises(DimensionError):
+        UnlabeledSample([1.0, 2.0]).take([[0, 1]])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,20 @@ from scipy.special import expit
 from ssmean import (
     METHOD_NAMES,
     ConfigError,
+    LabeledSample,
+    SsmeanError,
+    TwoSampleDesign,
+    UnlabeledSample,
     bootstrap,
     design_from_arrays,
     estimate,
     predict,
     wald_interval,
 )
+from ssmean._rng import BOOT_RESAMPLE, derive_seed
 from ssmean.estimators import REGISTRY, ScoredDesign, family_report
 from ssmean.inference import bootstrap_indices, normal_quantile
+from ssmean.simulate import DgpSpec, draw_dataset
 
 
 def influence_oracle(design, a_l, a_u, psi):
@@ -262,3 +270,77 @@ def test_bootstrap_percentile_quantiles():
     assert res.percentile_ci[0] == pytest.approx(np.quantile(res.replicates, 0.05))
     assert res.percentile_ci[1] == pytest.approx(np.quantile(res.replicates, 0.95))
     assert res.se_boot == pytest.approx(res.replicates.std(ddof=1))
+
+
+def _replicate_designs():
+    """Designs for the replicate oracle; all carry covariates, five have binary outcomes."""
+    rng = np.random.default_rng(58)
+
+    def with_covariates(m_l, y, m_u):
+        return design_from_arrays(m_l, y, m_u, rng.normal(size=(len(m_l), 2)), rng.normal(size=(len(m_u), 2)))
+
+    def binary(m):
+        return (rng.uniform(size=len(m)) < np.clip(m, 0.0, 1.0)).astype(float)
+
+    paper = draw_dataset(DgpSpec(n=50, ratio=4, seed=3))
+    ties_l, ties_u = np.round(rng.uniform(size=60), 1), np.round(rng.uniform(size=200), 1)
+    cont_l, cont_u = rng.normal(size=45), rng.normal(size=150)
+    bin_l, small = rng.uniform(size=70), rng.uniform(size=6)
+    return {
+        "paper": with_covariates(paper.labeled.scores, paper.labeled.outcomes, paper.unlabeled.scores),
+        "heavy-ties-binary": with_covariates(ties_l, binary(ties_l), ties_u),
+        "heavy-ties-continuous": with_covariates(ties_l, ties_l + rng.normal(size=60), ties_u),
+        "continuous": with_covariates(cont_l, 2.0 * cont_l + rng.normal(size=45), cont_u),
+        "binary": with_covariates(bin_l, binary(bin_l), rng.uniform(size=180)),
+        "small-binary": with_covariates(small, np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0]), rng.uniform(size=15)),
+        "offset-binary": with_covariates(1e3 + rng.normal(size=40), binary(rng.uniform(size=40)), 1e3 + rng.normal(size=90)),
+    }
+
+
+def _materialized_replicates(design, name, b, seed):
+    """The replicates as estimate() on each resample, built and checked afresh from bootstrap_indices."""
+    lab, unl = design.labeled, design.unlabeled
+    out = np.empty(b)
+    for i in range(b):
+        idx_l, idx_u = bootstrap_indices(seed, i, design.n, design.N)
+        resample = TwoSampleDesign(
+            LabeledSample(lab.scores[idx_l], lab.outcomes[idx_l], lab.covariates[idx_l]),
+            UnlabeledSample(unl.scores[idx_u], unl.covariates[idx_u]),
+        )
+        out[i] = estimate(resample, name, seed=derive_seed(seed, BOOT_RESAMPLE, i, 2)).estimate
+    return out
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_bootstrap_replicates_equal_estimate_on_materialized_resamples(name):
+    b = 3 if name == "auto-cal" else 8
+    ran = 0
+    for label, d in _replicate_designs().items():
+        try:
+            expected = _materialized_replicates(d, name, b, seed=9)
+        except SsmeanError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bootstrap(d, name, b=b, seed=9)
+            continue
+        res = bootstrap(d, name, b=b, seed=9)
+        assert res.estimate == estimate(d, name, seed=9).estimate, label
+        assert res.replicates.tobytes() == expected.tobytes(), label
+        ran += 1
+    assert ran >= 5
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3"])
+def test_seeds_must_be_non_negative_integers(seed):
+    d = draw_dataset(DgpSpec(n=20, ratio=2, seed=0))
+    with pytest.raises(ConfigError, match=re.escape(f"got {seed!r}")):
+        bootstrap(d, "aipw", b=5, seed=seed)
+    with pytest.raises(ConfigError, match=re.escape(f"got {seed!r}")):
+        estimate(d, "auto-cal", seed=seed)
+
+
+@pytest.mark.parametrize("b", [2.5, 5.0, "5", None])
+def test_bootstrap_replicate_count_must_be_an_integer(b):
+    d = design_from_arrays([1.0, 2.0], [1.0, 2.0], [1.0])
+    with pytest.raises(ConfigError, match="integer number of replicates"):
+        bootstrap(d, "aipw", b=b, seed=0)
+    assert bootstrap(d, "aipw", b=np.int64(3), seed=0).b == 3
