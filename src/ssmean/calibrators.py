@@ -87,7 +87,7 @@ class StepCalibrator:
     def __call__(self, scores) -> np.ndarray:
         t = np.asarray(scores, dtype=np.float64)
         idx = np.searchsorted(self.boundaries, t, side="right") - 1
-        return self.values[np.clip(idx, 0, len(self.values) - 1)]
+        return self.values[np.maximum(idx, 0, out=idx)]
 
     def steps(self) -> Tuple[np.ndarray, np.ndarray]:
         """(cuts, values): values[j] on [cuts[j-1], cuts[j]), unbounded at both ends."""
@@ -167,9 +167,8 @@ class BinnedCalibrator:
 
     def __call__(self, scores) -> np.ndarray:
         t = np.asarray(scores, dtype=np.float64)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.bin_means) - 1)
-        return self.bin_means[idx]
+        # a score's bin is the count of inner edges at or below it; the end bins extend outward
+        return self.bin_means[np.searchsorted(self.edges[1:-1], t, side="right")]
 
     def steps(self) -> Tuple[np.ndarray, np.ndarray]:
         """(cuts, values) as in StepCalibrator.steps: the inner edges and the bin means."""
@@ -237,6 +236,29 @@ def pava(values, weights) -> np.ndarray:
     return isotonic_regression(values, weights=weights).x
 
 
+def _isotonic_sorted(s: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Boundaries and values of the isotonic fit of pairs given in ascending score order.
+
+    fit_isotonic calls it after its stable sort. Cross-validation calls it on
+    the training rows of one stable sort of the whole labeled sample, which
+    are in that same order, so its fold fits agree with fit_isotonic's bit for
+    bit.
+    """
+    # tie blocks start where a sorted score differs from its left neighbour;
+    # the bounds are the block starts followed by len(s)
+    starts = np.empty(len(s) + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:-1])
+    bounds = np.flatnonzero(starts)
+    first = bounds[:-1]
+    w_pooled = np.subtract(bounds[1:], first, dtype=np.float64)
+    fitted = pava(np.add.reduceat(y, first) / w_pooled, w_pooled)
+    keep = np.empty(len(fitted), dtype=bool)
+    keep[0] = True
+    np.greater(fitted[1:], fitted[:-1], out=keep[1:])
+    return s[first[keep]], fitted[keep]
+
+
 def fit_isotonic(scores, outcomes) -> StepCalibrator:
     """Exact least-squares monotone nondecreasing fit of outcomes on scores.
 
@@ -246,26 +268,22 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     """
     s, y = _check_xy(scores, outcomes)
     order = np.argsort(s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    # tie blocks start where a sorted score differs from its left neighbour
-    starts = np.empty(len(s_sorted), dtype=bool)
-    starts[0] = True
-    np.not_equal(s_sorted[1:], s_sorted[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    uniq = s_sorted[first]
-    w_pooled = np.diff(first, append=len(s_sorted)).astype(np.float64)
-    y_pooled = np.add.reduceat(y_sorted, first) / w_pooled
+    boundaries, values = _isotonic_sorted(s[order], y[order])
+    return StepCalibrator(boundaries, values, fitted_on=_freeze(np.column_stack((s, y))))
 
-    fitted = pava(y_pooled, w_pooled)
 
-    keep = np.empty(len(fitted), dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(fitted) > 0
-    return StepCalibrator(
-        boundaries=uniq[keep],
-        values=fitted[keep],
-        fitted_on=_freeze(np.column_stack((s, y))),
-    )
+def _linear_coefs(s: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    """Slope and intercept of the least-squares line of y on s (slope 0 for a constant s)."""
+    sc = s - s.mean()
+    # weights sc / 2**e lie in (-1, 1), so no product below overflows; a power
+    # of two scales both sums exactly, so the slope is sum(sc*yc) / sum(sc*sc)
+    w = np.ldexp(sc, -np.frexp(np.abs(sc).max())[1])
+    denom = float(np.dot(w, sc))
+    if denom == 0.0:
+        slope = 0.0
+    else:
+        slope = float(np.dot(w, y - y.mean()) / denom)
+    return slope, float(y.mean() - slope * s.mean())
 
 
 def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
@@ -278,23 +296,9 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     s, y = _check_xy(scores, outcomes)
     if len(s) < 2:
         raise DataError("linear calibration needs at least two labeled points")
-    sc = s - s.mean()
-    # weights sc / 2**e lie in (-1, 1), so no product below overflows; a power
-    # of two scales both sums exactly, so the slope is sum(sc*yc) / sum(sc*sc)
-    w = np.ldexp(sc, -np.frexp(np.abs(sc).max())[1])
-    denom = float(np.dot(w, sc))
-    if denom == 0.0:
-        slope = 0.0
-    else:
-        slope = float(np.dot(w, y - y.mean()) / denom)
-    intercept = float(y.mean() - slope * s.mean())
+    slope, intercept = _linear_coefs(s, y)
     clip_range = (float(y.min()), float(y.max())) if clip else None
-    return AffineCalibrator(
-        slope=slope,
-        intercept=intercept,
-        clip_range=clip_range,
-        fitted_on=_freeze(np.column_stack((s, y))),
-    )
+    return AffineCalibrator(slope, intercept, clip_range, fitted_on=_freeze(np.column_stack((s, y))))
 
 
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
@@ -411,31 +415,30 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     empty bins predict the global labeled outcome mean.
     """
     s, y = _check_xy(scores, outcomes)
+    if edges is not None:
+        edges = np.asarray(edges, dtype=np.float64)
+        if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
+            raise ConfigError("edges must be a strictly increasing vector with at least two entries")
+    return BinnedCalibrator(*_histogram(s, y, edges), fitted_on=_freeze(np.column_stack((s, y))))
+
+
+def _histogram(s: np.ndarray, y: np.ndarray, edges: Optional[np.ndarray] = None):
+    """(edges, bin_means, fallback, empty_bins) of the histogram fit; the default edges when None."""
     if edges is None:
         lo, hi = float(s.min()), float(s.max())
         if lo == hi:
             edges = np.array([lo, lo + 1.0])
         else:
             edges = np.linspace(lo, hi, DEFAULT_HISTOGRAM_BINS + 1)
-    else:
-        edges = np.asarray(edges, dtype=np.float64)
-        if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
-            raise ConfigError("edges must be a strictly increasing vector with at least two entries")
     nbins = len(edges) - 1
-    idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, nbins - 1)
+    idx = np.searchsorted(edges[1:-1], s, side="right")
     fallback = float(y.mean())
     bin_means = np.full(nbins, fallback)
     counts = np.bincount(idx, minlength=nbins)
     sums = np.bincount(idx, weights=y, minlength=nbins)
     nonempty = counts > 0
     bin_means[nonempty] = sums[nonempty] / counts[nonempty]
-    return BinnedCalibrator(
-        edges=edges,
-        bin_means=bin_means,
-        fallback=fallback,
-        empty_bins=int(np.sum(~nonempty)),
-        fitted_on=_freeze(np.column_stack((s, y))),
-    )
+    return edges, bin_means, fallback, int(np.sum(~nonempty))
 
 
 def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> LinearCovCalibrator:

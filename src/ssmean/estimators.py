@@ -11,7 +11,9 @@ rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 interval map of venn-abers. REGISTRY maps every method name to its fit, and
 _family_core is the one place that turns adjustment values into psi and its
 SE: family_report adds the interval and diagnostics, and Method.point, which
-the bootstrap runs per replicate, returns psi alone.
+the bootstrap runs per replicate, returns psi alone. Its labeled influence
+values come from _labeled_influence, which auto-cal's cross-validation also
+calls, on the rows of all its folds at once.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
@@ -97,19 +99,34 @@ class ScoredDesign:
             fu = np.asarray(fu, dtype=np.float64)
             if fu.shape != (self.design.N,):
                 raise DimensionError(f"f_unlabeled has shape {fu.shape}, expected ({self.design.N},)")
-            if not np.isfinite(fu).all():
-                raise DataError("adjustment values must be finite")
-            mean = float(fu.mean())
-            dev = fu - mean
-            # an overflowing square makes css inf, which family_report refuses
-            with np.errstate(over="ignore"):
-                fu = UnlabeledSummary(len(dev), mean, float(np.sum(np.square(dev, out=dev))))
+            fu = _summary(fu)
         elif fu.count != self.design.N:
             raise DimensionError(f"f_unlabeled summarises {fu.count} values, expected {self.design.N}")
         if not (np.isfinite(fl).all() and math.isfinite(fu.mean)):
             raise DataError("adjustment values must be finite")
         object.__setattr__(self, "f_labeled", fl)
         object.__setattr__(self, "f_unlabeled", fu)
+
+
+def _summary(values: np.ndarray) -> UnlabeledSummary:
+    """The count, mean and centered sum of squares of adjustment values; DataError unless finite."""
+    if not np.isfinite(values).all():
+        raise DataError("adjustment values must be finite")
+    mean = float(values.mean())
+    dev = values - mean
+    # an overflowing square makes css inf, which family_report refuses
+    with np.errstate(over="ignore"):
+        return UnlabeledSummary(len(dev), mean, float(np.sum(np.square(dev, out=dev))))
+
+
+def _labeled_influence(f_l, y, rho, plugin, psi):
+    """D_L = a - psi + (Y - a)/rho on the labeled rows, with a = f + (psi - plugin).
+
+    rho, plugin and psi are scalars, or per-row arrays when the rows come
+    from several designs (cross-validation folds).
+    """
+    a_l = f_l + (psi - plugin)
+    return a_l - psi + (y - a_l) / rho
 
 
 def _family_core(scored: ScoredDesign, method: str) -> Tuple[float, float, float, float]:
@@ -127,8 +144,7 @@ def _family_core(scored: ScoredDesign, method: str) -> Tuple[float, float, float
     plugin = float(rho * fl.mean() + (1.0 - rho) * fu.mean)
     residual_mean = float((d.labeled.outcomes - fl).mean())
     psi = plugin + residual_mean
-    a_l = fl + (psi - plugin)
-    d_l = a_l - psi + (d.labeled.outcomes - a_l) / rho
+    d_l = _labeled_influence(fl, d.labeled.outcomes, rho, plugin, psi)
     gap = fu.mean - plugin
     # an overflowing square makes the SE inf, which is refused below
     with np.errstate(over="ignore"):
@@ -167,15 +183,14 @@ def _no_diagnostics(scored: ScoredDesign) -> dict:
     return {}
 
 
-def _unlabeled_side(f, sample: UnlabeledSample) -> Union[UnlabeledSummary, np.ndarray]:
-    """f on an unlabeled sample, as ScoredDesign takes it.
+def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
+    """The summary of f on an unlabeled sample.
 
     A step map (StepCalibrator, BinnedCalibrator) is summarised from the
     counts of the sorted scores in each of its blocks, and an unclipped
     AffineCalibrator from the scores' mean and root centered sum of squares;
     neither is evaluated per score. Any other f is evaluated at every score
-    through calibrators.predict, and ScoredDesign checks and summarises the
-    values.
+    through calibrators.predict, and the values are checked and summarised.
     """
     if isinstance(f, (cal.StepCalibrator, cal.BinnedCalibrator)):
         cuts, values = f.steps()
@@ -193,7 +208,7 @@ def _unlabeled_side(f, sample: UnlabeledSample) -> Union[UnlabeledSummary, np.nd
         mean, root_css = sample.score_moments
         spread = f.slope * root_css
         return UnlabeledSummary(sample.n, f.slope * mean + f.intercept, spread * spread)
-    return cal.predict(f, sample.scores, sample.covariates)
+    return _summary(cal.predict(f, sample.scores, sample.covariates))
 
 
 class Adjuster(NamedTuple):
@@ -425,10 +440,15 @@ class Method:
 
     Selectable fits read only the labeled scores and outcomes, so
     cross-validation and cross-fitting may refit them on any labeled subsample.
+    fold_fit(scores, outcomes), where a selectable method has one, returns the
+    map f of fit from labeled pairs given in stable ascending score order (the
+    same map, up to the order of its sums), with no design built and no
+    training pairs kept; cross-validation fits its folds with it.
     """
 
     fit: Optional[Callable[[TwoSampleDesign], Adjuster]]
     selectable: bool = False
+    fold_fit: Optional[Callable[[np.ndarray, np.ndarray], Callable[..., np.ndarray]]] = None
 
     def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         """The method's report; every method needs n >= 2 for an honest standard error."""
@@ -477,14 +497,16 @@ class _AutoCal(Method):
 REGISTRY = {
     "labeled-only": _LabeledOnly(_fit_zero),
     "ppi": Method(_fit_ppi),
-    "aipw": Method(_fit_aipw, selectable=True),
+    "aipw": Method(_fit_aipw, True, lambda s, y: cal.AffineCalibrator(1.0, 0.0)),
     "ppi-pp": Method(_fit_ppi_pp),
     "aipw-em": Method(_fit_aipw_em),
-    "linear-cal": Method(_fit_linear, selectable=True),
+    "linear-cal": Method(
+        _fit_linear, True, lambda s, y: cal.AffineCalibrator(*cal._linear_coefs(s, y), (float(y.min()), float(y.max())))
+    ),
     "linear-cov-cal": Method(_fit_linear_cov),
     "platt-cal": Method(_fit_platt, selectable=True),
-    "iso-cal": Method(_fit_isotonic, selectable=True),
-    "hist-cal": Method(_fit_histogram, selectable=True),
+    "iso-cal": Method(_fit_isotonic, True, lambda s, y: cal.StepCalibrator(*cal._isotonic_sorted(s, y))),
+    "hist-cal": Method(_fit_histogram, True, lambda s, y: cal.BinnedCalibrator(*cal._histogram(s, y))),
     "venn-abers": Method(_fit_venn_abers),
     "auto-cal": _AutoCal(None),
 }

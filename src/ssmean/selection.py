@@ -3,7 +3,10 @@
 autocal_select picks among candidate estimators by the cross-validated
 influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
-fold plus a capped unlabeled subsample.
+fold plus a capped unlabeled subsample. The labeled sample is sorted once;
+every fold fit reads that order with the fold's rows masked out, and the
+criterion of all folds comes from per-fold sums (np.bincount over fold ids),
+with no design, report or family core built per held-out fold.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
@@ -12,6 +15,8 @@ for the unlabeled rows.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, List, Tuple
 
@@ -20,7 +25,15 @@ import numpy as np
 from . import calibrators as cal
 from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
-from .estimators import REGISTRY, ScoredDesign, _family_core, estimate, family_report, method_name
+from .estimators import (
+    REGISTRY,
+    ScoredDesign,
+    _labeled_influence,
+    _unlabeled_side,
+    estimate,
+    family_report,
+    method_name,
+)
 from .exceptions import ConfigError, DataError
 
 __all__ = [
@@ -29,6 +42,11 @@ __all__ = [
     "crossfit_calibrated",
     "ols_trainer",
 ]
+
+
+# criteria within this relative distance of the smallest are tied; the first
+# of them in candidate order wins, so rounding in the sums cannot pick a winner
+TIE_RTOL = 1e-12
 
 
 def _check_selectable(name: str, role: str) -> None:
@@ -51,6 +69,11 @@ class CandidateSet:
         self.methods = [method_name(m) for m in self.methods]
         for name in self.methods:
             _check_selectable(name, "is not selectable")
+        for setting in ("folds", "unlabeled_cap_factor"):
+            value = getattr(self, setting)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{setting} must be an integer, got {value!r}")
+            setattr(self, setting, int(value))
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if self.unlabeled_cap_factor < 1:
@@ -60,6 +83,32 @@ class CandidateSet:
 def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> List[np.ndarray]:
     perm = substream(*rng_key).permutation(n)
     return np.array_split(perm, k)
+
+
+def _cv_criterion(f_l, y, fold, held, cap, mu, css) -> float:
+    """sum_j M_j SE_j^2 / k over held-out folds j, each with its own rows and the unlabeled subsample.
+
+    f_l and y are the labeled rows with their fold ids in fold; fold j holds
+    held[j] rows, its adjustment values f_l were fit without them, and
+    (mu[j], css[j]) summarise the same f on the cap subsample scores. With
+    M_j = held[j] + cap, M_j SE_j^2 = (sum D_L^2 + css + cap (mu - plugin)^2) / M_j
+    is the held-out influence variance of _family_core, taken here for every
+    fold at once from per-fold sums.
+    """
+    k = len(held)
+    m_total = held + cap
+    rho = held / m_total
+    plugin = rho * (np.bincount(fold, f_l, k) / held) + (1.0 - rho) * mu
+    psi = plugin + np.bincount(fold, y - f_l, k) / held
+    gap = mu - plugin
+    # an overflowing square makes the criterion inf, which is refused below
+    with np.errstate(over="ignore"):
+        d_l = _labeled_influence(f_l, y, rho[fold], plugin[fold], psi[fold])
+        total = np.bincount(fold, d_l * d_l, k) + css + cap * gap * gap
+        criterion = float(np.sum(total / m_total)) / k
+    if not math.isfinite(criterion):
+        raise DataError("auto-cal: standard error overflows float64; rescale the scores and outcomes")
+    return criterion
 
 
 def autocal_select(
@@ -73,15 +122,22 @@ def autocal_select(
     The labeled sample is shuffled once (by seed) into K contiguous folds,
     with K clamped so every fold holds at least two points; the unlabeled
     evaluation subsample of size min(N, cap_factor * n) is drawn once per
-    call. Ties break by candidate order. The winner is refit on the full
-    sample; its name is returned with its report, which carries the CV table
-    in diagnostics.
+    call. The labeled rows are sorted once by score (a stable sort), and
+    each fold is fit on that order with its own rows masked out, through the
+    method's fold_fit where it has one and its registry fit otherwise. The
+    criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
+    comes from per-fold sums. Criteria within TIE_RTOL of the smallest
+    count as tied, and the first of them in candidate order wins. The winner
+    is refit on the full sample; its name is returned with its report, which
+    carries the CV table in diagnostics.
     """
     n, N = design.n, design.N
     k = min(candidates.folds, n // 2)
     if k < 2:
         raise ConfigError(f"selection needs n >= 4 labeled points, got n={n}")
-    folds = _fold_blocks(n, k, (seed, FOLD_SHUFFLE))
+    fold_of = np.empty(n, dtype=np.intp)
+    for j, rows in enumerate(_fold_blocks(n, k, (seed, FOLD_SHUFFLE))):
+        fold_of[rows] = j
     cap = min(N, candidates.unlabeled_cap_factor * n)
     if cap < N:
         sub_idx = substream(seed, UNLABELED_SUBSAMPLE).choice(N, size=cap, replace=False)
@@ -90,25 +146,29 @@ def autocal_select(
         # the folds then share the design's sample, and its sort, with the winner's refit
         unl_sub = design.unlabeled
     lab = design.labeled
-
-    splits = []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        splits.append((TwoSampleDesign(lab.take(mask), unl_sub), TwoSampleDesign(lab.take(fold), unl_sub)))
+    order = np.argsort(lab.scores, kind="stable")
+    s, y, fold = lab.scores[order], lab.outcomes[order], fold_of[order]
+    held = np.bincount(fold, minlength=k)
+    # per fold: its rows, then the training pairs and the held-out scores, in score order
+    splits = [(out, s[~out], y[~out], s[out]) for out in (fold == j for j in range(k))]
 
     criteria = {}
     for name in candidates.methods:
         if name in criteria:  # duplicate candidates: first occurrence wins
             continue
-        total = 0.0
-        for train, held_out in splits:
-            # the criterion is the held-out influence variance, sigma^2 = M * SE^2
-            se = _family_core(REGISTRY[name].fit(train).scored(held_out), "auto-cal")[3]
-            total += held_out.m_total * se**2
-        criteria[name] = total / k
+        method = REGISTRY[name]
+        f_l, mu, css = np.empty(n), np.empty(k), np.empty(k)
+        for j, (out, s_train, y_train, s_held) in enumerate(splits):
+            if method.fold_fit is None:
+                f = method.fit(TwoSampleDesign(lab.take(fold_of != j), unl_sub)).f
+            else:
+                f = method.fold_fit(s_train, y_train)
+            f_l[out] = cal.predict(f, s_held)
+            _, mu[j], css[j] = _unlabeled_side(f, unl_sub)
+        criteria[name] = _cv_criterion(f_l, y, fold, held, cap, mu, css)
 
-    winner = min(criteria, key=criteria.get)  # ties break by candidate order
+    best = min(criteria.values())
+    winner = next(name for name, c in criteria.items() if c - best <= TIE_RTOL * best)
     report = estimate(design, winner, alpha=alpha, seed=seed)
     cv = {
         "selected": winner,

@@ -17,7 +17,8 @@ from scipy.special import expit
 
 from ._rng import SIM_DRAW, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
-from .estimators import estimate, method_name
+from .calibrators import predict
+from .estimators import REGISTRY, _labeled_influence, estimate, method_name
 from .exceptions import ConfigError, DataError, DimensionError
 from .inference import wald_interval
 
@@ -218,6 +219,22 @@ def _score_pair(scores, arm: str):
     return own, other
 
 
+def _arm(own, outcomes, other, method: str, alpha: float, seed: int):
+    """One arm's report and its influence values on its own units and on the other arm's.
+
+    The values are those whose sum of squares gives the arm's own SE: D_L on
+    the arm's labeled units and D_U = f - plugin on the other arm's units,
+    with f the fit of the method (auto-cal's winner) on the arm's design.
+    """
+    design = design_from_arrays(own, outcomes, other)
+    report = estimate(design, method, alpha=alpha, seed=seed)
+    diag = report.diagnostics
+    f = REGISTRY[diag.get("selected", method_name(method))].fit(design).f
+    plugin, lab = diag["plugin_estimate"], design.labeled
+    d_own = _labeled_influence(predict(f, lab.scores), lab.outcomes, design.rho, plugin, report.estimate)
+    return report, d_own, predict(f, design.unlabeled.scores) - plugin
+
+
 def ate_two_arm(
     treated_outcomes,
     treated_scores,
@@ -243,8 +260,10 @@ def ate_two_arm(
     control_scores[1] the control model's scores on the treated units in the
     order of treated_outcomes. Misaligned lengths raise DimensionError.
 
-    The reported standard error combines the two arm-specific influence
-    variances as independent contributions.
+    Both arm estimates are averages over the same M units, so the standard
+    error is sqrt(sum_i (D1_i - D0_i)^2) / M over the per-unit influence
+    values of the two arms. labeled-only, whose f is 0 and whose arms share
+    no unit, combines its two ddof=1 arm errors as independent.
     """
     y1 = np.asarray(treated_outcomes, dtype=np.float64)
     y0 = np.asarray(control_outcomes, dtype=np.float64)
@@ -256,12 +275,17 @@ def ate_two_arm(
         raise DimensionError(f"treated_scores[1] has {np.size(m1_other)} scores, control_outcomes {y0.size}")
     if np.size(m0_other) != y1.size:
         raise DimensionError(f"control_scores[1] has {np.size(m0_other)} scores, treated_outcomes {y1.size}")
-    design1 = design_from_arrays(m1_own, y1, m1_other)
-    design0 = design_from_arrays(m0_own, y0, m0_other)
-    r1 = estimate(design1, method, alpha=alpha, seed=seed)
-    r0 = estimate(design0, method, alpha=alpha, seed=seed)
+    r1, d1_treated, d1_control = _arm(m1_own, y1, m1_other, method, alpha, seed)
+    r0, d0_control, d0_treated = _arm(m0_own, y0, m0_other, method, alpha, seed)
     tau = r1.estimate - r0.estimate
-    se = math.hypot(r1.std_error, r0.std_error)
+    if r1.method == "labeled-only":
+        se = math.hypot(r1.std_error, r0.std_error)
+    else:
+        with np.errstate(over="ignore"):
+            total = float(np.sum((d1_treated - d0_treated) ** 2) + np.sum((d1_control - d0_control) ** 2))
+        se = math.sqrt(total) / (len(y1) + len(y0))
+        if not math.isfinite(se):
+            raise DataError(f"ate({r1.method}): standard error overflows float64; rescale the scores and outcomes")
     lo, hi = wald_interval(tau, se, alpha)
     return EstimateReport(
         estimate=tau,

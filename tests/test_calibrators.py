@@ -506,7 +506,7 @@ def tie_heavy_samples(draw):
 
 
 @given(tie_heavy_samples(), st.floats(-0.5, 1.5), st.randoms(use_true_random=False))
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@settings(max_examples=150)
 def test_venn_abers_sweep_matches_per_point_refits(sample, target, random):
     s, y, evals = sample
     got = fit_venn_abers(s, y, target)(evals)

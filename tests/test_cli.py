@@ -384,7 +384,7 @@ def _csv_cases(draw):
     return bom + text.encode("utf-8"), required, optional
 
 
-@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@settings(max_examples=400)
 @given(case=_csv_cases())
 @example(case=(b'note,score\r\n"a,7,b",3.5\r\n', ["score"], []))
 @example(case=(b"score,y,score\n1,2,3\n", ["y", "score"], []))

@@ -397,7 +397,7 @@ def plugin_cases(draw):
     return name, d, np.array(draw(st.permutations(range(n))))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(plugin_cases())
 def test_calibrated_plugin_accepts_exactly_the_labeled_pairs(case):
     name, d, perm = case

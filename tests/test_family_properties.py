@@ -23,7 +23,7 @@ from ssmean import (
 from ssmean.estimators import UnlabeledSummary, _unlabeled_side
 from ssmean.inference import normal_quantile
 
-SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+SETTINGS = settings(max_examples=40)
 Z = normal_quantile(0.975)
 
 # methods whose estimate moves by c when c is added to outcomes and scores

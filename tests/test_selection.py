@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmean import (
     CandidateSet,
     ConfigError,
     DataError,
+    SsmeanError,
     autocal_select,
     crossfit_calibrated,
     design_from_arrays,
@@ -14,8 +17,9 @@ from ssmean import (
     ols_trainer,
     predict,
 )
-from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, substream
+from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from ssmean.estimators import REGISTRY, ScoredDesign, family_report
+from ssmean.selection import TIE_RTOL
 
 
 def make_design(rng, n=60, N=120):
@@ -77,7 +81,15 @@ def test_selection_deterministic_in_seed():
     assert r1.diagnostics["cv_criteria"] == r2.diagnostics["cv_criteria"]
 
 
+def first_within_tie(criteria):
+    """The first candidate, in candidate order, within TIE_RTOL of the smallest criterion."""
+    best = min(criteria.values())
+    return next(name for name, c in criteria.items() if c - best <= TIE_RTOL * best)
+
+
 def test_selected_criterion_is_minimal():
+    # minimal up to the tie rule: the winner is the first candidate within 1e-12 of the minimum
+    assert TIE_RTOL == 1e-12
     rng = np.random.default_rng(64)
     for trial in range(5):
         d = make_design(rng)
@@ -85,7 +97,22 @@ def test_selected_criterion_is_minimal():
             d, CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"]), seed=trial
         )
         crit = report.diagnostics["cv_criteria"]
-        assert crit[report.diagnostics["selected"]] == min(crit.values())
+        assert report.diagnostics["selected"] == first_within_tie(crit)
+
+
+def test_maps_equal_up_to_rounding_tie_by_candidate_order():
+    # two score levels: linear-cal, iso-cal and hist-cal fit the same map on
+    # every fold, and their criteria differ only by rounding
+    rng = np.random.default_rng(3)
+    m_l = rng.choice([0.2, 0.7], size=60)
+    y = (rng.random(60) < m_l).astype(float)
+    d = design_from_arrays(m_l, y, rng.choice([0.2, 0.7], size=600))
+    names = ["linear-cal", "iso-cal", "hist-cal"]
+    winner, report = autocal_select(d, CandidateSet(names), seed=3)
+    crit = report.diagnostics["cv_criteria"]
+    assert max(crit.values()) - min(crit.values()) <= 1e-14 * min(crit.values())
+    assert winner == "linear-cal"
+    assert autocal_select(d, CandidateSet(names[::-1]), seed=3)[0] == "hist-cal"
 
 
 def test_fold_clamping_and_bounds():
@@ -105,13 +132,18 @@ def test_unlabeled_subsample_capped():
     assert report.diagnostics["cv_unlabeled_subsample"] == 80
 
 
-def cv_criteria_oracle(design, names, k, seed):
-    """autocal_select's criteria with per-row adjustment values on a copy of
-    the whole unlabeled sample, which is what it evaluates when cap >= N."""
+def cv_criteria_oracle(design, names, k, seed, cap_factor=10):
+    """autocal_select's criteria by a loop over folds: for each fold, one fit on
+    the other rows, one held-out design and one report, with per-row
+    adjustment values on a copy of the unlabeled subsample (the whole sample
+    when cap >= N)."""
     lab, unl = design.labeled, design.unlabeled.scores.copy()
+    cap = min(design.N, cap_factor * design.n)
+    if cap < design.N:
+        unl = unl[substream(seed, UNLABELED_SUBSAMPLE).choice(design.N, size=cap, replace=False)]
     folds = np.array_split(substream(seed, FOLD_SHUFFLE).permutation(design.n), k)
     criteria = {}
-    for name in names:
+    for name in dict.fromkeys(names):
         total = 0.0
         for fold in folds:
             rest = np.setdiff1d(np.arange(design.n), fold)
@@ -132,9 +164,46 @@ def test_uncapped_selection_evaluates_the_design_sample_itself():
     # the folds sorted the design's own sample, which the winner's refit shares
     assert "sorted_scores" in vars(d.unlabeled)
     want = cv_criteria_oracle(d, names, 20, seed=3)
-    assert winner == min(want, key=want.get)
+    assert winner == first_within_tie(want)
     for name in names:
         assert report.diagnostics["cv_criteria"][name] == pytest.approx(want[name], rel=1e-12), name
+
+
+@st.composite
+def selection_cases(draw):
+    """Tie-heavy designs from n = 4 up, with fold counts, caps and candidate lists (duplicates allowed)."""
+    n = draw(st.integers(4, 40))
+    N = draw(st.integers(1, 120))
+    pool = ["aipw", "linear-cal", "iso-cal", "hist-cal", "platt-cal"]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    levels = 1 if "platt-cal" in names else draw(st.sampled_from([1, 4]))
+    grid = st.integers(0, 12)
+    m_l = np.array(draw(st.lists(grid, min_size=n, max_size=n))) / 8.0
+    y = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    m_u = np.array(draw(st.lists(grid, min_size=N, max_size=N))) / 8.0
+    cands = CandidateSet(names, folds=draw(st.integers(2, 25)), unlabeled_cap_factor=draw(st.integers(1, 3)))
+    return design_from_arrays(m_l, y, m_u), cands, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150)
+@given(selection_cases())
+def test_selection_matches_per_fold_oracle(case):
+    d, cands, seed = case
+    k = min(cands.folds, d.n // 2)
+    try:
+        want = cv_criteria_oracle(d, cands.methods, k, seed, cands.unlabeled_cap_factor)
+    except SsmeanError as exc:
+        with pytest.raises(type(exc)):
+            autocal_select(d, cands, seed=seed)
+        return
+    winner, report = autocal_select(d, cands, seed=seed)
+    diag = report.diagnostics
+    assert list(diag["cv_criteria"]) == list(want)
+    for name, value in want.items():
+        assert diag["cv_criteria"][name] == pytest.approx(value, rel=1e-12, abs=1e-300), name
+    assert winner == diag["selected"] == first_within_tie(want)
+    assert diag["cv_folds"] == k
+    assert diag["cv_unlabeled_subsample"] == min(d.N, cands.unlabeled_cap_factor * d.n)
 
 
 def test_candidate_validation():
@@ -144,6 +213,19 @@ def test_candidate_validation():
         CandidateSet(["labeled-only"])
     with pytest.raises(ConfigError):
         CandidateSet(["aipw"], folds=1)
+
+
+@pytest.mark.parametrize("setting", ["folds", "unlabeled_cap_factor"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_candidate_settings_must_be_integers(setting, value):
+    with pytest.raises(ConfigError, match=f"{setting} must be an integer, got {value!r}"):
+        CandidateSet(["aipw"], **{setting: value})
+
+
+def test_candidate_settings_accept_numpy_integers():
+    cands = CandidateSet(["aipw"], folds=np.int64(3), unlabeled_cap_factor=np.int32(2))
+    assert (cands.folds, cands.unlabeled_cap_factor) == (3, 2)
+    assert type(cands.folds) is int and type(cands.unlabeled_cap_factor) is int
 
 
 # --- cross-fitting ------------------------------------------------------------

@@ -9,6 +9,7 @@ from ssmean import (
     ate_two_arm,
     design_from_arrays,
     draw_dataset,
+    fit_isotonic,
     run_grid,
     summaries_to_csv,
 )
@@ -159,6 +160,51 @@ def test_ate_labeled_only_difference_of_means():
     se1 = np.std([1.0, 3.0], ddof=1) / np.sqrt(2)
     se0 = np.std([0.0, 1.0], ddof=1) / np.sqrt(2)
     assert rep.std_error == pytest.approx(np.hypot(se1, se0), rel=1e-12)
+
+
+def two_arm_draw(rng, M):
+    """M units, Bernoulli(1/2) assignment, arm models m1 = 2x + 1 and m0 = 2x, outcome noise sd 0.5; ATE 1."""
+    x = rng.normal(size=M)
+    t = rng.random(M) < 0.5
+    m1, m0 = 2.0 * x + 1.0, 2.0 * x
+    y = np.where(t, m1, m0) + 0.5 * rng.normal(size=M)
+    return y[t], (m1[t], m1[~t]), y[~t], (m0[~t], m0[t])
+
+
+def arm_influence(f, own, y, other):
+    """One arm's per-unit influence values, written out: D_L on its units, D_U on the other arm's."""
+    rho = len(y) / (len(y) + len(other))
+    plugin = rho * f(own).mean() + (1 - rho) * f(other).mean()
+    residual = (y - f(own)).mean()
+    return f(own) - plugin + (y - f(own) - residual) / rho, f(other) - plugin
+
+
+@pytest.mark.parametrize("method", ["aipw", "iso-cal"])
+def test_ate_standard_error_is_the_per_unit_influence_norm(method):
+    y1, s1, y0, s0 = two_arm_draw(np.random.default_rng(72), 150)
+    rep = ate_two_arm(y1, s1, y0, s0, method=method)
+    fits = {"aipw": lambda m, y: (lambda s: s), "iso-cal": fit_isotonic}
+    d1_treated, d1_control = arm_influence(fits[method](s1[0], y1), s1[0], y1, s1[1])
+    d0_control, d0_treated = arm_influence(fits[method](s0[0], y0), s0[0], y0, s0[1])
+    diff = np.concatenate((d1_treated - d0_treated, d1_control - d0_control))
+    assert rep.std_error == pytest.approx(np.sqrt(np.sum(diff**2)) / 150, rel=1e-12)
+    assert rep.estimate == pytest.approx(
+        rep.diagnostics["treated_mean"]["estimate"] - rep.diagnostics["control_mean"]["estimate"], rel=1e-15
+    )
+
+
+# The influence values leave out the noise of the isotonic fit itself, which
+# does not cancel between the arms: at M = 400, iso-cal's SE / sd is about 0.85
+# and its coverage about 0.90 (1000 replicates), at M = 3200 about 0.95 and 0.94.
+@pytest.mark.parametrize("method, M, reps", [("aipw", 400, 1000), ("iso-cal", 3200, 400)])
+def test_ate_standard_error_matches_monte_carlo_spread(method, M, reps):
+    rng = np.random.default_rng(0)
+    reports = [ate_two_arm(*two_arm_draw(rng, M), method=method) for _ in range(reps)]
+    est = np.array([r.estimate for r in reports])
+    se = np.array([r.std_error for r in reports])
+    assert abs(se.mean() / est.std(ddof=1) - 1.0) <= 0.15
+    coverage = np.mean([r.ci_lower <= 1.0 <= r.ci_upper for r in reports])
+    assert 0.92 <= coverage <= 0.98
 
 
 def test_ate_empty_arm_rejected():
