@@ -8,7 +8,8 @@ carried only for the covariate-adjusted linear calibration method.
 All arrays are stored as read-only float64; instances are immutable and safe
 to share across threads. An unlabeled sample also keeps two things computed
 from its scores on first use: a sorted copy (8 bytes per row, held for the
-sample's lifetime) and the scores' mean and root centered sum of squares.
+sample's lifetime) and the scores' mean and root centered sum of squares,
+also kept scaled by the power of two that brings the scores into (-1, 1).
 Every estimate run on a sample, and every auto-cal fold that shares it,
 reuses them; this is what lets estimators.family_report summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
@@ -161,19 +162,24 @@ class UnlabeledSample:
 
     @cached_property
     def score_moments(self) -> Tuple[float, float]:
-        """The scores' mean and the square root of their centered sum of squares.
+        """The scores' mean and root centered sum of squares: scaled_moments scaled back by 2**e."""
+        mean, root, e = self.scaled_moments
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(mean, e)), float(np.ldexp(root, e))
 
-        Both are taken from the scores scaled by a power of two into (-1, 1),
-        which is exact, so no sum or square overflows; the root then scales
-        with any coefficient applied to the scores without under- or
-        overflowing in between.
+    @cached_property
+    def scaled_moments(self) -> Tuple[float, float, int]:
+        """(mean, root, e): the mean and root centered sum of squares of the scores times 2**-e.
+
+        e is the exponent of the largest |score|, so the scaling is exact and
+        no sum or square overflows; the root then scales with any coefficient
+        applied to the scores without under- or overflowing in between.
         """
         e = int(np.frexp(np.abs(self.scores).max())[1])
         dev = np.ldexp(self.scores, -e)
-        mean = dev.mean()
+        mean = float(dev.mean())
         dev -= mean
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(mean, e)), float(np.ldexp(np.sqrt(np.sum(np.square(dev, out=dev))), e))
+        return mean, float(np.sqrt(np.sum(np.square(dev, out=dev)))), e
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ of f and its centered sum of squares (UnlabeledSummary). Step maps
 (iso-cal, hist-cal, venn-abers) give it from the counts of the sample's
 once-sorted scores in each of their k blocks, in O(k log N); affine maps
 (ppi, aipw, ppi-pp, aipw-em, unclipped linear maps) from the sample's
-cached score moments, in O(1), and the constant zero of labeled-only
-directly. Every other f is evaluated at the N scores and the values
-summarised.
+cached score moments, in O(1), from which ppi-pp and aipw-em also fit
+their coefficient; the constant zero of labeled-only needs neither. Every
+other f is evaluated at the N scores and the values summarised.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -256,28 +256,25 @@ def _fit_aipw(design: TwoSampleDesign) -> Adjuster:
 
 
 def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]):
-    y = design.labeled.outcomes
-    rho = design.rho
+    y, m, rho = design.labeled.outcomes, design.labeled.scores, design.rho
+    # the unlabeled side is its sample's cached moments of m / 2**e_u; no score is read
+    mean_u, root_u, e_u = design.unlabeled.scaled_moments
     # m / 2**e lies in (-1, 1), so none of its squares overflow; a power of two
     # scales num by 2**-e and den and the threshold by 4**-e exactly
-    e = int(np.frexp(max(np.abs(design.labeled.scores).max(), np.abs(design.unlabeled.scores).max()))[1])
-    m_l, m_u = np.ldexp(design.labeled.scores, -e), np.ldexp(design.unlabeled.scores, -e)
+    e = max(int(np.frexp(np.abs(m).max())[1]), e_u)
+    m_l = np.ldexp(m, -e)
+    mean_u, root_u = math.ldexp(mean_u, e_u - e), math.ldexp(root_u, e_u - e)
+    var_u = root_u * root_u / design.N
     # outcomes near the float64 limit can still overflow num; the report refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         num = float(np.mean((y - y.mean()) * (m_l - m_l.mean())))
         var_l = float(np.mean((m_l - m_l.mean()) ** 2))
-        var_u = float(np.mean((m_u - m_u.mean()) ** 2))
-        scale = max(float(np.ldexp(1.0, -2 * e)), float(np.mean(m_l**2)) + float(np.mean(m_u**2)))
+        scale = max(float(np.ldexp(1.0, -2 * e)), float(np.mean(m_l**2)) + var_u + mean_u * mean_u)
     den = (1.0 - rho) * var_l + rho * var_u
     degenerate = den <= 1e-12 * scale
     lam_raw = 0.0 if degenerate else float(np.ldexp(num / den, -e))
-    lam = lam_raw
-    clip_active = False
-    if clip is not None and not degenerate:
-        lo, hi = clip
-        lam = min(max(lam_raw, lo), hi)
-        clip_active = lam != lam_raw
-    return lam, lam_raw, degenerate, clip_active
+    lam = lam_raw if clip is None or degenerate else min(max(lam_raw, clip[0]), clip[1])
+    return lam, lam_raw, degenerate, lam != lam_raw
 
 
 def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = None) -> float:

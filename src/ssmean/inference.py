@@ -29,11 +29,11 @@ def normal_quantile(p: float) -> float:
 
 
 def wald_interval(estimate: float, se: float, alpha: float) -> Tuple[float, float]:
-    """estimate +/- z_{1-alpha/2} * se."""
+    """estimate +/- z_{1-alpha/2} * se; ConfigError unless se is finite and >= 0."""
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if se < 0:
-        raise ConfigError("standard error must be nonnegative")
+    if not 0.0 <= se < np.inf:
+        raise ConfigError(f"standard error must be finite and nonnegative, got {se!r}")
     z = normal_quantile(1.0 - alpha / 2.0)
     return (estimate - z * se, estimate + z * se)
 

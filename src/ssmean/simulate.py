@@ -9,6 +9,7 @@ exactly 0.5 by symmetry.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -49,10 +50,12 @@ class DgpSpec:
     miscalibrated: bool = True
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"need n >= 2, got {self.n}")
-        if self.ratio < 1:
-            raise ConfigError(f"need ratio >= 1, got {self.ratio}")
+        for name, low in (("n", 2), ("ratio", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"DgpSpec {name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"need {name} >= {low}, got {value}")
 
 
 def true_regression(s) -> np.ndarray:
@@ -60,28 +63,17 @@ def true_regression(s) -> np.ndarray:
     return expit(5.0 * np.asarray(s, dtype=np.float64))
 
 
-def true_logit(s) -> np.ndarray:
-    """Logit of the true regression, via its numerically stable log form.
-
-    log(mu) - log(1 - mu) with mu = expit(x) equals
-    logaddexp(0, x) - logaddexp(0, -x); the naive form loses precision once
-    mu saturates. Simplifies to 5 s identically (checked by tests).
-    """
-    x = 5.0 * np.asarray(s, dtype=np.float64)
-    return np.logaddexp(0.0, x) - np.logaddexp(0.0, -x)
-
-
 def score_curve(s, miscalibrated: bool = True) -> np.ndarray:
     """Prediction score as a function of the latent variable.
 
     The miscalibrated variant distorts the true probability through a cubic
-    map on its logit scale, then rescales and clips.
+    map on its logit scale z = 5 s, then rescales and clips.
     """
     s = np.asarray(s, dtype=np.float64)
     if not miscalibrated:
         return true_regression(s)
-    z = true_logit(s)
-    raw = -0.15 + 0.75 * expit(0.8 * z + 0.1 * z**3 - 1.0)
+    z = 5.0 * s
+    raw = -0.15 + 0.75 * expit(0.8 * z + 0.1 * (z * z * z) - 1.0)
     return np.clip(raw, SCORE_CLIP[0], SCORE_CLIP[1])
 
 
@@ -130,6 +122,10 @@ def run_grid(
     it appears in the method list. draw_fn overrides the dataset draw (test
     hook).
     """
+    try:
+        reps = operator.index(reps)
+    except TypeError:
+        raise ConfigError(f"run_grid needs an integer number of replicates reps, got {reps!r}") from None
     if reps < 2:
         raise ConfigError(f"need reps >= 2, got {reps}")
     names = [method_name(m) for m in methods]
@@ -138,6 +134,7 @@ def run_grid(
     rows: List[McSummary] = []
     for n in ns:
         for ratio in ratios:
+            DgpSpec(n, ratio, seed)  # names a bad n, ratio or seed before a seed is derived from it
             est = {name: np.empty(reps) for name in names}
             cov = {name: np.empty(reps, dtype=bool) for name in names}
             ppi_est = np.empty(reps)
@@ -190,23 +187,8 @@ _CSV_HEADER = "method,n,ratio,reps,bias,sd,rmse,coverage,rel_eff_vs_ppi"
 
 def summaries_to_csv(rows: Sequence[McSummary]) -> str:
     """Serialize Monte Carlo summaries; floats use shortest round-trip decimals."""
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    repr(r.n),
-                    repr(r.ratio),
-                    repr(r.reps),
-                    repr(r.bias),
-                    repr(r.sd),
-                    repr(r.rmse),
-                    repr(r.coverage),
-                    repr(r.rel_eff_vs_ppi),
-                ]
-            )
-        )
+    fields = _CSV_HEADER.split(",")[1:]
+    lines = [_CSV_HEADER] + [",".join([r.method] + [repr(getattr(r, f)) for f in fields]) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,7 @@ from ssmean import (
     ols_trainer,
     run_grid,
 )
-from ssmean.estimators import REGISTRY, family_report
+from ssmean.estimators import REGISTRY, _eem_lambda_full, family_report
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -240,6 +240,73 @@ def test_eem_lambda_formula_when_outcome_equals_score():
     var_u = np.mean((m_u - m_u.mean()) ** 2)
     want = var_l / ((1 - rho) * var_l + rho * var_u)
     assert eem_lambda(d) == pytest.approx(want, rel=1e-12)
+
+
+def pointwise_eem(design, clip):
+    """(lambda, lambda_unclipped, degenerate, clip_active) from every score, the oracle.
+
+    The scores are scaled by the power of two 2**-e of the largest |score| in
+    either sample, so no square overflows; the threshold is 1e-12 of the
+    pooled mean square, or of 4**-e when that is smaller.
+    """
+    y, rho = design.labeled.outcomes, design.rho
+    e = int(np.frexp(max(np.abs(design.labeled.scores).max(), np.abs(design.unlabeled.scores).max()))[1])
+    m_l, m_u = np.ldexp(design.labeled.scores, -e), np.ldexp(design.unlabeled.scores, -e)
+    num = np.mean((y - y.mean()) * (m_l - m_l.mean()))
+    den = (1 - rho) * np.mean((m_l - m_l.mean()) ** 2) + rho * np.mean((m_u - m_u.mean()) ** 2)
+    degenerate = den <= 1e-12 * max(np.ldexp(1.0, -2 * e), np.mean(m_l**2) + np.mean(m_u**2))
+    lam_raw = 0.0 if degenerate else float(np.ldexp(num / den, -e))
+    lam = lam_raw if clip is None or degenerate else min(max(lam_raw, clip[0]), clip[1])
+    return lam, lam_raw, bool(degenerate), lam != lam_raw
+
+
+@st.composite
+def eem_designs(draw):
+    """Tie-heavy scores (offset + k/16) * scale with outcomes on the same scale.
+
+    scale 1e160 overflows the squares of the scores, 1e-150 underflows
+    them, offsets 1e4 and 1e6 leave a small spread on a large mean (below
+    the degenerate threshold at 1e6), and the unlabeled scores may all be
+    equal.
+    """
+    scale = draw(st.sampled_from([1.0, 1e160, 1e-150]))
+    offset = draw(st.sampled_from([0.0, -3.0, 1e4, 1e6]))
+    n, N = draw(st.integers(2, 20)), draw(st.integers(1, 30))
+    k_l = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        k_u = np.full(N, draw(st.integers(-8, 8)))
+    else:
+        k_u = np.array(draw(st.lists(st.integers(-8, 8), min_size=N, max_size=N)))
+    y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    # half the time the outcome follows the score, so lambda is far from 0
+    y = y + draw(st.sampled_from([0.0, 1.0])) * k_l / 16.0
+    return design_from_arrays((offset + k_l / 16.0) * scale, y * scale, (offset + k_u / 16.0) * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eem_designs(), st.booleans())
+def test_eem_lambda_matches_the_pointwise_formula(design, clipped):
+    clip = (0.0, 1.0 / (1.0 - design.rho)) if clipped else None
+    lam, lam_raw, degenerate, clip_active = _eem_lambda_full(design, clip)
+    want = pointwise_eem(design, clip)
+    assert (degenerate, clip_active) == want[2:]
+    for got, ref in ((lam, want[0]), (lam_raw, want[1])):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_eem_lambda_reads_the_cached_unlabeled_moments_not_the_scores():
+    rng = np.random.default_rng(40)
+    m_l, m_u, other = rng.normal(size=30), rng.normal(size=60), 3.0 * rng.normal(size=60) + 1.0
+    y = m_l + rng.normal(size=30)
+    d, d_other = design_from_arrays(m_l, y, m_u), design_from_arrays(m_l, y, other)
+    assert eem_lambda(d) != eem_lambda(d_other)
+    # the fit follows the moments cached on the sample, even with its scores made unreadable
+    object.__setattr__(d.unlabeled, "scaled_moments", d_other.unlabeled.scaled_moments)
+    object.__setattr__(d.unlabeled, "scores", np.full(60, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert eem_lambda(d) == eem_lambda(d_other)
+        assert eem_lambda(d, clip=(0.0, 0.5)) == eem_lambda(d_other, clip=(0.0, 0.5))
 
 
 def test_eem_lambda_zero_when_uncorrelated():

@@ -175,6 +175,12 @@ def test_wald_interval_values():
         wald_interval(0.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("se", [float("nan"), float("inf"), -float("inf"), -1e-300])
+def test_wald_interval_refuses_a_standard_error_that_is_not_finite_and_nonnegative(se):
+    with pytest.raises(ConfigError, match=f"^standard error must be finite and nonnegative, got {se!r}$"):
+        wald_interval(0.0, se, 0.05)
+
+
 def test_normal_quantile_reference_values():
     assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
     assert normal_quantile(0.84) == pytest.approx(0.994457883209753, abs=1e-9)

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
+from scipy.special import expit
 
 from ssmean import (
+    ConfigError,
     DataError,
     DgpSpec,
     DimensionError,
@@ -13,7 +17,7 @@ from ssmean import (
     run_grid,
     summaries_to_csv,
 )
-from ssmean.simulate import TRUE_MEAN, score_curve, true_logit, true_regression
+from ssmean.simulate import TRUE_MEAN, score_curve, true_regression
 
 
 def test_true_regression_at_zero():
@@ -30,10 +34,35 @@ def test_score_curve_saturation():
     assert score_curve(np.array([10.0]))[0] == pytest.approx(0.6, abs=1e-12)
 
 
-def test_true_logit_simplifies():
-    rng = np.random.default_rng(70)
-    s = rng.uniform(-8, 8, size=500)
-    assert np.max(np.abs(true_logit(s) - 5.0 * s)) <= 1e-12 * np.maximum(1.0, np.abs(5 * s)).max()
+def log_form_score_curve(s):
+    """The miscalibrated score curve with its logit z in the log form log(mu) - log(1 - mu)."""
+    x = 5.0 * s
+    z = np.logaddexp(0.0, x) - np.logaddexp(0.0, -x)
+    return np.clip(-0.15 + 0.75 * expit(0.8 * z + 0.1 * z**3 - 1.0), 0.01, 0.99)
+
+
+def test_score_curve_matches_the_log_form_of_its_logit():
+    # where the lower clip starts to bind, with its neighbouring floats, and where expit saturates
+    knee = optimize.brentq(lambda t: -0.15 + 0.75 * expit(0.8 * 5 * t + 0.1 * (5 * t) ** 3 - 1.0) - 0.01, -2, 0)
+    edges = [knee, np.nextafter(knee, -1), np.nextafter(knee, 1), -8.0, 8.0, -1.5, 1.5, 0.0]
+    s = np.concatenate((np.random.default_rng(70).uniform(-8, 8, size=20000), edges))
+    assert score_curve(s)[s < knee - 1e-9].max() == 0.01 < score_curve(s)[s > knee + 1e-9].min()
+    assert np.max(np.abs(score_curve(s) - log_form_score_curve(s))) <= 1e-15
+
+
+@pytest.mark.parametrize("field", ["n", "ratio", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4", None])
+def test_dgp_spec_names_a_field_that_is_not_an_integer(field, value):
+    with pytest.raises(ConfigError, match=f"^DgpSpec {field} must be an integer, got {re.escape(repr(value))}$"):
+        DgpSpec(**{"n": 10, "ratio": 2, "seed": 0, field: value})
+
+
+def test_dgp_spec_bounds_and_numpy_integers():
+    for field, low in (("n", 2), ("ratio", 1), ("seed", 0)):
+        with pytest.raises(ConfigError, match=f"^need {field} >= {low}, got {low - 1}$"):
+            DgpSpec(**{"n": 10, "ratio": 2, "seed": 0, field: low - 1})
+    spec = DgpSpec(n=np.int64(10), ratio=np.int32(2), seed=np.uint64(7))
+    assert np.array_equal(draw_dataset(spec).unlabeled.scores, draw_dataset(DgpSpec(10, 2, 7)).unlabeled.scores)
 
 
 def test_target_mean_is_half_by_symmetry():
@@ -112,6 +141,19 @@ def test_run_grid_validation():
         run_grid([10], [1], ["labeled-only"], reps=1, seed=0)
     with pytest.raises(Exception):
         run_grid([10], [1], ["bogus"], reps=2, seed=0)
+
+
+@pytest.mark.parametrize("reps", [2.5, 2.0, "3", None])
+def test_run_grid_refuses_a_non_integer_reps(reps):
+    with pytest.raises(ConfigError, match=f"^run_grid needs an integer number of replicates reps, got {re.escape(repr(reps))}$"):
+        run_grid([10], [1], ["ppi"], reps=reps)
+
+
+def test_run_grid_names_a_non_integer_n_or_ratio():
+    with pytest.raises(ConfigError, match="^DgpSpec n must be an integer"):
+        run_grid([10.0], [1], ["ppi"], reps=2)
+    with pytest.raises(ConfigError, match="^DgpSpec ratio must be an integer"):
+        run_grid([10], [True], ["ppi"], reps=2)
 
 
 def test_csv_header_and_round_trip():
