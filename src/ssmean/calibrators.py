@@ -71,7 +71,8 @@ class StepCalibrator:
     the isotonic fit, values are nondecreasing and boundaries[j] is the
     smallest training score of block j, so this floor lookup reproduces the
     fitted value of every training point exactly. Equal boundaries leave an
-    empty block.
+    empty block; boundaries that are NaN or decrease are refused with
+    ConfigError, since the map would then disagree with its own steps().
     """
 
     boundaries: np.ndarray
@@ -79,7 +80,11 @@ class StepCalibrator:
     fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boundaries", _freeze(self.boundaries))
+        b = _freeze(self.boundaries)
+        # a NaN fails every comparison, so only a lone first boundary needs its own test
+        if b.ndim != 1 or len(b) == 0 or math.isnan(b[0]) or not (b[1:] >= b[:-1]).all():
+            raise ConfigError("boundaries must be a nonempty nondecreasing vector with no NaN")
+        object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "values", _freeze(self.values))
         if len(self.values) != len(self.boundaries):
             raise DimensionError("values must have one entry per boundary")
@@ -145,12 +150,24 @@ class SigmoidCalibrator:
         return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
 
 
+def _checked_edges(edges) -> np.ndarray:
+    """A read-only copy of histogram edges; ConfigError unless finite, strictly increasing and at least two."""
+    edges = _freeze(edges)
+    # a NaN fails every comparison, and only the end edges of an increasing vector can be infinite
+    increasing = edges.ndim == 1 and len(edges) >= 2 and (edges[1:] > edges[:-1]).all()
+    if not (increasing and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        raise ConfigError("edges must be a finite, strictly increasing vector with at least two entries")
+    return edges
+
+
 @dataclass(frozen=True)
 class BinnedCalibrator:
     """Per-bin outcome means on a fixed partition; empty bins use the fallback.
 
     Scores below and above the partition take the end bins' means, so this
     is a step function with StepCalibrator's floor lookup at the inner edges.
+    The edges must be finite and strictly increasing, at least two of them
+    (ConfigError otherwise).
     """
 
     edges: np.ndarray
@@ -160,7 +177,7 @@ class BinnedCalibrator:
     fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _freeze(self.edges))
+        object.__setattr__(self, "edges", _checked_edges(self.edges))
         object.__setattr__(self, "bin_means", _freeze(self.bin_means))
         if len(self.bin_means) != len(self.edges) - 1:
             raise DimensionError("bin_means must have one entry per bin")
@@ -239,10 +256,10 @@ def pava(values, weights) -> np.ndarray:
 def _isotonic_sorted(s: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Boundaries and values of the isotonic fit of pairs given in ascending score order.
 
-    fit_isotonic calls it after its stable sort. Cross-validation calls it on
-    the training rows of one stable sort of the whole labeled sample, which
-    are in that same order, so its fold fits agree with fit_isotonic's bit for
-    bit.
+    fit_isotonic calls it after its stable sort. iso-cal's registry fit calls
+    it on a labeled sample in the sample's cached stable order, and auto-cal's
+    folds on the training rows of that order, so every one of these fits agrees
+    with fit_isotonic's on the same rows bit for bit.
     """
     # tie blocks start where a sorted score differs from its left neighbour;
     # the bounds are the block starts followed by len(s)
@@ -272,8 +289,8 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     return StepCalibrator(boundaries, values, fitted_on=_freeze(np.column_stack((s, y))))
 
 
-def _linear_coefs(s: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    """Slope and intercept of the least-squares line of y on s (slope 0 for a constant s)."""
+def _linear_coefs(s: np.ndarray, y: np.ndarray) -> Tuple[float, float, Tuple[float, float]]:
+    """Slope and intercept of the least-squares line of y on s (slope 0 for a constant s), and y's clip range."""
     sc = s - s.mean()
     # weights sc / 2**e lie in (-1, 1), so no product below overflows; a power
     # of two scales both sums exactly, so the slope is sum(sc*yc) / sum(sc*sc)
@@ -283,7 +300,7 @@ def _linear_coefs(s: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
         slope = 0.0
     else:
         slope = float(np.dot(w, y - y.mean()) / denom)
-    return slope, float(y.mean() - slope * s.mean())
+    return slope, float(y.mean() - slope * s.mean()), (float(y.min()), float(y.max()))
 
 
 def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
@@ -296,9 +313,8 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     s, y = _check_xy(scores, outcomes)
     if len(s) < 2:
         raise DataError("linear calibration needs at least two labeled points")
-    slope, intercept = _linear_coefs(s, y)
-    clip_range = (float(y.min()), float(y.max())) if clip else None
-    return AffineCalibrator(slope, intercept, clip_range, fitted_on=_freeze(np.column_stack((s, y))))
+    slope, intercept, clip_range = _linear_coefs(s, y)
+    return AffineCalibrator(slope, intercept, clip_range if clip else None, fitted_on=_freeze(np.column_stack((s, y))))
 
 
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
@@ -411,14 +427,14 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     """Per-bin outcome means over a fixed partition of the score range.
 
     Default edges: DEFAULT_HISTOGRAM_BINS equal-width bins over the labeled
-    score range. Scores outside [edges[0], edges[-1]] clamp to the end bins;
-    empty bins predict the global labeled outcome mean.
+    score range (fewer when the range holds fewer distinct floats). Given
+    edges must be finite and strictly increasing, at least two of them.
+    Scores outside [edges[0], edges[-1]] clamp to the end bins; empty bins
+    predict the global labeled outcome mean.
     """
     s, y = _check_xy(scores, outcomes)
     if edges is not None:
-        edges = np.asarray(edges, dtype=np.float64)
-        if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
-            raise ConfigError("edges must be a strictly increasing vector with at least two entries")
+        edges = _checked_edges(edges)
     return BinnedCalibrator(*_histogram(s, y, edges), fitted_on=_freeze(np.column_stack((s, y))))
 
 
@@ -427,9 +443,15 @@ def _histogram(s: np.ndarray, y: np.ndarray, edges: Optional[np.ndarray] = None)
     if edges is None:
         lo, hi = float(s.min()), float(s.max())
         if lo == hi:
-            edges = np.array([lo, lo + 1.0])
+            # one bin; from 2**52 on lo + 1 may round to lo, and lo / 2 is a distinct edge
+            edges = np.array([lo, lo + 1.0] if abs(lo) < 2.0**52 else sorted((lo, 0.5 * lo)))
         else:
-            edges = np.linspace(lo, hi, DEFAULT_HISTOGRAM_BINS + 1)
+            # a width that overflows is taken over the halved range; doubling back is exact
+            scale = 2.0 if math.isinf(hi - lo) else 1.0
+            edges = scale * np.linspace(lo / scale, hi / scale, DEFAULT_HISTOGRAM_BINS + 1)
+            if not (edges[1:] > edges[:-1]).all():
+                # a range of fewer than eleven floats keeps its distinct edges
+                edges = np.unique(edges)
     nbins = len(edges) - 1
     idx = np.searchsorted(edges[1:-1], s, side="right")
     fallback = float(y.mean())

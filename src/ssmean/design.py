@@ -13,8 +13,10 @@ also kept scaled by the power of two that brings the scores into (-1, 1).
 Every estimate run on a sample, and every auto-cal fold that shares it,
 reuses them; this is what lets estimators.family_report summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
+A labeled sample keeps the stable order of its scores (score_order), which
+iso-cal's fit, auto-cal's folds and an iso-cal winner's refit all read.
 A sample's take(rows) gathers rows into a new sample without checking the
-values again; bootstrap replicates and auto-cal folds are built that way.
+values again; bootstrap replicates are built that way.
 """
 from __future__ import annotations
 
@@ -123,6 +125,13 @@ class LabeledSample:
         checked again, since they passed this sample's checks.
         """
         return _taken(self, rows)
+
+    @cached_property
+    def score_order(self) -> np.ndarray:
+        """Row indices of the scores in ascending order, ties in row order, read-only; sorted once, on first use."""
+        out = np.argsort(self.scores, kind="stable")
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

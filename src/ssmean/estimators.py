@@ -8,12 +8,14 @@ which is unbiased for E[Y] for any fixed f. A method is nothing but its fit
 of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
 rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 (ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), or the shrunk
-interval map of venn-abers. REGISTRY maps every method name to its fit, and
-_family_core is the one place that turns adjustment values into psi and its
-SE: family_report adds the interval and diagnostics, and Method.point, which
-the bootstrap runs per replicate, returns psi alone. Its labeled influence
-values come from _labeled_influence, which auto-cal's cross-validation also
-calls, on the rows of all its folds at once.
+interval map of venn-abers. REGISTRY maps every method name to its fit; a
+selectable method's is one fit of labeled pairs, which auto-cal's folds also
+call, on the pairs in ascending score order. _family_core is the one place
+that turns adjustment values into psi and its SE: family_report adds the
+interval and diagnostics, and Method.point, which the bootstrap runs per
+replicate, returns psi alone. Its labeled influence values come from
+_labeled_influence, which auto-cal's cross-validation also calls, on the
+rows of all its folds at once.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
@@ -251,10 +253,6 @@ def _fit_ppi(design: TwoSampleDesign) -> Adjuster:
     return Adjuster(cal.AffineCalibrator(1.0 / (1.0 - design.rho), 0.0))
 
 
-def _fit_aipw(design: TwoSampleDesign) -> Adjuster:
-    return Adjuster(cal.AffineCalibrator(1.0, 0.0))
-
-
 def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]):
     y, m, rho = design.labeled.outcomes, design.labeled.scores, design.rho
     # the unlabeled side is its sample's cached moments of m / 2**e_u; no score is read
@@ -346,11 +344,6 @@ def _calibrated(calibrator) -> Adjuster:
     return Adjuster(calibrator, describe)
 
 
-def _fit_linear(design: TwoSampleDesign) -> Adjuster:
-    lab = design.labeled
-    return _calibrated(cal.fit_linear(lab.scores, lab.outcomes, clip=True))
-
-
 def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
     lab = design.labeled
     if lab.covariates is None:
@@ -361,19 +354,10 @@ def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
     return _calibrated(calib)
 
 
-def _fit_platt(design: TwoSampleDesign) -> Adjuster:
-    lab = design.labeled
-    if not np.all((lab.outcomes == 0.0) | (lab.outcomes == 1.0)):
+def _fit_platt(s: np.ndarray, y: np.ndarray) -> Adjuster:
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("platt-cal requires binary outcomes in {0, 1}")
-    return _calibrated(cal.fit_platt(lab.scores, lab.outcomes))
-
-
-def _fit_isotonic(design: TwoSampleDesign) -> Adjuster:
-    return _calibrated(cal.fit_isotonic(design.labeled.scores, design.labeled.outcomes))
-
-
-def _fit_histogram(design: TwoSampleDesign) -> Adjuster:
-    return _calibrated(cal.fit_histogram(design.labeled.scores, design.labeled.outcomes))
+    return _calibrated(cal.fit_platt(s, y))
 
 
 def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
@@ -435,17 +419,26 @@ def _check_n(design: TwoSampleDesign, name: str) -> None:
 class Method:
     """A registry entry: the fit that gives a method its adjuster f.
 
-    Selectable fits read only the labeled scores and outcomes, so
-    cross-validation and cross-fitting may refit them on any labeled subsample.
-    fold_fit(scores, outcomes), where a selectable method has one, returns the
-    map f of fit from labeled pairs given in stable ascending score order (the
-    same map, up to the order of its sums), with no design built and no
-    training pairs kept; cross-validation fits its folds with it.
+    A selectable method is one fit of labeled pairs, pair_fit(scores,
+    outcomes), which reads nothing else, so cross-validation and cross-fitting
+    call it on any labeled subsample. An ordered pair fit (iso-cal's) reads
+    the pairs in stable ascending score order: its fit(design) is pair_fit on
+    the labeled sample in the sample's cached score_order. The others give
+    the same map for the pairs in any order, up to the order of their sums,
+    and their fit(design) takes the pairs as stored, with no sort. Any other
+    method is its design_fit.
     """
 
-    fit: Optional[Callable[[TwoSampleDesign], Adjuster]]
-    selectable: bool = False
-    fold_fit: Optional[Callable[[np.ndarray, np.ndarray], Callable[..., np.ndarray]]] = None
+    design_fit: Optional[Callable[[TwoSampleDesign], Adjuster]] = None
+    pair_fit: Optional[Callable[[np.ndarray, np.ndarray], Adjuster]] = None
+    ordered: bool = False
+
+    def fit(self, design: TwoSampleDesign) -> Adjuster:
+        if self.pair_fit is None:
+            return self.design_fit(design)
+        lab = design.labeled
+        rows = lab.score_order if self.ordered else slice(None)
+        return self.pair_fit(lab.scores[rows], lab.outcomes[rows])
 
     def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         """The method's report; every method needs n >= 2 for an honest standard error."""
@@ -494,18 +487,16 @@ class _AutoCal(Method):
 REGISTRY = {
     "labeled-only": _LabeledOnly(_fit_zero),
     "ppi": Method(_fit_ppi),
-    "aipw": Method(_fit_aipw, True, lambda s, y: cal.AffineCalibrator(1.0, 0.0)),
+    "aipw": Method(pair_fit=lambda s, y: Adjuster(cal.AffineCalibrator(1.0, 0.0))),
     "ppi-pp": Method(_fit_ppi_pp),
     "aipw-em": Method(_fit_aipw_em),
-    "linear-cal": Method(
-        _fit_linear, True, lambda s, y: cal.AffineCalibrator(*cal._linear_coefs(s, y), (float(y.min()), float(y.max())))
-    ),
+    "linear-cal": Method(pair_fit=lambda s, y: _calibrated(cal.AffineCalibrator(*cal._linear_coefs(s, y)))),
     "linear-cov-cal": Method(_fit_linear_cov),
-    "platt-cal": Method(_fit_platt, selectable=True),
-    "iso-cal": Method(_fit_isotonic, True, lambda s, y: cal.StepCalibrator(*cal._isotonic_sorted(s, y))),
-    "hist-cal": Method(_fit_histogram, True, lambda s, y: cal.BinnedCalibrator(*cal._histogram(s, y))),
+    "platt-cal": Method(pair_fit=_fit_platt),
+    "iso-cal": Method(pair_fit=lambda s, y: _calibrated(cal.StepCalibrator(*cal._isotonic_sorted(s, y))), ordered=True),
+    "hist-cal": Method(pair_fit=lambda s, y: _calibrated(cal.BinnedCalibrator(*cal._histogram(s, y)))),
     "venn-abers": Method(_fit_venn_abers),
-    "auto-cal": _AutoCal(None),
+    "auto-cal": _AutoCal(),
 }
 
 METHOD_NAMES = tuple(REGISTRY)

@@ -4,6 +4,7 @@ The influence-function standard error is computed by estimators.family_report.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Tuple
@@ -29,9 +30,11 @@ def normal_quantile(p: float) -> float:
 
 
 def wald_interval(estimate: float, se: float, alpha: float) -> Tuple[float, float]:
-    """estimate +/- z_{1-alpha/2} * se; ConfigError unless se is finite and >= 0."""
+    """estimate +/- z_{1-alpha/2} * se; ConfigError unless the estimate is finite and se finite and >= 0."""
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if not math.isfinite(estimate):
+        raise ConfigError(f"estimate must be finite, got {estimate!r}")
     if not 0.0 <= se < np.inf:
         raise ConfigError(f"standard error must be finite and nonnegative, got {se!r}")
     z = normal_quantile(1.0 - alpha / 2.0)

@@ -3,10 +3,10 @@
 autocal_select picks among candidate estimators by the cross-validated
 influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
-fold plus a capped unlabeled subsample. The labeled sample is sorted once;
-every fold fit reads that order with the fold's rows masked out, and the
-criterion of all folds comes from per-fold sums (np.bincount over fold ids),
-with no design, report or family core built per held-out fold.
+fold plus a capped unlabeled subsample. Every fold refits a candidate by its
+one pair fit on the labeled sample's cached score order, the fold's rows
+masked out, and the criterion of all folds comes from per-fold sums
+(np.bincount over fold ids), with no design, report or family core per fold.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, List, Tuple
 
@@ -50,8 +51,8 @@ TIE_RTOL = 1e-12
 
 
 def _check_selectable(name: str, role: str) -> None:
-    if not REGISTRY[name].selectable:
-        choices = ", ".join(key for key, method in REGISTRY.items() if method.selectable)
+    if REGISTRY[name].pair_fit is None:
+        choices = ", ".join(key for key, method in REGISTRY.items() if method.pair_fit is not None)
         raise ConfigError(f"{name!r} {role}; choose from {choices}")
 
 
@@ -64,6 +65,8 @@ class CandidateSet:
     unlabeled_cap_factor: int = 10
 
     def __post_init__(self):
+        if isinstance(self.methods, str):
+            raise ConfigError(f"methods must be a list of method names, got the string {self.methods!r}")
         if not self.methods:
             raise ConfigError("candidate list is empty")
         self.methods = [method_name(m) for m in self.methods]
@@ -122,9 +125,9 @@ def autocal_select(
     The labeled sample is shuffled once (by seed) into K contiguous folds,
     with K clamped so every fold holds at least two points; the unlabeled
     evaluation subsample of size min(N, cap_factor * n) is drawn once per
-    call. The labeled rows are sorted once by score (a stable sort), and
-    each fold is fit on that order with its own rows masked out, through the
-    method's fold_fit where it has one and its registry fit otherwise. The
+    call. Each fold is fit by the candidate's pair fit on the labeled rows
+    in the sample's cached score order (a stable sort, which an iso-cal
+    winner's refit reuses) with the fold's own rows masked out. The
     criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
     comes from per-fold sums. Criteria within TIE_RTOL of the smallest
     count as tied, and the first of them in candidate order wins. The winner
@@ -146,7 +149,7 @@ def autocal_select(
         # the folds then share the design's sample, and its sort, with the winner's refit
         unl_sub = design.unlabeled
     lab = design.labeled
-    order = np.argsort(lab.scores, kind="stable")
+    order = lab.score_order
     s, y, fold = lab.scores[order], lab.outcomes[order], fold_of[order]
     held = np.bincount(fold, minlength=k)
     # per fold: its rows, then the training pairs and the held-out scores, in score order
@@ -156,13 +159,10 @@ def autocal_select(
     for name in candidates.methods:
         if name in criteria:  # duplicate candidates: first occurrence wins
             continue
-        method = REGISTRY[name]
+        pair_fit = REGISTRY[name].pair_fit
         f_l, mu, css = np.empty(n), np.empty(k), np.empty(k)
         for j, (out, s_train, y_train, s_held) in enumerate(splits):
-            if method.fold_fit is None:
-                f = method.fit(TwoSampleDesign(lab.take(fold_of != j), unl_sub)).f
-            else:
-                f = method.fold_fit(s_train, y_train)
+            f = pair_fit(s_train, y_train).f
             f_l[out] = cal.predict(f, s_held)
             _, mu[j], css[j] = _unlabeled_side(f, unl_sub)
         criteria[name] = _cv_criterion(f_l, y, fold, held, cap, mu, css)
@@ -229,6 +229,10 @@ def crossfit_calibrated(
     n = len(y)
     if x_l.shape[0] != n:
         raise DataError(f"labeled covariates have {x_l.shape[0]} rows, outcomes have {n}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ConfigError(f"cross-fitting needs an integer number of folds k, got {k!r}") from None
     if k < 2:
         raise ConfigError(f"cross-fitting needs k >= 2 folds, got {k}")
     if k > n:

@@ -56,6 +56,8 @@ class DgpSpec:
                 raise ConfigError(f"DgpSpec {name} must be an integer, got {value!r}")
             if value < low:
                 raise ConfigError(f"need {name} >= {low}, got {value}")
+        if not isinstance(self.miscalibrated, (bool, np.bool_)):
+            raise ConfigError(f"DgpSpec miscalibrated must be a bool, got {self.miscalibrated!r}")
 
 
 def true_regression(s) -> np.ndarray:
@@ -134,7 +136,8 @@ def run_grid(
     rows: List[McSummary] = []
     for n in ns:
         for ratio in ratios:
-            DgpSpec(n, ratio, seed)  # names a bad n, ratio or seed before a seed is derived from it
+            # names a bad n, ratio, seed or miscalibrated before a seed is derived from it
+            DgpSpec(n, ratio, seed, miscalibrated)
             est = {name: np.empty(reps) for name in names}
             cov = {name: np.empty(reps, dtype=bool) for name in names}
             ppi_est = np.empty(reps)

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from ssmean import (
     AffineCalibrator,
+    BinnedCalibrator,
     ConfigError,
     DataError,
     DimensionError,
+    StepCalibrator,
     design_from_arrays,
     estimate,
     fit_histogram,
@@ -348,8 +350,40 @@ def test_histogram_single_datum_per_bin_is_identity():
 
 
 def test_histogram_unsorted_edges_rejected():
-    with pytest.raises(ConfigError):
-        fit_histogram([0.5], [1.0], edges=[1.0, 0.0])
+    # a hand-built map with a decreasing edge gave a counted unlabeled mean unlike its values per score
+    malformed = ([1.0, 0.0], [0.0, 0.7, 0.3, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [0.5], [0.0, 0.0, 1.0])
+    for edges in malformed:
+        with pytest.raises(ConfigError, match="^edges must be a finite, strictly increasing vector"):
+            fit_histogram([0.5], [1.0], edges=edges)
+        with pytest.raises(ConfigError, match="^edges must be a finite, strictly increasing vector"):
+            BinnedCalibrator(edges, np.full(max(len(edges) - 1, 0), 0.5), 0.5)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [[1.0, np.nextafter(1.0, 2.0)], [-1e308, 1e308], [3e17, 3e17], [np.finfo(float).max] * 2, [0.5, 0.5]],
+    ids=["adjacent-floats", "overflowing-width", "equal-beyond-2**53", "equal-at-float-max", "equal"],
+)
+def test_histogram_default_edges_hold_for_any_finite_scores(scores):
+    s = np.array(scores * 2)
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    cal = fit_histogram(s, y)
+    assert np.isfinite(cal.edges).all() and (cal.edges[1:] > cal.edges[:-1]).all()
+    assert cal.edges[0] <= s.min() and s.max() <= cal.edges[-1]
+    rep = estimate(design_from_arrays(s, y, s[:3]), "hist-cal")
+    assert rep.estimate == pytest.approx(float(np.mean(predict(cal, s[:3]))) * 3 / 7 + 0.5 * 4 / 7)
+
+
+@pytest.mark.parametrize("boundaries", [[0.0, 0.8, 0.5], [0.0, np.nan, 1.0], [np.nan], [], [[0.0, 1.0]]])
+def test_step_calibrator_refuses_nan_or_decreasing_boundaries(boundaries):
+    with pytest.raises(ConfigError, match="^boundaries must be a nonempty nondecreasing vector with no NaN$"):
+        StepCalibrator(boundaries, np.zeros(np.shape(boundaries)))
+
+
+def test_step_calibrator_accepts_a_leading_minus_inf_and_equal_boundaries():
+    f = StepCalibrator([-np.inf, 0.2, 0.2, 0.5], [0.0, 1.0, 2.0, 3.0])
+    # the tied boundaries leave block 1 empty
+    assert predict(f, [-1e300, 0.1, 0.2, 0.3, 0.5, 9.0]).tolist() == [0.0, 0.0, 2.0, 2.0, 3.0, 3.0]
 
 
 def test_histogram_out_of_range_clamps_to_end_bins():

@@ -86,6 +86,20 @@ def test_sorted_scores_are_cached_and_read_only():
     assert s.scores.tolist() == [3.0, 1.0, 2.0, 1.0]
 
 
+def test_labeled_score_order_is_stable_cached_and_read_only():
+    lab = LabeledSample([3.0, 1.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert lab.score_order is lab.score_order
+    # tied scores keep their row order
+    assert lab.score_order.tolist() == [1, 3, 2, 0, 4]
+    assert not lab.score_order.flags.writeable
+    with pytest.raises(ValueError):
+        lab.score_order[0] = 0
+    # a taken sample sorts its own rows rather than inheriting its parent's order
+    taken = lab.take([4, 3, 0, 1])
+    assert "score_order" not in vars(taken)
+    assert taken.score_order.tolist() == [1, 3, 0, 2]
+
+
 def test_score_moments_survive_overflowing_squares():
     # the centered squares near 1e160 overflow, but the root of their sum does not
     s = UnlabeledSample(np.array([1.0, 2.0, 3.0, 6.0]) * 1e160)

@@ -433,6 +433,18 @@ def test_manual_calibrator_without_fingerprint_is_allowed():
     assert rep.estimate == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_iso_cal_registry_map_is_fit_isotonic_bit_for_bit(seed):
+    # tie-heavy scores, given out of order: the registry fit reads the sample's cached stable sort
+    rng = np.random.default_rng(seed)
+    m_l = np.round(rng.uniform(size=300), 1)
+    d = design_from_arrays(m_l, rng.normal(m_l), rng.uniform(size=50))
+    got = REGISTRY["iso-cal"].fit(d).f
+    want = fit_isotonic(m_l, d.labeled.outcomes)
+    assert np.array_equal(got.boundaries, want.boundaries)
+    assert np.array_equal(got.values, want.values)
+
+
 # each calibrator fit with the arguments its estimate() method passes
 PLUGIN_FITS = {
     "linear-cal": lambda s, y, x: fit_linear(s, y, clip=True),

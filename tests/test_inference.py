@@ -181,6 +181,12 @@ def test_wald_interval_refuses_a_standard_error_that_is_not_finite_and_nonnegati
         wald_interval(0.0, se, 0.05)
 
 
+@pytest.mark.parametrize("estimate", [float("nan"), float("inf"), -float("inf")])
+def test_wald_interval_refuses_an_estimate_that_is_not_finite(estimate):
+    with pytest.raises(ConfigError, match=f"^estimate must be finite, got {estimate!r}$"):
+        wald_interval(estimate, 1.0, 0.05)
+
+
 def test_normal_quantile_reference_values():
     assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
     assert normal_quantile(0.84) == pytest.approx(0.994457883209753, abs=1e-9)

@@ -1,7 +1,10 @@
 """Package-level checks of the public surface."""
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,15 @@ FITS = [name for name in calibrators.__all__ if name.startswith("fit_")]
 def test_every_name_in_all_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_importing_the_package_and_its_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes a large share of import time; only the first isotonic fit loads it
+    src = os.path.dirname(os.path.dirname(ssmean.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ssmean, ssmean.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("name", FITS)

@@ -161,8 +161,9 @@ def test_uncapped_selection_evaluates_the_design_sample_itself():
     names = ["aipw", "linear-cal", "iso-cal", "hist-cal"]
     winner, report = autocal_select(d, CandidateSet(names), seed=3)
     assert report.diagnostics["cv_unlabeled_subsample"] == d.N
-    # the folds sorted the design's own sample, which the winner's refit shares
+    # the folds sorted the design's own samples, which the winner's refit shares
     assert "sorted_scores" in vars(d.unlabeled)
+    assert "score_order" in vars(d.labeled)
     want = cv_criteria_oracle(d, names, 20, seed=3)
     assert winner == first_within_tie(want)
     for name in names:
@@ -209,6 +210,8 @@ def test_selection_matches_per_fold_oracle(case):
 def test_candidate_validation():
     with pytest.raises(ConfigError):
         CandidateSet([])
+    with pytest.raises(ConfigError, match="^methods must be a list of method names, got the string 'aipw'$"):
+        CandidateSet("aipw")
     with pytest.raises(ConfigError):
         CandidateSet(["labeled-only"])
     with pytest.raises(ConfigError):
@@ -297,6 +300,13 @@ def test_crossfit_unlabeled_average_symmetric_in_folds():
     consts = rng.normal(size=3)
     preds = np.stack([np.full(5, c) for c in consts])
     assert np.allclose(preds.mean(axis=0), preds[::-1].mean(axis=0))
+
+
+@pytest.mark.parametrize("k", [2.5, "3", None])
+def test_crossfit_refuses_a_non_integer_k(k):
+    x, y = np.arange(8.0), np.arange(8.0) % 2
+    with pytest.raises(ConfigError, match=f"^cross-fitting needs an integer number of folds k, got {k!r}$"):
+        crossfit_calibrated(x, y, x, mean_trainer, k=k)
 
 
 def test_crossfit_errors():

@@ -61,8 +61,14 @@ def test_dgp_spec_bounds_and_numpy_integers():
     for field, low in (("n", 2), ("ratio", 1), ("seed", 0)):
         with pytest.raises(ConfigError, match=f"^need {field} >= {low}, got {low - 1}$"):
             DgpSpec(**{"n": 10, "ratio": 2, "seed": 0, field: low - 1})
-    spec = DgpSpec(n=np.int64(10), ratio=np.int32(2), seed=np.uint64(7))
+    spec = DgpSpec(n=np.int64(10), ratio=np.int32(2), seed=np.uint64(7), miscalibrated=np.bool_(True))
     assert np.array_equal(draw_dataset(spec).unlabeled.scores, draw_dataset(DgpSpec(10, 2, 7)).unlabeled.scores)
+
+
+@pytest.mark.parametrize("value", ["no", 2, 1, None, 0.0])
+def test_dgp_spec_miscalibrated_must_be_a_bool(value):
+    with pytest.raises(ConfigError, match=f"^DgpSpec miscalibrated must be a bool, got {re.escape(repr(value))}$"):
+        DgpSpec(10, 2, 0, miscalibrated=value)
 
 
 def test_target_mean_is_half_by_symmetry():
@@ -154,6 +160,8 @@ def test_run_grid_names_a_non_integer_n_or_ratio():
         run_grid([10.0], [1], ["ppi"], reps=2)
     with pytest.raises(ConfigError, match="^DgpSpec ratio must be an integer"):
         run_grid([10], [True], ["ppi"], reps=2)
+    with pytest.raises(ConfigError, match="^DgpSpec miscalibrated must be a bool"):
+        run_grid([10], [1], ["ppi"], reps=2, miscalibrated="no")
 
 
 def test_csv_header_and_round_trip():
