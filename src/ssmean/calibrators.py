@@ -25,6 +25,7 @@ pairs to refuse a calibrator fit on another sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -614,6 +615,8 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     tie-pooled sample (_inserted_point_values). The fit costs
     O(n log n + k log^2 k), and evaluating it at N scores O(N log k).
     """
+    if not (isinstance(shrink_target, numbers.Real) and math.isfinite(shrink_target)):
+        raise ConfigError(f"shrink_target must be a finite real number, got {shrink_target!r}")
     s, y = _check_xy(scores, outcomes)
     if (y < 0).any() or (y > 1).any():
         raise DataError("outcomes must lie in [0, 1]; rescale before calling")

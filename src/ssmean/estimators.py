@@ -10,12 +10,14 @@ rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 (ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), or the shrunk
 interval map of venn-abers. REGISTRY maps every method name to its fit; a
 selectable method's is one fit of labeled pairs, which auto-cal's folds also
-call, on the pairs in ascending score order. _family_core is the one place
-that turns adjustment values into psi and its SE: family_report adds the
-interval and diagnostics, and Method.point, which the bootstrap runs per
-replicate, returns psi alone. Its labeled influence values come from
-_labeled_influence, which auto-cal's cross-validation also calls, on the
-rows of all its folds at once.
+call, on the pairs in ascending score order. _family_core is the only code
+of the family algebra: from the labeled values of f, the outcomes and the
+unlabeled summary it gives the plug-in, the residual mean, psi, the labeled
+influence values and the sum of squares of the SE. family_report and
+Adjuster.report build each report from it once; Method.point, which the
+bootstrap runs per replicate, keeps psi alone; auto-cal's cross-validation
+runs it once per candidate with every fold its own design; and
+ate_two_arm takes each arm's influence values and plug-in from it.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
@@ -44,6 +46,7 @@ a standard error that overflows float64.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -52,7 +55,7 @@ import numpy as np
 from . import calibrators as cal
 from .design import EstimateReport, TwoSampleDesign, UnlabeledSample
 from .exceptions import ConfigError, DataError, DimensionError, MisuseError
-from .inference import wald_interval
+from .inference import _check_alpha, wald_interval
 
 __all__ = [
     "Adjuster",
@@ -116,45 +119,58 @@ def _summary(values: np.ndarray) -> UnlabeledSummary:
         raise DataError("adjustment values must be finite")
     mean = float(values.mean())
     dev = values - mean
-    # an overflowing square makes css inf, which family_report refuses
+    # an overflowing square makes css inf, which _family_core refuses
     with np.errstate(over="ignore"):
         return UnlabeledSummary(len(dev), mean, float(np.sum(np.square(dev, out=dev))))
 
 
-def _labeled_influence(f_l, y, rho, plugin, psi):
-    """D_L = a - psi + (Y - a)/rho on the labeled rows, with a = f + (psi - plugin).
+# the family algebra of one design, or per fold of every fold's design
+_Core = namedtuple("_Core", "plugin residual_mean psi total d_l")
 
-    rho, plugin and psi are scalars, or per-row arrays when the rows come
-    from several designs (cross-validation folds).
+
+def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
+    """The family algebra: plugin, residual mean, psi, total = sum D_L^2 + sum D_U^2, and D_L.
+
+    f_l and y are the labeled values of f and the outcomes, and unlabeled is
+    (count, mean, css) of f on the unlabeled rows. With a = f + (psi - plugin),
+    D_L = a - psi + (Y - a)/rho and D_U = a - psi = f - plugin, whose squares
+    sum to css + count (mean - plugin)^2; SE = sqrt(total) / (n + count).
+    folds = (fold, held) makes each fold j a design of its held[j] labeled
+    rows and the summary's mean[j] and css[j], with per-fold results from
+    np.bincount sums; without folds the sums are np.sum, as in .mean(). A
+    total that overflows float64 is refused with DataError naming method.
     """
-    a_l = f_l + (psi - plugin)
-    return a_l - psi + (y - a_l) / rho
-
-
-def _family_core(scored: ScoredDesign, method: str) -> Tuple[float, float, float, float]:
-    """The family algebra of a scored design: (plugin, residual_mean, psi, se).
-
-    With a = f + (psi - plugin), the influence values are D_L = a - psi +
-    (Y - a)/rho on the labeled rows and D_U = a - psi = f - plugin on the
-    unlabeled rows, and SE = sqrt(sum D_L^2 + sum D_U^2) / (n + N). The
-    unlabeled sum is css + N (mean - plugin)^2 of the summary. A standard
-    error that overflows float64 is refused with DataError naming method.
-    """
-    d = scored.design
-    fl, fu = scored.f_labeled, scored.f_unlabeled
-    rho = d.rho
-    plugin = float(rho * fl.mean() + (1.0 - rho) * fu.mean)
-    residual_mean = float((d.labeled.outcomes - fl).mean())
-    psi = plugin + residual_mean
-    d_l = _labeled_influence(fl, d.labeled.outcomes, rho, plugin, psi)
-    gap = fu.mean - plugin
-    # an overflowing square makes the SE inf, which is refused below
-    with np.errstate(over="ignore"):
-        total = float(np.sum(d_l**2)) + fu.css + fu.count * gap * gap
-    se = float(np.sqrt(total)) / d.m_total
-    if not np.isfinite(se):
+    count, mean_u, css = unlabeled
+    # an overflowing value makes total non-finite, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if folds is None:
+            n, per_row = len(f_l), lambda v: v
+            mean_l, residual_mean = float(np.sum(f_l)) / n, float(np.sum(y - f_l)) / n
+        else:
+            fold, n = folds
+            k, per_row = len(n), lambda v: v[fold]
+            mean_l, residual_mean = np.bincount(fold, f_l, k) / n, np.bincount(fold, y - f_l, k) / n
+        rho = n / (n + count)
+        plugin = rho * mean_l + (1.0 - rho) * mean_u
+        psi = plugin + residual_mean
+        a_l = f_l + per_row(psi - plugin)
+        d_l = a_l - per_row(psi) + (y - a_l) / per_row(rho)
+        sq = d_l * d_l
+        gap = mean_u - plugin
+        total = (float(np.sum(sq)) if folds is None else np.bincount(fold, sq, k)) + css + count * gap * gap
+    if not np.isfinite(total).all():
         raise DataError(f"{method}: standard error overflows float64; rescale the scores and outcomes")
-    return plugin, residual_mean, psi, se
+    return _Core(plugin, residual_mean, psi, total, d_l)
+
+
+def _report(scored: ScoredDesign, method: str, alpha: float, describe) -> EstimateReport:
+    """The core's report of scored; describe(scored) runs once the core has found the SE finite."""
+    d = scored.design
+    core = _family_core(scored.f_labeled, d.labeled.outcomes, scored.f_unlabeled, method)
+    se = math.sqrt(core.total) / d.m_total
+    lo, hi = wald_interval(core.psi, se, alpha)
+    diagnostics = {"plugin_estimate": core.plugin, "aipw_estimate": core.psi, "residual_mean": core.residual_mean}
+    return EstimateReport(core.psi, se, lo, hi, alpha, method, d.n, d.N, {**diagnostics, **describe(scored)})
 
 
 def family_report(
@@ -167,18 +183,9 @@ def family_report(
 
     Every report carries plugin_estimate (the pooled mean of f), residual_mean
     (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
-    the method's own diagnostics follow.
+    the given diagnostics follow.
     """
-    plugin, residual_mean, psi, se = _family_core(scored, method)
-    lo, hi = wald_interval(psi, se, alpha)
-    diagnostics = {
-        "plugin_estimate": plugin,
-        "aipw_estimate": psi,
-        "residual_mean": residual_mean,
-        **(diagnostics or {}),
-    }
-    d = scored.design
-    return EstimateReport(psi, se, lo, hi, alpha, method, d.n, d.N, diagnostics)
+    return _report(scored, method, alpha, lambda _: diagnostics or {})
 
 
 def _no_diagnostics(scored: ScoredDesign) -> dict:
@@ -235,10 +242,7 @@ class Adjuster(NamedTuple):
         )
 
     def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
-        scored = self.scored(design)
-        # describe only data whose standard error family_report has found finite
-        report = family_report(scored, method, alpha)
-        return replace(report, diagnostics={**report.diagnostics, **self.describe(scored)})
+        return _report(self.scored(design), method, alpha, self.describe)
 
 
 # --- adjusters ---------------------------------------------------------------
@@ -375,7 +379,10 @@ def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
         span = float(y.max()) - lo if y.max() > y.min() else 1.0
     rho = design.rho
     # the aipw estimate; the unlabeled score mean is the sample's cached one
-    anchor = float(rho * m_l.mean() + (1.0 - rho) * design.unlabeled.score_moments[0]) + float((y - m_l).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchor = float(rho * m_l.mean() + (1.0 - rho) * design.unlabeled.score_moments[0]) + float((y - m_l).mean())
+    if not math.isfinite(anchor):
+        raise DataError("venn-abers: the aipw anchor overflows float64; rescale the scores and outcomes")
     # the anchor must live on the calibration (rescaled) outcome scale
     target_scaled = (anchor - lo) / span
     va = cal.fit_venn_abers(m_l, (y - lo) / span, target_scaled)
@@ -448,7 +455,8 @@ class Method:
     def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
         """run(...).estimate with the same refusals, but with no interval or diagnostics built."""
         _check_n(design, name)
-        return _family_core(self.fit(design).scored(design), name)[2]
+        scored = self.fit(design).scored(design)
+        return _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name).psi
 
     def report(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         return self.fit(design).report(design, name, alpha)
@@ -522,6 +530,5 @@ def estimate(
     subsample); every other method is deterministic in the data.
     """
     name = method_name(method)
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     return REGISTRY[name].run(design, name, alpha, seed)

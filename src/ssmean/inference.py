@@ -1,10 +1,11 @@
 """Wald intervals and the refitting bootstrap.
 
-The influence-function standard error is computed by estimators.family_report.
+The influence-function standard error is computed by estimators._family_core.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Tuple
@@ -29,15 +30,21 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+def _check_alpha(alpha) -> None:
+    """ConfigError naming alpha unless it is a real number in (0, 1); neither bool lies inside."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ConfigError(f"alpha must be a real number in (0, 1), got {alpha!r}")
+
+
 def wald_interval(estimate: float, se: float, alpha: float) -> Tuple[float, float]:
     """estimate +/- z_{1-alpha/2} * se; ConfigError unless the estimate is finite and se finite and >= 0."""
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not math.isfinite(estimate):
         raise ConfigError(f"estimate must be finite, got {estimate!r}")
     if not 0.0 <= se < np.inf:
         raise ConfigError(f"standard error must be finite and nonnegative, got {se!r}")
-    z = normal_quantile(1.0 - alpha / 2.0)
+    # a float32 alpha would take its quantile at float32 precision
+    z = normal_quantile(1.0 - float(alpha) / 2.0)
     return (estimate - z * se, estimate + z * se)
 
 
@@ -89,8 +96,7 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
         raise ConfigError(f"bootstrap needs an integer number of replicates b, got {b!r}") from None
     if b < 2:
         raise ConfigError(f"bootstrap needs b >= 2 replicates, got {b}")
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     point = estimate(design, method, alpha=alpha, seed=seed).estimate
     name = method_name(method)
     lab, unl = design.labeled, design.unlabeled

@@ -5,8 +5,9 @@ influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
 fold plus a capped unlabeled subsample. Every fold refits a candidate by its
 one pair fit on the labeled sample's cached score order, the fold's rows
-masked out, and the criterion of all folds comes from per-fold sums
-(np.bincount over fold ids), with no design, report or family core per fold.
+masked out. The criterion of all folds comes from one call of the family
+core per candidate, which takes every fold as its own design from per-fold
+sums (np.bincount over fold ids); no design or report is built per fold.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
@@ -29,13 +30,14 @@ from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .estimators import (
     REGISTRY,
     ScoredDesign,
-    _labeled_influence,
+    _family_core,
     _unlabeled_side,
     estimate,
     family_report,
     method_name,
 )
 from .exceptions import ConfigError, DataError
+from .inference import _check_alpha
 
 __all__ = [
     "CandidateSet",
@@ -88,32 +90,6 @@ def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> List[np.ndarray]:
     return np.array_split(perm, k)
 
 
-def _cv_criterion(f_l, y, fold, held, cap, mu, css) -> float:
-    """sum_j M_j SE_j^2 / k over held-out folds j, each with its own rows and the unlabeled subsample.
-
-    f_l and y are the labeled rows with their fold ids in fold; fold j holds
-    held[j] rows, its adjustment values f_l were fit without them, and
-    (mu[j], css[j]) summarise the same f on the cap subsample scores. With
-    M_j = held[j] + cap, M_j SE_j^2 = (sum D_L^2 + css + cap (mu - plugin)^2) / M_j
-    is the held-out influence variance of _family_core, taken here for every
-    fold at once from per-fold sums.
-    """
-    k = len(held)
-    m_total = held + cap
-    rho = held / m_total
-    plugin = rho * (np.bincount(fold, f_l, k) / held) + (1.0 - rho) * mu
-    psi = plugin + np.bincount(fold, y - f_l, k) / held
-    gap = mu - plugin
-    # an overflowing square makes the criterion inf, which is refused below
-    with np.errstate(over="ignore"):
-        d_l = _labeled_influence(f_l, y, rho[fold], plugin[fold], psi[fold])
-        total = np.bincount(fold, d_l * d_l, k) + css + cap * gap * gap
-        criterion = float(np.sum(total / m_total)) / k
-    if not math.isfinite(criterion):
-        raise DataError("auto-cal: standard error overflows float64; rescale the scores and outcomes")
-    return criterion
-
-
 def autocal_select(
     design: TwoSampleDesign,
     candidates: CandidateSet,
@@ -129,11 +105,13 @@ def autocal_select(
     in the sample's cached score order (a stable sort, which an iso-cal
     winner's refit reuses) with the fold's own rows masked out. The
     criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
-    comes from per-fold sums. Criteria within TIE_RTOL of the smallest
-    count as tied, and the first of them in candidate order wins. The winner
-    is refit on the full sample; its name is returned with its report, which
-    carries the CV table in diagnostics.
+    comes from the family core's per-fold totals. Criteria within TIE_RTOL
+    of the smallest count as tied, and the first of them in candidate order
+    wins. The winner is refit on the full sample; its name is returned with
+    its report, which carries the CV table in diagnostics.
     """
+    if not isinstance(candidates, CandidateSet):
+        raise ConfigError(f"candidates must be a CandidateSet, got {type(candidates).__name__}")
     n, N = design.n, design.N
     k = min(candidates.folds, n // 2)
     if k < 2:
@@ -165,7 +143,13 @@ def autocal_select(
             f = pair_fit(s_train, y_train).f
             f_l[out] = cal.predict(f, s_held)
             _, mu[j], css[j] = _unlabeled_side(f, unl_sub)
-        criteria[name] = _cv_criterion(f_l, y, fold, held, cap, mu, css)
+        # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
+        total = _family_core(f_l, y, (cap, mu, css), "auto-cal", (fold, held)).total
+        with np.errstate(over="ignore"):
+            criterion = float(np.sum(total / (held + cap))) / k
+        if not math.isfinite(criterion):
+            raise DataError("auto-cal: standard error overflows float64; rescale the scores and outcomes")
+        criteria[name] = criterion
 
     best = min(criteria.values())
     winner = next(name for name, c in criteria.items() if c - best <= TIE_RTOL * best)
@@ -219,6 +203,7 @@ def crossfit_calibrated(
     covariate matrix to a score vector. Trainers must be deterministic given
     their inputs; this is what makes cross-fitted results reproducible.
     """
+    _check_alpha(alpha)
     x_l = np.asarray(labeled_covariates, dtype=np.float64)
     if x_l.ndim == 1:
         x_l = x_l.reshape(-1, 1)

@@ -19,9 +19,9 @@ from scipy.special import expit
 from ._rng import SIM_DRAW, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .calibrators import predict
-from .estimators import REGISTRY, _labeled_influence, estimate, method_name
+from .estimators import REGISTRY, _family_core, estimate, method_name
 from .exceptions import ConfigError, DataError, DimensionError
-from .inference import wald_interval
+from .inference import _check_alpha, wald_interval
 
 __all__ = [
     "DgpSpec",
@@ -113,7 +113,6 @@ def run_grid(
     alpha: float = 0.05,
     seed: int = 0,
     miscalibrated: bool = True,
-    draw_fn=None,
 ) -> List[McSummary]:
     """Monte Carlo comparison over the (n, ratio) grid.
 
@@ -121,8 +120,7 @@ def run_grid(
     comparison is paired; each replicate uses its own substream derived from
     (seed, n, ratio, rep). Relative efficiency is MSE of the ppi method over
     the method's MSE, with ppi evaluated on the same replicates whether or not
-    it appears in the method list. draw_fn overrides the dataset draw (test
-    hook).
+    it appears in the method list.
     """
     try:
         reps = operator.index(reps)
@@ -131,8 +129,7 @@ def run_grid(
     if reps < 2:
         raise ConfigError(f"need reps >= 2, got {reps}")
     names = [method_name(m) for m in methods]
-    if draw_fn is None:
-        draw_fn = draw_dataset
+    _check_alpha(alpha)
     rows: List[McSummary] = []
     for n in ns:
         for ratio in ratios:
@@ -148,7 +145,7 @@ def run_grid(
                     seed=derive_seed(seed, SIM_DRAW, n, ratio, rep),
                     miscalibrated=miscalibrated,
                 )
-                design = draw_fn(spec)
+                design = draw_dataset(spec)
                 rep_seed = derive_seed(seed, SIM_DRAW, n, ratio, rep, 1)
                 for name in names:
                     report = estimate(design, name, alpha=alpha, seed=rep_seed)
@@ -207,17 +204,18 @@ def _score_pair(scores, arm: str):
 def _arm(own, outcomes, other, method: str, alpha: float, seed: int):
     """One arm's report and its influence values on its own units and on the other arm's.
 
-    The values are those whose sum of squares gives the arm's own SE: D_L on
-    the arm's labeled units and D_U = f - plugin on the other arm's units,
-    with f the fit of the method (auto-cal's winner) on the arm's design.
+    The values are those whose sum of squares gives the arm's own SE: the
+    core's D_L on the arm's labeled units and D_U = f - plugin on the other
+    arm's units, with f the fit of the method (auto-cal's winner) on the
+    arm's design.
     """
     design = design_from_arrays(own, outcomes, other)
     report = estimate(design, method, alpha=alpha, seed=seed)
-    diag = report.diagnostics
-    f = REGISTRY[diag.get("selected", method_name(method))].fit(design).f
-    plugin, lab = diag["plugin_estimate"], design.labeled
-    d_own = _labeled_influence(predict(f, lab.scores), lab.outcomes, design.rho, plugin, report.estimate)
-    return report, d_own, predict(f, design.unlabeled.scores) - plugin
+    name = report.diagnostics.get("selected", report.method)
+    adjuster = REGISTRY[name].fit(design)
+    scored = adjuster.scored(design)
+    core = _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name)
+    return report, core.d_l, predict(adjuster.f, design.unlabeled.scores) - core.plugin
 
 
 def ate_two_arm(
@@ -250,6 +248,7 @@ def ate_two_arm(
     values of the two arms. labeled-only, whose f is 0 and whose arms share
     no unit, combines its two ddof=1 arm errors as independent.
     """
+    _check_alpha(alpha)
     y1 = np.asarray(treated_outcomes, dtype=np.float64)
     y0 = np.asarray(control_outcomes, dtype=np.float64)
     if y1.size == 0 or y0.size == 0:

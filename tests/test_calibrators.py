@@ -502,6 +502,12 @@ def test_venn_abers_requires_unit_interval_outcomes():
         fit_venn_abers([0.1, 0.9], [0.0, 1.5], 0.5)
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, None])
+def test_venn_abers_refuses_a_shrink_target_that_is_not_finite(target):
+    with pytest.raises(ConfigError, match="^shrink_target must be a finite real number"):
+        fit_venn_abers([0.1, 0.2, 0.3], [0.0, 1.0, 1.0], target)
+
+
 def test_venn_abers_order_independent():
     rng = np.random.default_rng(23)
     s = rng.uniform(size=10)

@@ -18,6 +18,7 @@ from ssmean import (
     DataError,
     MisuseError,
     ScoredDesign,
+    ate_two_arm,
     bootstrap,
     calibrated_plugin,
     crossfit_calibrated,
@@ -31,6 +32,7 @@ from ssmean import (
     fit_platt,
     ols_trainer,
     run_grid,
+    wald_interval,
 )
 from ssmean.estimators import REGISTRY, _eem_lambda_full, family_report
 from ssmean.simulate import DgpSpec, draw_dataset
@@ -648,6 +650,60 @@ def test_unknown_method_name_is_refused_by_every_route(route, tmp_path, capsys):
     else:
         assert _cli_exit_code(tmp_path, *CLI_ROUTES[route]) == 2
         assert message in capsys.readouterr().err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before alpha was checked")
+
+
+ALPHA_ROUTES = {
+    "estimate": lambda d, a: estimate(d, "aipw", alpha=a),
+    "bootstrap": lambda d, a: bootstrap(d, "aipw", b=2, seed=0, alpha=a),
+    "wald_interval": lambda d, a: wald_interval(0.5, 0.1, a),
+    "family_report": lambda d, a: family_report(ScoredDesign(d, d.labeled.scores, d.unlabeled.scores), "aipw", a),
+    "calibrated_plugin": lambda d, a: calibrated_plugin(d, AffineCalibrator(1.0, 0.0), alpha=a),
+    # a draw or a trainer would fail with another error than ConfigError
+    "run_grid": lambda d, a: run_grid([10], [1], ["aipw"], reps=2, alpha=a),
+    "crossfit_calibrated": lambda d, a: crossfit_calibrated(
+        d.labeled.scores, d.labeled.outcomes, d.unlabeled.scores, _no_work, "iso-cal", k=2, alpha=a
+    ),
+    "ate_two_arm": lambda d, a: ate_two_arm(
+        [0.0, 1.0, 1.0], ([0.2, 0.5, 0.9], [0.3, 0.6]), [1.0, 0.0], ([0.4, 0.7], [0.1, 0.2, 0.8]), alpha=a
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", [None, "0.05", True, 0.0, 1.0, np.float64(1.5), float("nan")])
+@pytest.mark.parametrize("route", ALPHA_ROUTES)
+def test_alpha_outside_the_open_unit_interval_is_refused_by_every_route(route, alpha, monkeypatch):
+    monkeypatch.setattr("ssmean.simulate.draw_dataset", _no_work)
+    d = random_design(np.random.default_rng(46), n=8, N=6)
+    with pytest.raises(ConfigError, match=re.escape(f"alpha must be a real number in (0, 1), got {alpha!r}")):
+        ALPHA_ROUTES[route](d, alpha)
+
+
+def test_numpy_float_alpha_is_accepted():
+    d = random_design(np.random.default_rng(46), n=8, N=6)
+    assert estimate(d, "aipw", alpha=np.float64(0.1)) == estimate(d, "aipw", alpha=0.1)
+    assert wald_interval(0.5, 0.1, np.float32(0.25)) == wald_interval(0.5, 0.1, float(np.float32(0.25)))
+
+
+def test_overflowing_influence_values_raise_no_warning_before_the_error():
+    # the labeled influence values overflow to inf and nan; no RuntimeWarning precedes the refusal
+    d = design_from_arrays([1.7e308, -1.7e308, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^aipw: standard error overflows"):
+            estimate(d, "aipw")
+
+
+def test_venn_abers_refuses_an_anchor_that_overflows():
+    # the labeled score sum overflows, so the aipw anchor is not finite
+    d = _squares_overflow_design(5e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^venn-abers: the aipw anchor overflows float64"):
+            estimate(d, "venn-abers")
 
 
 def test_linear_cov_method_requires_covariates():

@@ -218,6 +218,13 @@ def test_candidate_validation():
         CandidateSet(["aipw"], folds=1)
 
 
+@pytest.mark.parametrize("candidates", [["aipw", "iso-cal"], ("aipw",), "aipw", None])
+def test_autocal_select_refuses_candidates_that_are_not_a_candidate_set(candidates):
+    d = make_design(np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="^candidates must be a CandidateSet, got "):
+        autocal_select(d, candidates, seed=0)
+
+
 @pytest.mark.parametrize("setting", ["folds", "unlabeled_cap_factor"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
 def test_candidate_settings_must_be_integers(setting, value):

@@ -127,7 +127,7 @@ def test_run_grid_paired_datasets_across_method_sets():
     assert solo_row == multi_row
 
 
-def test_run_grid_degenerate_stub():
+def test_run_grid_degenerate_stub(monkeypatch):
     def stub(spec):
         return design_from_arrays(
             np.linspace(0, 1, spec.n),
@@ -135,7 +135,8 @@ def test_run_grid_degenerate_stub():
             np.linspace(0, 1, spec.ratio * spec.n),
         )
 
-    rows = run_grid([10], [1], ["labeled-only"], reps=2, seed=0, draw_fn=stub)
+    monkeypatch.setattr("ssmean.simulate.draw_dataset", stub)
+    rows = run_grid([10], [1], ["labeled-only"], reps=2, seed=0)
     (row,) = rows
     assert row.bias == 0.0
     assert row.sd == 0.0
