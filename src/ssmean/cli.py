@@ -131,13 +131,10 @@ def _load_design(
             raise ConfigError(f"--covariates: {name!r} is a required column, not a covariate")
         if covs.count(name) > 1:
             raise ConfigError(f"--covariates: {name!r} is given more than once")
-    lab = _read_csv_columns(labeled_path, required=["y", "score"], optional=covs)
+    lab = _read_csv_columns(labeled_path, required=["y", "score", *covs], optional=[])
     unl = _read_csv_columns(unlabeled_path, required=["score"], optional=covs)
     ingested = time.perf_counter()
     if covs:
-        for name in covs:
-            if name not in lab:
-                raise DataError(f"{labeled_path}: missing column '{name}'")
         lab_cov = np.column_stack([lab[name] for name in covs])
         unl_cov = (
             np.column_stack([unl[name] for name in covs]) if all(name in unl for name in covs) else None

@@ -7,16 +7,17 @@ All estimators are members of one family indexed by an adjustment function f:
 which is unbiased for E[Y] for any fixed f. A method is nothing but its fit
 of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
 rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
-(ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), or the shrunk
-interval map of venn-abers. REGISTRY maps every method name to its fit; a
-selectable method's is one fit of labeled pairs, which auto-cal's folds also
-call, on the pairs in ascending score order. _family_core is the only code
-of the family algebra: from the labeled values of f, the outcomes and the
-unlabeled summary it gives the plug-in, the residual mean, psi, the labeled
-influence values and the sum of squares of the SE. family_report and
-Adjuster.report build each report from it once; Method.point, which the
-bootstrap runs per replicate, keeps psi alone; auto-cal's cross-validation
-runs it once per candidate with every fold its own design; and
+(ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), the shrunk
+interval map of venn-abers, or auto-cal's cross-validated winner. REGISTRY
+maps every method name to its fit; a selectable method's is one fit of
+labeled pairs, which auto-cal's folds also call, on the pairs in ascending
+score order. _family_core is the only code of the family algebra: from the
+labeled values of f, the outcomes and the unlabeled summary it gives the
+plug-in, the residual mean, psi, the labeled influence values and the sum
+of squares of the SE. Every method is fit and scored once (Method.scored)
+and Method.report builds its report from the core once; Method.point, which
+the bootstrap runs per replicate, keeps psi alone; auto-cal's cross-validation
+runs the core once per candidate with every fold its own design; and
 ate_two_arm takes each arm's influence values and plug-in from it.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
@@ -88,7 +89,8 @@ class ScoredDesign:
     """A design with adjustment values f on the labeled rows and their summary on the unlabeled ones.
 
     f_unlabeled is given as the N values of f or as their UnlabeledSummary;
-    it is stored as the summary.
+    it is stored as the summary. A summary's css must be nonnegative; an inf
+    css, a sum of squares that overflowed, is kept for the core to refuse.
     """
 
     design: TwoSampleDesign
@@ -109,6 +111,8 @@ class ScoredDesign:
             raise DimensionError(f"f_unlabeled summarises {fu.count} values, expected {self.design.N}")
         if not (np.isfinite(fl).all() and math.isfinite(fu.mean)):
             raise DataError("adjustment values must be finite")
+        if not fu.css >= 0.0:
+            raise DataError(f"f_unlabeled summary has css={fu.css!r}; a sum of squares is nonnegative")
         object.__setattr__(self, "f_labeled", fl)
         object.__setattr__(self, "f_unlabeled", fu)
 
@@ -433,63 +437,60 @@ class Method:
     the labeled sample in the sample's cached score_order. The others give
     the same map for the pairs in any order, up to the order of their sums,
     and their fit(design) takes the pairs as stored, with no sort. Any other
-    method is its design_fit.
+    method is its design_fit. run and point share one fit and scoring: scored.
     """
 
     design_fit: Optional[Callable[[TwoSampleDesign], Adjuster]] = None
     pair_fit: Optional[Callable[[np.ndarray, np.ndarray], Adjuster]] = None
     ordered: bool = False
 
-    def fit(self, design: TwoSampleDesign) -> Adjuster:
+    def fit(self, design: TwoSampleDesign, seed: int = 0) -> Adjuster:
         if self.pair_fit is None:
             return self.design_fit(design)
         lab = design.labeled
         rows = lab.score_order if self.ordered else slice(None)
         return self.pair_fit(lab.scores[rows], lab.outcomes[rows])
 
-    def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
-        """The method's report; every method needs n >= 2 for an honest standard error."""
+    def scored(self, design: TwoSampleDesign, name: str, seed: int) -> Tuple[Adjuster, ScoredDesign]:
+        """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE."""
         _check_n(design, name)
-        return self.report(design, name, alpha, seed)
+        adjuster = self.fit(design, seed)
+        return adjuster, adjuster.scored(design)
+
+    def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
+        adjuster, scored = self.scored(design, name, seed)
+        return self.report(scored, adjuster.describe, name, alpha)
 
     def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
         """run(...).estimate with the same refusals, but with no interval or diagnostics built."""
-        _check_n(design, name)
-        scored = self.fit(design).scored(design)
+        _, scored = self.scored(design, name, seed)
         return _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name).psi
 
-    def report(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
-        return self.fit(design).report(design, name, alpha)
+    def report(self, scored: ScoredDesign, describe, name: str, alpha: float) -> EstimateReport:
+        return _report(scored, name, alpha, describe)
 
 
 class _LabeledOnly(Method):
-    """f = 0, but with the classical ddof=1 standard error of the labeled mean.
+    """f = 0, but with the classical ddof=1 standard error of the labeled
+    mean; its estimate is the family's, so only its report differs."""
 
-    Its estimate is the family's, so it keeps Method.point.
-    """
-
-    def report(self, design, name, alpha, seed):
-        y = design.labeled.outcomes
-        report = super().report(design, name, alpha, seed)
+    def report(self, scored, describe, name, alpha):
+        y = scored.design.labeled.outcomes
+        report = super().report(scored, describe, name, alpha)
         se = float(y.std(ddof=1) / np.sqrt(len(y)))
         lo, hi = wald_interval(report.estimate, se, alpha)
         return replace(report, std_error=se, ci_lower=lo, ci_upper=hi)
 
 
 class _AutoCal(Method):
-    """Cross-validated selection among aipw, linear-cal, iso-cal and hist-cal
+    """The cross-validated winner among aipw, linear-cal, iso-cal and hist-cal
     with CandidateSet's default folds and cap; see selection.autocal_select."""
 
-    def report(self, design, name, alpha, seed):
+    def fit(self, design, seed=0):
         from . import selection
 
         candidates = selection.CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"])
-        _, report = selection.autocal_select(design, candidates, seed=seed, alpha=alpha)
-        return report
-
-    def point(self, design, name, seed):
-        # alpha moves only the report's interval, not the selection or the estimate
-        return self.run(design, name, 0.05, seed).estimate
+        return selection._autocal_fit(design, candidates, seed)[1]
 
 
 REGISTRY = {

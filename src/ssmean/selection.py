@@ -8,6 +8,7 @@ one pair fit on the labeled sample's cached score order, the fold's rows
 masked out. The criterion of all folds comes from one call of the family
 core per candidate, which takes every fold as its own design from per-fold
 sums (np.bincount over fold ids); no design or report is built per fold.
+The winner's refit, its diagnostics plus the CV table, is auto-cal's fit.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
@@ -19,8 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +30,10 @@ from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .estimators import (
     REGISTRY,
+    Adjuster,
     ScoredDesign,
     _family_core,
     _unlabeled_side,
-    estimate,
     family_report,
     method_name,
 )
@@ -58,11 +59,12 @@ def _check_selectable(name: str, role: str) -> None:
         raise ConfigError(f"{name!r} {role}; choose from {choices}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateSet:
-    """Ordered estimator candidates for cross-validated selection."""
+    """Ordered estimator candidates for cross-validated selection; frozen
+    once checked, with methods stored as a tuple of registered names."""
 
-    methods: List[str]
+    methods: Sequence[str]
     folds: int = 20
     unlabeled_cap_factor: int = 10
 
@@ -71,14 +73,14 @@ class CandidateSet:
             raise ConfigError(f"methods must be a list of method names, got the string {self.methods!r}")
         if not self.methods:
             raise ConfigError("candidate list is empty")
-        self.methods = [method_name(m) for m in self.methods]
+        object.__setattr__(self, "methods", tuple(method_name(m) for m in self.methods))
         for name in self.methods:
             _check_selectable(name, "is not selectable")
         for setting in ("folds", "unlabeled_cap_factor"):
             value = getattr(self, setting)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{setting} must be an integer, got {value!r}")
-            setattr(self, setting, int(value))
+            object.__setattr__(self, setting, int(value))
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if self.unlabeled_cap_factor < 1:
@@ -90,26 +92,8 @@ def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> List[np.ndarray]:
     return np.array_split(perm, k)
 
 
-def autocal_select(
-    design: TwoSampleDesign,
-    candidates: CandidateSet,
-    seed: int,
-    alpha: float = 0.05,
-) -> Tuple[str, EstimateReport]:
-    """Pick the candidate with the smallest cross-validated variance criterion.
-
-    The labeled sample is shuffled once (by seed) into K contiguous folds,
-    with K clamped so every fold holds at least two points; the unlabeled
-    evaluation subsample of size min(N, cap_factor * n) is drawn once per
-    call. Each fold is fit by the candidate's pair fit on the labeled rows
-    in the sample's cached score order (a stable sort, which an iso-cal
-    winner's refit reuses) with the fold's own rows masked out. The
-    criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
-    comes from the family core's per-fold totals. Criteria within TIE_RTOL
-    of the smallest count as tied, and the first of them in candidate order
-    wins. The winner is refit on the full sample; its name is returned with
-    its report, which carries the CV table in diagnostics.
-    """
+def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -> Tuple[str, Adjuster]:
+    """The winner and auto-cal's adjuster: the winner's refit, its diagnostics plus the CV table."""
     if not isinstance(candidates, CandidateSet):
         raise ConfigError(f"candidates must be a CandidateSet, got {type(candidates).__name__}")
     n, N = design.n, design.N
@@ -153,14 +137,39 @@ def autocal_select(
 
     best = min(criteria.values())
     winner = next(name for name, c in criteria.items() if c - best <= TIE_RTOL * best)
-    report = estimate(design, winner, alpha=alpha, seed=seed)
+    fitted = REGISTRY[winner].fit(design)
     cv = {
         "selected": winner,
         "cv_criteria": {name: float(v) for name, v in criteria.items()},
         "cv_folds": int(k),
         "cv_unlabeled_subsample": int(cap),
     }
-    return winner, replace(report, method="auto-cal", diagnostics={**report.diagnostics, **cv})
+    return winner, Adjuster(fitted.f, lambda scored: {**fitted.describe(scored), **cv})
+
+
+def autocal_select(
+    design: TwoSampleDesign,
+    candidates: CandidateSet,
+    seed: int,
+    alpha: float = 0.05,
+) -> Tuple[str, EstimateReport]:
+    """Pick the candidate with the smallest cross-validated variance criterion.
+
+    The labeled sample is shuffled once (by seed) into K contiguous folds,
+    with K clamped so every fold holds at least two points; the unlabeled
+    evaluation subsample of size min(N, cap_factor * n) is drawn once per
+    call. Each fold is fit by the candidate's pair fit on the labeled rows
+    in the sample's cached score order (a stable sort, which an iso-cal
+    winner's refit reuses) with the fold's own rows masked out. The
+    criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
+    comes from the family core's per-fold totals. Criteria within TIE_RTOL
+    of the smallest count as tied, and the first of them in candidate order
+    wins. The winner is refit on the full sample; its name is returned with
+    auto-cal's report, which carries the CV table in diagnostics.
+    """
+    _check_alpha(alpha)
+    winner, adjuster = _autocal_fit(design, candidates, seed)
+    return winner, adjuster.report(design, "auto-cal", alpha)
 
 
 def ols_trainer(covariates: np.ndarray, outcomes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

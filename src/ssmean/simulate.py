@@ -201,19 +201,18 @@ def _score_pair(scores, arm: str):
     return own, other
 
 
-def _arm(own, outcomes, other, method: str, alpha: float, seed: int):
+def _arm(own, outcomes, other, name: str, alpha: float, seed: int):
     """One arm's report and its influence values on its own units and on the other arm's.
 
-    The values are those whose sum of squares gives the arm's own SE: the
-    core's D_L on the arm's labeled units and D_U = f - plugin on the other
-    arm's units, with f the fit of the method (auto-cal's winner) on the
-    arm's design.
+    The method is fit and the arm's design scored once. The report comes
+    from that scoring, and so do the values whose sum of squares gives the
+    arm's own SE: the core's D_L on the arm's labeled units and
+    D_U = f - plugin on the other arm's units.
     """
     design = design_from_arrays(own, outcomes, other)
-    report = estimate(design, method, alpha=alpha, seed=seed)
-    name = report.diagnostics.get("selected", report.method)
-    adjuster = REGISTRY[name].fit(design)
-    scored = adjuster.scored(design)
+    method = REGISTRY[name]
+    adjuster, scored = method.scored(design, name, seed)
+    report = method.report(scored, adjuster.describe, name, alpha)
     core = _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name)
     return report, core.d_l, predict(adjuster.f, design.unlabeled.scores) - core.plugin
 
@@ -249,6 +248,7 @@ def ate_two_arm(
     no unit, combines its two ddof=1 arm errors as independent.
     """
     _check_alpha(alpha)
+    name = method_name(method)
     y1 = np.asarray(treated_outcomes, dtype=np.float64)
     y0 = np.asarray(control_outcomes, dtype=np.float64)
     if y1.size == 0 or y0.size == 0:
@@ -259,8 +259,8 @@ def ate_two_arm(
         raise DimensionError(f"treated_scores[1] has {np.size(m1_other)} scores, control_outcomes {y0.size}")
     if np.size(m0_other) != y1.size:
         raise DimensionError(f"control_scores[1] has {np.size(m0_other)} scores, treated_outcomes {y1.size}")
-    r1, d1_treated, d1_control = _arm(m1_own, y1, m1_other, method, alpha, seed)
-    r0, d0_control, d0_treated = _arm(m0_own, y0, m0_other, method, alpha, seed)
+    r1, d1_treated, d1_control = _arm(m1_own, y1, m1_other, name, alpha, seed)
+    r0, d0_control, d0_treated = _arm(m0_own, y0, m0_other, name, alpha, seed)
     tau = r1.estimate - r0.estimate
     if r1.method == "labeled-only":
         se = math.hypot(r1.std_error, r0.std_error)

@@ -188,6 +188,17 @@ def test_simulate_unknown_method_exit_2(capsys):
     assert "valid methods" in err
 
 
+def test_missing_labeled_covariate_is_refused_before_the_unlabeled_file_is_read(capsys, tmp_path):
+    lab = tmp_path / "l.csv"
+    write_labeled_csv(lab, scores=[0.1, 0.5, 0.9], outcomes=[0.0, 1.0, 1.0])
+    code, out, err = run_cli(
+        capsys, "estimate", "--labeled", str(lab), "--unlabeled", str(tmp_path / "missing.csv"),
+        "--method", "linear-cov-cal", "--covariates", "x1",
+    )
+    assert code == 2 and out == ""
+    assert f"{lab}: missing column 'x1'" in err
+
+
 def test_bootstrap_b_must_be_at_least_two(capsys, toy_files):
     lab, unl = toy_files
     code, _, err = run_cli(

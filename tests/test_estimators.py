@@ -19,6 +19,7 @@ from ssmean import (
     MisuseError,
     ScoredDesign,
     ate_two_arm,
+    autocal_select,
     bootstrap,
     calibrated_plugin,
     crossfit_calibrated,
@@ -34,7 +35,7 @@ from ssmean import (
     run_grid,
     wald_interval,
 )
-from ssmean.estimators import REGISTRY, _eem_lambda_full, family_report
+from ssmean.estimators import REGISTRY, UnlabeledSummary, _eem_lambda_full, family_report
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -158,6 +159,32 @@ def test_overflowing_standard_error_raises(name):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError, match=f"^{name}: standard error overflows float64"):
                 estimate(d, name)
+
+
+def test_auto_cal_refusal_names_auto_cal_when_only_the_full_sample_overflows():
+    # the 200-point CV subsample keeps every criterion finite; the full
+    # sample's 20000 squares near 1e152 do not
+    rng = np.random.default_rng(91)
+    m, y, m_u = (rng.uniform(1.0, 2.0, size=k) * 1e152 for k in (20, 20, 20000))
+    d = design_from_arrays(m, y, m_u)
+    with pytest.raises(DataError, match="^auto-cal: standard error overflows float64"):
+        estimate(d, "auto-cal")
+    with pytest.raises(DataError, match="^auto-cal: standard error overflows float64"):
+        autocal_select(d, CandidateSet(["aipw", "iso-cal"]), seed=0)
+
+
+@pytest.mark.parametrize("css", [-1.0, float("nan")])
+def test_scored_design_refuses_a_summary_with_a_negative_or_nan_css(css):
+    d = design_from_arrays([0.1, 0.5, 0.9, 0.3], [0.0, 1.0, 1.0, 0.0], [0.2, 0.4, 0.6])
+    with pytest.raises(DataError, match=re.escape(f"f_unlabeled summary has css={css!r}")):
+        ScoredDesign(d, d.labeled.scores, UnlabeledSummary(3, 0.4, css))
+
+
+def test_scored_design_keeps_an_inf_css_for_the_core_to_refuse():
+    d = design_from_arrays([0.1, 0.5, 0.9, 0.3], [0.0, 1.0, 1.0, 0.0], [0.2, 0.4, 0.6])
+    scored = ScoredDesign(d, d.labeled.scores, UnlabeledSummary(3, 0.4, float("inf")))
+    with pytest.raises(DataError, match="^family: standard error overflows float64"):
+        family_report(scored)
 
 
 def _squares_overflow_design(scale):
@@ -632,6 +659,9 @@ LIBRARY_ROUTES = {
         d.labeled.scores, d.labeled.outcomes, d.unlabeled.scores, ols_trainer, "nope", k=2
     ),
     "run_grid": lambda d: run_grid([10], [1], ["aipw", "nope"], reps=2),
+    "ate_two_arm": lambda d: ate_two_arm(
+        [0.0, 1.0, 1.0], ([0.2, 0.5, 0.9], [0.3, 0.6]), [1.0, 0.0], ([0.4, 0.7], [0.1, 0.2, 0.8]), method="nope"
+    ),
 }
 CLI_ROUTES = {
     "cli estimate": ["estimate", "--method", "nope"],
@@ -670,6 +700,7 @@ ALPHA_ROUTES = {
     "ate_two_arm": lambda d, a: ate_two_arm(
         [0.0, 1.0, 1.0], ([0.2, 0.5, 0.9], [0.3, 0.6]), [1.0, 0.0], ([0.4, 0.7], [0.1, 0.2, 0.8]), alpha=a
     ),
+    "autocal_select": lambda d, a: autocal_select(d, CandidateSet(["aipw", "iso-cal"]), seed=0, alpha=a),
 }
 
 
@@ -677,6 +708,7 @@ ALPHA_ROUTES = {
 @pytest.mark.parametrize("route", ALPHA_ROUTES)
 def test_alpha_outside_the_open_unit_interval_is_refused_by_every_route(route, alpha, monkeypatch):
     monkeypatch.setattr("ssmean.simulate.draw_dataset", _no_work)
+    monkeypatch.setattr("ssmean.selection._fold_blocks", _no_work)
     d = random_design(np.random.default_rng(46), n=8, N=6)
     with pytest.raises(ConfigError, match=re.escape(f"alpha must be a real number in (0, 1), got {alpha!r}")):
         ALPHA_ROUTES[route](d, alpha)

@@ -341,6 +341,22 @@ def test_bootstrap_replicates_equal_estimate_on_materialized_resamples(name):
     assert ran >= 5
 
 
+def test_auto_cal_bootstrap_builds_one_report(monkeypatch):
+    import ssmean.estimators
+
+    reports = []
+    real_report = ssmean.estimators._report
+
+    def counting_report(scored, method, *args, **kwargs):
+        reports.append(method)
+        return real_report(scored, method, *args, **kwargs)
+
+    monkeypatch.setattr(ssmean.estimators, "_report", counting_report)
+    d = draw_dataset(DgpSpec(n=40, ratio=2, seed=0))
+    bootstrap(d, "auto-cal", b=3, seed=0)
+    assert reports == ["auto-cal"]  # the point estimate's; each replicate computes psi alone
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3"])
 def test_seeds_must_be_non_negative_integers(seed):
     d = draw_dataset(DgpSpec(n=20, ratio=2, seed=0))

@@ -232,6 +232,17 @@ def test_candidate_settings_must_be_integers(setting, value):
         CandidateSet(["aipw"], **{setting: value})
 
 
+@pytest.mark.parametrize(
+    "setting, value", [("methods", ["nope"]), ("methods", ["labeled-only"]), ("folds", 1), ("unlabeled_cap_factor", 0)]
+)
+def test_candidate_set_cannot_change_after_its_checks(setting, value):
+    cands = CandidateSet(["aipw", "iso-cal"])
+    assert cands.methods == ("aipw", "iso-cal")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cands, setting, value)
+    assert cands == CandidateSet(["aipw", "iso-cal"])
+
+
 def test_candidate_settings_accept_numpy_integers():
     cands = CandidateSet(["aipw"], folds=np.int64(3), unlabeled_cap_factor=np.int32(2))
     assert (cands.folds, cands.unlabeled_cap_factor) == (3, 2)

@@ -258,6 +258,22 @@ def test_ate_standard_error_matches_monte_carlo_spread(method, M, reps):
     assert 0.92 <= coverage <= 0.98
 
 
+def test_ate_fits_the_method_once_per_arm(monkeypatch):
+    import ssmean.estimators
+
+    fitted = []
+    real_fit = ssmean.estimators.Method.fit
+
+    def counting_fit(self, design, *args, **kwargs):
+        fitted.append(design.n)
+        return real_fit(self, design, *args, **kwargs)
+
+    monkeypatch.setattr(ssmean.estimators.Method, "fit", counting_fit)
+    y1, s1, y0, s0 = two_arm_draw(np.random.default_rng(72), 150)
+    ate_two_arm(y1, s1, y0, s0, method="iso-cal")
+    assert fitted == [len(y1), len(y0)]
+
+
 def test_ate_empty_arm_rejected():
     with pytest.raises(DataError):
         ate_two_arm([], (np.zeros(0), np.zeros(2)), [1.0], (np.zeros(1), np.zeros(0)), "aipw")
