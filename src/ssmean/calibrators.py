@@ -9,9 +9,9 @@ binning on a fixed partition, covariate-adjusted affine maps, and
 Venn-Abers interval shrinkage. The Venn-Abers interval at a score holds the
 values there of the isotonic fits with that score added under label 0 and
 under label 1; it depends only on the score's place among the unique
-labeled scores, so the shrunk map is a step function, and all of its
-values are read from one cumulative-sum diagram of the labeled sample,
-with no isotonic fit per evaluation point.
+labeled scores, so the shrunk map is a step function. Its values come from
+two amortized-linear stack passes over one cumulative-sum diagram of the
+labeled sample, one per label, with no isotonic fit per evaluation point.
 
 The step maps (isotonic, Venn-Abers and histogram) also give their cut
 points and block values through steps(), so the counts of a sorted sample
@@ -509,86 +509,62 @@ def _prefix_sums(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, np.concatenate(([0.0], np.cumsum(errors)))
 
 
-def _minorant_links(x: np.ndarray, hi: np.ndarray, lo: np.ndarray):
-    """Greatest convex minorants of every prefix of a cumulative-sum diagram.
+def _tied_values(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, label: float) -> list:
+    """Isotonic fitted value of a point with outcome label tied with each labeled block.
 
-    The points are (x[j], hi[j] + lo[j]), x strictly increasing. One
-    left-to-right scan gives link[j], the vertex before j on the minorant of
-    points 0..j (link[0] = 0), and edge[j], the slope of that last edge
-    (-inf at j = 0). A vertex's links are fixed when it is pushed, so following
-    link from j walks the whole minorant of prefix j.
+    The diagram P_j = (x[j], hi[j] + lo[j]) has one vertex per tie-pooled
+    labeled block. A point tied with block j joins the block from P_j to
+    P_j+1. Moving the prefix P_0..P_j by (-1, -label), rather than the
+    suffix by (1, label), leaves every slope as it is, and the fitted value
+    is the slope of the bridge between the moved prefix and the suffix,
+
+        max over i <= j of  min over r > j of  (C_r - C_i + label) / (x_r - x_i + 1).
+
+    One pass over j = 0..k-1 finds them all (Vovk, Petej and Fedorova,
+    2015, Algorithms 1-4). A stack holds the lower hull of the unmoved
+    suffix, its left end on top, with the slope of each vertex's right edge.
+    At step j, P_j moves. If it falls below the bridge, or the bridge ended
+    at its own vertex, it starts the new bridge: it pops its own vertex and
+    every vertex it sees past, and the new value is its slope to the top.
+    Otherwise the bridge and its value stay. Each vertex is pushed and
+    popped at most once, so the pass is O(k). Every block mean must be at
+    most label: then the moved P_j sees its own unmoved vertex at the
+    steepest slope, and no suffix point that vertex hides can start a bridge.
     """
     xs, his, los = x.tolist(), hi.tolist(), lo.tolist()
 
-    def slope(i, j):
-        return ((his[j] - his[i]) + (los[j] - los[i])) / (xs[j] - xs[i])
+    def moved(i, r):
+        return ((his[r] - his[i]) + (los[r] - los[i]) + label) / (xs[r] - xs[i] + 1.0)
 
-    link = [0] * len(xs)
-    edge = [-math.inf] * len(xs)
-    stack = [0]
-    for j in range(1, len(xs)):
-        while len(stack) >= 2 and slope(stack[-2], stack[-1]) >= slope(stack[-1], j):
-            stack.pop()
-        link[j] = stack[-1]
-        edge[j] = slope(stack[-1], j)
-        stack.append(j)
-    return np.array(link), np.array(edge)
+    def edge(v, w):
+        return ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
 
-
-def _jump_table(link: np.ndarray, levels: int) -> list:
-    """link applied 2**l times, for l = levels - 1 down to 0."""
-    table = [link]
-    for _ in range(levels - 1):
-        table.append(table[-1][table[-1]])
-    return table[::-1]
-
-
-def _inserted_point_values(x, hi, lo, m, m2, label) -> np.ndarray:
-    """Isotonic fitted value of one inserted point, for each query (m, m2, label).
-
-    The diagram P_j = (x[j], hi[j] + lo[j]) has one vertex per tie-pooled
-    labeled block. A query's augmented diagram is the prefix P_0..P_m, then
-    the suffix P_m2..P_k shifted by (1, label): m2 = m for a point inserted
-    between blocks m and m + 1, m2 = m + 1 for a point tied with block m + 1,
-    whose pooled block then spans x[m]..x[m + 1] + 1. The fitted value there
-    is the slope of the bridge between the two parts' convex minorants,
-
-        min over r >= m2 of  max over i <= m of  (C_r - C_i + label) / (x_r - x_i + 1),
-
-    where only minorant vertices matter. The inner max is the tangent from the
-    shifted right vertex Q_r to the left minorant; the outer min stops at the
-    first right vertex whose next edge does not fall below that tangent. Both
-    tests are monotone along their chains, so each is a binary search over a
-    jump table, run for all queries at once.
-    """
-    levels = (len(x) - 1).bit_length()
-    pred, left_edge = _minorant_links(x, hi, lo)
-    # the suffix minorants are the prefix minorants of the mirrored diagram
-    rev_pred, rev_edge = _minorant_links(-x[::-1], hi[::-1], lo[::-1])
-    succ, right_edge = len(x) - 1 - rev_pred[::-1], -rev_edge[::-1]
-    pred_jumps, succ_jumps = _jump_table(pred, levels), _jump_table(succ, levels)
-
-    def slope_to(i, r):
-        return ((hi[r] - hi[i]) + (lo[r] - lo[i]) + label) / (x[r] - x[i] + 1.0)
-
-    def tangent(r):
-        # first vertex on the left minorant from m whose predecessor lies on
-        # or above the line through it and Q_r
-        i = m
-        for jump in pred_jumps:
-            far = jump[i]
-            i = np.where(left_edge[far] <= slope_to(far, r), i, far)
-        return np.where(left_edge[i] <= slope_to(i, r), i, pred[i])
-
-    def at_bridge(r):
-        return right_edge[r] >= slope_to(tangent(r), r)
-
-    r = m2
-    for jump in succ_jumps:
-        far = jump[r]
-        r = np.where(at_bridge(far), r, far)
-    r = np.where(at_bridge(r), r, succ[r])
-    return slope_to(tangent(r), r)
+    # the hull's vertices, its left end last, and the slope of the edge right of each
+    hull, slopes = [len(xs) - 1], [math.inf]
+    for v in range(len(xs) - 2, -1, -1):
+        slope = edge(v, hull[-1])
+        while slope >= slopes[-1]:
+            hull.pop()
+            slopes.pop()
+            slope = edge(v, hull[-1])
+        hull.append(v)
+        slopes.append(slope)
+    values = []
+    for j in range(len(xs) - 1):
+        own = hull[-1] == j
+        if own:
+            hull.pop()
+            slopes.pop()
+        slope = moved(j, hull[-1])
+        if own or slope > values[-1]:
+            while slope >= slopes[-1]:
+                hull.pop()
+                slopes.pop()
+                slope = moved(j, hull[-1])
+            values.append(slope)
+        else:
+            values.append(values[-1])
+    return values
 
 
 def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
@@ -608,12 +584,19 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     (above u_{j-1}), class 2j + 1 the point u_j, and class 2k everything
     above u_{k-1}. Its cuts interleave each u_j with the next float up, so
     the floor lookup puts u_j alone in its block (two labeled scores that
-    are adjacent floats leave an empty block between them). Following the cumulative-sum-diagram construction of
-    inductive Venn-Abers predictors (Vovk, Petej and Fedorova, 2015), every
-    class's f0 and f1 is the slope of a bridge between the greatest convex
-    minorants of a prefix and a shifted suffix of one diagram of the
-    tie-pooled sample (_inserted_point_values). The fit costs
-    O(n log n + k log^2 k), and evaluating it at N scores O(N log k).
+    are adjacent floats leave an empty block between them).
+
+    The classes reduce to k values per label (the min-max bridge formula of
+    _tied_values): a point strictly between blocks j - 1 and j has the f1 of a
+    point tied with block j and the f0 of one tied with block j - 1, and
+    f0 = 0 below all blocks and f1 = 1 above them. Following the
+    cumulative-sum-diagram construction of inductive Venn-Abers predictors
+    (Vovk, Petej and Fedorova, 2015), each label's tied values come from one
+    stack pass over the diagram of the tie-pooled sample; label 0 runs on the
+    mirrored diagram (-x, C), whose values are the negated ones in reverse
+    order. Both passes read the compensated prefix sums, so every value is a
+    quotient of one exact-to-rounding block sum. The fit costs O(n log n + k),
+    and evaluating it at N scores O(N log k).
     """
     if not (isinstance(shrink_target, numbers.Real) and math.isfinite(shrink_target)):
         raise ConfigError(f"shrink_target must be a finite real number, got {shrink_target!r}")
@@ -626,11 +609,9 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     x = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
     hi, lo = _prefix_sums(np.bincount(block, weights=y, minlength=k))
 
-    classes = np.arange(2 * k + 1)
-    m = np.tile(classes // 2, 2)
-    m2 = m + np.tile(classes % 2, 2)
-    label = np.repeat([0.0, 1.0], len(classes))
-    f0, f1 = np.split(_inserted_point_values(x, hi, lo, m, m2, label), 2)
+    f1 = np.repeat(_tied_values(x, hi, lo, 1.0), 2)
+    f0 = -np.repeat(_tied_values(-x[::-1], hi[::-1], lo[::-1], 0.0)[::-1], 2)
+    f0, f1 = np.concatenate(([0.0], f0)), np.concatenate((f1, [1.0]))
     mid = 0.5 * (f0 + f1)
     cuts = np.column_stack((uniq, np.nextafter(uniq, np.inf))).ravel()
     return StepCalibrator(

@@ -15,10 +15,11 @@ score order. _family_core is the only code of the family algebra: from the
 labeled values of f, the outcomes and the unlabeled summary it gives the
 plug-in, the residual mean, psi, the labeled influence values and the sum
 of squares of the SE. Every method is fit and scored once (Method.scored)
-and Method.report builds its report from the core once; Method.point, which
-the bootstrap runs per replicate, keeps psi alone; auto-cal's cross-validation
-runs the core once per candidate with every fold its own design; and
-ate_two_arm takes each arm's influence values and plug-in from it.
+and Method.report builds its report from the core once and returns both, so
+ate_two_arm takes each arm's influence values and plug-in from its report's
+core; Method.point, which the bootstrap runs per replicate, keeps psi alone;
+and auto-cal's cross-validation runs the core once per candidate with every
+fold its own design.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
@@ -40,15 +41,15 @@ then
 
 where sum D_U^2 = css + N (mean_U f - plugin)^2 comes from the summary.
 
-labeled-only is the one documented exception: it keeps the classical
-ddof=1 standard error of the labeled mean. Every method refuses n < 2 and
-a standard error that overflows float64.
+labeled-only is the one documented exception: its Method.std_error keeps
+the classical ddof=1 standard error of the labeled mean. Every method
+refuses n < 2 and a standard error that overflows float64.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -167,14 +168,21 @@ def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
     return _Core(plugin, residual_mean, psi, total, d_l)
 
 
-def _report(scored: ScoredDesign, method: str, alpha: float, describe) -> EstimateReport:
-    """The core's report of scored; describe(scored) runs once the core has found the SE finite."""
+def _family_se(scored: ScoredDesign, core: _Core) -> float:
+    return math.sqrt(core.total) / scored.design.m_total
+
+
+def _report(scored: ScoredDesign, method: str, alpha: float, describe, std_error=_family_se) -> Tuple[_Core, EstimateReport]:
+    """The core of scored and its report; std_error(scored, core) gives the SE.
+
+    describe(scored) and std_error run once the core has found its total finite.
+    """
     d = scored.design
     core = _family_core(scored.f_labeled, d.labeled.outcomes, scored.f_unlabeled, method)
-    se = math.sqrt(core.total) / d.m_total
+    se = std_error(scored, core)
     lo, hi = wald_interval(core.psi, se, alpha)
     diagnostics = {"plugin_estimate": core.plugin, "aipw_estimate": core.psi, "residual_mean": core.residual_mean}
-    return EstimateReport(core.psi, se, lo, hi, alpha, method, d.n, d.N, {**diagnostics, **describe(scored)})
+    return core, EstimateReport(core.psi, se, lo, hi, alpha, method, d.n, d.N, {**diagnostics, **describe(scored)})
 
 
 def family_report(
@@ -189,7 +197,7 @@ def family_report(
     (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
     the given diagnostics follow.
     """
-    return _report(scored, method, alpha, lambda _: diagnostics or {})
+    return _report(scored, method, alpha, lambda _: diagnostics or {})[1]
 
 
 def _no_diagnostics(scored: ScoredDesign) -> dict:
@@ -246,7 +254,7 @@ class Adjuster(NamedTuple):
         )
 
     def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
-        return _report(self.scored(design), method, alpha, self.describe)
+        return _report(self.scored(design), method, alpha, self.describe)[1]
 
 
 # --- adjusters ---------------------------------------------------------------
@@ -438,6 +446,8 @@ class Method:
     the same map for the pairs in any order, up to the order of their sums,
     and their fit(design) takes the pairs as stored, with no sort. Any other
     method is its design_fit. run and point share one fit and scoring: scored.
+    std_error(scored, core) gives the report's SE, the core's for every
+    method but labeled-only.
     """
 
     design_fit: Optional[Callable[[TwoSampleDesign], Adjuster]] = None
@@ -459,27 +469,28 @@ class Method:
 
     def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         adjuster, scored = self.scored(design, name, seed)
-        return self.report(scored, adjuster.describe, name, alpha)
+        return self.report(scored, adjuster.describe, name, alpha)[1]
 
     def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
         """run(...).estimate with the same refusals, but with no interval or diagnostics built."""
         _, scored = self.scored(design, name, seed)
         return _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name).psi
 
-    def report(self, scored: ScoredDesign, describe, name: str, alpha: float) -> EstimateReport:
-        return _report(scored, name, alpha, describe)
+    def report(self, scored: ScoredDesign, describe, name: str, alpha: float) -> Tuple[_Core, EstimateReport]:
+        """The core of scored and the method's report built from it."""
+        return _report(scored, name, alpha, describe, self.std_error)
+
+    std_error = staticmethod(_family_se)
 
 
 class _LabeledOnly(Method):
     """f = 0, but with the classical ddof=1 standard error of the labeled
-    mean; its estimate is the family's, so only its report differs."""
+    mean; its estimate is the family's, so only its report's SE differs."""
 
-    def report(self, scored, describe, name, alpha):
+    @staticmethod
+    def std_error(scored, core):
         y = scored.design.labeled.outcomes
-        report = super().report(scored, describe, name, alpha)
-        se = float(y.std(ddof=1) / np.sqrt(len(y)))
-        lo, hi = wald_interval(report.estimate, se, alpha)
-        return replace(report, std_error=se, ci_lower=lo, ci_upper=hi)
+        return float(y.std(ddof=1) / np.sqrt(len(y)))
 
 
 class _AutoCal(Method):

@@ -19,7 +19,7 @@ from scipy.special import expit
 from ._rng import SIM_DRAW, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .calibrators import predict
-from .estimators import REGISTRY, _family_core, estimate, method_name
+from .estimators import REGISTRY, estimate, method_name
 from .exceptions import ConfigError, DataError, DimensionError
 from .inference import _check_alpha, wald_interval
 
@@ -204,16 +204,15 @@ def _score_pair(scores, arm: str):
 def _arm(own, outcomes, other, name: str, alpha: float, seed: int):
     """One arm's report and its influence values on its own units and on the other arm's.
 
-    The method is fit and the arm's design scored once. The report comes
-    from that scoring, and so do the values whose sum of squares gives the
-    arm's own SE: the core's D_L on the arm's labeled units and
-    D_U = f - plugin on the other arm's units.
+    The method is fit, the arm's design scored and the family core run
+    once. The report comes from that core, and so do the values whose sum of
+    squares gives the arm's own SE: the core's D_L on the arm's labeled
+    units and D_U = f - plugin on the other arm's units.
     """
     design = design_from_arrays(own, outcomes, other)
     method = REGISTRY[name]
     adjuster, scored = method.scored(design, name, seed)
-    report = method.report(scored, adjuster.describe, name, alpha)
-    core = _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name)
+    core, report = method.report(scored, adjuster.describe, name, alpha)
     return report, core.d_l, predict(adjuster.f, design.unlabeled.scores) - core.plugin
 
 

@@ -558,3 +558,49 @@ def test_venn_abers_sweep_matches_per_point_refits(sample, target, random):
     order = list(range(len(evals)))
     random.shuffle(order)
     assert np.array_equal(fit_venn_abers(s, y, target)(evals[order]), got[order])
+
+
+@st.composite
+def rising_samples(draw):
+    """Distinct continuous scores with outcomes that rise with them: noiseless,
+    noisy or binary. Such a diagram has long hull chains, so each stack pass
+    pops several vertices at a step and often keeps its bridge for a run of
+    steps."""
+    n = draw(st.integers(1, 60))
+    s = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True)))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["noiseless", "noisy", "binary"]))
+    if kind == "noiseless":
+        y = s**2
+    elif kind == "noisy":
+        y = np.clip(s + 0.4 * (u - 0.5), 0.0, 1.0)
+    else:
+        y = (u < s).astype(float)
+    return s, y
+
+
+@given(rising_samples(), st.floats(-0.5, 1.5))
+@settings(max_examples=100)
+def test_venn_abers_on_long_hull_chains_matches_per_point_refits(sample, target):
+    s, y = sample
+    # every class: each labeled score, each gap between two, below and above all
+    evals = np.concatenate((s, 0.5 * (s[1:] + s[:-1]), [s[0] - 1.0, s[-1] + 1.0]))
+    got = fit_venn_abers(s, y, target)(evals)
+    for t, out in zip(evals, got):
+        assert out == pytest.approx(va_oracle(s, y, t, target)[2], abs=1e-12)
+
+
+def test_venn_abers_keeps_full_precision_at_large_n():
+    # n = 20000 continuous scores: the differences of prefix sums near 1e4
+    # keep their digits only as compensated (hi, lo) pairs, and so do the
+    # label-0 slopes only when they are not read from C - x
+    n = 20000
+    rng = np.random.default_rng(7)
+    s = rng.random(n)
+    u = np.sort(s)
+    ranks = (np.array([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999]) * n).astype(int)
+    evals = np.concatenate((u[ranks[::2]], 0.5 * (u[ranks[1::2]] + u[ranks[1::2] + 1])))
+    for y in (rng.random(n), s):
+        got = fit_venn_abers(s, y, 0.3)(evals)
+        for t, out in zip(evals, got):
+            assert abs(out - va_oracle(s, y, t, 0.3)[2]) <= 2e-15

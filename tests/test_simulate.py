@@ -274,6 +274,25 @@ def test_ate_fits_the_method_once_per_arm(monkeypatch):
     assert fitted == [len(y1), len(y0)]
 
 
+def test_ate_runs_the_family_core_once_per_arm(monkeypatch):
+    import ssmean.estimators
+    import ssmean.simulate
+
+    cores = []
+    real_core = ssmean.estimators._family_core
+
+    def counting_core(f_l, *args, **kwargs):
+        cores.append(len(f_l))
+        return real_core(f_l, *args, **kwargs)
+
+    monkeypatch.setattr(ssmean.estimators, "_family_core", counting_core)
+    # any module that imports the core by name must not run it beside the report
+    monkeypatch.setattr(ssmean.simulate, "_family_core", counting_core, raising=False)
+    y1, s1, y0, s0 = two_arm_draw(np.random.default_rng(73), 150)
+    ate_two_arm(y1, s1, y0, s0, method="iso-cal")
+    assert cores == [len(y1), len(y0)]
+
+
 def test_ate_empty_arm_rejected():
     with pytest.raises(DataError):
         ate_two_arm([], (np.zeros(0), np.zeros(2)), [1.0], (np.zeros(1), np.zeros(0)), "aipw")
