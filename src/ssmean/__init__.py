@@ -13,7 +13,6 @@ calibrated_plugin, or through CandidateSet with autocal_select.
 from .calibrators import (
     AffineCalibrator,
     BinnedCalibrator,
-    LinearCovCalibrator,
     SigmoidCalibrator,
     StepCalibrator,
     fit_histogram,

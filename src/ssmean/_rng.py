@@ -4,6 +4,8 @@ All randomness in the package flows through keyed substreams: the generator
 for a given task depends only on the integer key tuple, never on execution
 order or thread scheduling. Domain tags keep streams for unrelated tasks
 (simulation draws, bootstrap resampling, fold shuffles, ...) disjoint.
+Seeds, and the counts of replicates, folds and draws whose keys they form,
+pass one integer check (_integer).
 """
 import operator
 
@@ -19,14 +21,24 @@ UNLABELED_SUBSAMPLE = 4
 CROSSFIT_SHUFFLE = 5
 
 
+def _integer(value, message: str) -> int:
+    """operator.index(value); ConfigError(message.format(value)) for a bool (numpy's too) or a non-integer.
+
+    Python and numpy integers pass. Each caller checks the range itself.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(message.format(value))
+
+
 def _seed_sequence(key) -> np.random.SeedSequence:
     """The SeedSequence of a key tuple; ConfigError unless every key is a non-negative integer."""
     entropy = []
     for k in key:
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise ConfigError(f"seed must be a non-negative integer, got {k!r}") from None
+        k = _integer(k, "seed must be a non-negative integer, got {!r}")
         if k < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {k!r}")
         entropy.append(k)

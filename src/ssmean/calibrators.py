@@ -4,14 +4,16 @@ Each fit_* function learns a transformation of the prediction score from
 labeled (score, outcome) pairs; predict() evaluates a fitted calibrator at
 arbitrary scores. Supported families: isotonic step functions (exact
 least-squares monotone fit via pooled adjacent violators), affine least
-squares, Platt scaling (logistic loss on the stabilized logit), histogram
-binning on a fixed partition, covariate-adjusted affine maps, and
-Venn-Abers interval shrinkage. The Venn-Abers interval at a score holds the
-values there of the isotonic fits with that score added under label 0 and
-under label 1; it depends only on the score's place among the unique
-labeled scores, so the shrunk map is a step function. Its values come from
-two amortized-linear stack passes over one cumulative-sum diagram of the
-labeled sample, one per label, with no isotonic fit per evaluation point.
+squares in the score and, through fit_linear_cov, in covariates (one
+AffineCalibrator class, whose covariate coefficients are otherwise empty),
+Platt scaling (logistic loss on the stabilized logit), histogram binning on
+a fixed partition, and Venn-Abers interval shrinkage. The Venn-Abers
+interval at a score holds the values there of the isotonic fits with that
+score added under label 0 and under label 1; it depends only on the score's
+place among the unique labeled scores, so the shrunk map is a step
+function. Its values come from two amortized-linear stack passes over one
+cumulative-sum diagram of the labeled sample, one per label, with no
+isotonic fit per evaluation point.
 
 The step maps (isotonic, Venn-Abers and histogram) also give their cut
 points and block values through steps(), so the counts of a sorted sample
@@ -31,6 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .design import _as_matrix
 from .exceptions import ConfigError, ConvergenceError, DataError, DimensionError
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "AffineCalibrator",
     "SigmoidCalibrator",
     "BinnedCalibrator",
-    "LinearCovCalibrator",
     "fit_isotonic",
     "fit_linear",
     "fit_platt",
@@ -102,21 +104,44 @@ class StepCalibrator:
 
 @dataclass(frozen=True)
 class AffineCalibrator:
-    """Affine map slope * score + intercept, optionally clipped."""
+    """Affine map slope * score + intercept, optionally clipped.
+
+    With covariate coefficients (fit_linear_cov) the map is
+    (intercept + covariates @ cov_coefs) + slope * score, and it needs a
+    covariate matrix of one row per score. cov_coefs is kept as a tuple of
+    floats, so maps compare and hash by value. Every coefficient must be
+    finite (DataError) and a clip range must have lo <= hi (ConfigError).
+    """
 
     slope: float
     intercept: float
     clip_range: Optional[Tuple[float, float]] = None
     fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    cov_coefs: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
+        coefs = np.asarray(self.cov_coefs, dtype=np.float64)
+        if coefs.ndim != 1:
+            raise DimensionError(f"cov_coefs must be a vector, got shape {coefs.shape}")
+        object.__setattr__(self, "cov_coefs", tuple(coefs.tolist()))
+        if not all(map(math.isfinite, (self.slope, self.intercept, *self.cov_coefs))):
             raise DataError("affine calibrator coefficients must be finite")
-        if self.clip_range is not None and self.clip_range[0] > self.clip_range[1]:
+        # a NaN bound fails the comparison
+        if self.clip_range is not None and not self.clip_range[0] <= self.clip_range[1]:
             raise ConfigError(f"invalid clip range {self.clip_range}")
 
-    def __call__(self, scores) -> np.ndarray:
-        out = self.slope * np.asarray(scores, dtype=np.float64) + self.intercept
+    def __call__(self, scores, covariates=None) -> np.ndarray:
+        t = np.asarray(scores, dtype=np.float64)
+        d = len(self.cov_coefs)
+        if d == 0:
+            out = self.slope * t + self.intercept
+        else:
+            if covariates is None:
+                raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
+            x = _as_matrix(covariates)
+            if x.shape != (len(t), d):
+                raise DimensionError(f"covariates have shape {x.shape}, expected ({len(t)}, {d})")
+            out = (self.intercept + x @ self.cov_coefs) + self.slope * t
         if self.clip_range is not None:
             out = np.clip(out, self.clip_range[0], self.clip_range[1])
         return out
@@ -191,40 +216,6 @@ class BinnedCalibrator:
     def steps(self) -> Tuple[np.ndarray, np.ndarray]:
         """(cuts, values) as in StepCalibrator.steps: the inner edges and the bin means."""
         return self.edges[1:-1], self.bin_means
-
-
-@dataclass(frozen=True)
-class LinearCovCalibrator:
-    """Affine map in (score, covariates): intercept + covariates @ cov_coefs + score_coef * score."""
-
-    intercept: float
-    score_coef: float
-    cov_coefs: np.ndarray
-    clip_range: Optional[Tuple[float, float]] = None
-    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cov_coefs", _freeze(self.cov_coefs))
-        if not (np.isfinite(self.intercept) and np.isfinite(self.score_coef)):
-            raise DataError("calibrator coefficients must be finite")
-
-    def __call__(self, scores, covariates=None) -> np.ndarray:
-        t = np.asarray(scores, dtype=np.float64)
-        d = len(self.cov_coefs)
-        if d == 0:
-            out = self.intercept + self.score_coef * t
-        else:
-            if covariates is None:
-                raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
-            x = np.asarray(covariates, dtype=np.float64)
-            if x.ndim == 1:
-                x = x.reshape(-1, 1)
-            if x.shape != (len(t), d):
-                raise DimensionError(f"covariates have shape {x.shape}, expected ({len(t)}, {d})")
-            out = self.intercept + x @ self.cov_coefs + self.score_coef * t
-        if self.clip_range is not None:
-            out = np.clip(out, self.clip_range[0], self.clip_range[1])
-        return out
 
 
 def _check_xy(scores, outcomes):
@@ -464,12 +455,14 @@ def _histogram(s: np.ndarray, y: np.ndarray, edges: Optional[np.ndarray] = None)
     return edges, bin_means, fallback, int(np.sum(~nonempty))
 
 
-def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> LinearCovCalibrator:
-    """Least squares of outcomes on an intercept, the covariates, and the score."""
+def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCalibrator:
+    """Least squares of outcomes on an intercept, the covariates, and the score.
+
+    The fit is an AffineCalibrator whose slope is the score coefficient and
+    whose cov_coefs are the covariate coefficients, one per column.
+    """
     s, y = _check_xy(scores, outcomes)
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_matrix(covariates)
     if x.ndim != 2 or x.shape[0] != len(s):
         raise DimensionError(f"covariates have shape {x.shape}, expected ({len(s)}, d)")
     if not np.isfinite(x).all():
@@ -485,12 +478,8 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> LinearCo
         )
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     clip_range = (float(y.min()), float(y.max())) if clip else None
-    return LinearCovCalibrator(
-        intercept=float(coef[0]),
-        score_coef=float(coef[d + 1]),
-        cov_coefs=coef[1 : d + 1],
-        clip_range=clip_range,
-        fitted_on=_freeze(np.column_stack((s, y))),
+    return AffineCalibrator(
+        float(coef[d + 1]), float(coef[0]), clip_range, _freeze(np.column_stack((s, y))), coef[1 : d + 1]
     )
 
 
@@ -624,9 +613,10 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
 def predict(calibrator, scores, covariates=None) -> np.ndarray:
     """Evaluate a fitted calibrator, or any callable on scores, at the given scores.
 
-    Only the covariate-adjusted calibrator receives the covariates.
+    Only an AffineCalibrator receives the covariates, which it reads when it
+    has covariate coefficients.
     """
-    if isinstance(calibrator, LinearCovCalibrator):
+    if isinstance(calibrator, AffineCalibrator):
         return calibrator(scores, covariates)
     return calibrator(np.asarray(scores, dtype=np.float64))
 

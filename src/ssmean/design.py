@@ -51,10 +51,14 @@ def _as_readonly_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _as_readonly_matrix(x, n_rows: int, name: str) -> np.ndarray:
+def _as_matrix(x) -> np.ndarray:
+    """x as a float64 array, a vector taken as one column; the caller checks its shape and values."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
+
+
+def _as_readonly_matrix(x, n_rows: int, name: str) -> np.ndarray:
+    arr = _as_matrix(x)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got shape {arr.shape}")
     if arr.shape[0] != n_rows:

@@ -24,11 +24,12 @@ fold its own design.
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
 (iso-cal, hist-cal, venn-abers) give it from the counts of the sample's
-once-sorted scores in each of their k blocks, in O(k log N); affine maps
-(ppi, aipw, ppi-pp, aipw-em, unclipped linear maps) from the sample's
-cached score moments, in O(1), from which ppi-pp and aipw-em also fit
-their coefficient; the constant zero of labeled-only needs neither. Every
-other f is evaluated at the N scores and the values summarised.
+once-sorted scores in each of their k blocks, in O(k log N); unclipped
+affine maps of the score alone (ppi, aipw, ppi-pp, aipw-em, and linear
+fits without clip or covariates) from the sample's cached score moments, in
+O(1), from which ppi-pp and aipw-em also fit their coefficient; the
+constant zero of labeled-only needs neither. Every other f is evaluated at
+the N scores and the values summarised.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -208,10 +209,12 @@ def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
     """The summary of f on an unlabeled sample.
 
     A step map (StepCalibrator, BinnedCalibrator) is summarised from the
-    counts of the sorted scores in each of its blocks, and an unclipped
-    AffineCalibrator from the scores' mean and root centered sum of squares;
-    neither is evaluated per score. Any other f is evaluated at every score
-    through calibrators.predict, and the values are checked and summarised.
+    counts of the sorted scores in each of its blocks, and an AffineCalibrator
+    with no clip and no covariate coefficients from the scores' mean and root
+    centered sum of squares; neither is evaluated per score. Any other f,
+    a clipped or covariate-adjusted affine map included, is evaluated at
+    every score (and covariate row) through calibrators.predict, and the
+    values are checked and summarised.
     """
     if isinstance(f, (cal.StepCalibrator, cal.BinnedCalibrator)):
         cuts, values = f.steps()
@@ -223,7 +226,7 @@ def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
         dev = values - mean
         with np.errstate(over="ignore"):
             return UnlabeledSummary(sample.n, mean, float(counts @ (dev * dev)))
-    if isinstance(f, cal.AffineCalibrator) and f.clip_range is None:
+    if isinstance(f, cal.AffineCalibrator) and f.clip_range is None and not f.cov_coefs:
         if not f.slope:  # constant, even where the scores' root overflows
             return UnlabeledSummary(sample.n, f.intercept, 0.0)
         mean, root_css = sample.score_moments
@@ -236,7 +239,7 @@ class Adjuster(NamedTuple):
     """A fitted family member: its adjustment map f and its own diagnostics.
 
     f is evaluated on the labeled rows through calibrators.predict, so it is
-    any callable on scores, or a fitted calibrator (the covariate-adjusted one
+    any callable on scores, or a fitted calibrator (an AffineCalibrator
     also receives the covariates), and summarised on the unlabeled sample by
     _unlabeled_side. describe(scored) gives the member's diagnostics from
     the values of f on a design.
@@ -347,14 +350,14 @@ def _calibrated(calibrator) -> Adjuster:
         if isinstance(calibrator, cal.AffineCalibrator):
             diagnostics["slope"] = calibrator.slope
             diagnostics["intercept"] = calibrator.intercept
+            if calibrator.clip_range is not None:
+                residual_mean = float((y - pred_l).mean())
+                diagnostics["clip_range"] = list(calibrator.clip_range)
+                diagnostics["clip_active"] = abs(residual_mean) > MEAN_CALIBRATED_TOL * max(1.0, float(np.mean(np.abs(y))))
         if isinstance(calibrator, cal.BinnedCalibrator):
             diagnostics["empty_bins"] = calibrator.empty_bins
         if isinstance(calibrator, cal.SigmoidCalibrator):
             diagnostics["ridge_active"] = calibrator.ridge_active
-        if getattr(calibrator, "clip_range", None) is not None:
-            residual_mean = float((y - pred_l).mean())
-            diagnostics["clip_range"] = list(calibrator.clip_range)
-            diagnostics["clip_active"] = abs(residual_mean) > MEAN_CALIBRATED_TOL * max(1.0, float(np.mean(np.abs(y))))
         return diagnostics
 
     return Adjuster(calibrator, describe)
@@ -365,7 +368,7 @@ def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
     if lab.covariates is None:
         raise DimensionError("linear-cov-cal needs labeled covariates")
     calib = cal.fit_linear_cov(lab.scores, lab.outcomes, lab.covariates, clip=True)
-    if len(calib.cov_coefs) > 0 and design.unlabeled.covariates is None:
+    if calib.cov_coefs and design.unlabeled.covariates is None:
         raise DimensionError("covariate-adjusted calibration needs covariates in both samples")
     return _calibrated(calib)
 

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from ._rng import BOOT_RESAMPLE, derive_seed, substream
+from ._rng import BOOT_RESAMPLE, _integer, derive_seed, substream
 from .design import TwoSampleDesign
 from .exceptions import ConfigError
 
@@ -90,10 +89,7 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     """
     from .estimators import REGISTRY, estimate, method_name
 
-    try:
-        b = operator.index(b)
-    except TypeError:
-        raise ConfigError(f"bootstrap needs an integer number of replicates b, got {b!r}") from None
+    b = _integer(b, "bootstrap needs an integer number of replicates b, got {!r}")
     if b < 2:
         raise ConfigError(f"bootstrap needs b >= 2 replicates, got {b}")
     _check_alpha(alpha)

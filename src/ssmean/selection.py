@@ -18,16 +18,14 @@ for the unlabeled rows.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from . import calibrators as cal
-from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
-from .design import EstimateReport, TwoSampleDesign, design_from_arrays
+from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, _integer, substream
+from .design import EstimateReport, TwoSampleDesign, _as_matrix, design_from_arrays
 from .estimators import (
     REGISTRY,
     Adjuster,
@@ -77,10 +75,8 @@ class CandidateSet:
         for name in self.methods:
             _check_selectable(name, "is not selectable")
         for setting in ("folds", "unlabeled_cap_factor"):
-            value = getattr(self, setting)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{setting} must be an integer, got {value!r}")
-            object.__setattr__(self, setting, int(value))
+            value = _integer(getattr(self, setting), setting + " must be an integer, got {!r}")
+            object.__setattr__(self, setting, value)
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
         if self.unlabeled_cap_factor < 1:
@@ -174,17 +170,12 @@ def autocal_select(
 
 def ols_trainer(covariates: np.ndarray, outcomes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Built-in trainer: least squares of outcomes on covariates with intercept."""
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_matrix(covariates)
     y = np.asarray(outcomes, dtype=np.float64)
     coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(len(x)), x]), y, rcond=None)
 
     def predict(xnew: np.ndarray) -> np.ndarray:
-        xn = np.asarray(xnew, dtype=np.float64)
-        if xn.ndim == 1:
-            xn = xn.reshape(-1, 1)
-        return coef[0] + xn @ coef[1:]
+        return coef[0] + _as_matrix(xnew) @ coef[1:]
 
     return predict
 
@@ -213,20 +204,13 @@ def crossfit_calibrated(
     their inputs; this is what makes cross-fitted results reproducible.
     """
     _check_alpha(alpha)
-    x_l = np.asarray(labeled_covariates, dtype=np.float64)
-    if x_l.ndim == 1:
-        x_l = x_l.reshape(-1, 1)
+    x_l = _as_matrix(labeled_covariates)
     y = np.asarray(labeled_outcomes, dtype=np.float64)
-    x_u = np.asarray(unlabeled_covariates, dtype=np.float64)
-    if x_u.ndim == 1:
-        x_u = x_u.reshape(-1, 1)
+    x_u = _as_matrix(unlabeled_covariates)
     n = len(y)
     if x_l.shape[0] != n:
         raise DataError(f"labeled covariates have {x_l.shape[0]} rows, outcomes have {n}")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ConfigError(f"cross-fitting needs an integer number of folds k, got {k!r}") from None
+    k = _integer(k, "cross-fitting needs an integer number of folds k, got {!r}")
     if k < 2:
         raise ConfigError(f"cross-fitting needs k >= 2 folds, got {k}")
     if k > n:

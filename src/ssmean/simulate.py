@@ -9,14 +9,13 @@ exactly 0.5 by symmetry.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from ._rng import SIM_DRAW, derive_seed, standard_normal, substream
+from ._rng import SIM_DRAW, _integer, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .calibrators import predict
 from .estimators import REGISTRY, estimate, method_name
@@ -51,9 +50,7 @@ class DgpSpec:
 
     def __post_init__(self):
         for name, low in (("n", 2), ("ratio", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"DgpSpec {name} must be an integer, got {value!r}")
+            value = _integer(getattr(self, name), f"DgpSpec {name} must be an integer, got {{!r}}")
             if value < low:
                 raise ConfigError(f"need {name} >= {low}, got {value}")
         if not isinstance(self.miscalibrated, (bool, np.bool_)):
@@ -122,10 +119,7 @@ def run_grid(
     the method's MSE, with ppi evaluated on the same replicates whether or not
     it appears in the method list.
     """
-    try:
-        reps = operator.index(reps)
-    except TypeError:
-        raise ConfigError(f"run_grid needs an integer number of replicates reps, got {reps!r}") from None
+    reps = _integer(reps, "run_grid needs an integer number of replicates reps, got {!r}")
     if reps < 2:
         raise ConfigError(f"need reps >= 2, got {reps}")
     names = [method_name(m) for m in methods]

@@ -408,7 +408,7 @@ def test_linear_cov_reduces_to_linear_when_no_covariates():
     y = 1.5 * s + rng.normal(size=12)
     plain = fit_linear(s, y)
     cov = fit_linear_cov(s, y, np.empty((12, 0)))
-    assert cov.score_coef == pytest.approx(plain.slope, abs=1e-10)
+    assert cov.slope == pytest.approx(plain.slope, abs=1e-10)
     assert cov.intercept == pytest.approx(plain.intercept, abs=1e-10)
 
 
@@ -432,7 +432,7 @@ def test_linear_cov_matches_normal_equation_oracle():
     beta = np.linalg.inv(design.T @ design) @ design.T @ y
     assert cal.intercept == pytest.approx(beta[0], abs=1e-10)
     assert np.allclose(cal.cov_coefs, beta[1:4], atol=1e-10)
-    assert cal.score_coef == pytest.approx(beta[4], abs=1e-10)
+    assert cal.slope == pytest.approx(beta[4], abs=1e-10)
     assert float(np.mean(y - predict(cal, s, x))) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -447,6 +447,41 @@ def test_linear_cov_rank_deficiency():
 def test_linear_cov_needs_enough_points():
     with pytest.raises(DataError):
         fit_linear_cov([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_linear_cov_map_evaluates_in_its_fixed_order(d):
+    rng = np.random.default_rng(22)
+    s, x = rng.normal(size=40), rng.normal(size=(40, d))
+    cal = fit_linear_cov(s, x @ rng.normal(size=d) + 0.6 * s + rng.normal(size=40), x)
+    assert isinstance(cal, AffineCalibrator) and len(cal.cov_coefs) == d
+    want = (cal.intercept + x @ np.array(cal.cov_coefs)) + cal.slope * s
+    assert np.array_equal(predict(cal, s, x), want)
+    with pytest.raises(DimensionError, match="needs covariates"):
+        predict(cal, s)
+
+
+def test_affine_maps_compare_and_hash_by_value():
+    assert AffineCalibrator(1.0, 0.0) == AffineCalibrator(1.0, 0.0)
+    assert hash(AffineCalibrator(1.0, 0.0)) == hash(AffineCalibrator(1.0, 0.0))
+    with_cov = AffineCalibrator(1.0, 0.0, None, None, np.array([0.5, -2.0]))
+    assert with_cov.cov_coefs == (0.5, -2.0)
+    assert with_cov == AffineCalibrator(1.0, 0.0, cov_coefs=[0.5, -2.0])
+    assert hash(with_cov) == hash(AffineCalibrator(1.0, 0.0, cov_coefs=(0.5, -2.0)))
+    assert with_cov != AffineCalibrator(1.0, 0.0, cov_coefs=(0.5, -1.0))
+    assert with_cov != AffineCalibrator(1.0, 0.0)
+
+
+@pytest.mark.parametrize("coefs", [(np.nan,), (0.0, np.inf)])
+def test_affine_calibrator_refuses_non_finite_covariate_coefficients(coefs):
+    with pytest.raises(DataError, match="coefficients must be finite"):
+        AffineCalibrator(1.0, 0.0, cov_coefs=coefs)
+
+
+@pytest.mark.parametrize("clip", [(np.nan, 1.0), (0.0, np.nan), (1.0, 0.0)])
+def test_affine_calibrator_refuses_a_nan_or_reversed_clip_range(clip):
+    with pytest.raises(ConfigError, match="invalid clip range"):
+        AffineCalibrator(1.0, 0.0, clip)
 
 
 # --- Venn-Abers ---------------------------------------------------------------

@@ -449,6 +449,17 @@ def test_clipped_linear_breaks_plugin_identity_but_reports_both():
     assert rep.estimate == rep.diagnostics["aipw_estimate"]
 
 
+def test_unclipped_linear_cov_fit_without_covariates_agrees_with_fit_linear():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        d = random_design(rng, n=int(rng.integers(3, 40)))
+        m, y = d.labeled.scores, d.labeled.outcomes
+        got = calibrated_plugin(d, fit_linear_cov(m, y, np.empty((d.n, 0))))
+        want = calibrated_plugin(d, fit_linear(m, y, clip=False))
+        for a, b in ((got.estimate, want.estimate), (got.std_error, want.std_error)):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
 def test_fingerprint_mismatch_raises():
     d = design_from_arrays([1.0, 2.0], [0.0, 1.0], [1.5])
     other = fit_isotonic([1.0, 2.0], [1.0, 1.0])

@@ -357,7 +357,7 @@ def test_auto_cal_bootstrap_builds_one_report(monkeypatch):
     assert reports == ["auto-cal"]  # the point estimate's; each replicate computes psi alone
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3"])
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", True, np.True_])
 def test_seeds_must_be_non_negative_integers(seed):
     d = draw_dataset(DgpSpec(n=20, ratio=2, seed=0))
     with pytest.raises(ConfigError, match=re.escape(f"got {seed!r}")):
@@ -366,9 +366,9 @@ def test_seeds_must_be_non_negative_integers(seed):
         estimate(d, "auto-cal", seed=seed)
 
 
-@pytest.mark.parametrize("b", [2.5, 5.0, "5", None])
+@pytest.mark.parametrize("b", [2.5, 5.0, "5", None, True, np.True_])
 def test_bootstrap_replicate_count_must_be_an_integer(b):
     d = design_from_arrays([1.0, 2.0], [1.0, 2.0], [1.0])
-    with pytest.raises(ConfigError, match="integer number of replicates"):
+    with pytest.raises(ConfigError, match=f"^bootstrap needs an integer number of replicates b, got {re.escape(repr(b))}$"):
         bootstrap(d, "aipw", b=b, seed=0)
     assert bootstrap(d, "aipw", b=np.int64(3), seed=0).b == 3

@@ -320,11 +320,18 @@ def test_crossfit_unlabeled_average_symmetric_in_folds():
     assert np.allclose(preds.mean(axis=0), preds[::-1].mean(axis=0))
 
 
-@pytest.mark.parametrize("k", [2.5, "3", None])
+@pytest.mark.parametrize("k", [2.5, "3", None, True, np.True_])
 def test_crossfit_refuses_a_non_integer_k(k):
     x, y = np.arange(8.0), np.arange(8.0) % 2
     with pytest.raises(ConfigError, match=f"^cross-fitting needs an integer number of folds k, got {k!r}$"):
         crossfit_calibrated(x, y, x, mean_trainer, k=k)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_])
+def test_crossfit_refuses_a_bool_seed(seed):
+    x, y = np.arange(8.0), np.arange(8.0) % 2
+    with pytest.raises(ConfigError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+        crossfit_calibrated(x, y, x, mean_trainer, seed=seed)
 
 
 def test_crossfit_errors():

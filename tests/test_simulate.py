@@ -150,7 +150,7 @@ def test_run_grid_validation():
         run_grid([10], [1], ["bogus"], reps=2, seed=0)
 
 
-@pytest.mark.parametrize("reps", [2.5, 2.0, "3", None])
+@pytest.mark.parametrize("reps", [2.5, 2.0, "3", None, True, np.True_])
 def test_run_grid_refuses_a_non_integer_reps(reps):
     with pytest.raises(ConfigError, match=f"^run_grid needs an integer number of replicates reps, got {re.escape(repr(reps))}$"):
         run_grid([10], [1], ["ppi"], reps=reps)
