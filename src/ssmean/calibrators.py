@@ -19,6 +19,11 @@ The step maps (isotonic, Venn-Abers and histogram) also give their cut
 points and block values through steps(), so the counts of a sorted sample
 in each block stand in for evaluating them per score.
 
+The isotonic, affine, Platt and histogram fits each have one fold-stacked
+core that fits k training sets in one call (see "fold-stacked fits"
+below); every fit_* function and every registry fit is its k = 1 call, and
+auto-cal's cross-validation calls it once on all its folds.
+
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
 and repr; estimators.calibrated_plugin compares it with a design's labeled
@@ -33,7 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .design import _as_matrix
+from .design import LabeledSample, _as_matrix
 from .exceptions import ConfigError, ConvergenceError, DataError, DimensionError
 
 __all__ = [
@@ -63,6 +68,11 @@ def _freeze(arr) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64).copy()
     out.setflags(write=False)
     return out
+
+
+def _pairs(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A fit's fitted_on: a read-only copy of its (score, outcome) pairs."""
+    return _freeze(np.column_stack((s, y)))
 
 
 @dataclass(frozen=True)
@@ -134,17 +144,20 @@ class AffineCalibrator:
         t = np.asarray(scores, dtype=np.float64)
         d = len(self.cov_coefs)
         if d == 0:
-            out = self.slope * t + self.intercept
-        else:
-            if covariates is None:
-                raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
-            x = _as_matrix(covariates)
-            if x.shape != (len(t), d):
-                raise DimensionError(f"covariates have shape {x.shape}, expected ({len(t)}, {d})")
-            out = (self.intercept + x @ self.cov_coefs) + self.slope * t
-        if self.clip_range is not None:
-            out = np.clip(out, self.clip_range[0], self.clip_range[1])
-        return out
+            return _affine(self.slope, self.intercept, self.clip_range, t)
+        if covariates is None:
+            raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
+        x = _as_matrix(covariates)
+        if x.shape != (len(t), d):
+            raise DimensionError(f"covariates have shape {x.shape}, expected ({len(t)}, {d})")
+        return _affine(self.slope, self.intercept + x @ self.cov_coefs, self.clip_range, t)
+
+
+def _affine(slope, intercept, clip: Optional[Tuple], t: np.ndarray) -> np.ndarray:
+    """slope * t + intercept, clipped to clip = (lo, hi) unless None."""
+    out = slope * t
+    out += intercept
+    return out if clip is None else np.clip(out, clip[0], clip[1])
 
 
 @dataclass(frozen=True)
@@ -168,12 +181,7 @@ class SigmoidCalibrator:
             raise DataError("sigmoid calibrator coefficients must be finite")
 
     def __call__(self, scores) -> np.ndarray:
-        from scipy.special import expit
-
-        t = _stabilized_logit(np.asarray(scores, dtype=np.float64), self.logit_eps)
-        out = expit(self.scale * t + self.shift)
-        # the sigmoid never reaches 0 or 1; undo float saturation
-        return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+        return _sigmoid(self.scale, self.shift, self.logit_eps, scores)
 
 
 def _checked_edges(edges) -> np.ndarray:
@@ -245,27 +253,141 @@ def pava(values, weights) -> np.ndarray:
     return isotonic_regression(values, weights=weights).x
 
 
-def _isotonic_sorted(s: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Boundaries and values of the isotonic fit of pairs given in ascending score order.
+# --- fold-stacked fits ---------------------------------------------------------
+#
+# Each selectable family has one fit core, core(s, y, rows, bounds), that fits
+# k training sets in one call. s and y are a labeled sample in ascending score
+# order (a stable sort); rows holds the k training sets one after another, as
+# indices into s and y: fold j's in rows[bounds[j]:bounds[j+1]], in the order
+# the fit reads them. The core returns the k maps stacked in one *Folds
+# value: map(j) is map j as a calibrator, and on_sample(fold, s) is the value
+# of map fold[p] at s[p] for every p. Every fit_* function and every registry
+# fit is the k = 1 call, so fold j of a k-fold call equals the fit of fold j's
+# rows alone, bit for bit.
 
-    fit_isotonic calls it after its stable sort. iso-cal's registry fit calls
-    it on a labeled sample in the sample's cached stable order, and auto-cal's
-    folds on the training rows of that order, so every one of these fits agrees
-    with fit_isotonic's on the same rows bit for bit.
+
+def _single(s: np.ndarray, y: np.ndarray, rank: np.ndarray, ordered: bool):
+    """A core's arguments for its k = 1 call on a sample's pairs s, y in score order, rank the place of every row.
+
+    The one training set is every row: in score order if ordered, else in row order.
     """
-    # tie blocks start where a sorted score differs from its left neighbour;
-    # the bounds are the block starts followed by len(s)
-    starts = np.empty(len(s) + 1, dtype=bool)
-    starts[0] = starts[-1] = True
-    np.not_equal(s[1:], s[:-1], out=starts[1:-1])
-    bounds = np.flatnonzero(starts)
-    first = bounds[:-1]
-    w_pooled = np.subtract(bounds[1:], first, dtype=np.float64)
-    fitted = pava(np.add.reduceat(y, first) / w_pooled, w_pooled)
+    return s, y, np.arange(len(s)) if ordered else rank, np.array([0, len(s)])
+
+
+def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
+    """reduce(*rows) over each segment [bounds[j], bounds[j+1]) of the arrays, one value per segment.
+
+    A run of segments of one length is reduced as the rows of one matrix, and
+    numpy sums each row of a matrix exactly as it sums that row alone
+    (pairwise for mean, BLAS for vecdot); so segment j's value equals the
+    one-segment call's on its rows bit for bit. Fold sizes take at most two
+    lengths, so this is two reductions, not k.
+    """
+    b = bounds.tolist()
+    out, first = [], 0
+    for j in range(1, len(b)):
+        # a run ends where the next segment's length differs, or at the last segment
+        if j + 1 == len(b) or b[j + 1] - b[j] != b[j] - b[j - 1]:
+            rows = slice(b[first], b[j])
+            out.append(reduce(*(x[rows].reshape(j - first, -1) for x in arrays)))
+            first = j
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """values[a:b].mean() of each segment, bit for bit: mean is the pairwise sum over the count."""
+    return _by_segment(lambda rows: np.add.reduce(rows, axis=1) / rows.shape[1], bounds, values)
+
+
+def _spans(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): the rows of a sorted sample of n scores in each block of k stacked step maps.
+
+    below[c] counts the sample's scores under cut c, and cut_fold[c] is its
+    map. Map j has one more block than cuts, and its blocks follow those of
+    the maps before it, so cut c closes block c + cut_fold[c] and opens the
+    next; a map's first block opens at 0 and its last closes at n.
+    """
+    closing = np.arange(len(below)) + cut_fold
+    upper = np.full(len(below) + k, n)
+    upper[closing] = below
+    lower = np.zeros(len(below) + k, dtype=upper.dtype)
+    lower[closing + 1] = below
+    return lower, upper
+
+
+def _cells(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int, cell: np.ndarray) -> np.ndarray:
+    """The block among k stacked step maps of each cell = fold * n + position: map fold's block holding the
+    score at that position of a sorted sample of n scores.
+
+    below[c] counts the sample's scores under cut c, so a map's blocks split
+    the n positions into runs (_spans); the runs of all k maps, one after
+    another, name every cell's block, with no search per score:
+    StepCalibrator's floor lookup.
+    """
+    lower, upper = _spans(cut_fold, below, k, n)
+    return np.repeat(np.arange(len(upper)), upper - lower)[cell]
+
+
+class _StepFolds:
+    """k step maps stacked; steps() gives (fold of each cut, cuts, values), each fold's cuts ascending."""
+
+    def on_sample(self, fold: np.ndarray, s: np.ndarray) -> np.ndarray:
+        cut_fold, cuts, values = self.steps()
+        n = len(s)
+        return values[_cells(cut_fold, np.searchsorted(s, cuts), len(values) - len(cuts), n, fold * n + np.arange(n))]
+
+
+@dataclass(frozen=True)
+class _IsotonicFolds(_StepFolds):
+    """k isotonic fits: map j is StepCalibrator(boundaries[a:b], values[a:b]) with a, b = bounds[j:j+2]."""
+
+    boundaries: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+
+    def map(self, j: int = 0, fitted_on=None) -> StepCalibrator:
+        rows = slice(self.bounds[j], self.bounds[j + 1])
+        return StepCalibrator(self.boundaries[rows], self.values[rows], fitted_on)
+
+    def steps(self):
+        # a map's cuts are its boundaries but the first
+        counts = self.bounds[1:] - self.bounds[:-1]
+        inner = np.ones(len(self.values), dtype=bool)
+        inner[self.bounds[:-1]] = False
+        return np.repeat(np.arange(len(counts)), counts - 1), self.boundaries[inner], self.values
+
+
+def _block_starts(st: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The first row of every tie block of sorted segments of scores st, then len(st).
+
+    A block starts at each segment's first row and wherever a score differs
+    from its left neighbour.
+    """
+    starts = np.empty(len(st) + 1, dtype=bool)
+    np.not_equal(st[1:], st[:-1], out=starts[1:-1])
+    starts[bounds] = True
+    return np.flatnonzero(starts)
+
+
+def _isotonic_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> _IsotonicFolds:
+    """The isotonic fits of k training sets; each set's rows must ascend, so its pairs are in stable score order.
+
+    One np.add.reduceat pools every fold's tie blocks (_block_starts), and
+    PAVA runs once per fold.
+    """
+    edges = _block_starts(s[rows], bounds)
+    first = edges[:-1]
+    w_pooled = np.subtract(edges[1:], first, dtype=np.float64)
+    means = np.add.reduceat(y[rows], first) / w_pooled
+    # fold j's tie blocks are [blocks[j], blocks[j+1])
+    blocks = np.searchsorted(first, bounds)
+    fitted = np.concatenate([pava(means[a:b], w_pooled[a:b]) for a, b in zip(blocks[:-1], blocks[1:])])
+    # a block is kept where its value rises, and at the start of each fold
     keep = np.empty(len(fitted), dtype=bool)
-    keep[0] = True
     np.greater(fitted[1:], fitted[:-1], out=keep[1:])
-    return s[first[keep]], fitted[keep]
+    keep[blocks[:-1]] = True
+    kept = np.flatnonzero(keep)
+    return _IsotonicFolds(s[rows[first[kept]]], fitted[kept], np.searchsorted(kept, blocks))
 
 
 def fit_isotonic(scores, outcomes) -> StepCalibrator:
@@ -276,23 +398,57 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     fitted block the residuals sum to zero.
     """
     s, y = _check_xy(scores, outcomes)
-    order = np.argsort(s, kind="stable")
-    boundaries, values = _isotonic_sorted(s[order], y[order])
-    return StepCalibrator(boundaries, values, fitted_on=_freeze(np.column_stack((s, y))))
+    return _isotonic_folds(*_single(*LabeledSample(s, y).by_score, ordered=True)).map(0, _pairs(s, y))
 
 
-def _linear_coefs(s: np.ndarray, y: np.ndarray) -> Tuple[float, float, Tuple[float, float]]:
-    """Slope and intercept of the least-squares line of y on s (slope 0 for a constant s), and y's clip range."""
-    sc = s - s.mean()
+@dataclass(frozen=True)
+class _AffineFolds:
+    """k affine maps slope[j] * score + intercept[j], each clipped to (lo[j], hi[j]) when clip is (lo, hi).
+
+    Every coefficient must be finite (DataError), as AffineCalibrator's.
+    """
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    clip: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, [*self.slope.tolist(), *self.intercept.tolist()])):
+            raise DataError("affine calibrator coefficients must be finite")
+
+    def map(self, j: int = 0, fitted_on=None) -> AffineCalibrator:
+        clip = None if self.clip is None else (float(self.clip[0][j]), float(self.clip[1][j]))
+        return AffineCalibrator(float(self.slope[j]), float(self.intercept[j]), clip, fitted_on)
+
+    def at(self, fold, t) -> np.ndarray:
+        """Map fold[i] at t[i], or map fold at every t for an integer fold."""
+        clip = None if self.clip is None else (self.clip[0][fold], self.clip[1][fold])
+        return _affine(self.slope[fold], self.intercept[fold], clip, np.asarray(t, dtype=np.float64))
+
+    on_sample = at
+
+
+def _unit_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> _AffineFolds:
+    """The score itself on every fold, whatever the pairs: aipw's fit."""
+    k = len(bounds) - 1
+    return _AffineFolds(np.ones(k), np.zeros(k))
+
+
+def _linear_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, clip: bool = True) -> _AffineFolds:
+    """The least-squares lines of y on s of k training sets (slope 0 for a constant s), clipped to each y's range if clip."""
+    s, y = s[rows], y[rows]
+    starts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+    s_mean, y_mean = _segment_means(s, bounds), _segment_means(y, bounds)
+    ranges = (np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)) if clip else None
+    # s and y are centered in place
+    sc = np.subtract(s, np.repeat(s_mean, lengths), out=s)
     # weights sc / 2**e lie in (-1, 1), so no product below overflows; a power
     # of two scales both sums exactly, so the slope is sum(sc*yc) / sum(sc*sc)
-    w = np.ldexp(sc, -np.frexp(np.abs(sc).max())[1])
-    denom = float(np.dot(w, sc))
-    if denom == 0.0:
-        slope = 0.0
-    else:
-        slope = float(np.dot(w, y - y.mean()) / denom)
-    return slope, float(y.mean() - slope * s.mean()), (float(y.min()), float(y.max()))
+    w = np.ldexp(sc, np.repeat(-np.frexp(np.maximum.reduceat(np.abs(sc), starts))[1], lengths))
+    denom = _by_segment(np.vecdot, bounds, w, sc)
+    num = _by_segment(np.vecdot, bounds, w, np.subtract(y, np.repeat(y_mean, lengths), out=y))
+    slope = np.divide(num, denom, out=np.zeros(len(starts)), where=denom != 0.0)
+    return _AffineFolds(slope, y_mean - slope * s_mean, ranges)
 
 
 def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
@@ -305,13 +461,21 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     s, y = _check_xy(scores, outcomes)
     if len(s) < 2:
         raise DataError("linear calibration needs at least two labeled points")
-    slope, intercept, clip_range = _linear_coefs(s, y)
-    return AffineCalibrator(slope, intercept, clip_range if clip else None, fitted_on=_freeze(np.column_stack((s, y))))
+    return _linear_folds(*_single(*LabeledSample(s, y).by_score, ordered=False), clip).map(0, _pairs(s, y))
 
 
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
     clipped = np.clip(m, eps, 1.0 - eps)
     return np.log(clipped) - np.log1p(-clipped)
+
+
+def _sigmoid(scale, shift, eps: float, scores) -> np.ndarray:
+    """sigma(scale * logit(score) + shift), kept strictly inside (0, 1)."""
+    from scipy.special import expit
+
+    out = expit(scale * _stabilized_logit(np.asarray(scores, dtype=np.float64), eps) + shift)
+    # the sigmoid never reaches 0 or 1; undo float saturation
+    return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
 
 
 def _is_separable(t: np.ndarray, y: np.ndarray) -> bool:
@@ -395,6 +559,42 @@ def _platt_newton(t: np.ndarray, y: np.ndarray, ridge_active: bool):
     )
 
 
+@dataclass(frozen=True)
+class _SigmoidFolds:
+    """k Platt maps sigma(scale[j] * logit(score) + shift[j]); every coefficient must be finite, as SigmoidCalibrator's."""
+
+    scale: np.ndarray
+    shift: np.ndarray
+    ridge_active: np.ndarray
+    logit_eps: float = DEFAULT_LOGIT_EPS
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, [*self.scale.tolist(), *self.shift.tolist()])):
+            raise DataError("sigmoid calibrator coefficients must be finite")
+
+    def map(self, j: int = 0, fitted_on=None) -> SigmoidCalibrator:
+        return SigmoidCalibrator(
+            float(self.scale[j]), float(self.shift[j]), self.logit_eps, fitted_on, bool(self.ridge_active[j])
+        )
+
+    def at(self, fold, t) -> np.ndarray:
+        """Map fold[i] at t[i], or map fold at every t for an integer fold."""
+        return _sigmoid(self.scale[fold], self.shift[fold], self.logit_eps, t)
+
+    on_sample = at
+
+
+def _platt_folds(
+    s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, logit_eps: float = DEFAULT_LOGIT_EPS
+) -> _SigmoidFolds:
+    """The Platt fits of k training sets of binary outcomes; Newton's iterations are sequential, so one per fold."""
+    y = y[rows]
+    t = _stabilized_logit(s[rows], logit_eps)
+    fits = [_platt_newton(t[a:b], y[a:b], _is_separable(t[a:b], y[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+    theta = np.array([theta for theta, _, _ in fits])
+    return _SigmoidFolds(theta[:, 0], theta[:, 1], np.array([ridge for _, _, ridge in fits]), logit_eps)
+
+
 def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> SigmoidCalibrator:
     """Logistic regression of a binary outcome on the stabilized logit of the score."""
     s, y = _check_xy(scores, outcomes)
@@ -404,15 +604,104 @@ def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> Sigmoid
         raise DataError("Platt scaling requires binary outcomes in {0, 1}")
     if not (0.0 < logit_eps < 0.5):
         raise ConfigError(f"logit_eps must lie in (0, 0.5), got {logit_eps}")
-    t = _stabilized_logit(s, logit_eps)
-    theta, _, ridge_active = _platt_newton(t, y, ridge_active=_is_separable(t, y))
-    return SigmoidCalibrator(
-        scale=float(theta[0]),
-        shift=float(theta[1]),
-        logit_eps=logit_eps,
-        fitted_on=_freeze(np.column_stack((s, y))),
-        ridge_active=ridge_active,
-    )
+    return _platt_folds(*_single(*LabeledSample(s, y).by_score, ordered=False), logit_eps).map(0, _pairs(s, y))
+
+
+@dataclass(frozen=True)
+class _BinnedFolds(_StepFolds):
+    """k histogram fits: map j has edges[a:b] with a, b = edge_bounds[j:j+2], the bin means
+    bin_means[a-j:b-j-1], and fallback[j] and empty_bins[j]; the cuts are the inner edges."""
+
+    edges: np.ndarray
+    edge_bounds: np.ndarray
+    bin_means: np.ndarray
+    fallback: np.ndarray
+    empty_bins: np.ndarray
+    cut_fold: np.ndarray
+    cuts: np.ndarray
+
+    def map(self, j: int = 0, fitted_on=None) -> BinnedCalibrator:
+        a, b = self.edge_bounds[j], self.edge_bounds[j + 1]
+        return BinnedCalibrator(
+            self.edges[a:b], self.bin_means[a - j : b - j - 1], float(self.fallback[j]), int(self.empty_bins[j]), fitted_on
+        )
+
+    def steps(self):
+        return self.cut_fold, self.cuts, self.bin_means
+
+
+_EDGE_GRID = np.arange(DEFAULT_HISTOGRAM_BINS + 1.0)
+
+
+def _default_edges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(edges, count) of the default histogram edges of k score ranges [lo[j], hi[j]]: range j's count[j] edges, stacked.
+
+    DEFAULT_HISTOGRAM_BINS equal-width bins, computed as np.linspace computes
+    them, fewer when a range holds fewer distinct floats, and one bin for a
+    range of one value.
+    """
+    nbins = DEFAULT_HISTOGRAM_BINS
+    # a width that overflows is taken over the halved range; doubling back is exact
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.isinf(hi - lo)
+    start, stop = lo / scale, hi / scale
+    delta = stop - start
+    step = delta / nbins
+    # np.linspace's arithmetic, with its route for a step that underflows to 0
+    edges = np.multiply.outer(step, _EDGE_GRID)
+    zero = step == 0.0
+    if np.count_nonzero(zero):
+        edges[zero] = np.multiply.outer(delta[zero], _EDGE_GRID / nbins)
+    edges += start[:, None]
+    edges[:, -1] = stop
+    edges *= scale[:, None]
+    keep = np.empty(edges.shape, dtype=bool)
+    keep[:, 0] = True
+    np.greater(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
+    if np.count_nonzero(keep) == keep.size:
+        return edges.ravel(), np.full(len(lo), nbins + 1)
+    # a range of fewer than eleven floats keeps its distinct edges, as np.unique gives them
+    edges.sort(axis=1)
+    np.not_equal(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
+    # one bin; from 2**52 on lo + 1 may round to lo, and lo / 2 is a distinct edge
+    one = lo == hi
+    small = np.abs(lo[one]) < 2.0**52
+    edges[one, 0] = np.where(small, lo[one], np.minimum(lo[one], 0.5 * lo[one]))
+    edges[one, 1] = np.where(small, lo[one] + 1.0, np.maximum(lo[one], 0.5 * lo[one]))
+    keep[one] = _EDGE_GRID < 2
+    return edges[keep], keep.sum(axis=1)
+
+
+def _histogram_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, edges=None) -> _BinnedFolds:
+    """The histogram fits of k training sets: per-bin outcome means, empty bins at the set's mean.
+
+    Every set takes the given edges, or by default its own (_default_edges
+    of its score range). A row's bin is read from its position in the sorted
+    sample (_cells), and one np.bincount over (fold, bin) keys gives every
+    fold's counts and sums, each bin's in row order.
+    """
+    k, starts, lengths = len(bounds) - 1, bounds[:-1], bounds[1:] - bounds[:-1]
+    if edges is None:
+        # s ascends, so each set's lowest and highest rows hold its score range
+        edges, count = _default_edges(s[np.minimum.reduceat(rows, starts)], s[np.maximum.reduceat(rows, starts)])
+    else:
+        edges, count = np.tile(edges, k), np.full(k, len(edges))
+    edge_bounds = np.concatenate(([0], np.cumsum(count)))
+    fold_of_bin = np.repeat(np.arange(k), count - 1)
+    # a fold's cuts are its edges but the first and last, one fewer than its bins
+    inner = np.ones(len(edges), dtype=bool)
+    inner[edge_bounds[:-1]] = inner[edge_bounds[1:] - 1] = False
+    cut_fold, cuts = np.repeat(np.arange(k), count - 2), edges[inner]
+    bins = _cells(cut_fold, np.searchsorted(s, cuts), k, len(s), np.repeat(np.arange(k) * len(s), lengths) + rows)
+    y = y[rows]
+    counts = np.bincount(bins, minlength=len(fold_of_bin))
+    sums = np.bincount(bins, weights=y, minlength=len(fold_of_bin))
+    fallback = _segment_means(y, bounds)
+    bin_means = np.repeat(fallback, count - 1)
+    nonempty = counts > 0
+    bin_means[nonempty] = sums[nonempty] / counts[nonempty]
+    empty = np.bincount(fold_of_bin[~nonempty], minlength=k)
+    return _BinnedFolds(edges, edge_bounds, bin_means, fallback, empty, cut_fold, cuts)
 
 
 def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
@@ -427,32 +716,7 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     s, y = _check_xy(scores, outcomes)
     if edges is not None:
         edges = _checked_edges(edges)
-    return BinnedCalibrator(*_histogram(s, y, edges), fitted_on=_freeze(np.column_stack((s, y))))
-
-
-def _histogram(s: np.ndarray, y: np.ndarray, edges: Optional[np.ndarray] = None):
-    """(edges, bin_means, fallback, empty_bins) of the histogram fit; the default edges when None."""
-    if edges is None:
-        lo, hi = float(s.min()), float(s.max())
-        if lo == hi:
-            # one bin; from 2**52 on lo + 1 may round to lo, and lo / 2 is a distinct edge
-            edges = np.array([lo, lo + 1.0] if abs(lo) < 2.0**52 else sorted((lo, 0.5 * lo)))
-        else:
-            # a width that overflows is taken over the halved range; doubling back is exact
-            scale = 2.0 if math.isinf(hi - lo) else 1.0
-            edges = scale * np.linspace(lo / scale, hi / scale, DEFAULT_HISTOGRAM_BINS + 1)
-            if not (edges[1:] > edges[:-1]).all():
-                # a range of fewer than eleven floats keeps its distinct edges
-                edges = np.unique(edges)
-    nbins = len(edges) - 1
-    idx = np.searchsorted(edges[1:-1], s, side="right")
-    fallback = float(y.mean())
-    bin_means = np.full(nbins, fallback)
-    counts = np.bincount(idx, minlength=nbins)
-    sums = np.bincount(idx, weights=y, minlength=nbins)
-    nonempty = counts > 0
-    bin_means[nonempty] = sums[nonempty] / counts[nonempty]
-    return edges, bin_means, fallback, int(np.sum(~nonempty))
+    return _histogram_folds(*_single(*LabeledSample(s, y).by_score, ordered=False), edges).map(0, _pairs(s, y))
 
 
 def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCalibrator:
@@ -479,7 +743,7 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCa
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     clip_range = (float(y.min()), float(y.max())) if clip else None
     return AffineCalibrator(
-        float(coef[d + 1]), float(coef[0]), clip_range, _freeze(np.column_stack((s, y))), coef[1 : d + 1]
+        float(coef[d + 1]), float(coef[0]), clip_range, _pairs(s, y), coef[1 : d + 1]
     )
 
 
@@ -606,7 +870,7 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     return StepCalibrator(
         boundaries=np.concatenate(([-np.inf], cuts)),
         values=mid + (f1 - f0) * (shrink_target - mid),
-        fitted_on=_freeze(np.column_stack((s, y))),
+        fitted_on=_pairs(s, y),
     )
 
 

@@ -13,8 +13,9 @@ also kept scaled by the power of two that brings the scores into (-1, 1).
 Every estimate run on a sample, and every auto-cal fold that shares it,
 reuses them; this is what lets estimators.family_report summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
-A labeled sample keeps the stable order of its scores (score_order), which
-iso-cal's fit, auto-cal's folds and an iso-cal winner's refit all read.
+A labeled sample keeps the stable order of its scores (score_order), and its
+pairs in that order with the place of every row in it (by_score), which every
+selectable method's fit, auto-cal's folds and the winner's refit all read.
 A sample's take(rows) gathers rows into a new sample without checking the
 values again; bootstrap replicates are built that way.
 """
@@ -135,6 +136,17 @@ class LabeledSample:
         """Row indices of the scores in ascending order, ties in row order, read-only; sorted once, on first use."""
         out = np.argsort(self.scores, kind="stable")
         out.setflags(write=False)
+        return out
+
+    @cached_property
+    def by_score(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(scores, outcomes, rank): the pairs in score_order, and the place in it of every row; read-only, on first use."""
+        order = self.score_order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        out = (self.scores[order], self.outcomes[order], rank)
+        for arr in out:
+            arr.setflags(write=False)
         return out
 
 

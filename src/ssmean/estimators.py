@@ -9,9 +9,9 @@ of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
 rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 (ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), the shrunk
 interval map of venn-abers, or auto-cal's cross-validated winner. REGISTRY
-maps every method name to its fit; a selectable method's is one fit of
-labeled pairs, which auto-cal's folds also call, on the pairs in ascending
-score order. _family_core is the only code of the family algebra: from the
+maps every method name to its fit; a selectable method's is the k = 1 call
+of its fold-stacked fit core, which auto-cal's cross-validation calls once
+on all its folds. _family_core is the only code of the family algebra: from the
 labeled values of f, the outcomes and the unlabeled summary it gives the
 plug-in, the residual mean, psi, the labeled influence values and the sum
 of squares of the SE. Every method is fit and scored once (Method.scored)
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,13 +120,17 @@ class ScoredDesign:
 
 
 def _summary(values: np.ndarray) -> UnlabeledSummary:
-    """The count, mean and centered sum of squares of adjustment values; DataError unless finite."""
-    if not np.isfinite(values).all():
-        raise DataError("adjustment values must be finite")
-    mean = float(values.mean())
-    dev = values - mean
-    # an overflowing square makes css inf, which _family_core refuses
-    with np.errstate(over="ignore"):
+    """The count, mean and centered sum of squares of adjustment values; DataError unless finite.
+
+    A value that is not finite makes the mean not finite, so only the mean is checked.
+    """
+    # an overflowing sum or square makes the mean or css inf: the former is refused
+    # here, the latter by _family_core
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        if not math.isfinite(mean):
+            raise DataError("adjustment values must be finite")
+        dev = values - mean
         return UnlabeledSummary(len(dev), mean, float(np.sum(np.square(dev, out=dev))))
 
 
@@ -373,10 +377,10 @@ def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
     return _calibrated(calib)
 
 
-def _fit_platt(s: np.ndarray, y: np.ndarray) -> Adjuster:
+def _platt_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("platt-cal requires binary outcomes in {0, 1}")
-    return _calibrated(cal.fit_platt(s, y))
+    return cal._platt_folds(s, y, rows, bounds)
 
 
 def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
@@ -441,28 +445,39 @@ def _check_n(design: TwoSampleDesign, name: str) -> None:
 class Method:
     """A registry entry: the fit that gives a method its adjuster f.
 
-    A selectable method is one fit of labeled pairs, pair_fit(scores,
-    outcomes), which reads nothing else, so cross-validation and cross-fitting
-    call it on any labeled subsample. An ordered pair fit (iso-cal's) reads
-    the pairs in stable ascending score order: its fit(design) is pair_fit on
-    the labeled sample in the sample's cached score_order. The others give
-    the same map for the pairs in any order, up to the order of their sums,
-    and their fit(design) takes the pairs as stored, with no sort. Any other
-    method is its design_fit. run and point share one fit and scoring: scored.
-    std_error(scored, core) gives the report's SE, the core's for every
-    method but labeled-only.
+    A selectable method is one fold-stacked fit core of labeled pairs,
+    stacked_fit(s, y, rows, bounds) (see calibrators' fold-stacked fits),
+    which fits k training sets, given as rows of a labeled sample in stable
+    score order, in one call and reads nothing else. pair_fit is its k = 1
+    call, wrapped by adjuster, and the method's only fit: fit(design),
+    cross-fitting and auto-cal's cross-validation, which runs the core on all
+    its folds at once, run the same code. An ordered core (iso-cal's) reads
+    each set in stable ascending score order, so its fit(design) runs on the
+    labeled sample in the sample's cached score_order. The others give the
+    same map for the pairs in any order, up to the order of their sums, and
+    read the rows as stored; auto-cal's folds give them each set in that
+    order too. Any other method is its design_fit. run and point share one
+    fit and scoring: scored. std_error(scored, core) gives the report's SE,
+    the core's for every method but labeled-only.
     """
 
     design_fit: Optional[Callable[[TwoSampleDesign], Adjuster]] = None
-    pair_fit: Optional[Callable[[np.ndarray, np.ndarray], Adjuster]] = None
+    stacked_fit: Optional[Callable[..., Any]] = None
     ordered: bool = False
+    adjuster: Callable[[Callable[..., np.ndarray]], Adjuster] = _calibrated
+
+    def pair_fit(self, s: np.ndarray, y: np.ndarray, rank: np.ndarray) -> Adjuster:
+        """The adjuster of the map of pairs s, y in stable score order, rank the place in it of every row.
+
+        stacked_fit's k = 1 call: an ordered core reads the pairs in score
+        order, any other in row order.
+        """
+        return self.adjuster(self.stacked_fit(*cal._single(s, y, rank, self.ordered)).map(0))
 
     def fit(self, design: TwoSampleDesign, seed: int = 0) -> Adjuster:
-        if self.pair_fit is None:
+        if self.stacked_fit is None:
             return self.design_fit(design)
-        lab = design.labeled
-        rows = lab.score_order if self.ordered else slice(None)
-        return self.pair_fit(lab.scores[rows], lab.outcomes[rows])
+        return self.pair_fit(*design.labeled.by_score)
 
     def scored(self, design: TwoSampleDesign, name: str, seed: int) -> Tuple[Adjuster, ScoredDesign]:
         """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE."""
@@ -510,14 +525,14 @@ class _AutoCal(Method):
 REGISTRY = {
     "labeled-only": _LabeledOnly(_fit_zero),
     "ppi": Method(_fit_ppi),
-    "aipw": Method(pair_fit=lambda s, y: Adjuster(cal.AffineCalibrator(1.0, 0.0))),
+    "aipw": Method(stacked_fit=cal._unit_folds, adjuster=Adjuster),
     "ppi-pp": Method(_fit_ppi_pp),
     "aipw-em": Method(_fit_aipw_em),
-    "linear-cal": Method(pair_fit=lambda s, y: _calibrated(cal.AffineCalibrator(*cal._linear_coefs(s, y)))),
+    "linear-cal": Method(stacked_fit=cal._linear_folds),
     "linear-cov-cal": Method(_fit_linear_cov),
-    "platt-cal": Method(pair_fit=_fit_platt),
-    "iso-cal": Method(pair_fit=lambda s, y: _calibrated(cal.StepCalibrator(*cal._isotonic_sorted(s, y))), ordered=True),
-    "hist-cal": Method(pair_fit=lambda s, y: _calibrated(cal.BinnedCalibrator(*cal._histogram(s, y)))),
+    "platt-cal": Method(stacked_fit=_platt_folds),
+    "iso-cal": Method(stacked_fit=cal._isotonic_folds, ordered=True),
+    "hist-cal": Method(stacked_fit=cal._histogram_folds),
     "venn-abers": Method(_fit_venn_abers),
     "auto-cal": _AutoCal(),
 }

@@ -3,12 +3,18 @@
 autocal_select picks among candidate estimators by the cross-validated
 influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
-fold plus a capped unlabeled subsample. Every fold refits a candidate by its
-one pair fit on the labeled sample's cached score order, the fold's rows
-masked out. The criterion of all folds comes from one call of the family
-core per candidate, which takes every fold as its own design from per-fold
-sums (np.bincount over fold ids); no design or report is built per fold.
-The winner's refit, its diagnostics plus the CV table, is auto-cal's fit.
+fold plus a capped unlabeled subsample. A candidate's k fold fits are one
+call of its fold-stacked fit core (see calibrators), the method's only fit,
+on every fold's training rows of the labeled sample in its cached score
+order, stacked. The k maps are evaluated at once: the held-out values in one
+gather, and on the subsample step maps from one count of its scores per
+block, unclipped affine maps from its cached moments, and any other map
+(clipped linear-cal, platt-cal) at every score, one fold at a time. The
+criterion of all folds comes from one call of the family core per
+candidate, which takes every fold as its own design from per-fold sums
+(np.bincount over fold ids); no design, report or calibrator is built per
+fold. The winner's refit, its diagnostics plus the CV table, is auto-cal's
+fit.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .estimators import (
     Adjuster,
     ScoredDesign,
     _family_core,
-    _unlabeled_side,
+    _summary,
     family_report,
     method_name,
 )
@@ -52,8 +58,8 @@ TIE_RTOL = 1e-12
 
 
 def _check_selectable(name: str, role: str) -> None:
-    if REGISTRY[name].pair_fit is None:
-        choices = ", ".join(key for key, method in REGISTRY.items() if method.pair_fit is not None)
+    if REGISTRY[name].stacked_fit is None:
+        choices = ", ".join(key for key, method in REGISTRY.items() if method.stacked_fit is not None)
         raise ConfigError(f"{name!r} {role}; choose from {choices}")
 
 
@@ -83,9 +89,52 @@ class CandidateSet:
             raise ConfigError("unlabeled_cap_factor must be >= 1")
 
 
-def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> List[np.ndarray]:
-    perm = substream(*rng_key).permutation(n)
-    return np.array_split(perm, k)
+def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> np.ndarray:
+    """The fold of every row: a keyed permutation cut into k contiguous blocks
+    of np.array_split's sizes (the first n % k of them one row longer)."""
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    fold = np.empty(n, dtype=np.intp)
+    fold[substream(*rng_key).permutation(n)] = np.repeat(np.arange(k), sizes)
+    return fold
+
+
+def _training_rows(fold: np.ndarray, k: int) -> np.ndarray:
+    """Every fold's training rows, fold-major: for j = 0..k-1 the ascending i with fold[i] != j."""
+    n = len(fold)
+    return np.broadcast_to(np.arange(n), (k, n))[fold != np.arange(k)[:, None]]
+
+
+def _fold_summaries(maps, sample, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The mean and centered sum of squares of each of k stacked maps on an unlabeled sample.
+
+    Step maps are summarised, as _unlabeled_side summarises one, from the
+    counts of the sorted scores in each block, all folds' from one
+    searchsorted of their cuts. Unclipped affine maps take the scores'
+    cached moments. Any other map is evaluated at every score, one fold at
+    a time.
+    """
+    if isinstance(maps, cal._StepFolds):
+        cut_fold, cuts, values = maps.steps()
+        lower, upper = cal._spans(cut_fold, np.searchsorted(sample.sorted_scores, cuts), k, sample.n)
+        counts = upper - lower
+        # only the values some score takes, as when a map is evaluated per score
+        taken = counts > 0
+        block_fold = np.repeat(np.arange(k), np.bincount(cut_fold, minlength=k) + 1)[taken]
+        counts, values = counts[taken], values[taken]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.bincount(block_fold, counts * values, k) / sample.n
+            dev = values - mean[block_fold]
+            return mean, np.bincount(block_fold, counts * (dev * dev), k)
+    if isinstance(maps, cal._AffineFolds) and maps.clip is None:
+        mean, root_css = sample.score_moments
+        slope, intercept = maps.slope, maps.intercept
+        # a zero slope is constant, even where the scores' root overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = slope * root_css
+            return np.where(slope == 0.0, intercept, slope * mean + intercept), np.where(slope == 0.0, 0.0, spread * spread)
+    summaries = [_summary(maps.at(j, sample.scores)) for j in range(k)]
+    return np.array([u.mean for u in summaries]), np.array([u.css for u in summaries])
 
 
 def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -> Tuple[str, Adjuster]:
@@ -96,35 +145,33 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
     k = min(candidates.folds, n // 2)
     if k < 2:
         raise ConfigError(f"selection needs n >= 4 labeled points, got n={n}")
-    fold_of = np.empty(n, dtype=np.intp)
-    for j, rows in enumerate(_fold_blocks(n, k, (seed, FOLD_SHUFFLE))):
-        fold_of[rows] = j
+    fold_of = _fold_blocks(n, k, (seed, FOLD_SHUFFLE))
     cap = min(N, candidates.unlabeled_cap_factor * n)
     if cap < N:
-        sub_idx = substream(seed, UNLABELED_SUBSAMPLE).choice(N, size=cap, replace=False)
-        unl_sub = design.unlabeled.take(sub_idx)
+        unl_sub = design.unlabeled.take(substream(seed, UNLABELED_SUBSAMPLE).choice(N, size=cap, replace=False))
     else:
         # the folds then share the design's sample, and its sort, with the winner's refit
         unl_sub = design.unlabeled
-    lab = design.labeled
-    order = lab.score_order
-    s, y, fold = lab.scores[order], lab.outcomes[order], fold_of[order]
+    # the sample in score order, every row held out by its own fold
+    s, y, rank = design.labeled.by_score
+    fold = np.empty(n, dtype=np.intp)
+    fold[rank] = fold_of
     held = np.bincount(fold, minlength=k)
-    # per fold: its rows, then the training pairs and the held-out scores, in score order
-    splits = [(out, s[~out], y[~out], s[out]) for out in (fold == j for j in range(k))]
+    bounds = np.concatenate(([0], np.cumsum(n - held)))
+    train = (None, None)
 
     criteria = {}
     for name in candidates.methods:
         if name in criteria:  # duplicate candidates: first occurrence wins
             continue
-        pair_fit = REGISTRY[name].pair_fit
-        f_l, mu, css = np.empty(n), np.empty(k), np.empty(k)
-        for j, (out, s_train, y_train, s_held) in enumerate(splits):
-            f = pair_fit(s_train, y_train).f
-            f_l[out] = cal.predict(f, s_held)
-            _, mu[j], css[j] = _unlabeled_side(f, unl_sub)
+        method = REGISTRY[name]
+        # each fold's training rows of s in score order or in row order; one order is kept at a time
+        if train[0] != method.ordered:
+            train = (method.ordered, _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)])
+        maps = method.stacked_fit(s, y, train[1], bounds)
+        mu, css = _fold_summaries(maps, unl_sub, k)
         # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
-        total = _family_core(f_l, y, (cap, mu, css), "auto-cal", (fold, held)).total
+        total = _family_core(maps.on_sample(fold, s), y, (cap, mu, css), "auto-cal", (fold, held)).total
         with np.errstate(over="ignore"):
             criterion = float(np.sum(total / (held + cap))) / k
         if not math.isfinite(criterion):
@@ -154,9 +201,10 @@ def autocal_select(
     The labeled sample is shuffled once (by seed) into K contiguous folds,
     with K clamped so every fold holds at least two points; the unlabeled
     evaluation subsample of size min(N, cap_factor * n) is drawn once per
-    call. Each fold is fit by the candidate's pair fit on the labeled rows
-    in the sample's cached score order (a stable sort, which an iso-cal
-    winner's refit reuses) with the fold's own rows masked out. The
+    call. A candidate's K fold fits are one call of its fold-stacked core
+    on every fold's training rows, in the order the method's own fit reads
+    them (score order for iso-cal, row order for the others), so fold j's
+    map is bit for bit the method's fit of the rows outside fold j. The
     criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
     comes from the family core's per-fold totals. Criteria within TIE_RTOL
     of the smallest count as tied, and the first of them in candidate order
@@ -218,15 +266,14 @@ def crossfit_calibrated(
     name = method_name(calibration_method)
     _check_selectable(name, "cannot be used as a cross-fit calibration")
 
-    folds = _fold_blocks(n, k, (seed, CROSSFIT_SHUFFLE))
+    fold_of = _fold_blocks(n, k, (seed, CROSSFIT_SHUFFLE))
     oof = np.empty(n)
     unl_by_fold = np.empty((k, len(x_u)))
-    for j, fold in enumerate(folds):
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
+    for j in range(k):
+        held = fold_of == j
         try:
-            model = trainer(x_l[mask], y[mask])
-            oof[fold] = np.asarray(model(x_l[fold]), dtype=np.float64).reshape(-1)
+            model = trainer(x_l[~held], y[~held])
+            oof[held] = np.asarray(model(x_l[held]), dtype=np.float64).reshape(-1)
             unl_by_fold[j] = np.asarray(model(x_u), dtype=np.float64).reshape(-1)
         except Exception as exc:
             raise DataError(f"trainer failed on fold {j}: {exc}") from exc

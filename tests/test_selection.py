@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssmean import (
@@ -19,7 +19,7 @@ from ssmean import (
 )
 from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from ssmean.estimators import REGISTRY, ScoredDesign, family_report
-from ssmean.selection import TIE_RTOL
+from ssmean.selection import TIE_RTOL, _training_rows
 
 
 def make_design(rng, n=60, N=120):
@@ -188,6 +188,9 @@ def selection_cases(draw):
 
 @settings(max_examples=150)
 @given(selection_cases())
+# platt-cal's fold fits must read their rows in row order, as its fit of a design does
+@example((design_from_arrays([0, 0, 0.25, 0, 0, 1, 1, 1], np.zeros(8), [0.0]),
+          CandidateSet(["platt-cal"], folds=2, unlabeled_cap_factor=1), 0))
 def test_selection_matches_per_fold_oracle(case):
     d, cands, seed = case
     k = min(cands.folds, d.n // 2)
@@ -205,6 +208,79 @@ def test_selection_matches_per_fold_oracle(case):
     assert winner == diag["selected"] == first_within_tie(want)
     assert diag["cv_folds"] == k
     assert diag["cv_unlabeled_subsample"] == min(d.N, cands.unlabeled_cap_factor * d.n)
+
+
+SELECTABLE = ("aipw", "linear-cal", "platt-cal", "iso-cal", "hist-cal")
+
+
+@st.composite
+def stacked_cases(draw):
+    """Tie-heavy labeled samples cut into k = 2..25 folds, as (design, fold of each row, k).
+
+    Scores lie on a grid, the grid moved to 1e6, five adjacent floats (a
+    range of fewer than eleven floats) or two values; a fold may hold whole
+    tie blocks, and the smallest and largest scores may share a fold, so
+    some training sets lose an end of the range or keep a single value.
+    """
+    k = draw(st.integers(2, 25))
+    n = draw(st.integers(2, 40))
+    level = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["grid", "offset", "few floats", "two values"]))
+    s = {"grid": level / 8.0, "offset": 1e6 + level / 8.0, "few floats": 0.5 + (level % 5) * 2.0**-53,
+         "two values": (level % 2) / 4.0}[kind]
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    else:
+        y = np.array(draw(st.lists(st.integers(-4, 8), min_size=n, max_size=n))) / 4.0
+    if draw(st.booleans()):  # every tie block in one fold
+        fold_of_level = draw(st.lists(st.integers(0, k - 1), min_size=13, max_size=13))
+        fold_of = np.array(fold_of_level)[np.unique(s, return_inverse=True)[1]]
+    else:
+        fold_of = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        fold_of[(s == s.min()) | (s == s.max())] = fold_of[0]
+    # every fold keeps a training row
+    assume(len(np.unique(fold_of)) > 1)
+    return design_from_arrays(s, y, [0.0]), fold_of, k
+
+
+def _bits(calibrator) -> dict:
+    """Every field of a fitted calibrator but fitted_on, as bytes."""
+    return {f.name: np.asarray(getattr(calibrator, f.name)).tobytes()
+            for f in dataclasses.fields(calibrator) if f.name != "fitted_on"}
+
+
+@settings(max_examples=150)
+@given(stacked_cases())
+def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
+    # fold j of one k-fold call of a family's core equals the method's own fit
+    # of fold j's training rows, bit for bit, and so do its held-out values
+    d, fold_of, k = case
+    s, y, rank = d.labeled.by_score
+    fold = np.empty(d.n, dtype=np.intp)
+    fold[rank] = fold_of
+    bounds = np.concatenate(([0], np.cumsum(d.n - np.bincount(fold, minlength=k))))
+    for name in SELECTABLE:
+        method = REGISTRY[name]
+
+        def fold_fit(j):
+            rest = fold_of != j
+            return method.pair_fit(*design_from_arrays(d.labeled.scores[rest], d.labeled.outcomes[rest], [0.0]).labeled.by_score).f
+
+        rows = _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)]
+        try:
+            maps = method.stacked_fit(s, y, rows, bounds)
+        except SsmeanError as exc:
+            # the first fold whose own fit refuses refuses the same way
+            with pytest.raises(type(exc)):
+                for j in range(k):
+                    fold_fit(j)
+            continue
+        held_out = maps.on_sample(fold, s)
+        for j in range(k):
+            f = fold_fit(j)
+            assert _bits(maps.map(j)) == _bits(f), (name, j)
+            assert held_out[fold == j].tobytes() == predict(f, s[fold == j]).tobytes(), (name, j)
 
 
 def test_candidate_validation():
