@@ -21,8 +21,9 @@ in each block stand in for evaluating them per score.
 
 The isotonic, affine, Platt and histogram fits each have one fold-stacked
 core that fits k training sets in one call (see "fold-stacked fits"
-below); every fit_* function and every registry fit is its k = 1 call, and
-auto-cal's cross-validation calls it once on all its folds.
+below); every fit_* function and every registry fit is its k = 1 call,
+auto-cal's cross-validation calls it once on all its folds, and the
+refitting bootstrap once per chunk of replicates.
 
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
@@ -260,10 +261,12 @@ def pava(values, weights) -> np.ndarray:
 # order (a stable sort); rows holds the k training sets one after another, as
 # indices into s and y: fold j's in rows[bounds[j]:bounds[j+1]], in the order
 # the fit reads them. The core returns the k maps stacked in one *Folds
-# value: map(j) is map j as a calibrator, and on_sample(fold, s) is the value
-# of map fold[p] at s[p] for every p. Every fit_* function and every registry
-# fit is the k = 1 call, so fold j of a k-fold call equals the fit of fold j's
-# rows alone, bit for bit.
+# value: map(j) is map j as a calibrator, and on_sample(fold, s, rows) is the
+# value of map fold[p] at s[rows[p]] for every p, in one gather. Every fit_*
+# function and every registry fit is the k = 1 call, so fold j of a k-fold
+# call equals the fit of fold j's rows alone, bit for bit. Auto-cal's
+# cross-validation holds out each row of s once (rows = arange(n)); the
+# refitting bootstrap fits each replicate as one training set.
 
 
 def _single(s: np.ndarray, y: np.ndarray, rank: np.ndarray, ordered: bool):
@@ -331,10 +334,10 @@ def _cells(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int, cell: np.nda
 class _StepFolds:
     """k step maps stacked; steps() gives (fold of each cut, cuts, values), each fold's cuts ascending."""
 
-    def on_sample(self, fold: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def on_sample(self, fold: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         cut_fold, cuts, values = self.steps()
         n = len(s)
-        return values[_cells(cut_fold, np.searchsorted(s, cuts), len(values) - len(cuts), n, fold * n + np.arange(n))]
+        return values[_cells(cut_fold, np.searchsorted(s, cuts), len(values) - len(cuts), n, fold * n + rows)]
 
 
 @dataclass(frozen=True)
@@ -370,7 +373,7 @@ def _block_starts(st: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _isotonic_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> _IsotonicFolds:
-    """The isotonic fits of k training sets; each set's rows must ascend, so its pairs are in stable score order.
+    """The isotonic fits of k training sets; each set's scores s[rows] must ascend, its pairs in the fit's stable score order.
 
     One np.add.reduceat pools every fold's tie blocks (_block_starts), and
     PAVA runs once per fold.
@@ -425,7 +428,8 @@ class _AffineFolds:
         clip = None if self.clip is None else (self.clip[0][fold], self.clip[1][fold])
         return _affine(self.slope[fold], self.intercept[fold], clip, np.asarray(t, dtype=np.float64))
 
-    on_sample = at
+    def on_sample(self, fold, s, rows) -> np.ndarray:
+        return self.at(fold, s[rows])
 
 
 def _unit_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> _AffineFolds:
@@ -581,7 +585,7 @@ class _SigmoidFolds:
         """Map fold[i] at t[i], or map fold at every t for an integer fold."""
         return _sigmoid(self.scale[fold], self.shift[fold], self.logit_eps, t)
 
-    on_sample = at
+    on_sample = _AffineFolds.on_sample
 
 
 def _platt_folds(

@@ -17,9 +17,11 @@ plug-in, the residual mean, psi, the labeled influence values and the sum
 of squares of the SE. Every method is fit and scored once (Method.scored)
 and Method.report builds its report from the core once and returns both, so
 ate_two_arm takes each arm's influence values and plug-in from its report's
-core; Method.point, which the bootstrap runs per replicate, keeps psi alone;
-and auto-cal's cross-validation runs the core once per candidate with every
-fold its own design.
+core; Method.point keeps psi alone; auto-cal's cross-validation runs the
+core once per candidate with every fold its own design; and the refitting
+bootstrap runs it once per chunk of replicates, each replicate a row of
+one matrix, after one stacked fit of the chunk (a method without a stacked
+fit runs Method.point per replicate).
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). Step maps
@@ -147,19 +149,27 @@ def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
     sum to css + count (mean - plugin)^2; SE = sqrt(total) / (n + count).
     folds = (fold, held) makes each fold j a design of its held[j] labeled
     rows and the summary's mean[j] and css[j], with per-fold results from
-    np.bincount sums; without folds the sums are np.sum, as in .mean(). A
-    total that overflows float64 is refused with DataError naming method.
+    np.bincount sums. Without folds the sums are np.sum, as in .mean(), and
+    f_l and y may be (r, n) matrices, row i a design with the summary's
+    mean[i] and css[i] (the bootstrap's replicates): numpy sums each row of
+    a C-contiguous matrix exactly as it sums that row alone, so row i's
+    results equal its own call's bit for bit. A total that overflows
+    float64 is refused with DataError naming method.
     """
     count, mean_u, css = unlabeled
     # an overflowing value makes total non-finite, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if folds is None:
-            n, per_row = len(f_l), lambda v: v
-            mean_l, residual_mean = float(np.sum(f_l)) / n, float(np.sum(y - f_l)) / n
+            n = f_l.shape[-1]
+            if f_l.ndim == 1:
+                per_row, summed = (lambda v: v), (lambda v: float(np.sum(v)))
+            else:
+                per_row, summed = (lambda v: np.expand_dims(v, -1)), (lambda v: np.sum(v, axis=-1))
         else:
             fold, n = folds
-            k, per_row = len(n), lambda v: v[fold]
-            mean_l, residual_mean = np.bincount(fold, f_l, k) / n, np.bincount(fold, y - f_l, k) / n
+            k = len(n)
+            per_row, summed = (lambda v: v[fold]), (lambda v: np.bincount(fold, v, k))
+        mean_l, residual_mean = summed(f_l) / n, summed(y - f_l) / n
         rho = n / (n + count)
         plugin = rho * mean_l + (1.0 - rho) * mean_u
         psi = plugin + residual_mean
@@ -167,7 +177,7 @@ def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
         d_l = a_l - per_row(psi) + (y - a_l) / per_row(rho)
         sq = d_l * d_l
         gap = mean_u - plugin
-        total = (float(np.sum(sq)) if folds is None else np.bincount(fold, sq, k)) + css + count * gap * gap
+        total = summed(sq) + css + count * gap * gap
     if not np.isfinite(total).all():
         raise DataError(f"{method}: standard error overflows float64; rescale the scores and outcomes")
     return _Core(plugin, residual_mean, psi, total, d_l)
@@ -450,15 +460,17 @@ class Method:
     which fits k training sets, given as rows of a labeled sample in stable
     score order, in one call and reads nothing else. pair_fit is its k = 1
     call, wrapped by adjuster, and the method's only fit: fit(design),
-    cross-fitting and auto-cal's cross-validation, which runs the core on all
-    its folds at once, run the same code. An ordered core (iso-cal's) reads
+    cross-fitting, auto-cal's cross-validation, which runs the core on all
+    its folds at once, and the refitting bootstrap, which runs it on a chunk
+    of replicates at once, run the same code. An ordered core (iso-cal's) reads
     each set in stable ascending score order, so its fit(design) runs on the
     labeled sample in the sample's cached score_order. The others give the
     same map for the pairs in any order, up to the order of their sums, and
-    read the rows as stored; auto-cal's folds give them each set in that
-    order too. Any other method is its design_fit. run and point share one
-    fit and scoring: scored. std_error(scored, core) gives the report's SE,
-    the core's for every method but labeled-only.
+    read the rows as stored; auto-cal's folds and the bootstrap's replicates
+    give them each set in that order too. Any other method is its
+    design_fit. run and point share one fit and scoring: scored.
+    std_error(scored, core) gives the report's SE, the core's for every
+    method but labeled-only.
     """
 
     design_fit: Optional[Callable[[TwoSampleDesign], Adjuster]] = None
@@ -490,7 +502,11 @@ class Method:
         return self.report(scored, adjuster.describe, name, alpha)[1]
 
     def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
-        """run(...).estimate with the same refusals, but with no interval or diagnostics built."""
+        """run(...).estimate with the same refusals, but with no interval or diagnostics built.
+
+        The bootstrap's replicates of a method without a stacked fit, and
+        of any chunk of replicates with a refused one, run it per resample.
+        """
         _, scored = self.scored(design, name, seed)
         return _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name).psi
 

@@ -1,6 +1,9 @@
 """Wald intervals and the refitting bootstrap.
 
 The influence-function standard error is computed by estimators._family_core.
+A bootstrap replicate of a method with a fold-stacked fit is one training
+set of that fit (see calibrators' fold-stacked fits): a chunk of replicates
+is fit in one call and its point estimates come from one run of the core.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from scipy.special import ndtri
 
 from ._rng import BOOT_RESAMPLE, _integer, derive_seed, substream
 from .design import TwoSampleDesign
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DataError, SsmeanError
 
 __all__ = [
     "BootstrapResult",
@@ -60,16 +63,72 @@ class BootstrapResult:
     b: int
 
 
+def _draw(seed: int, rep: int, side: int, size: int) -> np.ndarray:
+    """size row indices drawn with replacement from substream (seed, BOOT_RESAMPLE, rep, side)."""
+    return substream(seed, BOOT_RESAMPLE, rep, side).integers(0, size, size=size)
+
+
 def bootstrap_indices(seed: int, rep: int, n: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
     """With-replacement row indices for one replicate.
 
-    The labeled and unlabeled index draws come from distinct substreams keyed
-    by (seed, rep), so the two streams are independent and the result does not
-    depend on replicate execution order.
+    The labeled (side 0) and unlabeled (side 1) index draws come from
+    distinct substreams keyed by (seed, rep), so the two streams are
+    independent and the result does not depend on replicate execution order.
+    The stacked replicates of bootstrap draw from the same two expressions.
     """
-    lab = substream(seed, BOOT_RESAMPLE, rep, 0).integers(0, n, size=n)
-    unl = substream(seed, BOOT_RESAMPLE, rep, 1).integers(0, N, size=N)
-    return lab, unl
+    return _draw(seed, rep, 0, n), _draw(seed, rep, 1, N)
+
+
+# labeled rows per fold-stacked fit: each call fits max(1, _STACKED_ROWS // n)
+# replicates, which bounds the working set of the stacked arrays
+_STACKED_ROWS = 2**15
+
+
+def _replicate_points(design: TwoSampleDesign, method, name: str, seed: int, reps: range) -> list:
+    """The point estimates of replicates reps, one resampled design and one Method.point each."""
+    lab, unl = design.labeled, design.unlabeled
+    out = []
+    for i in reps:
+        idx_l, idx_u = bootstrap_indices(seed, i, design.n, design.N)
+        # the labeled rows stay in draw order: auto-cal's folds split them in that order
+        out.append(method.point(TwoSampleDesign(lab.take(idx_l), unl.take(idx_u)), name, derive_seed(seed, BOOT_RESAMPLE, i, 2)))
+    return out
+
+
+def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps: range) -> np.ndarray:
+    """The point estimates of replicates reps from one call of the method's fold-stacked fit.
+
+    Each replicate is one training set of rows of the labeled sample in
+    score order (by_score): in draw order, or, for an ordered core, in the
+    replicate's own stable score order. Its labeled values come from one
+    gather, its unlabeled side from the resampled sample's summary, and the
+    family core runs once on all of them, one replicate per row. Every
+    value equals _replicate_points' bit for bit. A replicate that would be
+    refused raises an SsmeanError, but not necessarily the one estimate()
+    raises on the first refused resample.
+    """
+    from .estimators import _family_core, _unlabeled_side
+
+    s, y, rank = design.labeled.by_score
+    n, r = design.n, len(reps)
+    # every replicate's rows of s in draw order, one replicate per row
+    pos = rank[np.stack([_draw(seed, i, 0, n) for i in reps])]
+    rows = pos
+    if method.ordered:
+        # a stable sort of each row's tie groups (the dense ranks of its scores)
+        # orders it as a stable sort of its scores does; numpy radix-sorts small integers
+        group = np.concatenate(([0], np.cumsum(s[1:] != s[:-1])))
+        group = group.astype(np.min_scalar_type(group[-1]))
+        rows = np.take_along_axis(pos, np.argsort(group[pos], axis=-1, kind="stable"), -1)
+    maps = method.stacked_fit(s, y, rows.ravel(), np.arange(r + 1) * n)
+    f_l = maps.on_sample(np.repeat(np.arange(r), n), s, pos.ravel()).reshape(r, n)
+    unl = design.unlabeled
+    sides = [_unlabeled_side(maps.map(j), unl.take(_draw(seed, i, 1, design.N))) for j, i in enumerate(reps)]
+    mean, css = np.array([(side.mean, side.css) for side in sides]).T
+    # ScoredDesign's checks; the core refuses a total that overflows
+    if not (np.isfinite(f_l).all() and np.isfinite(mean).all() and (css >= 0.0).all()):
+        raise DataError("adjustment values must be finite")
+    return _family_core(f_l, y[pos], (design.N, mean, css), name).psi
 
 
 def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: float = 0.05) -> BootstrapResult:
@@ -80,12 +139,19 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     calibrator or scaling coefficient the method uses is re-estimated on the
     resampled data. Deterministic given the seed.
 
-    The point estimate is estimate() on the design. A replicate runs only its
-    two index draws (bootstrap_indices), the gather of those rows (without
-    re-checking values the design already checked), the method's refit and
-    its point estimate (Method.point); no per-replicate report, interval or
-    diagnostics are built. It refuses exactly what estimate() on the
-    resampled design would refuse.
+    The point estimate is estimate() on the design; it is the only report
+    built. A method with a fold-stacked fit (aipw, linear-cal, platt-cal,
+    iso-cal, hist-cal) fits its replicates in chunks of
+    max(1, _STACKED_ROWS // n), one stacked call and one family core per
+    chunk, each replicate a training set of rows of the labeled sample; no
+    design is built per replicate. Any other method runs, per replicate,
+    its two index draws (bootstrap_indices), the gather of those rows
+    (without re-checking values the design already checked), the method's
+    refit and its point estimate (Method.point). Both routes give each
+    replicate bit for bit as estimate() on the resampled design gives it,
+    and the bootstrap refuses exactly what estimate() on the first refused
+    resample refuses: a chunk with a refused replicate is replayed one
+    replicate at a time.
     """
     from .estimators import REGISTRY, estimate, method_name
 
@@ -95,13 +161,18 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     _check_alpha(alpha)
     point = estimate(design, method, alpha=alpha, seed=seed).estimate
     name = method_name(method)
-    lab, unl = design.labeled, design.unlabeled
+    fit = REGISTRY[name]
+    chunk = b if fit.stacked_fit is None else max(1, _STACKED_ROWS // design.n)
     reps = np.empty(b)
-    for i in range(b):
-        idx_l, idx_u = bootstrap_indices(seed, i, design.n, design.N)
-        # the labeled rows stay in draw order: auto-cal's folds split them in that order
-        design_b = TwoSampleDesign(lab.take(idx_l), unl.take(idx_u))
-        reps[i] = REGISTRY[name].point(design_b, name, derive_seed(seed, BOOT_RESAMPLE, i, 2))
+    for start in range(0, b, chunk):
+        stop = min(start + chunk, b)
+        if fit.stacked_fit is not None:
+            try:
+                reps[start:stop] = _stacked_points(design, fit, name, seed, range(start, stop))
+                continue
+            except SsmeanError:
+                pass  # replayed below, so the refusal is estimate()'s on the first refused resample
+        reps[start:stop] = _replicate_points(design, fit, name, seed, range(start, stop))
     se_boot = float(np.std(reps, ddof=1))
     lo = float(np.quantile(reps, alpha / 2.0))
     hi = float(np.quantile(reps, 1.0 - alpha / 2.0))

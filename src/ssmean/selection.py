@@ -171,7 +171,7 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
         maps = method.stacked_fit(s, y, train[1], bounds)
         mu, css = _fold_summaries(maps, unl_sub, k)
         # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
-        total = _family_core(maps.on_sample(fold, s), y, (cap, mu, css), "auto-cal", (fold, held)).total
+        total = _family_core(maps.on_sample(fold, s, np.arange(n)), y, (cap, mu, css), "auto-cal", (fold, held)).total
         with np.errstate(over="ignore"):
             criterion = float(np.sum(total / (held + cap))) / k
         if not math.isfinite(criterion):

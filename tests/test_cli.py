@@ -227,28 +227,50 @@ def test_bootstrap_degenerate_and_deterministic(capsys, tmp_path):
 
 
 def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
+    import dataclasses
+
     import ssmean.cli
     import ssmean.estimators
+    import ssmean.inference
 
-    calls, points = [], []
-    real, real_point = ssmean.estimators.estimate, ssmean.estimators.Method.point
+    calls, reports, fits, points, designs = [], [], [], [], []
+    real, real_report, real_point = ssmean.estimators.estimate, ssmean.estimators._report, ssmean.estimators.Method.point
+    real_design, aipw = ssmean.inference.TwoSampleDesign, ssmean.estimators.REGISTRY["aipw"]
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
+    def counting_report(scored, method, *args, **kwargs):
+        reports.append(method)
+        return real_report(scored, method, *args, **kwargs)
+
+    def counting_fit(s, y, rows, bounds):
+        fits.append(len(bounds) - 1)
+        return aipw.stacked_fit(s, y, rows, bounds)
+
     def counting_point(self, design, name, seed):
         points.append(name)
         return real_point(self, design, name, seed)
 
+    def counting_design(*args):
+        designs.append(args)
+        return real_design(*args)
+
     monkeypatch.setattr(ssmean.estimators, "estimate", counting)
     monkeypatch.setattr(ssmean.cli, "estimate", counting)
+    monkeypatch.setattr(ssmean.estimators, "_report", counting_report)
+    monkeypatch.setitem(ssmean.estimators.REGISTRY, "aipw", dataclasses.replace(aipw, stacked_fit=counting_fit))
     monkeypatch.setattr(ssmean.estimators.Method, "point", counting_point)
+    monkeypatch.setattr(ssmean.inference, "TwoSampleDesign", counting_design)
+    # the toy has two labeled rows, so each stacked call fits two replicates
+    monkeypatch.setattr(ssmean.inference, "_STACKED_ROWS", 4)
     lab, unl = toy_files
     code, out, _ = run_cli(capsys, "bootstrap", "--labeled", lab, "--unlabeled", unl, "--b", "5")
     assert code == 0
-    assert calls == ["aipw"]  # one report, for the point estimate
-    assert points == ["aipw"] * 5  # each replicate computes its point estimate alone
+    assert calls == reports == ["aipw"]  # one report, for the point estimate
+    assert fits == [1, 2, 2, 1]  # the point estimate's fit, then one stacked call per chunk of replicates
+    assert points == designs == []  # no replicate builds a design or runs Method.point
     assert json.loads(out)["estimate"] == real(ssmean.cli._load_design(lab, unl, None)[0], "aipw").estimate
 
 

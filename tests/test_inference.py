@@ -1,7 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scipy.special import expit
 
@@ -339,6 +342,88 @@ def test_bootstrap_replicates_equal_estimate_on_materialized_resamples(name):
         assert res.replicates.tobytes() == expected.tobytes(), label
         ran += 1
     assert ran >= 5
+
+
+STACKED = ("aipw", "linear-cal", "platt-cal", "iso-cal", "hist-cal")
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_replicates_are_bit_identical_across_chunks(monkeypatch, name):
+    import ssmean.inference
+
+    method = REGISTRY[name]
+    fits = []
+
+    def counting_fit(s, y, rows, bounds):
+        fits.append(len(bounds) - 1)
+        return method.stacked_fit(s, y, rows, bounds)
+
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(method, stacked_fit=counting_fit))
+    ran = 0
+    for label, d in _replicate_designs().items():
+        # three replicates per stacked call: b = 8 takes three calls
+        monkeypatch.setattr(ssmean.inference, "_STACKED_ROWS", 3 * d.n)
+        try:
+            estimate(d, name)
+            expected = _materialized_replicates(d, name, 8, seed=4)
+        except SsmeanError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bootstrap(d, name, b=8, seed=4)
+            continue
+        fits.clear()
+        res = bootstrap(d, name, b=8, seed=4)
+        assert fits == [1, 3, 3, 2], label  # the point estimate's fit, then one call per chunk
+        assert res.replicates.tobytes() == expected.tobytes(), label
+        ran += 1
+    assert ran >= 5
+
+
+@st.composite
+def tie_heavy_bootstraps(draw):
+    """A stacked method's bootstrap on a tie-heavy design, n from below to above a chunk of 12 rows.
+
+    Scores lie on a grid of 9 levels, the grid moved to 1e6, 9 adjacent
+    floats, or the grid times 1e153, whose squares overflow in some
+    resamples and not in others; outcomes are binary (always for platt-cal)
+    or on a grid. Both samples carry a column of covariates, which
+    _materialized_replicates gathers.
+    """
+    name = draw(st.sampled_from(STACKED))
+    n, N = draw(st.integers(2, 30)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["grid", "offset", "adjacent floats", "huge"]))
+
+    def scores(size):
+        level = np.array(draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)))
+        return {"grid": level / 8.0, "offset": 1e6 + level / 8.0, "adjacent floats": 0.5 + level * 2.0**-53,
+                "huge": level * 1e153}[kind]
+
+    m_l, m_u = scores(n), scores(N)
+    levels = 1 if name == "platt-cal" else draw(st.sampled_from([1, 4]))
+    y = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    d = design_from_arrays(m_l, y, m_u, np.zeros((n, 1)), np.zeros((N, 1)))
+    return d, name, draw(st.integers(2, 7)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150)
+@given(tie_heavy_bootstraps())
+# replicate 2 of 6 refuses (platt-cal's Newton fit does not converge), one replicate per chunk
+@example((design_from_arrays([0.5, 0.25, 0.0, 1.0, 0.625, 0.125, 0.75, 0.125], [1, 1, 0, 0, 0, 1, 1, 1], [0.5],
+                             np.zeros((8, 1)), np.zeros((1, 1))), "platt-cal", 6, 1))
+def test_stacked_replicates_equal_estimate_on_materialized_resamples(case):
+    import ssmean.inference
+
+    d, name, b, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ssmean.inference, "_STACKED_ROWS", 12)
+        try:
+            estimate(d, name, seed=seed)
+            expected = _materialized_replicates(d, name, b, seed)
+        except SsmeanError as exc:
+            # the point estimate's refusal, else the first refused resample's
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bootstrap(d, name, b=b, seed=seed)
+            return
+        assert bootstrap(d, name, b=b, seed=seed).replicates.tobytes() == expected.tobytes()
 
 
 def test_auto_cal_bootstrap_builds_one_report(monkeypatch):
