@@ -34,15 +34,17 @@ def _integer(value, message: str) -> int:
     raise ConfigError(message.format(value))
 
 
+def _seed(value) -> int:
+    """value as an int; ConfigError unless it is a non-negative integer."""
+    k = _integer(value, "seed must be a non-negative integer, got {!r}")
+    if k < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {k!r}")
+    return k
+
+
 def _seed_sequence(key) -> np.random.SeedSequence:
     """The SeedSequence of a key tuple; ConfigError unless every key is a non-negative integer."""
-    entropy = []
-    for k in key:
-        k = _integer(k, "seed must be a non-negative integer, got {!r}")
-        if k < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {k!r}")
-        entropy.append(k)
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence([_seed(k) for k in key])
 
 
 def substream(*key: int) -> np.random.Generator:

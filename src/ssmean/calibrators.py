@@ -71,9 +71,9 @@ def _freeze(arr) -> np.ndarray:
     return out
 
 
-def _pairs(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A fit's fitted_on: a read-only copy of its (score, outcome) pairs."""
-    return _freeze(np.column_stack((s, y)))
+def _pairs(sample: LabeledSample) -> np.ndarray:
+    """A fit's fitted_on: a read-only copy of its sample's (score, outcome) pairs."""
+    return _freeze(np.column_stack((sample.scores, sample.outcomes)))
 
 
 @dataclass(frozen=True)
@@ -227,22 +227,6 @@ class BinnedCalibrator:
         return self.edges[1:-1], self.bin_means
 
 
-def _check_xy(scores, outcomes):
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(outcomes, dtype=np.float64)
-    if s.ndim != 1 or y.ndim != 1:
-        raise DimensionError("scores and outcomes must be one-dimensional")
-    if len(s) != len(y):
-        raise DimensionError(f"scores (n={len(s)}) and outcomes (n={len(y)}) differ in length")
-    if len(s) == 0:
-        raise DataError("empty training sample")
-    if not np.isfinite(s).all():
-        raise DataError("scores have non-finite entries")
-    if not np.isfinite(y).all():
-        raise DataError("outcomes have non-finite entries")
-    return s, y
-
-
 def pava(values, weights) -> np.ndarray:
     """Weighted least-squares nondecreasing fit of values already ordered by the score.
 
@@ -269,11 +253,12 @@ def pava(values, weights) -> np.ndarray:
 # refitting bootstrap fits each replicate as one training set.
 
 
-def _single(s: np.ndarray, y: np.ndarray, rank: np.ndarray, ordered: bool):
-    """A core's arguments for its k = 1 call on a sample's pairs s, y in score order, rank the place of every row.
+def _single(sample: LabeledSample, ordered: bool):
+    """A core's arguments for its k = 1 call on a labeled sample: its pairs in score order (by_score).
 
     The one training set is every row: in score order if ordered, else in row order.
     """
+    s, y, rank = sample.by_score
     return s, y, np.arange(len(s)) if ordered else rank, np.array([0, len(s)])
 
 
@@ -400,8 +385,8 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     their count, so the fit is a genuine function of the score. On every
     fitted block the residuals sum to zero.
     """
-    s, y = _check_xy(scores, outcomes)
-    return _isotonic_folds(*_single(*LabeledSample(s, y).by_score, ordered=True)).map(0, _pairs(s, y))
+    lab = LabeledSample(scores, outcomes)
+    return _isotonic_folds(*_single(lab, ordered=True)).map(0, _pairs(lab))
 
 
 @dataclass(frozen=True)
@@ -462,10 +447,10 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     slope 0 and intercept mean(outcomes). When clip is set, predictions are
     clipped to the observed outcome range.
     """
-    s, y = _check_xy(scores, outcomes)
-    if len(s) < 2:
+    lab = LabeledSample(scores, outcomes)
+    if lab.n < 2:
         raise DataError("linear calibration needs at least two labeled points")
-    return _linear_folds(*_single(*LabeledSample(s, y).by_score, ordered=False), clip).map(0, _pairs(s, y))
+    return _linear_folds(*_single(lab, ordered=False), clip).map(0, _pairs(lab))
 
 
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
@@ -591,8 +576,15 @@ class _SigmoidFolds:
 def _platt_folds(
     s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, logit_eps: float = DEFAULT_LOGIT_EPS
 ) -> _SigmoidFolds:
-    """The Platt fits of k training sets of binary outcomes; Newton's iterations are sequential, so one per fold."""
+    """The Platt fits of k training sets of binary outcomes (DataError for any other outcome).
+
+    Newton's iterations are sequential, so they run once per fold.
+    """
     y = y[rows]
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DataError("Platt scaling requires binary outcomes in {0, 1}")
+    if not (0.0 < logit_eps < 0.5):
+        raise ConfigError(f"logit_eps must lie in (0, 0.5), got {logit_eps}")
     t = _stabilized_logit(s[rows], logit_eps)
     fits = [_platt_newton(t[a:b], y[a:b], _is_separable(t[a:b], y[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
     theta = np.array([theta for theta, _, _ in fits])
@@ -601,14 +593,10 @@ def _platt_folds(
 
 def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> SigmoidCalibrator:
     """Logistic regression of a binary outcome on the stabilized logit of the score."""
-    s, y = _check_xy(scores, outcomes)
-    if len(s) < 2:
+    lab = LabeledSample(scores, outcomes)
+    if lab.n < 2:
         raise DataError("Platt scaling needs at least two labeled points")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError("Platt scaling requires binary outcomes in {0, 1}")
-    if not (0.0 < logit_eps < 0.5):
-        raise ConfigError(f"logit_eps must lie in (0, 0.5), got {logit_eps}")
-    return _platt_folds(*_single(*LabeledSample(s, y).by_score, ordered=False), logit_eps).map(0, _pairs(s, y))
+    return _platt_folds(*_single(lab, ordered=False), logit_eps).map(0, _pairs(lab))
 
 
 @dataclass(frozen=True)
@@ -634,46 +622,34 @@ class _BinnedFolds(_StepFolds):
         return self.cut_fold, self.cuts, self.bin_means
 
 
-_EDGE_GRID = np.arange(DEFAULT_HISTOGRAM_BINS + 1.0)
+def _range_edges(lo: float, hi: float) -> np.ndarray:
+    """The default histogram edges of the score range [lo, hi]."""
+    if lo == hi:
+        # one bin; from 2**52 on lo + 1 may round to lo, and lo / 2 is a distinct edge
+        return np.array([lo, lo + 1.0] if abs(lo) < 2.0**52 else sorted((lo, 0.5 * lo)))
+    # a width that overflows is taken over the halved range; doubling back is exact
+    scale = 2.0 if math.isinf(hi - lo) else 1.0
+    edges = scale * np.linspace(lo / scale, hi / scale, DEFAULT_HISTOGRAM_BINS + 1)
+    # a range of fewer than eleven floats keeps its distinct edges
+    return edges if (edges[1:] > edges[:-1]).all() else np.unique(edges)
 
 
 def _default_edges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(edges, count) of the default histogram edges of k score ranges [lo[j], hi[j]]: range j's count[j] edges, stacked.
 
-    DEFAULT_HISTOGRAM_BINS equal-width bins, computed as np.linspace computes
-    them, fewer when a range holds fewer distinct floats, and one bin for a
-    range of one value.
+    DEFAULT_HISTOGRAM_BINS equal-width bins from np.linspace, fewer when a
+    range holds fewer distinct floats, and one bin for a range of one value
+    (_range_edges). np.linspace runs once per distinct range, told apart by
+    bit pattern, so 0.0 and -0.0 differ; folds and bootstrap replicates
+    differ in a few rows, so they share few ranges.
     """
-    nbins = DEFAULT_HISTOGRAM_BINS
-    # a width that overflows is taken over the halved range; doubling back is exact
-    with np.errstate(over="ignore"):
-        scale = 1.0 + np.isinf(hi - lo)
-    start, stop = lo / scale, hi / scale
-    delta = stop - start
-    step = delta / nbins
-    # np.linspace's arithmetic, with its route for a step that underflows to 0
-    edges = np.multiply.outer(step, _EDGE_GRID)
-    zero = step == 0.0
-    if np.count_nonzero(zero):
-        edges[zero] = np.multiply.outer(delta[zero], _EDGE_GRID / nbins)
-    edges += start[:, None]
-    edges[:, -1] = stop
-    edges *= scale[:, None]
-    keep = np.empty(edges.shape, dtype=bool)
-    keep[:, 0] = True
-    np.greater(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
-    if np.count_nonzero(keep) == keep.size:
-        return edges.ravel(), np.full(len(lo), nbins + 1)
-    # a range of fewer than eleven floats keeps its distinct edges, as np.unique gives them
-    edges.sort(axis=1)
-    np.not_equal(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
-    # one bin; from 2**52 on lo + 1 may round to lo, and lo / 2 is a distinct edge
-    one = lo == hi
-    small = np.abs(lo[one]) < 2.0**52
-    edges[one, 0] = np.where(small, lo[one], np.minimum(lo[one], 0.5 * lo[one]))
-    edges[one, 1] = np.where(small, lo[one] + 1.0, np.maximum(lo[one], 0.5 * lo[one]))
-    keep[one] = _EDGE_GRID < 2
-    return edges[keep], keep.sum(axis=1)
+    table, edges = {}, []
+    bits = zip(lo.view(np.int64).tolist(), hi.view(np.int64).tolist())
+    for a, b, key in zip(lo.tolist(), hi.tolist(), bits):
+        if key not in table:
+            table[key] = _range_edges(a, b)
+        edges.append(table[key])
+    return np.concatenate(edges), np.array([len(e) for e in edges])
 
 
 def _histogram_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, edges=None) -> _BinnedFolds:
@@ -717,10 +693,10 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     Scores outside [edges[0], edges[-1]] clamp to the end bins; empty bins
     predict the global labeled outcome mean.
     """
-    s, y = _check_xy(scores, outcomes)
+    lab = LabeledSample(scores, outcomes)
     if edges is not None:
         edges = _checked_edges(edges)
-    return _histogram_folds(*_single(*LabeledSample(s, y).by_score, ordered=False), edges).map(0, _pairs(s, y))
+    return _histogram_folds(*_single(lab, ordered=False), edges).map(0, _pairs(lab))
 
 
 def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCalibrator:
@@ -729,12 +705,9 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCa
     The fit is an AffineCalibrator whose slope is the score coefficient and
     whose cov_coefs are the covariate coefficients, one per column.
     """
-    s, y = _check_xy(scores, outcomes)
-    x = _as_matrix(covariates)
-    if x.ndim != 2 or x.shape[0] != len(s):
-        raise DimensionError(f"covariates have shape {x.shape}, expected ({len(s)}, d)")
-    if not np.isfinite(x).all():
-        raise DataError("covariates have non-finite entries")
+    # None too is refused, as a matrix of no dimensions
+    lab = LabeledSample(scores, outcomes, _as_matrix(covariates))
+    s, y, x = lab.scores, lab.outcomes, lab.covariates
     n, d = x.shape
     if n <= d + 2:
         raise DataError(f"need n > d + 2 labeled points (n={n}, d={d})")
@@ -747,7 +720,7 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCa
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     clip_range = (float(y.min()), float(y.max())) if clip else None
     return AffineCalibrator(
-        float(coef[d + 1]), float(coef[0]), clip_range, _pairs(s, y), coef[1 : d + 1]
+        float(coef[d + 1]), float(coef[0]), clip_range, _pairs(lab), coef[1 : d + 1]
     )
 
 
@@ -857,7 +830,8 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     """
     if not (isinstance(shrink_target, numbers.Real) and math.isfinite(shrink_target)):
         raise ConfigError(f"shrink_target must be a finite real number, got {shrink_target!r}")
-    s, y = _check_xy(scores, outcomes)
+    lab = LabeledSample(scores, outcomes)
+    s, y = lab.scores, lab.outcomes
     if (y < 0).any() or (y > 1).any():
         raise DataError("outcomes must lie in [0, 1]; rescale before calling")
 
@@ -874,7 +848,7 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     return StepCalibrator(
         boundaries=np.concatenate(([-np.inf], cuts)),
         values=mid + (f1 - f0) * (shrink_target - mid),
-        fitted_on=_pairs(s, y),
+        fitted_on=_pairs(lab),
     )
 
 

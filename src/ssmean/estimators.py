@@ -58,6 +58,7 @@ from typing import Any, Callable, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import calibrators as cal
+from ._rng import _seed
 from .design import EstimateReport, TwoSampleDesign, UnlabeledSample
 from .exceptions import ConfigError, DataError, DimensionError, MisuseError
 from .inference import _check_alpha, wald_interval
@@ -387,12 +388,6 @@ def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
     return _calibrated(calib)
 
 
-def _platt_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError("platt-cal requires binary outcomes in {0, 1}")
-    return cal._platt_folds(s, y, rows, bounds)
-
-
 def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
 
@@ -458,11 +453,11 @@ class Method:
     A selectable method is one fold-stacked fit core of labeled pairs,
     stacked_fit(s, y, rows, bounds) (see calibrators' fold-stacked fits),
     which fits k training sets, given as rows of a labeled sample in stable
-    score order, in one call and reads nothing else. pair_fit is its k = 1
-    call, wrapped by adjuster, and the method's only fit: fit(design),
-    cross-fitting, auto-cal's cross-validation, which runs the core on all
-    its folds at once, and the refitting bootstrap, which runs it on a chunk
-    of replicates at once, run the same code. An ordered core (iso-cal's) reads
+    score order, in one call and reads nothing else. fit(design) is its
+    k = 1 call on design.labeled.by_score, wrapped by adjuster; cross-fitting,
+    auto-cal's cross-validation, which runs the core on all its folds at
+    once, and the refitting bootstrap, which runs it on a chunk of
+    replicates at once, run the same code. An ordered core (iso-cal's) reads
     each set in stable ascending score order, so its fit(design) runs on the
     labeled sample in the sample's cached score_order. The others give the
     same map for the pairs in any order, up to the order of their sums, and
@@ -478,24 +473,21 @@ class Method:
     ordered: bool = False
     adjuster: Callable[[Callable[..., np.ndarray]], Adjuster] = _calibrated
 
-    def pair_fit(self, s: np.ndarray, y: np.ndarray, rank: np.ndarray) -> Adjuster:
-        """The adjuster of the map of pairs s, y in stable score order, rank the place in it of every row.
-
-        stacked_fit's k = 1 call: an ordered core reads the pairs in score
-        order, any other in row order.
-        """
-        return self.adjuster(self.stacked_fit(*cal._single(s, y, rank, self.ordered)).map(0))
-
     def fit(self, design: TwoSampleDesign, seed: int = 0) -> Adjuster:
         if self.stacked_fit is None:
             return self.design_fit(design)
-        return self.pair_fit(*design.labeled.by_score)
+        return self.adjuster(self.stacked_fit(*cal._single(design.labeled, self.ordered)).map(0))
 
     def scored(self, design: TwoSampleDesign, name: str, seed: int) -> Tuple[Adjuster, ScoredDesign]:
-        """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE."""
+        """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE.
+
+        A value that overflows float64 is refused by the fit, ScoredDesign or
+        the family core, with no numpy warning before the refusal.
+        """
         _check_n(design, name)
-        adjuster = self.fit(design, seed)
-        return adjuster, adjuster.scored(design)
+        with np.errstate(over="ignore", invalid="ignore"):
+            adjuster = self.fit(design, seed)
+            return adjuster, adjuster.scored(design)
 
     def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         adjuster, scored = self.scored(design, name, seed)
@@ -546,7 +538,7 @@ REGISTRY = {
     "aipw-em": Method(_fit_aipw_em),
     "linear-cal": Method(stacked_fit=cal._linear_folds),
     "linear-cov-cal": Method(_fit_linear_cov),
-    "platt-cal": Method(stacked_fit=_platt_folds),
+    "platt-cal": Method(stacked_fit=cal._platt_folds),
     "iso-cal": Method(stacked_fit=cal._isotonic_folds, ordered=True),
     "hist-cal": Method(stacked_fit=cal._histogram_folds),
     "venn-abers": Method(_fit_venn_abers),
@@ -573,8 +565,9 @@ def estimate(
     """Run one named method on a design.
 
     The seed only matters for auto-cal (fold shuffling and the unlabeled
-    subsample); every other method is deterministic in the data.
+    subsample); every other method is deterministic in the data. Every
+    method refuses a seed that is not a non-negative integer (ConfigError).
     """
     name = method_name(method)
     _check_alpha(alpha)
-    return REGISTRY[name].run(design, name, alpha, seed)
+    return REGISTRY[name].run(design, name, alpha, _seed(seed))

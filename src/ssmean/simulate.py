@@ -15,7 +15,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy.special import expit
 
-from ._rng import SIM_DRAW, _integer, derive_seed, standard_normal, substream
+from ._rng import SIM_DRAW, _integer, _seed, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
 from .calibrators import predict
 from .estimators import REGISTRY, estimate, method_name
@@ -242,6 +242,7 @@ def ate_two_arm(
     """
     _check_alpha(alpha)
     name = method_name(method)
+    seed = _seed(seed)
     y1 = np.asarray(treated_outcomes, dtype=np.float64)
     y0 = np.asarray(control_outcomes, dtype=np.float64)
     if y1.size == 0 or y0.size == 0:

@@ -9,6 +9,7 @@ from ssmean import (
     ConfigError,
     DataError,
     DimensionError,
+    SsmeanError,
     StepCalibrator,
     design_from_arrays,
     estimate,
@@ -182,6 +183,50 @@ def test_isotonic_flat_extrapolation():
 def test_isotonic_weight_validation():
     with pytest.raises(DimensionError):
         fit_isotonic([1.0, 2.0], [0.0])
+
+
+# --- input validation ---------------------------------------------------------
+
+_S, _Y = [0.1, 0.4, 0.5, 0.9, 0.2], [0.0, 1.0, 1.0, 0.0, 1.0]
+_X = [[0.3], [1.2], [0.7], [2.5], [0.1]]
+
+PAIR_FITS = {
+    "fit_isotonic": fit_isotonic,
+    "fit_linear": fit_linear,
+    "fit_platt": fit_platt,
+    "fit_histogram": fit_histogram,
+    "fit_venn_abers": lambda s, y: fit_venn_abers(s, y, 0.5),
+    # well-formed covariates of one row per score
+    "fit_linear_cov": lambda s, y: fit_linear_cov(s, y, np.square(np.arange(len(s)))[:, None]),
+}
+
+# one fault each, and the class every fit raises for it
+MALFORMED_PAIRS = {
+    "2-D scores": ([[v] for v in _S], _Y, DimensionError),
+    "length mismatch": (_S, _Y[:4], DimensionError),
+    "empty": ([], [], DataError),
+    "NaN score": ([np.nan, *_S[1:]], _Y, DataError),
+    "inf outcome": (_S, [*_Y[:4], np.inf], DataError),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED_PAIRS)
+@pytest.mark.parametrize("fit", PAIR_FITS)
+def test_every_fit_refuses_a_malformed_labeled_sample(fit, fault):
+    s, y, error = MALFORMED_PAIRS[fault]
+    with pytest.raises(SsmeanError) as exc:
+        PAIR_FITS[fit](s, y)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "covariates, error", [(_X[:4], DimensionError), ([*_X[:4], [np.nan]], DataError), (None, DimensionError)]
+)
+def test_fit_linear_cov_refuses_malformed_covariates(covariates, error):
+    assert fit_linear_cov(_S, _Y, _X).cov_coefs
+    with pytest.raises(SsmeanError) as exc:
+        fit_linear_cov(_S, _Y, covariates)
+    assert type(exc.value) is error
 
 
 # --- linear -------------------------------------------------------------------

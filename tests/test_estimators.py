@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -18,6 +19,7 @@ from ssmean import (
     DataError,
     MisuseError,
     ScoredDesign,
+    SsmeanError,
     ate_two_arm,
     autocal_select,
     bootstrap,
@@ -159,6 +161,38 @@ def test_overflowing_standard_error_raises(name):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError, match=f"^{name}: standard error overflows float64"):
                 estimate(d, name)
+
+
+_NEAR_LIMIT = [1e308, -1.7e308, 1.5e308, -1e308, 1.7e308, 1.2e308]
+_RISING = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+
+# six-row designs whose fits or scorings overflow float64, each with the
+# methods that still return a finite report on it; every other method refuses
+NEAR_LIMIT_DESIGNS = {
+    "outcomes": ((_RISING, _NEAR_LIMIT, [0.15, 0.35, 0.55]), ()),
+    "positive outcomes": ((_RISING, np.abs(_NEAR_LIMIT), [0.15, 0.35, 0.55]), ()),
+    "tied scores": (([0.1, 0.1, 0.1, 0.5, 0.5, 0.5], _NEAR_LIMIT, [0.15, 0.35, 0.55]), ()),
+    "scores": (
+        (np.abs(_NEAR_LIMIT), [0.0, 1.0, 0.0, 1.0, 1.0, 0.0], [1e308, 1.6e308, 1.1e308]),
+        ("labeled-only", "ppi-pp", "aipw-em", "platt-cal", "iso-cal", "hist-cal"),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ["estimate", "bootstrap"])
+@pytest.mark.parametrize("case", NEAR_LIMIT_DESIGNS)
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_values_near_the_float64_limit_are_refused_with_no_numpy_warning(name, case, route):
+    arrays, finite = NEAR_LIMIT_DESIGNS[case]
+    d = design_from_arrays(*arrays)
+    run = (lambda: estimate(d, name)) if route == "estimate" else (lambda: bootstrap(d, name, b=4, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name not in finite:
+            with pytest.raises(SsmeanError):
+                run()
+        else:
+            assert math.isfinite(run().estimate)
 
 
 def test_auto_cal_refusal_names_auto_cal_when_only_the_full_sample_overflows():
@@ -723,6 +757,26 @@ def test_alpha_outside_the_open_unit_interval_is_refused_by_every_route(route, a
     d = random_design(np.random.default_rng(46), n=8, N=6)
     with pytest.raises(ConfigError, match=re.escape(f"alpha must be a real number in (0, 1), got {alpha!r}")):
         ALPHA_ROUTES[route](d, alpha)
+
+
+@pytest.mark.parametrize("seed", ["x", -5, True, np.True_, 2.5, None])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_every_method_refuses_a_seed_that_is_not_a_non_negative_integer(name, seed):
+    # a method that draws nothing refuses it too, before any fit
+    d = random_design(np.random.default_rng(46), n=8, N=6)
+    with pytest.raises(ConfigError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        estimate(d, name, seed=seed)
+
+
+@pytest.mark.parametrize("seed", ["x", -5, True, 2.5])
+def test_ate_two_arm_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        ate_two_arm([0.0, 1.0, 1.0], ([0.2, 0.5, 0.9], [0.3, 0.6]), [1.0, 0.0], ([0.4, 0.7], [0.1, 0.2, 0.8]), seed=seed)
+
+
+def test_numpy_integer_seed_is_accepted():
+    d = random_design(np.random.default_rng(46), n=8, N=6)
+    assert estimate(d, "auto-cal", seed=np.int64(3)) == estimate(d, "auto-cal", seed=3)
 
 
 def test_numpy_float_alpha_is_accepted():

@@ -270,7 +270,7 @@ def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
 
         def fold_fit(j):
             rest = fold_of != j
-            return method.pair_fit(*design_from_arrays(d.labeled.scores[rest], d.labeled.outcomes[rest], [0.0]).labeled.by_score).f
+            return method.fit(design_from_arrays(d.labeled.scores[rest], d.labeled.outcomes[rest], [0.0])).f
 
         rows = _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)]
         try:
