@@ -262,6 +262,23 @@ def _single(sample: LabeledSample, ordered: bool):
     return s, y, np.arange(len(s)) if ordered else rank, np.array([0, len(s)])
 
 
+def _fit(core, sample: LabeledSample, ordered: bool, *args):
+    """A public fit: core's k = 1 call on the sample, as a calibrator that keeps the sample's pairs.
+
+    A sum that overflows float64 raises no numpy warning; the map's own
+    check, or _refuse_overflow, refuses it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return core(*_single(sample, ordered), *args).map(0, _pairs(sample))
+
+
+def _refuse_overflow(fit, family: str, *params):
+    """fit, unless one of its parameters overflowed float64 (DataError)."""
+    if not all(np.isfinite(p).all() for p in params):
+        raise DataError(f"{family} fit overflows float64; rescale the outcomes")
+    return fit
+
+
 def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
     """reduce(*rows) over each segment [bounds[j], bounds[j+1]) of the arrays, one value per segment.
 
@@ -385,8 +402,8 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     their count, so the fit is a genuine function of the score. On every
     fitted block the residuals sum to zero.
     """
-    lab = LabeledSample(scores, outcomes)
-    return _isotonic_folds(*_single(lab, ordered=True)).map(0, _pairs(lab))
+    fit = _fit(_isotonic_folds, LabeledSample(scores, outcomes), True)
+    return _refuse_overflow(fit, "isotonic", fit.values)
 
 
 @dataclass(frozen=True)
@@ -450,7 +467,7 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     lab = LabeledSample(scores, outcomes)
     if lab.n < 2:
         raise DataError("linear calibration needs at least two labeled points")
-    return _linear_folds(*_single(lab, ordered=False), clip).map(0, _pairs(lab))
+    return _fit(_linear_folds, lab, False, clip)
 
 
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
@@ -696,7 +713,8 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     lab = LabeledSample(scores, outcomes)
     if edges is not None:
         edges = _checked_edges(edges)
-    return _histogram_folds(*_single(lab, ordered=False), edges).map(0, _pairs(lab))
+    fit = _fit(_histogram_folds, lab, False, edges)
+    return _refuse_overflow(fit, "histogram", fit.bin_means, fit.fallback)
 
 
 def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCalibrator:
@@ -740,61 +758,94 @@ def _prefix_sums(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _tied_values(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, label: float) -> list:
-    """Isotonic fitted value of a point with outcome label tied with each labeled block.
+    """Isotonic fitted value of a point with outcome label tied with each of the k labeled blocks.
 
-    The diagram P_j = (x[j], hi[j] + lo[j]) has one vertex per tie-pooled
-    labeled block. A point tied with block j joins the block from P_j to
-    P_j+1. Moving the prefix P_0..P_j by (-1, -label), rather than the
-    suffix by (1, label), leaves every slope as it is, and the fitted value
-    is the slope of the bridge between the moved prefix and the suffix,
+    x[j] counts the rows of blocks 0..j-1 and C_j = hi[j] + lo[j] sums their
+    outcomes (_prefix_sums), so the diagram P_j = (x[j], C_j), j = 0..k, has
+    a vertex at the end of every tie-pooled labeled block. A point tied with
+    block j joins the block from P_j to P_j+1. Moving the prefix P_0..P_j by
+    (-1, -label), rather than the suffix by (1, label), leaves every slope
+    as it is, and the fitted value is the slope of the bridge between the
+    moved prefix and the suffix,
 
-        max over i <= j of  min over r > j of  (C_r - C_i + label) / (x_r - x_i + 1).
+        max over i <= j of  min over r > j of  (C_r - C_i + label) / (x_r - x_i + 1),
 
-    One pass over j = 0..k-1 finds them all (Vovk, Petej and Fedorova,
-    2015, Algorithms 1-4). A stack holds the lower hull of the unmoved
-    suffix, its left end on top, with the slope of each vertex's right edge.
-    At step j, P_j moves. If it falls below the bridge, or the bridge ended
-    at its own vertex, it starts the new bridge: it pops its own vertex and
-    every vertex it sees past, and the new value is its slope to the top.
-    Otherwise the bridge and its value stay. Each vertex is pushed and
-    popped at most once, so the pass is O(k). Every block mean must be at
-    most label: then the moved P_j sees its own unmoved vertex at the
-    steepest slope, and no suffix point that vertex hides can start a bridge.
+    with C_r - C_i taken as (hi[r] - hi[i]) + (lo[r] - lo[i]), as accurate
+    as the block sum it stands for. One pass over j = 0..k-1 finds them all
+    (Vovk, Petej and Fedorova, 2015, Algorithms 1-4). A stack holds the
+    lower hull of the unmoved suffix, its left end on top, with the slope of
+    each vertex's right edge. At step j, P_j moves. If it falls below the
+    bridge, or the bridge ended at its own vertex, it starts the new bridge:
+    it pops its own vertex and every vertex it sees past, and the new value
+    is its slope to the top. Otherwise the bridge and its value stay. Each
+    vertex is pushed and popped at most once, so the pass is O(k). Every
+    block mean must be at most label: then the moved P_j sees its own
+    unmoved vertex at the steepest slope, and no suffix point that vertex
+    hides can start a bridge. The slopes are written out in the loops, not
+    taken from a helper, since a Python call per slope is a large part of
+    the pass's cost.
     """
     xs, his, los = x.tolist(), hi.tolist(), lo.tolist()
-
-    def moved(i, r):
-        return ((his[r] - his[i]) + (los[r] - los[i]) + label) / (xs[r] - xs[i] + 1.0)
-
-    def edge(v, w):
-        return ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
-
     # the hull's vertices, its left end last, and the slope of the edge right of each
     hull, slopes = [len(xs) - 1], [math.inf]
     for v in range(len(xs) - 2, -1, -1):
-        slope = edge(v, hull[-1])
+        w = hull[-1]
+        slope = ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
         while slope >= slopes[-1]:
             hull.pop()
             slopes.pop()
-            slope = edge(v, hull[-1])
+            w = hull[-1]
+            slope = ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
         hull.append(v)
         slopes.append(slope)
-    values = []
+    values, value = [], -math.inf
     for j in range(len(xs) - 1):
-        own = hull[-1] == j
-        if own:
+        if hull[-1] == j:
+            # the bridge ended at P_j's own vertex (always so at j = 0): P_j starts the new one
             hull.pop()
             slopes.pop()
-        slope = moved(j, hull[-1])
-        if own or slope > values[-1]:
+            value = -math.inf
+        # the slope of the moved P_j to the unmoved P_r; every slope is finite
+        r = hull[-1]
+        slope = ((his[r] - his[j]) + (los[r] - los[j]) + label) / (xs[r] - xs[j] + 1.0)
+        if slope > value:
             while slope >= slopes[-1]:
                 hull.pop()
                 slopes.pop()
-                slope = moved(j, hull[-1])
-            values.append(slope)
-        else:
-            values.append(values[-1])
+                r = hull[-1]
+                slope = ((his[r] - his[j]) + (los[r] - los[j]) + label) / (xs[r] - xs[j] + 1.0)
+            value = slope
+        values.append(value)
     return values
+
+
+def _finite_target(shrink_target) -> float:
+    """shrink_target, unless it is not a finite real number (ConfigError)."""
+    if not (isinstance(shrink_target, numbers.Real) and math.isfinite(shrink_target)):
+        raise ConfigError(f"shrink_target must be a finite real number, got {shrink_target!r}")
+    return shrink_target
+
+
+def _venn_abers(s: np.ndarray, y: np.ndarray, shrink_target: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(boundaries, values) of the Venn-Abers map of labeled pairs s, y in stable ascending score order.
+
+    The one fit core of fit_venn_abers and of the registry's venn-abers fit,
+    which reads the design's cached score order (LabeledSample.by_score).
+    The outcomes must lie in [0, 1] and the target be finite; the callers
+    check them. The tie blocks are the runs of equal scores, and one
+    np.bincount sums each block's outcomes in row order, since a stable
+    sort keeps tied rows in row order.
+    """
+    edges = _block_starts(s, [0, len(s)])
+    hi, lo = _prefix_sums(np.bincount(np.repeat(np.arange(len(edges) - 1), np.diff(edges)), weights=y))
+    x = edges.astype(np.float64)
+    f1 = np.repeat(_tied_values(x, hi, lo, 1.0), 2)
+    f0 = -np.repeat(_tied_values(-x[::-1], hi[::-1], lo[::-1], 0.0)[::-1], 2)
+    f0, f1 = np.concatenate(([0.0], f0)), np.concatenate((f1, [1.0]))
+    mid = 0.5 * (f0 + f1)
+    uniq = s[edges[:-1]]
+    cuts = np.column_stack((uniq, np.nextafter(uniq, np.inf))).ravel()
+    return np.concatenate(([-np.inf], cuts)), mid + (f1 - f0) * (shrink_target - mid)
 
 
 def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
@@ -825,31 +876,16 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     stack pass over the diagram of the tie-pooled sample; label 0 runs on the
     mirrored diagram (-x, C), whose values are the negated ones in reverse
     order. Both passes read the compensated prefix sums, so every value is a
-    quotient of one exact-to-rounding block sum. The fit costs O(n log n + k),
-    and evaluating it at N scores O(N log k).
+    quotient of one exact-to-rounding block sum. The pairs are validated
+    once, sorted once (the sample's by_score), and fit by _venn_abers, the
+    core the registry's venn-abers fit shares. The fit costs
+    O(n log n + k), and evaluating it at N scores O(N log k).
     """
-    if not (isinstance(shrink_target, numbers.Real) and math.isfinite(shrink_target)):
-        raise ConfigError(f"shrink_target must be a finite real number, got {shrink_target!r}")
+    _finite_target(shrink_target)
     lab = LabeledSample(scores, outcomes)
-    s, y = lab.scores, lab.outcomes
-    if (y < 0).any() or (y > 1).any():
+    if (lab.outcomes < 0).any() or (lab.outcomes > 1).any():
         raise DataError("outcomes must lie in [0, 1]; rescale before calling")
-
-    uniq, block, counts = np.unique(s, return_inverse=True, return_counts=True)
-    k = len(uniq)
-    x = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
-    hi, lo = _prefix_sums(np.bincount(block, weights=y, minlength=k))
-
-    f1 = np.repeat(_tied_values(x, hi, lo, 1.0), 2)
-    f0 = -np.repeat(_tied_values(-x[::-1], hi[::-1], lo[::-1], 0.0)[::-1], 2)
-    f0, f1 = np.concatenate(([0.0], f0)), np.concatenate((f1, [1.0]))
-    mid = 0.5 * (f0 + f1)
-    cuts = np.column_stack((uniq, np.nextafter(uniq, np.inf))).ravel()
-    return StepCalibrator(
-        boundaries=np.concatenate(([-np.inf], cuts)),
-        values=mid + (f1 - f0) * (shrink_target - mid),
-        fitted_on=_pairs(lab),
-    )
+    return StepCalibrator(*_venn_abers(*lab.by_score[:2], shrink_target), _pairs(lab))
 
 
 def predict(calibrator, scores, covariates=None) -> np.ndarray:

@@ -394,6 +394,8 @@ def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     Outcomes outside [0, 1] are affinely rescaled for the calibration step and
     the predictions mapped back; the map is recorded in diagnostics. The
     shrunk map is a step function, so the unlabeled side is counted per block.
+    The map is fit by fit_venn_abers' core on the labeled sample's cached
+    score order (by_score), with no second validation or sort.
     """
     m_l, y = design.labeled.scores, design.labeled.outcomes
     if y.min() >= 0.0 and y.max() <= 1.0:
@@ -408,10 +410,14 @@ def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     if not math.isfinite(anchor):
         raise DataError("venn-abers: the aipw anchor overflows float64; rescale the scores and outcomes")
     # the anchor must live on the calibration (rescaled) outcome scale
-    target_scaled = (anchor - lo) / span
-    va = cal.fit_venn_abers(m_l, (y - lo) / span, target_scaled)
+    target_scaled = cal._finite_target((anchor - lo) / span)
+    if math.isinf(span):
+        # the outcomes farthest from lo rescale to inf / inf, a NaN outcome of the calibration sample
+        raise DataError(f"labeled outcomes has non-finite value at index {int(np.argmax(y - lo == np.inf))}")
+    s, y_sorted, _ = design.labeled.by_score
+    boundaries, values = cal._venn_abers(s, (y_sorted - lo) / span, target_scaled)
     diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}
-    return Adjuster(cal.StepCalibrator(va.boundaries, lo + span * va.values), lambda scored: diagnostics)
+    return Adjuster(cal.StepCalibrator(boundaries, lo + span * values), lambda scored: diagnostics)
 
 
 def calibrated_plugin(

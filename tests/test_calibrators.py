@@ -219,6 +219,13 @@ def test_every_fit_refuses_a_malformed_labeled_sample(fit, fault):
     assert type(exc.value) is error
 
 
+@pytest.mark.parametrize("fit", ["fit_isotonic", "fit_linear", "fit_histogram"])
+def test_a_fit_that_overflows_float64_is_refused_with_no_numpy_warning(fit):
+    # every outcome is finite, but the sums the fits take overflow; the suite turns a RuntimeWarning into an error
+    with pytest.raises(DataError):
+        PAIR_FITS[fit]([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1e308, -1.7e308, 1.5e308, -1e308, 1.7e308, 1.2e308])
+
+
 @pytest.mark.parametrize(
     "covariates, error", [(_X[:4], DimensionError), ([*_X[:4], [np.nan]], DataError), (None, DimensionError)]
 )

@@ -33,6 +33,7 @@ from ssmean import (
     fit_linear,
     fit_linear_cov,
     fit_platt,
+    fit_venn_abers,
     ols_trainer,
     run_grid,
     wald_interval,
@@ -844,24 +845,50 @@ def test_venn_abers_runs_one_sweep_per_estimate(monkeypatch):
     import ssmean.calibrators
 
     fits, evaluated = [], []
-    real_fit = ssmean.calibrators.fit_venn_abers
+    real_fit = ssmean.calibrators._venn_abers
     real_call = ssmean.calibrators.StepCalibrator.__call__
 
-    def counting_fit(*args, **kwargs):
-        fits.append(len(args[0]))
-        return real_fit(*args, **kwargs)
+    def counting_fit(s, y, shrink_target):
+        fits.append((len(s), len(y)))
+        return real_fit(s, y, shrink_target)
 
     def counting_call(self, scores):
         evaluated.append(len(scores))
         return real_call(self, scores)
 
-    monkeypatch.setattr(ssmean.calibrators, "fit_venn_abers", counting_fit)
+    monkeypatch.setattr(ssmean.calibrators, "_venn_abers", counting_fit)
     monkeypatch.setattr(ssmean.calibrators.StepCalibrator, "__call__", counting_call)
     rng = np.random.default_rng(17)
     d = design_from_arrays(rng.uniform(size=15), rng.uniform(size=15), rng.uniform(size=25))
     estimate(d, "venn-abers")
-    assert fits == [d.n]  # one fit, on the labeled sample
+    assert fits == [(d.n, d.n)]  # one call of the shared core, on the n labeled pairs
     assert evaluated == [d.n]  # the unlabeled side is counted per block, not evaluated
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_registry_venn_abers_is_the_public_fit_of_the_rescaled_outcomes(data):
+    # the registry fits from the design's cached score order, fit_venn_abers
+    # after its own validation and sort; on tie-heavy samples in any row
+    # order, inside or outside [0, 1], both must give the same map bit for bit
+    n = data.draw(st.integers(2, 40))
+    scores = np.array(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) / 8.0
+    unit = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    low, width = data.draw(st.sampled_from([(0.0, 1.0), (0.25, 0.5), (-3.0, 10.0), (1e3, 1e-3), (-1e6, 2e6)]))
+    rows = np.array(data.draw(st.permutations(range(n))))
+    m_u = np.array(data.draw(st.lists(st.integers(-2, 8), min_size=1, max_size=20))) / 8.0
+    d = design_from_arrays(scores[rows], (low + width * unit)[rows], m_u)
+    adjuster = REGISTRY["venn-abers"].fit(d)
+    diagnostics = adjuster.describe(None)
+    lo, span = diagnostics["outcome_rescale"]
+    m_l, y = d.labeled.scores, d.labeled.outcomes
+    # the shrink target is the aipw estimate, on the rescaled outcome scale
+    anchor = float(d.rho * m_l.mean() + (1.0 - d.rho) * d.unlabeled.score_moments[0]) + float((y - m_l).mean())
+    target = (anchor - lo) / span
+    assert lo + span * target == diagnostics["shrink_target"]
+    public = fit_venn_abers(m_l, (y - lo) / span, target)
+    assert adjuster.f.boundaries.tobytes() == public.boundaries.tobytes()
+    assert adjuster.f.values.tobytes() == (lo + span * public.values).tobytes()
 
 
 def test_venn_abers_keeps_unit_interval_outcomes_unscaled():
