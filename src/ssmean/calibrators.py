@@ -17,7 +17,7 @@ isotonic fit per evaluation point.
 
 The step maps (isotonic, Venn-Abers and histogram) also give their cut
 points and block values through steps(), so the counts of a sorted sample
-in each block stand in for evaluating them per score.
+in each block stand in for evaluating them per score (estimators._summaries).
 
 The isotonic, affine, Platt and histogram fits each have one fold-stacked
 core that fits k training sets in one call (see "fold-stacked fits"
@@ -304,8 +304,8 @@ def _segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return _by_segment(lambda rows: np.add.reduce(rows, axis=1) / rows.shape[1], bounds, values)
 
 
-def _spans(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(lower, upper): the rows of a sorted sample of n scores in each block of k stacked step maps.
+def _block_counts(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The rows of a sorted sample of n scores in each block of k stacked step maps.
 
     below[c] counts the sample's scores under cut c, and cut_fold[c] is its
     map. Map j has one more block than cuts, and its blocks follow those of
@@ -317,29 +317,37 @@ def _spans(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int) -> Tuple[np.
     upper[closing] = below
     lower = np.zeros(len(below) + k, dtype=upper.dtype)
     lower[closing + 1] = below
-    return lower, upper
+    return upper - lower
 
 
-def _cells(cut_fold: np.ndarray, below: np.ndarray, k: int, n: int, cell: np.ndarray) -> np.ndarray:
-    """The block among k stacked step maps of each cell = fold * n + position: map fold's block holding the
-    score at that position of a sorted sample of n scores.
+def _cells(cut_fold: np.ndarray, cuts: np.ndarray, k: int, s: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The block among k stacked step maps of each cell = fold * len(s) + position: map fold's block holding the
+    score at that position of the sorted sample s.
 
-    below[c] counts the sample's scores under cut c, so a map's blocks split
-    the n positions into runs (_spans); the runs of all k maps, one after
-    another, name every cell's block, with no search per score:
-    StepCalibrator's floor lookup.
+    A map's blocks split the positions of s into runs (_block_counts); the
+    runs of all k maps, one after another, name every cell's block, with no
+    search per score: StepCalibrator's floor lookup.
     """
-    lower, upper = _spans(cut_fold, below, k, n)
-    return np.repeat(np.arange(len(upper)), upper - lower)[cell]
+    counts = _block_counts(cut_fold, np.searchsorted(s, cuts), k, len(s))
+    return np.repeat(np.arange(len(counts)), counts)[cell]
 
 
 class _StepFolds:
-    """k step maps stacked; steps() gives (fold of each cut, cuts, values), each fold's cuts ascending."""
+    """k step maps stacked; steps() gives (fold of each cut, cuts, values), each fold's cuts ascending.
+
+    _StepFolds(cut_fold, cuts, values) holds the given steps; a step
+    calibrator's steps(), every cut in map 0, are its one-map stack.
+    """
+
+    def __init__(self, cut_fold: np.ndarray, cuts: np.ndarray, values: np.ndarray):
+        self.cut_fold, self.cuts, self.values = cut_fold, cuts, values
+
+    def steps(self):
+        return self.cut_fold, self.cuts, self.values
 
     def on_sample(self, fold: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         cut_fold, cuts, values = self.steps()
-        n = len(s)
-        return values[_cells(cut_fold, np.searchsorted(s, cuts), len(values) - len(cuts), n, fold * n + rows)]
+        return values[_cells(cut_fold, cuts, len(values) - len(cuts), s, fold * len(s) + rows)]
 
 
 @dataclass(frozen=True)
@@ -619,11 +627,11 @@ def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> Sigmoid
 @dataclass(frozen=True)
 class _BinnedFolds(_StepFolds):
     """k histogram fits: map j has edges[a:b] with a, b = edge_bounds[j:j+2], the bin means
-    bin_means[a-j:b-j-1], and fallback[j] and empty_bins[j]; the cuts are the inner edges."""
+    values[a-j:b-j-1], and fallback[j] and empty_bins[j]; the cuts are the inner edges."""
 
     edges: np.ndarray
     edge_bounds: np.ndarray
-    bin_means: np.ndarray
+    values: np.ndarray
     fallback: np.ndarray
     empty_bins: np.ndarray
     cut_fold: np.ndarray
@@ -632,11 +640,8 @@ class _BinnedFolds(_StepFolds):
     def map(self, j: int = 0, fitted_on=None) -> BinnedCalibrator:
         a, b = self.edge_bounds[j], self.edge_bounds[j + 1]
         return BinnedCalibrator(
-            self.edges[a:b], self.bin_means[a - j : b - j - 1], float(self.fallback[j]), int(self.empty_bins[j]), fitted_on
+            self.edges[a:b], self.values[a - j : b - j - 1], float(self.fallback[j]), int(self.empty_bins[j]), fitted_on
         )
-
-    def steps(self):
-        return self.cut_fold, self.cuts, self.bin_means
 
 
 def _range_edges(lo: float, hi: float) -> np.ndarray:
@@ -689,7 +694,7 @@ def _histogram_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.
     inner = np.ones(len(edges), dtype=bool)
     inner[edge_bounds[:-1]] = inner[edge_bounds[1:] - 1] = False
     cut_fold, cuts = np.repeat(np.arange(k), count - 2), edges[inner]
-    bins = _cells(cut_fold, np.searchsorted(s, cuts), k, len(s), np.repeat(np.arange(k) * len(s), lengths) + rows)
+    bins = _cells(cut_fold, cuts, k, s, np.repeat(np.arange(k) * len(s), lengths) + rows)
     y = y[rows]
     counts = np.bincount(bins, minlength=len(fold_of_bin))
     sums = np.bincount(bins, weights=y, minlength=len(fold_of_bin))

@@ -11,7 +11,7 @@ from its scores on first use: a sorted copy (8 bytes per row, held for the
 sample's lifetime) and the scores' mean and root centered sum of squares,
 also kept scaled by the power of two that brings the scores into (-1, 1).
 Every estimate run on a sample, and every auto-cal fold that shares it,
-reuses them; this is what lets estimators.family_report summarise step and
+reuses them; this is what lets estimators._summaries summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
 A labeled sample keeps the stable order of its scores (score_order), and its
 pairs in that order with the place of every row in it (by_score), which every

@@ -24,14 +24,9 @@ one matrix, after one stacked fit of the chunk (a method without a stacked
 fit runs Method.point per replicate).
 
 The core reads the unlabeled side only as a summary: the count N, the mean
-of f and its centered sum of squares (UnlabeledSummary). Step maps
-(iso-cal, hist-cal, venn-abers) give it from the counts of the sample's
-once-sorted scores in each of their k blocks, in O(k log N); unclipped
-affine maps of the score alone (ppi, aipw, ppi-pp, aipw-em, and linear
-fits without clip or covariates) from the sample's cached score moments, in
-O(1), from which ppi-pp and aipw-em also fit their coefficient; the
-constant zero of labeled-only needs neither. Every other f is evaluated at
-the N scores and the values summarised.
+of f and its centered sum of squares (UnlabeledSummary). One function,
+_summaries, gives it for k stacked maps at once, and its docstring names
+its routes; a single map is its one-map stack (_unlabeled_side).
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -53,6 +48,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -220,34 +216,77 @@ def _no_diagnostics(scored: ScoredDesign) -> dict:
     return {}
 
 
+def _summaries(maps, k: int, unlabeled: UnlabeledSample, draws=None) -> list:
+    """The mean and centered sum of squares of each of k stacked maps, as a list of k float pairs.
+
+    maps is a calibrators *Folds value. Every map is summarised on
+    unlabeled, or, given draws, map j on unlabeled.take(draws[j]) for k
+    draws of unlabeled.n rows each (the bootstrap's resamples), each taken,
+    read and dropped in turn. Every summary from block counts or cached
+    moments is computed here, by one of three routes:
+    - step maps (iso-cal, hist-cal, venn-abers) from the counts of each
+      sample's once-sorted scores in each of their blocks, in O(blocks log N),
+      every block of every map summed by one np.bincount over map ids;
+    - unclipped affine maps of the score (ppi, aipw, ppi-pp, aipw-em,
+      linear fits without clip) from each sample's cached score moments, in
+      O(1) per map, in Python floats;
+    - any other map (clipped linear-cal, platt-cal) evaluated at every
+      score, one map at a time.
+    A np.bincount adds each map's blocks in order, so map j's summary equals
+    its own one-map call's bit for bit: estimate(), auto-cal's folds and
+    the bootstrap's replicates share one summation order.
+    """
+    samples = repeat(unlabeled, k) if draws is None else map(unlabeled.take, draws)
+    if isinstance(maps, cal._StepFolds):
+        cut_fold, cuts, values = maps.steps()
+        per_map = np.bincount(cut_fold, minlength=k)
+        # every map's cuts in its own sample, or all of them in the one shared sample at once
+        pieces = [(unlabeled, cuts)] if draws is None else zip(samples, np.split(cuts, np.cumsum(per_map)[:-1]))
+        below = np.concatenate([np.searchsorted(u.sorted_scores, c) for u, c in pieces])
+        counts = cal._block_counts(cut_fold, below, k, unlabeled.n)
+        # only the values some score takes, as when a map is evaluated per score
+        taken = counts > 0
+        block = np.repeat(np.arange(k), per_map + 1)[taken]
+        counts, values = counts[taken], values[taken]
+        # a sum or square that overflows makes a mean or css non-finite, which
+        # ScoredDesign or _family_core refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.bincount(block, counts * values, k) / unlabeled.n
+            dev = values - mean[block]
+            return list(zip(mean.tolist(), np.bincount(block, counts * (dev * dev), k).tolist()))
+    if isinstance(maps, cal._AffineFolds) and maps.clip is None:
+        pairs = []
+        for slope, intercept, u in zip(maps.slope.tolist(), maps.intercept.tolist(), samples):
+            if slope:
+                mean, root = u.score_moments
+                spread = slope * root
+                pairs.append((slope * mean + intercept, spread * spread))
+            else:  # constant, even where the scores' root overflows
+                pairs.append((intercept, 0.0))
+        return pairs
+    return [_summary(maps.at(j, u.scores))[1:] for j, u in enumerate(samples)]
+
+
 def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
     """The summary of f on an unlabeled sample.
 
-    A step map (StepCalibrator, BinnedCalibrator) is summarised from the
-    counts of the sorted scores in each of its blocks, and an AffineCalibrator
-    with no clip and no covariate coefficients from the scores' mean and root
-    centered sum of squares; neither is evaluated per score. Any other f,
-    a clipped or covariate-adjusted affine map included, is evaluated at
-    every score (and covariate row) through calibrators.predict, and the
-    values are checked and summarised.
+    A step map (StepCalibrator, BinnedCalibrator), or an affine map of the
+    score alone with no clip, is passed to _summaries as a one-map stack:
+    its steps(), or its slope and intercept. Any other f (a clipped,
+    covariate-adjusted or Platt map, or any callable) is evaluated at every
+    score (and covariate row) through calibrators.predict, and the values
+    are checked and summarised by _summary, as the core's per-score route
+    does.
     """
     if isinstance(f, (cal.StepCalibrator, cal.BinnedCalibrator)):
         cuts, values = f.steps()
-        counts = np.diff(np.concatenate(([0], np.searchsorted(sample.sorted_scores, cuts), [sample.n])))
-        # only the values some score takes, as when f is evaluated per score
-        taken = counts > 0
-        counts, values = counts[taken], values[taken]
-        mean = float(counts @ values) / sample.n
-        dev = values - mean
-        with np.errstate(over="ignore"):
-            return UnlabeledSummary(sample.n, mean, float(counts @ (dev * dev)))
-    if isinstance(f, cal.AffineCalibrator) and f.clip_range is None and not f.cov_coefs:
-        if not f.slope:  # constant, even where the scores' root overflows
-            return UnlabeledSummary(sample.n, f.intercept, 0.0)
-        mean, root_css = sample.score_moments
-        spread = f.slope * root_css
-        return UnlabeledSummary(sample.n, f.slope * mean + f.intercept, spread * spread)
-    return _summary(cal.predict(f, sample.scores, sample.covariates))
+        stack = cal._StepFolds(np.zeros(len(cuts), dtype=np.intp), cuts, values)
+    elif isinstance(f, cal.AffineCalibrator) and f.clip_range is None and not f.cov_coefs:
+        stack = cal._AffineFolds(np.array([f.slope]), np.array([f.intercept]))
+    else:
+        return _summary(cal.predict(f, sample.scores, sample.covariates))
+    [(mean, css)] = _summaries(stack, 1, sample)
+    return UnlabeledSummary(sample.n, mean, css)
 
 
 class Adjuster(NamedTuple):
@@ -409,11 +448,10 @@ def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
         anchor = float(rho * m_l.mean() + (1.0 - rho) * design.unlabeled.score_moments[0]) + float((y - m_l).mean())
     if not math.isfinite(anchor):
         raise DataError("venn-abers: the aipw anchor overflows float64; rescale the scores and outcomes")
+    if math.isinf(span):
+        raise DataError("venn-abers: the labeled outcome range overflows float64; rescale the outcomes")
     # the anchor must live on the calibration (rescaled) outcome scale
     target_scaled = cal._finite_target((anchor - lo) / span)
-    if math.isinf(span):
-        # the outcomes farthest from lo rescale to inf / inf, a NaN outcome of the calibration sample
-        raise DataError(f"labeled outcomes has non-finite value at index {int(np.argmax(y - lo == np.inf))}")
     s, y_sorted, _ = design.labeled.by_score
     boundaries, values = cal._venn_abers(s, (y_sorted - lo) / span, target_scaled)
     diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}

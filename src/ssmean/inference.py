@@ -3,7 +3,8 @@
 The influence-function standard error is computed by estimators._family_core.
 A bootstrap replicate of a method with a fold-stacked fit is one training
 set of that fit (see calibrators' fold-stacked fits): a chunk of replicates
-is fit in one call and its point estimates come from one run of the core.
+is fit in one call, its unlabeled summaries come from one call of
+estimators._summaries and its point estimates from one run of the core.
 """
 from __future__ import annotations
 
@@ -101,13 +102,14 @@ def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps:
     Each replicate is one training set of rows of the labeled sample in
     score order (by_score): in draw order, or, for an ordered core, in the
     replicate's own stable score order. Its labeled values come from one
-    gather, its unlabeled side from the resampled sample's summary, and the
+    gather, and the unlabeled summaries of all of them from one call of
+    estimators._summaries, each replicate's map on its own resample; the
     family core runs once on all of them, one replicate per row. Every
     value equals _replicate_points' bit for bit. A replicate that would be
     refused raises an SsmeanError, but not necessarily the one estimate()
     raises on the first refused resample.
     """
-    from .estimators import _family_core, _unlabeled_side
+    from .estimators import _family_core, _summaries
 
     s, y, rank = design.labeled.by_score
     n, r = design.n, len(reps)
@@ -124,9 +126,7 @@ def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps:
     with np.errstate(over="ignore", invalid="ignore"):
         maps = method.stacked_fit(s, y, rows.ravel(), np.arange(r + 1) * n)
         f_l = maps.on_sample(np.repeat(np.arange(r), n), s, pos.ravel()).reshape(r, n)
-        unl = design.unlabeled
-        sides = [_unlabeled_side(maps.map(j), unl.take(_draw(seed, i, 1, design.N))) for j, i in enumerate(reps)]
-    mean, css = np.array([(side.mean, side.css) for side in sides]).T
+        mean, css = np.array(_summaries(maps, r, design.unlabeled, (_draw(seed, i, 1, design.N) for i in reps))).T
     return _family_core(f_l, y[pos], (design.N, mean, css), name).psi
 
 
@@ -141,9 +141,10 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     The point estimate is estimate() on the design; it is the only report
     built. A method with a fold-stacked fit (aipw, linear-cal, platt-cal,
     iso-cal, hist-cal) fits its replicates in chunks of
-    max(1, _STACKED_ROWS // n), one stacked call and one family core per
-    chunk, each replicate a training set of rows of the labeled sample; no
-    design is built per replicate. Any other method runs, per replicate,
+    max(1, _STACKED_ROWS // n), one stacked call, one call of the
+    unlabeled-summary core and one family core per chunk, each replicate a
+    training set of rows of the labeled sample; no design or calibrator is
+    built per replicate. Any other method runs, per replicate,
     its two index draws (bootstrap_indices), the gather of those rows
     (without re-checking values the design already checked), the method's
     refit and its point estimate (Method.point). Both routes give each

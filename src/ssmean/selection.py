@@ -7,9 +7,8 @@ fold plus a capped unlabeled subsample. A candidate's k fold fits are one
 call of its fold-stacked fit core (see calibrators), the method's only fit,
 on every fold's training rows of the labeled sample in its cached score
 order, stacked. The k maps are evaluated at once: the held-out values in one
-gather, and on the subsample step maps from one count of its scores per
-block, unclipped affine maps from its cached moments, and any other map
-(clipped linear-cal, platt-cal) at every score, one fold at a time. The
+gather, and on the subsample by one call of the unlabeled-summary core
+(estimators._summaries, whose docstring names its routes). The
 criterion of all folds comes from one call of the family core per
 candidate, which takes every fold as its own design from per-fold sums
 (np.bincount over fold ids); no design, report or calibrator is built per
@@ -37,7 +36,7 @@ from .estimators import (
     Adjuster,
     ScoredDesign,
     _family_core,
-    _summary,
+    _summaries,
     family_report,
     method_name,
 )
@@ -105,38 +104,6 @@ def _training_rows(fold: np.ndarray, k: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n), (k, n))[fold != np.arange(k)[:, None]]
 
 
-def _fold_summaries(maps, sample, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The mean and centered sum of squares of each of k stacked maps on an unlabeled sample.
-
-    Step maps are summarised, as _unlabeled_side summarises one, from the
-    counts of the sorted scores in each block, all folds' from one
-    searchsorted of their cuts. Unclipped affine maps take the scores'
-    cached moments. Any other map is evaluated at every score, one fold at
-    a time.
-    """
-    if isinstance(maps, cal._StepFolds):
-        cut_fold, cuts, values = maps.steps()
-        lower, upper = cal._spans(cut_fold, np.searchsorted(sample.sorted_scores, cuts), k, sample.n)
-        counts = upper - lower
-        # only the values some score takes, as when a map is evaluated per score
-        taken = counts > 0
-        block_fold = np.repeat(np.arange(k), np.bincount(cut_fold, minlength=k) + 1)[taken]
-        counts, values = counts[taken], values[taken]
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.bincount(block_fold, counts * values, k) / sample.n
-            dev = values - mean[block_fold]
-            return mean, np.bincount(block_fold, counts * (dev * dev), k)
-    if isinstance(maps, cal._AffineFolds) and maps.clip is None:
-        mean, root_css = sample.score_moments
-        slope, intercept = maps.slope, maps.intercept
-        # a zero slope is constant, even where the scores' root overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            spread = slope * root_css
-            return np.where(slope == 0.0, intercept, slope * mean + intercept), np.where(slope == 0.0, 0.0, spread * spread)
-    summaries = [_summary(maps.at(j, sample.scores)) for j in range(k)]
-    return np.array([u.mean for u in summaries]), np.array([u.css for u in summaries])
-
-
 def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -> Tuple[str, Adjuster]:
     """The winner and auto-cal's adjuster: the winner's refit, its diagnostics plus the CV table."""
     if not isinstance(candidates, CandidateSet):
@@ -169,7 +136,7 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
         if train[0] != method.ordered:
             train = (method.ordered, _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)])
         maps = method.stacked_fit(s, y, train[1], bounds)
-        mu, css = _fold_summaries(maps, unl_sub, k)
+        mu, css = np.array(_summaries(maps, k, unl_sub)).T
         # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
         total = _family_core(maps.on_sample(fold, s, np.arange(n)), y, (cap, mu, css), "auto-cal", (fold, held)).total
         with np.errstate(over="ignore"):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from ssmean import (
+    DgpSpec,
     bootstrap,
     calibrated_plugin,
     design_from_arrays,
+    draw_dataset,
     eem_lambda,
     estimate,
     fit_isotonic,
@@ -314,3 +316,27 @@ def test_criterion_9_out_of_scope_exclusions():
 
     ok = not any(hasattr(ssmean, name) for name in ("download", "datasets", "load_benchmark"))
     _report("9", ok, "external-dataset reproductions excluded; covered by property suites")
+
+
+# --- criterion 10: the paper's isotonic results ----------------------------------------
+
+def test_criterion_10a_nothing_after_isotonic():
+    # exact identities on paper draws: isotonic refit on its own fitted values
+    # reproduces them, and the least-squares line of Y on them is the identity
+    worst_refit = worst_slope = worst_intercept = 0.0
+    for seed in range(200):
+        d = draw_dataset(DgpSpec((50, 200, 1200)[seed % 3], 4, seed))
+        m, y = d.labeled.scores, d.labeled.outcomes
+        iso = fit_isotonic(m, y)
+        fitted = predict(iso, m)
+        worst_refit = max(worst_refit, float(np.max(np.abs(predict(fit_isotonic(m, fitted), m) - fitted))))
+        if len(iso.values) > 1:  # one block leaves the line's slope unidentified
+            line = fit_linear(fitted, y)
+            worst_slope = max(worst_slope, abs(line.slope - 1.0))
+            worst_intercept = max(worst_intercept, abs(line.intercept))
+    _report(
+        "10a",
+        max(worst_refit, worst_slope, worst_intercept) <= 1e-12,
+        f"isotonic refit on its fitted values {worst_refit:.2e}; line of Y on them: "
+        f"|slope - 1| {worst_slope:.2e}, |intercept| {worst_intercept:.2e}",
+    )

@@ -804,6 +804,17 @@ def test_venn_abers_refuses_an_anchor_that_overflows():
             estimate(d, "venn-abers")
 
 
+@pytest.mark.parametrize("route", ["estimate", "bootstrap"])
+def test_venn_abers_refuses_an_outcome_range_that_overflows(route):
+    # every outcome is finite, but max - min is not
+    d = design_from_arrays([0.1, 0.2, 0.3, 0.4], [-1.7e308, 1.7e308, 0.0, 0.0], [0.3])
+    run = (lambda: estimate(d, "venn-abers")) if route == "estimate" else (lambda: bootstrap(d, "venn-abers", b=4, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^venn-abers: the labeled outcome range overflows float64; rescale the outcomes$"):
+            run()
+
+
 def test_linear_cov_method_requires_covariates():
     rng = np.random.default_rng(47)
     d = random_design(rng)

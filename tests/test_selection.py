@@ -9,16 +9,18 @@ from ssmean import (
     CandidateSet,
     ConfigError,
     DataError,
+    DgpSpec,
     SsmeanError,
     autocal_select,
     crossfit_calibrated,
     design_from_arrays,
+    draw_dataset,
     estimate,
     ols_trainer,
     predict,
 )
 from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
-from ssmean.estimators import REGISTRY, ScoredDesign, family_report
+from ssmean.estimators import REGISTRY, ScoredDesign, _summaries, _unlabeled_side, family_report
 from ssmean.selection import TIE_RTOL, _training_rows
 
 
@@ -225,14 +227,18 @@ def stacked_cases(draw):
     Scores lie on a grid, the grid moved to 1e6, five adjacent floats (a
     range of fewer than eleven floats) or two values; a fold may hold whole
     tie blocks, and the smallest and largest scores may share a fold, so
-    some training sets lose an end of the range or keep a single value.
+    some training sets lose an end of the range or keep a single value. The
+    unlabeled scores lie on the same grid, some below or above the labeled
+    ones.
     """
     k = draw(st.integers(2, 25))
     n = draw(st.integers(2, 40))
     level = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["grid", "offset", "few floats", "two values"]))
-    s = {"grid": level / 8.0, "offset": 1e6 + level / 8.0, "few floats": 0.5 + (level % 5) * 2.0**-53,
-         "two values": (level % 2) / 4.0}[kind]
+    grid = {"grid": lambda v: v / 8.0, "offset": lambda v: 1e6 + v / 8.0,
+            "few floats": lambda v: 0.5 + (v % 5) * 2.0**-53, "two values": lambda v: (v % 2) / 4.0}[kind]
+    s = grid(level)
+    u = grid(np.array(draw(st.lists(st.integers(-2, 14), min_size=1, max_size=30))))
     if draw(st.booleans()):
         y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
     else:
@@ -246,7 +252,7 @@ def stacked_cases(draw):
         fold_of[(s == s.min()) | (s == s.max())] = fold_of[0]
     # every fold keeps a training row
     assume(len(np.unique(fold_of)) > 1)
-    return design_from_arrays(s, y, [0.0]), fold_of, k
+    return design_from_arrays(s, y, u), fold_of, k
 
 
 def _bits(calibrator) -> dict:
@@ -257,10 +263,15 @@ def _bits(calibrator) -> dict:
 
 @settings(max_examples=150)
 @given(stacked_cases())
+# a paper design on which a second summation order for one map (a BLAS dot) moves some fold's step-map summary
+@example((draw_dataset(DgpSpec(1200, 16, 0)), np.arange(1200) % 3, 3))
 def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
     # fold j of one k-fold call of a family's core equals the method's own fit
-    # of fold j's training rows, bit for bit, and so do its held-out values
+    # of fold j's training rows, bit for bit, and so do its held-out values;
+    # and its unlabeled summary in one call of the summary core, on one shared
+    # sample or on a sample per fold, equals the one-map summary of its map
     d, fold_of, k = case
+    draws = np.random.default_rng(k).integers(0, d.N, size=(k, d.N))
     s, y, rank = d.labeled.by_score
     fold = np.empty(d.n, dtype=np.intp)
     fold[rank] = fold_of
@@ -282,10 +293,14 @@ def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
                     fold_fit(j)
             continue
         held_out = maps.on_sample(fold, s, np.arange(d.n))
+        shared, per_fold = _summaries(maps, k, d.unlabeled), _summaries(maps, k, d.unlabeled, draws)
         for j in range(k):
             f = fold_fit(j)
             assert _bits(maps.map(j)) == _bits(f), (name, j)
             assert held_out[fold == j].tobytes() == predict(f, s[fold == j]).tobytes(), (name, j)
+            for got, sample in ((shared[j], d.unlabeled), (per_fold[j], d.unlabeled.take(draws[j]))):
+                one = _unlabeled_side(maps.map(j), sample)
+                assert np.array(got).tobytes() == np.array(one[1:]).tobytes(), (name, j)
 
 
 def test_candidate_validation():
