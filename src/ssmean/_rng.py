@@ -6,7 +6,13 @@ order or thread scheduling. Domain tags keep streams for unrelated tasks
 (simulation draws, bootstrap resampling, fold shuffles, ...) disjoint.
 Seeds, and the counts of replicates, folds and draws whose keys they form,
 pass one integer check (_integer).
+
+``import ssmean`` loads neither numpy.random nor SciPy: the annotations below
+stay unevaluated strings, numpy loads numpy.random at the first substream or
+derived seed, and standard_normal imports scipy.special when it runs.
 """
+from __future__ import annotations
+
 import operator
 
 import numpy as np

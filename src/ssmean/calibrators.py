@@ -230,8 +230,10 @@ class BinnedCalibrator:
 def pava(values, weights) -> np.ndarray:
     """Weighted least-squares nondecreasing fit of values already ordered by the score.
 
-    SciPy's pooled-adjacent-violators. scipy.optimize is slow to import, so it
-    is imported on the first fit rather than by ``import ssmean``.
+    SciPy's pooled-adjacent-violators, imported on the first fit: ``import
+    ssmean`` loads no SciPy module. iso-cal and auto-cal load SciPy here,
+    platt-cal at its expit and the simulation draws at theirs; nothing else
+    does.
     """
     from scipy.optimize import isotonic_regression
 

@@ -451,7 +451,9 @@ def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
     if math.isinf(span):
         raise DataError("venn-abers: the labeled outcome range overflows float64; rescale the outcomes")
     # the anchor must live on the calibration (rescaled) outcome scale
-    target_scaled = cal._finite_target((anchor - lo) / span)
+    target_scaled = (anchor - lo) / span
+    if not math.isfinite(target_scaled):
+        raise DataError("venn-abers: the aipw anchor rescaled to the outcome range overflows float64; rescale the scores and outcomes")
     s, y_sorted, _ = design.labeled.by_score
     boundaries, values = cal._venn_abers(s, (y_sorted - lo) / span, target_scaled)
     diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}
@@ -526,12 +528,19 @@ class Method:
         """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE.
 
         A value that overflows float64 is refused by the fit, ScoredDesign or
-        the family core, with no numpy warning before the refusal.
+        the family core, with no numpy warning before the refusal. A
+        DataError of the fit or the scoring names the method: one raised
+        below the registry (a calibrator's, ScoredDesign's) gets its prefix.
         """
         _check_n(design, name)
         with np.errstate(over="ignore", invalid="ignore"):
-            adjuster = self.fit(design, seed)
-            return adjuster, adjuster.scored(design)
+            try:
+                adjuster = self.fit(design, seed)
+                return adjuster, adjuster.scored(design)
+            except DataError as exc:
+                if str(exc).startswith(f"{name}: "):
+                    raise
+                raise DataError(f"{name}: {exc}") from exc
 
     def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
         adjuster, scored = self.scored(design, name, seed)

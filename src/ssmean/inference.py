@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._rng import BOOT_RESAMPLE, _integer, derive_seed, substream
 from .design import TwoSampleDesign
@@ -28,15 +28,30 @@ __all__ = [
 ]
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile, accurate to well below 1e-8."""
-    return float(ndtri(p))
+    """Standard normal quantile of p in (0, 1) (ConfigError otherwise).
+
+    The standard library's NormalDist.inv_cdf (Wichura's AS241), within a
+    few ulps of scipy.special.ndtri, so importing the package loads no SciPy.
+    """
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"normal quantile needs p in (0, 1), got {p!r}")
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _check_alpha(alpha) -> None:
-    """ConfigError naming alpha unless it is a real number in (0, 1); neither bool lies inside."""
+    """ConfigError naming alpha unless it is a real number in (0, 1); neither bool lies inside.
+
+    An alpha at or below 2**-53 is refused too: 1 - alpha/2 rounds to 1.0,
+    whose normal quantile is infinite.
+    """
     if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must be a real number in (0, 1), got {alpha!r}")
+    if not 1.0 - float(alpha) / 2.0 < 1.0:
+        raise ConfigError(f"alpha must exceed 2**-53, or its normal quantile is infinite; got {alpha!r}")
 
 
 def wald_interval(estimate: float, se: float, alpha: float) -> Tuple[float, float]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ._rng import SIM_DRAW, _integer, _seed, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
@@ -58,7 +57,13 @@ class DgpSpec:
 
 
 def true_regression(s) -> np.ndarray:
-    """Conditional success probability expit(5 s)."""
+    """Conditional success probability expit(5 s).
+
+    It imports scipy.special when called, as score_curve and the draws do,
+    so that ``import ssmean`` loads no SciPy.
+    """
+    from scipy.special import expit
+
     return expit(5.0 * np.asarray(s, dtype=np.float64))
 
 
@@ -68,6 +73,8 @@ def score_curve(s, miscalibrated: bool = True) -> np.ndarray:
     The miscalibrated variant distorts the true probability through a cubic
     map on its logit scale z = 5 s, then rescales and clips.
     """
+    from scipy.special import expit
+
     s = np.asarray(s, dtype=np.float64)
     if not miscalibrated:
         return true_regression(s)

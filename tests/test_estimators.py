@@ -180,6 +180,10 @@ NEAR_LIMIT_DESIGNS = {
 }
 
 
+# refusals of these designs that are not about overflow: they have no covariates
+NOT_OVERFLOW = {"linear-cov-cal": "^linear-cov-cal needs labeled covariates$"}
+
+
 @pytest.mark.parametrize("route", ["estimate", "bootstrap"])
 @pytest.mark.parametrize("case", NEAR_LIMIT_DESIGNS)
 @pytest.mark.parametrize("name", METHOD_NAMES)
@@ -190,7 +194,8 @@ def test_values_near_the_float64_limit_are_refused_with_no_numpy_warning(name, c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if name not in finite:
-            with pytest.raises(SsmeanError):
+            # every refusal names its method
+            with pytest.raises(SsmeanError, match=NOT_OVERFLOW.get(name, f"^{re.escape(name)}: ")):
                 run()
         else:
             assert math.isfinite(run().estimate)
@@ -760,6 +765,31 @@ def test_alpha_outside_the_open_unit_interval_is_refused_by_every_route(route, a
         ALPHA_ROUTES[route](d, alpha)
 
 
+@pytest.mark.parametrize("alpha", [1e-17, 2.0**-53, 1e-300, 5e-324])
+@pytest.mark.parametrize("route", [*ALPHA_ROUTES, "cli estimate"])
+def test_alpha_whose_normal_quantile_is_infinite_is_refused_by_every_route(route, alpha, monkeypatch, tmp_path, capsys):
+    # 1 - alpha/2 rounds to 1.0: the interval would be (-inf, inf), or (nan, nan) for a zero SE
+    monkeypatch.setattr("ssmean.simulate.draw_dataset", _no_work)
+    monkeypatch.setattr("ssmean.selection._fold_blocks", _no_work)
+    message = f"alpha must exceed 2**-53, or its normal quantile is infinite; got {alpha!r}"
+    if route == "cli estimate":
+        assert _cli_exit_code(tmp_path, "estimate", "--method", "aipw", "--alpha", repr(alpha)) == 2
+        assert message in capsys.readouterr().err
+    else:
+        d = random_design(np.random.default_rng(46), n=8, N=6)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ALPHA_ROUTES[route](d, alpha)
+
+
+def test_the_smallest_alpha_above_two_to_the_minus_53_gives_a_finite_interval():
+    alpha = float(np.nextafter(2.0**-53, 1.0))
+    d = random_design(np.random.default_rng(46), n=8, N=6)
+    rep = estimate(d, "aipw", alpha=alpha)
+    assert math.isfinite(rep.ci_lower) and math.isfinite(rep.ci_upper)
+    assert wald_interval(0.5, 0.0, alpha) == (0.5, 0.5)
+    assert all(map(math.isfinite, bootstrap(d, "aipw", b=4, seed=0, alpha=alpha).normal_ci))
+
+
 @pytest.mark.parametrize("seed", ["x", -5, True, np.True_, 2.5, None])
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_every_method_refuses_a_seed_that_is_not_a_non_negative_integer(name, seed):
@@ -813,6 +843,25 @@ def test_venn_abers_refuses_an_outcome_range_that_overflows(route):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="^venn-abers: the labeled outcome range overflows float64; rescale the outcomes$"):
             run()
+
+
+@pytest.mark.parametrize("route", ["estimate", "bootstrap"])
+def test_venn_abers_refuses_a_rescaled_anchor_that_overflows(route):
+    # the anchor (about 1.2e308) and the outcome range (1.5e308) are finite, but the
+    # anchor's distance from the lowest outcome is not
+    d = design_from_arrays([0.1, 0.2, 0.3, 0.4], [-1e308, 0.5e308, 0.0, 0.5e308], [1.5e308] * 16)
+    run = (lambda: estimate(d, "venn-abers")) if route == "estimate" else (lambda: bootstrap(d, "venn-abers", b=4, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^venn-abers: the aipw anchor rescaled to the outcome range overflows float64"):
+            run()
+
+
+@pytest.mark.parametrize("make", [lambda d: ScoredDesign(d, [np.inf] * d.n, d.unlabeled.scores), lambda d: AffineCalibrator(np.inf, 0.0)])
+def test_a_hand_built_scoring_or_map_refuses_overflow_without_a_method_name(make):
+    d = design_from_arrays([0.1, 0.5, 0.9, 0.3], [0.0, 1.0, 1.0, 0.0], [0.2, 0.4, 0.6])
+    with pytest.raises(DataError, match="^(adjustment values|affine calibrator coefficients) must be finite$"):
+        make(d)
 
 
 def test_linear_cov_method_requires_covariates():

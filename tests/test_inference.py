@@ -196,6 +196,23 @@ def test_normal_quantile_reference_values():
     assert normal_quantile(0.999) == pytest.approx(3.090232306167813, abs=1e-9)
 
 
+@settings(max_examples=300)
+@given(st.floats(0.5, 1.0 - 2.0**-53))
+@example(0.5).via("the median")
+@example(0.5 + 2.0**-53).via("the smallest positive quantile")
+@example(1.0 - 2.0**-53).via("the largest p below 1")
+def test_normal_quantile_agrees_with_scipy_ndtri(p):
+    from scipy.special import ndtri
+
+    assert abs(normal_quantile(p) - float(ndtri(p))) <= 4e-15 * abs(float(ndtri(p)))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_normal_quantile_refuses_p_outside_the_open_unit_interval(p):
+    with pytest.raises(ConfigError, match=re.escape(f"normal quantile needs p in (0, 1), got {p!r}")):
+        normal_quantile(p)
+
+
 def test_report_interval_half_width_matches_quantile():
     rng = np.random.default_rng(52)
     d = design_from_arrays(rng.normal(size=30), rng.normal(size=30), rng.normal(size=50))
