@@ -19,11 +19,11 @@ The step maps (isotonic, Venn-Abers and histogram) also give their cut
 points and block values through steps(), so the counts of a sorted sample
 in each block stand in for evaluating them per score (estimators._summaries).
 
-The isotonic, affine, Platt and histogram fits each have one fold-stacked
-core that fits k training sets in one call (see "fold-stacked fits"
-below); every fit_* function and every registry fit is its k = 1 call,
-auto-cal's cross-validation calls it once on all its folds, and the
-refitting bootstrap once per chunk of replicates.
+Every registry method but auto-cal has one fold-stacked fit core that fits
+k training sets in one call (see "fold-stacked fits" below); the method's
+fit and the matching fit_* function are its k = 1 call, auto-cal's
+cross-validation calls it once on all its folds, and the refitting
+bootstrap once per chunk of replicates.
 
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
@@ -35,11 +35,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .design import LabeledSample, _as_matrix
+from .design import LabeledSample, UnlabeledSample, _as_matrix
 from .exceptions import ConfigError, ConvergenceError, DataError, DimensionError
 
 __all__ = [
@@ -242,11 +243,14 @@ def pava(values, weights) -> np.ndarray:
 
 # --- fold-stacked fits ---------------------------------------------------------
 #
-# Each selectable family has one fit core, core(s, y, rows, bounds), that fits
-# k training sets in one call. s and y are a labeled sample in ascending score
-# order (a stable sort); rows holds the k training sets one after another, as
-# indices into s and y: fold j's in rows[bounds[j]:bounds[j+1]], in the order
-# the fit reads them. The core returns the k maps stacked in one *Folds
+# Each registry method but auto-cal has one fit core, core(s, y, rows, bounds,
+# context), that fits k training sets in one call. s and y are a labeled
+# sample in ascending score order (a stable sort); rows holds the k training
+# sets one after another, as indices into s and y: fold j's in
+# rows[bounds[j]:bounds[j+1]], in the order the fit reads them. context
+# (_Context) gives the labeled covariates in the same score order and each
+# set's unlabeled sample, which ppi, ppi-pp, aipw-em, venn-abers and
+# linear-cov-cal read. The core returns the k maps stacked in one *Folds
 # value: map(j) is map j as a calibrator, and on_sample(fold, s, rows) is the
 # value of map fold[p] at s[rows[p]] for every p, in one gather. Every fit_*
 # function and every registry fit is the k = 1 call, so fold j of a k-fold
@@ -255,13 +259,42 @@ def pava(values, weights) -> np.ndarray:
 # refitting bootstrap fits each replicate as one training set.
 
 
-def _single(sample: LabeledSample, ordered: bool):
+@dataclass
+class _Context:
+    """A fit core's inputs beside the labeled pairs.
+
+    labeled is the sample the pairs come from; a core reads only its
+    covariates, in the pairs' score order. Every set's map is summarised
+    on the unlabeled sample, or, given draws (a function giving a fresh
+    iterator of k row selections), set j's on unlabeled.take of the j-th:
+    the bootstrap's resamples, each drawn, gathered and dropped when
+    reached. Their moments are drawn for once and kept, so a core that
+    reads them and the summary of its affine maps share one pass; a step or
+    per-score summary draws the resamples again. A public fit_* call has no
+    unlabeled sample (None).
+    """
+
+    labeled: Optional[LabeledSample]
+    unlabeled: Optional[UnlabeledSample]
+    draws: Optional[Callable[[], Iterator[np.ndarray]]] = None
+
+    def moments(self, k: int) -> list:
+        """(scaled_moments, score_moments) of each of the k sets' samples; resamples are drawn for them once."""
+        return [(self.unlabeled.scaled_moments, self.unlabeled.score_moments)] * k if self.draws is None else self._drawn
+
+    @cached_property
+    def _drawn(self) -> list:
+        return [(u.scaled_moments, u.score_moments) for u in map(self.unlabeled.take, self.draws())]
+
+
+def _single(sample: LabeledSample, ordered: bool, unlabeled: Optional[UnlabeledSample] = None):
     """A core's arguments for its k = 1 call on a labeled sample: its pairs in score order (by_score).
 
-    The one training set is every row: in score order if ordered, else in row order.
+    The one training set is every row: in score order if ordered, else in
+    row order. Its map is summarised on unlabeled.
     """
     s, y, rank = sample.by_score
-    return s, y, np.arange(len(s)) if ordered else rank, np.array([0, len(s)])
+    return s, y, np.arange(len(s)) if ordered else rank, np.array([0, len(s)]), _Context(sample, unlabeled)
 
 
 def _fit(core, sample: LabeledSample, ordered: bool, *args):
@@ -353,12 +386,17 @@ class _StepFolds:
 
 
 @dataclass(frozen=True)
-class _IsotonicFolds(_StepFolds):
-    """k isotonic fits: map j is StepCalibrator(boundaries[a:b], values[a:b]) with a, b = bounds[j:j+2]."""
+class _BoundaryFolds(_StepFolds):
+    """k step calibrators, the isotonic or the Venn-Abers fits.
+
+    Map j is StepCalibrator(boundaries[a:b], values[a:b]) with a, b =
+    bounds[j:j+2]; facts[j], when given, is map j's fit facts.
+    """
 
     boundaries: np.ndarray
     values: np.ndarray
     bounds: np.ndarray
+    facts: Optional[list] = None
 
     def map(self, j: int = 0, fitted_on=None) -> StepCalibrator:
         rows = slice(self.bounds[j], self.bounds[j + 1])
@@ -384,7 +422,17 @@ def _block_starts(st: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def _isotonic_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> _IsotonicFolds:
+def _tie_groups(s: np.ndarray) -> np.ndarray:
+    """The dense rank of every score of the ascending s, in the smallest unsigned type that holds it.
+
+    A stable sort of a set's groups orders the set as a stable sort of its
+    scores does, and numpy radix-sorts small integers.
+    """
+    group = np.concatenate(([0], np.cumsum(s[1:] != s[:-1])))
+    return group.astype(np.min_scalar_type(group[-1]))
+
+
+def _isotonic_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
     """The isotonic fits of k training sets; each set's scores s[rows] must ascend, its pairs in the fit's stable score order.
 
     One np.add.reduceat pools every fold's tie blocks (_block_starts), and
@@ -402,7 +450,7 @@ def _isotonic_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.n
     np.greater(fitted[1:], fitted[:-1], out=keep[1:])
     keep[blocks[:-1]] = True
     kept = np.flatnonzero(keep)
-    return _IsotonicFolds(s[rows[first[kept]]], fitted[kept], np.searchsorted(kept, blocks))
+    return _BoundaryFolds(s[rows[first[kept]]], fitted[kept], np.searchsorted(kept, blocks))
 
 
 def fit_isotonic(scores, outcomes) -> StepCalibrator:
@@ -420,37 +468,100 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
 class _AffineFolds:
     """k affine maps slope[j] * score + intercept[j], each clipped to (lo[j], hi[j]) when clip is (lo, hi).
 
-    Every coefficient must be finite (DataError), as AffineCalibrator's.
+    A covariate map (linear-cov-cal's) adds covariates @ cov[j] to the
+    intercept; x holds the labeled covariates in score order, which
+    on_sample reads. facts[j], when given, is map j's fit facts. Every
+    coefficient must be finite (DataError), as AffineCalibrator's.
     """
 
     slope: np.ndarray
     intercept: np.ndarray
     clip: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    cov: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    facts: Optional[list] = None
 
     def __post_init__(self):
-        if not all(map(math.isfinite, [*self.slope.tolist(), *self.intercept.tolist()])):
+        cov = [] if self.cov is None else self.cov.ravel().tolist()
+        if not all(map(math.isfinite, [*self.slope.tolist(), *self.intercept.tolist(), *cov])):
             raise DataError("affine calibrator coefficients must be finite")
 
     def map(self, j: int = 0, fitted_on=None) -> AffineCalibrator:
         clip = None if self.clip is None else (float(self.clip[0][j]), float(self.clip[1][j]))
-        return AffineCalibrator(float(self.slope[j]), float(self.intercept[j]), clip, fitted_on)
+        cov = () if self.cov is None else self.cov[j]
+        return AffineCalibrator(float(self.slope[j]), float(self.intercept[j]), clip, fitted_on, cov)
 
-    def at(self, fold, t) -> np.ndarray:
-        """Map fold[i] at t[i], or map fold at every t for an integer fold."""
+    def at(self, fold, t, x=None) -> np.ndarray:
+        """Map fold[i] at t[i], or map fold at every t for an integer fold.
+
+        A covariate map takes an integer fold and x, the covariate rows of t.
+        """
         clip = None if self.clip is None else (self.clip[0][fold], self.clip[1][fold])
-        return _affine(self.slope[fold], self.intercept[fold], clip, np.asarray(t, dtype=np.float64))
+        intercept = self.intercept[fold] if self.cov is None else self.intercept[fold] + x @ self.cov[fold]
+        return _affine(self.slope[fold], intercept, clip, np.asarray(t, dtype=np.float64))
 
     def on_sample(self, fold, s, rows) -> np.ndarray:
-        return self.at(fold, s[rows])
+        if self.cov is None:
+            return self.at(fold, s[rows])
+        # one map at a time, each one product of its rows' covariates, as the map's own calibrator takes it
+        out = np.empty(len(rows))
+        for j in np.unique(fold).tolist():
+            held = fold == j
+            out[held] = self.at(j, s[rows[held]], self.x[rows[held]])
+        return out
 
 
-def _unit_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> _AffineFolds:
-    """The score itself on every fold, whatever the pairs: aipw's fit."""
-    k = len(bounds) - 1
-    return _AffineFolds(np.ones(k), np.zeros(k))
+def _unit_folds(s, y, rows, bounds, context, slope: float = 1.0) -> _AffineFolds:
+    """slope times the score on every set, whatever the pairs: aipw's fit, and labeled-only's with slope 0."""
+    return _AffineFolds(np.full(len(bounds) - 1, slope), np.zeros(len(bounds) - 1))
 
 
-def _linear_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, clip: bool = True) -> _AffineFolds:
+def _ppi_folds(s, y, rows, bounds, context) -> _AffineFolds:
+    """ppi's fits: the score / (1 - rho_j) on set j, rho_j = n_j / (n_j + N) for its N unlabeled rows."""
+    n = bounds[1:] - bounds[:-1]
+    return _AffineFolds(1.0 / (1.0 - n / (n + context.unlabeled.n)), np.zeros(len(n)))
+
+
+def _eem_folds(s, y, rows, bounds, context, clip: bool = False) -> _AffineFolds:
+    """aipw-em's fits, and ppi-pp's with clip: lambda_j times the score on set j.
+
+    lambda_j = Cov_L(Y, m) / [(1-rho_j) Var_L(m) + rho_j Var_U(m)] is the
+    empirical variance-minimizing scaling, clamped to [0, 1/(1-rho_j)] with
+    clip, and 0 where the score has no variance in either sample (the
+    coefficient is unidentified). Var_U(m) comes from the cached
+    scaled_moments of the set's unlabeled sample, so no unlabeled score is
+    read, and every mean is its set's own (_segment_means). facts[j] is set
+    j's lambda, its unclipped value, the clip interval and whether the clip
+    or the degenerate case applied.
+    """
+    n, N = bounds[1:] - bounds[:-1], context.unlabeled.n
+    moments = [scaled for scaled, _ in context.moments(len(n))]
+    facts = []
+    # m / 2**e lies in (-1, 1), so none of its squares overflow; a power of two
+    # scales num by 2**-e and den and the threshold by 4**-e exactly. Outcomes
+    # near the float64 limit can still overflow num; the fit or the report refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, y = s[rows], y[rows]
+        e = np.maximum(np.frexp(np.maximum.reduceat(np.abs(m), bounds[:-1]))[1], [e_u for _, _, e_u in moments])
+        m = np.ldexp(m, np.repeat(-e, n))
+        dev = m - np.repeat(_segment_means(m, bounds), n)
+        num = _segment_means((y - np.repeat(_segment_means(y, bounds), n)) * dev, bounds)
+        sums = zip(num.tolist(), _segment_means(dev * dev, bounds).tolist(), _segment_means(m * m, bounds).tolist())
+        # each set's coefficient in Python floats, whose min and max keep a -0.0 lambda where numpy's give 0.0
+        for (mean_u, root_u, e_u), e_j, (num_j, var_l, sq), n_j in zip(moments, e.tolist(), sums, n.tolist()):
+            mean_u, root_u = math.ldexp(mean_u, e_u - e_j), math.ldexp(root_u, e_u - e_j)
+            var_u = root_u * root_u / N
+            rho = n_j / (n_j + N)
+            den = (1.0 - rho) * var_l + rho * var_u
+            flat = den <= 1e-12 * max(float(np.ldexp(1.0, -2 * e_j)), sq + var_u + mean_u * mean_u)
+            raw = 0.0 if flat else float(np.ldexp(num_j / den, -e_j))
+            lam = raw if flat or not clip else min(max(raw, 0.0), 1.0 / (1.0 - rho))
+            clipped = {"clip": [0.0, 1.0 / (1.0 - rho)] if clip else None, "clip_active": lam != raw}
+            facts.append({"lambda": lam, "lambda_unclipped": raw, **clipped, **({"degenerate_score": True} if flat else {})})
+    return _AffineFolds(np.array([f["lambda"] for f in facts]), np.zeros(len(n)), facts=facts)
+
+
+def _linear_folds(s, y, rows, bounds, context, clip: bool = True) -> _AffineFolds:
     """The least-squares lines of y on s of k training sets (slope 0 for a constant s), clipped to each y's range if clip."""
     s, y = s[rows], y[rows]
     starts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
@@ -593,16 +704,15 @@ class _SigmoidFolds:
             float(self.scale[j]), float(self.shift[j]), self.logit_eps, fitted_on, bool(self.ridge_active[j])
         )
 
-    def at(self, fold, t) -> np.ndarray:
-        """Map fold[i] at t[i], or map fold at every t for an integer fold."""
+    def at(self, fold, t, x=None) -> np.ndarray:
+        """Map fold[i] at t[i], or map fold at every t for an integer fold; x is ignored."""
         return _sigmoid(self.scale[fold], self.shift[fold], self.logit_eps, t)
 
-    on_sample = _AffineFolds.on_sample
+    def on_sample(self, fold, s, rows) -> np.ndarray:
+        return self.at(fold, s[rows])
 
 
-def _platt_folds(
-    s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, logit_eps: float = DEFAULT_LOGIT_EPS
-) -> _SigmoidFolds:
+def _platt_folds(s, y, rows, bounds, context, logit_eps: float = DEFAULT_LOGIT_EPS) -> _SigmoidFolds:
     """The Platt fits of k training sets of binary outcomes (DataError for any other outcome).
 
     Newton's iterations are sequential, so they run once per fold.
@@ -676,7 +786,7 @@ def _default_edges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return np.concatenate(edges), np.array([len(e) for e in edges])
 
 
-def _histogram_folds(s: np.ndarray, y: np.ndarray, rows: np.ndarray, bounds: np.ndarray, edges=None) -> _BinnedFolds:
+def _histogram_folds(s, y, rows, bounds, context, edges=None) -> _BinnedFolds:
     """The histogram fits of k training sets: per-bin outcome means, empty bins at the set's mean.
 
     Every set takes the given edges, or by default its own (_default_edges
@@ -724,6 +834,35 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     return _refuse_overflow(fit, "histogram", fit.bin_means, fit.fallback)
 
 
+def _linear_cov_folds(s, y, rows, bounds, context, clip: bool = True) -> _AffineFolds:
+    """The least-squares fits of y on an intercept, the covariates and the score, one per training set.
+
+    Each set takes one SVD rank check and one lstsq, on its rows as given,
+    and is clipped to its y range if clip. DimensionError without labeled
+    covariates, or, with a covariate column, without unlabeled ones where
+    the maps are summarised.
+    """
+    if context.labeled.covariates is None:
+        raise DimensionError("linear-cov-cal needs labeled covariates")
+    x = context.labeled.covariates[context.labeled.score_order]
+    d = x.shape[1]
+    coefs = []
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b - a <= d + 2:
+            raise DataError(f"need n > d + 2 labeled points (n={b - a}, d={d})")
+        design = np.column_stack([np.ones(b - a), x[rows[a:b]], s[rows[a:b]]])
+        sv = np.linalg.svd(design, compute_uv=False)
+        if sv[-1] <= max(design.shape) * np.finfo(np.float64).eps * sv[0]:
+            raise DataError("rank-deficient calibration design; remove collinear covariate columns")
+        coefs.append(np.linalg.lstsq(design, y[rows[a:b]], rcond=None)[0])
+    coef, y = np.array(coefs), y[rows]
+    ranges = (np.minimum.reduceat(y, bounds[:-1]), np.maximum.reduceat(y, bounds[:-1])) if clip else None
+    maps = _AffineFolds(coef[:, d + 1], coef[:, 0], ranges, coef[:, 1 : d + 1] if d else None, x)
+    if d and context.unlabeled is not None and context.unlabeled.covariates is None:
+        raise DimensionError("covariate-adjusted calibration needs covariates in both samples")
+    return maps
+
+
 def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCalibrator:
     """Least squares of outcomes on an intercept, the covariates, and the score.
 
@@ -731,22 +870,7 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCa
     whose cov_coefs are the covariate coefficients, one per column.
     """
     # None too is refused, as a matrix of no dimensions
-    lab = LabeledSample(scores, outcomes, _as_matrix(covariates))
-    s, y, x = lab.scores, lab.outcomes, lab.covariates
-    n, d = x.shape
-    if n <= d + 2:
-        raise DataError(f"need n > d + 2 labeled points (n={n}, d={d})")
-    design = np.column_stack([np.ones(n), x, s])
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] <= max(design.shape) * np.finfo(np.float64).eps * sv[0]:
-        raise DataError(
-            "rank-deficient calibration design; remove collinear covariate columns"
-        )
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    clip_range = (float(y.min()), float(y.max())) if clip else None
-    return AffineCalibrator(
-        float(coef[d + 1]), float(coef[0]), clip_range, _pairs(lab), coef[1 : d + 1]
-    )
+    return _fit(_linear_cov_folds, LabeledSample(scores, outcomes, _as_matrix(covariates)), False, clip)
 
 
 def _prefix_sums(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -836,12 +960,11 @@ def _finite_target(shrink_target) -> float:
 def _venn_abers(s: np.ndarray, y: np.ndarray, shrink_target: float) -> Tuple[np.ndarray, np.ndarray]:
     """(boundaries, values) of the Venn-Abers map of labeled pairs s, y in stable ascending score order.
 
-    The one fit core of fit_venn_abers and of the registry's venn-abers fit,
-    which reads the design's cached score order (LabeledSample.by_score).
-    The outcomes must lie in [0, 1] and the target be finite; the callers
-    check them. The tie blocks are the runs of equal scores, and one
-    np.bincount sums each block's outcomes in row order, since a stable
-    sort keeps tied rows in row order.
+    The one fit of fit_venn_abers and, once per training set, of venn-abers'
+    fold-stacked fit (_venn_abers_folds). The outcomes must lie in [0, 1]
+    and the target be finite; the callers check them. The tie blocks are
+    the runs of equal scores, and one np.bincount sums each block's outcomes
+    in row order, since a stable sort keeps tied rows in row order.
     """
     edges = _block_starts(s, [0, len(s)])
     hi, lo = _prefix_sums(np.bincount(np.repeat(np.arange(len(edges) - 1), np.diff(edges)), weights=y))
@@ -853,6 +976,41 @@ def _venn_abers(s: np.ndarray, y: np.ndarray, shrink_target: float) -> Tuple[np.
     uniq = s[edges[:-1]]
     cuts = np.column_stack((uniq, np.nextafter(uniq, np.inf))).ravel()
     return np.concatenate(([-np.inf], cuts)), mid + (f1 - f0) * (shrink_target - mid)
+
+
+def _venn_abers_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
+    """venn-abers' fits: on each set, the Venn-Abers map shrunk toward the set's raw-score aipw estimate.
+
+    Outcomes outside [0, 1] are affinely rescaled for the calibration step
+    and the values mapped back; facts[j] records the map and the target.
+    The anchor sums the set's rows as given (row order, or a replicate's
+    draw order) with the cached score mean of its unlabeled sample; the map
+    reads the set's pairs in its own stable score order, from one radix sort
+    of its tie groups (_tie_groups) per set, and one call of _venn_abers.
+    """
+    means = [mean for _, (mean, _) in context.moments(len(bounds) - 1)]
+    group, maps, facts = _tie_groups(s), [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, mean in zip(bounds[:-1].tolist(), bounds[1:].tolist(), means):
+            m_l, y_l = s[rows[a:b]], y[rows[a:b]]
+            lo, hi = float(y_l.min()), float(y_l.max())
+            lo, span = (0.0, 1.0) if lo >= 0.0 and hi <= 1.0 else (lo, hi - lo or 1.0)
+            rho = (b - a) / (b - a + context.unlabeled.n)
+            anchor = float(rho * m_l.mean() + (1.0 - rho) * mean) + float((y_l - m_l).mean())
+            if not math.isfinite(anchor):
+                raise DataError("venn-abers: the aipw anchor overflows float64; rescale the scores and outcomes")
+            if math.isinf(span):
+                raise DataError("venn-abers: the labeled outcome range overflows float64; rescale the outcomes")
+            # the anchor must live on the calibration (rescaled) outcome scale
+            target = (anchor - lo) / span
+            if not math.isfinite(target):
+                raise DataError("venn-abers: the aipw anchor rescaled to the outcome range overflows float64; "
+                                "rescale the scores and outcomes")
+            order = rows[a:b][np.argsort(group[rows[a:b]], kind="stable")]
+            boundaries, shrunk = _venn_abers(s[order], (y[order] - lo) / span, target)
+            maps.append((boundaries, lo + span * shrunk))
+            facts.append({"shrink_target": lo + span * target, "outcome_rescale": [lo, span]})
+    return _BoundaryFolds(*(np.concatenate(part) for part in zip(*maps)), np.cumsum([0] + [len(b) for b, _ in maps]), facts)
 
 
 def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
@@ -885,7 +1043,7 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     order. Both passes read the compensated prefix sums, so every value is a
     quotient of one exact-to-rounding block sum. The pairs are validated
     once, sorted once (the sample's by_score), and fit by _venn_abers, the
-    core the registry's venn-abers fit shares. The fit costs
+    fit venn-abers' fold-stacked fit runs once per set. The fit costs
     O(n log n + k), and evaluating it at N scores O(N log k).
     """
     _finite_target(shrink_target)

@@ -15,9 +15,10 @@ reuses them; this is what lets estimators._summaries summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
 A labeled sample keeps the stable order of its scores (score_order), and its
 pairs in that order with the place of every row in it (by_score), which every
-selectable method's fit, auto-cal's folds and the winner's refit all read.
-A sample's take(rows) gathers rows into a new sample without checking the
-values again; bootstrap replicates are built that way.
+method's fit, auto-cal's folds, the winner's refit and the bootstrap's
+replicates all read. A sample's take(rows) gathers rows into a new sample
+without checking the values again; the bootstrap's unlabeled resamples, and
+auto-cal's replicates, are built that way.
 """
 from __future__ import annotations
 

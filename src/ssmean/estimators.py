@@ -9,19 +9,33 @@ of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
 rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
 (ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), the shrunk
 interval map of venn-abers, or auto-cal's cross-validated winner. REGISTRY
-maps every method name to its fit; a selectable method's is the k = 1 call
-of its fold-stacked fit core, which auto-cal's cross-validation calls once
-on all its folds. _family_core is the only code of the family algebra: from the
-labeled values of f, the outcomes and the unlabeled summary it gives the
-plug-in, the residual mean, psi, the labeled influence values and the sum
-of squares of the SE. Every method is fit and scored once (Method.scored)
-and Method.report builds its report from the core once and returns both, so
-ate_two_arm takes each arm's influence values and plug-in from its report's
-core; Method.point keeps psi alone; auto-cal's cross-validation runs the
-core once per candidate with every fold its own design; and the refitting
-bootstrap runs it once per chunk of replicates, each replicate a row of
-one matrix, after one stacked fit of the chunk (a method without a stacked
-fit runs Method.point per replicate).
+maps every method name to its fit; every method's but auto-cal's is the
+k = 1 call of its fold-stacked fit core (see calibrators), which auto-cal's
+cross-validation calls once on all its folds and the refitting bootstrap
+once per chunk of replicates. A core's training sets are rows of the
+labeled sample in its cached stable score order (LabeledSample.by_score):
+iso-cal's core reads each set in that order, and the others read the rows
+as stored, a fold's in row order and a replicate's in draw order.
+venn-abers sorts each set itself, since its anchor sums the rows in row
+order. Beside the pairs, each core is given the labeled covariates in score
+order and each set's unlabeled sample: the design's in estimate(), the
+capped subsample in auto-cal's cross-validation and the replicate's
+resample in the bootstrap. ppi reads its count, ppi-pp, aipw-em and
+venn-abers its cached scaled_moments, and linear-cov-cal whether it has
+covariates. The bootstrap takes each resample's moments once, for the fits
+that read them and the summaries of affine maps; venn-abers, whose step
+maps are counted in each sorted resample, draws its resamples twice, and
+labeled-only, whose f is the constant 0, not at all. _family_core is the only code of the
+family algebra: from the labeled values of f, the outcomes and the
+unlabeled summary it gives the plug-in, the residual mean, psi, the labeled
+influence values and the sum of squares of the SE. Every method is fit and
+scored once (Method.scored) and Method.report builds its report from the
+core once and returns both, so ate_two_arm takes each arm's influence
+values and plug-in from its report's core; Method.point keeps psi alone;
+auto-cal's cross-validation runs the core once per candidate with every
+fold its own design; and the refitting bootstrap runs it once per chunk of
+replicates, each replicate a row of one matrix, after one stacked fit of
+the chunk.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). One function,
@@ -48,6 +62,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Any, Callable, NamedTuple, Optional, Tuple, Union
 
@@ -216,34 +231,34 @@ def _no_diagnostics(scored: ScoredDesign) -> dict:
     return {}
 
 
-def _summaries(maps, k: int, unlabeled: UnlabeledSample, draws=None) -> list:
+def _summaries(maps, k: int, context) -> list:
     """The mean and centered sum of squares of each of k stacked maps, as a list of k float pairs.
 
-    maps is a calibrators *Folds value. Every map is summarised on
-    unlabeled, or, given draws, map j on unlabeled.take(draws[j]) for k
-    draws of unlabeled.n rows each (the bootstrap's resamples), each taken,
-    read and dropped in turn. Every summary from block counts or cached
-    moments is computed here, by one of three routes:
+    maps is a calibrators *Folds value, and each map j is summarised on set
+    j's unlabeled sample of context (calibrators._Context): one shared
+    sample, or the bootstrap's resamples of unlabeled.n rows each, each
+    taken, read and dropped in turn. Every summary from block counts or
+    cached moments is computed here, by one of three routes:
     - step maps (iso-cal, hist-cal, venn-abers) from the counts of each
       sample's once-sorted scores in each of their blocks, in O(blocks log N),
       every block of every map summed by one np.bincount over map ids;
-    - unclipped affine maps of the score (ppi, aipw, ppi-pp, aipw-em,
-      linear fits without clip) from each sample's cached score moments, in
-      O(1) per map, in Python floats;
-    - any other map (clipped linear-cal, platt-cal) evaluated at every
-      score, one map at a time.
+    - unclipped affine maps of the score alone (labeled-only, ppi, aipw,
+      ppi-pp, aipw-em, linear fits without clip) from each sample's cached
+      score moments, in O(1) per map, in Python floats;
+    - any other map (clipped linear-cal, linear-cov-cal, platt-cal)
+      evaluated at every score and covariate row, one map at a time.
     A np.bincount adds each map's blocks in order, so map j's summary equals
     its own one-map call's bit for bit: estimate(), auto-cal's folds and
     the bootstrap's replicates share one summation order.
     """
-    samples = repeat(unlabeled, k) if draws is None else map(unlabeled.take, draws)
+    samples = repeat(context.unlabeled, k) if context.draws is None else map(context.unlabeled.take, context.draws())
     if isinstance(maps, cal._StepFolds):
         cut_fold, cuts, values = maps.steps()
         per_map = np.bincount(cut_fold, minlength=k)
         # every map's cuts in its own sample, or all of them in the one shared sample at once
-        pieces = [(unlabeled, cuts)] if draws is None else zip(samples, np.split(cuts, np.cumsum(per_map)[:-1]))
+        pieces = [(context.unlabeled, cuts)] if context.draws is None else zip(samples, np.split(cuts, np.cumsum(per_map)[:-1]))
         below = np.concatenate([np.searchsorted(u.sorted_scores, c) for u, c in pieces])
-        counts = cal._block_counts(cut_fold, below, k, unlabeled.n)
+        counts = cal._block_counts(cut_fold, below, k, context.unlabeled.n)
         # only the values some score takes, as when a map is evaluated per score
         taken = counts > 0
         block = np.repeat(np.arange(k), per_map + 1)[taken]
@@ -251,20 +266,21 @@ def _summaries(maps, k: int, unlabeled: UnlabeledSample, draws=None) -> list:
         # a sum or square that overflows makes a mean or css non-finite, which
         # ScoredDesign or _family_core refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.bincount(block, counts * values, k) / unlabeled.n
+            mean = np.bincount(block, counts * values, k) / context.unlabeled.n
             dev = values - mean[block]
             return list(zip(mean.tolist(), np.bincount(block, counts * (dev * dev), k).tolist()))
-    if isinstance(maps, cal._AffineFolds) and maps.clip is None:
+    if isinstance(maps, cal._AffineFolds) and maps.clip is None and maps.cov is None:
+        # constant maps (labeled-only's) read no moments, so their resamples are not drawn
+        moments = context.moments(k) if maps.slope.any() else [((), (0.0, 0.0))] * k
         pairs = []
-        for slope, intercept, u in zip(maps.slope.tolist(), maps.intercept.tolist(), samples):
+        for slope, intercept, (_, (mean, root)) in zip(maps.slope.tolist(), maps.intercept.tolist(), moments):
             if slope:
-                mean, root = u.score_moments
                 spread = slope * root
                 pairs.append((slope * mean + intercept, spread * spread))
             else:  # constant, even where the scores' root overflows
                 pairs.append((intercept, 0.0))
         return pairs
-    return [_summary(maps.at(j, u.scores))[1:] for j, u in enumerate(samples)]
+    return [_summary(maps.at(j, u.scores, u.covariates))[1:] for j, u in enumerate(samples)]
 
 
 def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
@@ -285,7 +301,7 @@ def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
         stack = cal._AffineFolds(np.array([f.slope]), np.array([f.intercept]))
     else:
         return _summary(cal.predict(f, sample.scores, sample.covariates))
-    [(mean, css)] = _summaries(stack, 1, sample)
+    [(mean, css)] = _summaries(stack, 1, cal._Context(None, sample))
     return UnlabeledSummary(sample.n, mean, css)
 
 
@@ -317,69 +333,15 @@ class Adjuster(NamedTuple):
 # --- adjusters ---------------------------------------------------------------
 
 
-def _fit_zero(design: TwoSampleDesign) -> Adjuster:
-    return Adjuster(cal.AffineCalibrator(0.0, 0.0))
-
-
-def _fit_ppi(design: TwoSampleDesign) -> Adjuster:
-    """f = m / (1 - rho): psi is the unlabeled score mean plus the labeled residual."""
-    return Adjuster(cal.AffineCalibrator(1.0 / (1.0 - design.rho), 0.0))
-
-
-def _eem_lambda_full(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]):
-    y, m, rho = design.labeled.outcomes, design.labeled.scores, design.rho
-    # the unlabeled side is its sample's cached moments of m / 2**e_u; no score is read
-    mean_u, root_u, e_u = design.unlabeled.scaled_moments
-    # m / 2**e lies in (-1, 1), so none of its squares overflow; a power of two
-    # scales num by 2**-e and den and the threshold by 4**-e exactly
-    e = max(int(np.frexp(np.abs(m).max())[1]), e_u)
-    m_l = np.ldexp(m, -e)
-    mean_u, root_u = math.ldexp(mean_u, e_u - e), math.ldexp(root_u, e_u - e)
-    var_u = root_u * root_u / design.N
-    # outcomes near the float64 limit can still overflow num; the report refuses them
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = float(np.mean((y - y.mean()) * (m_l - m_l.mean())))
-        var_l = float(np.mean((m_l - m_l.mean()) ** 2))
-        scale = max(float(np.ldexp(1.0, -2 * e)), float(np.mean(m_l**2)) + var_u + mean_u * mean_u)
-    den = (1.0 - rho) * var_l + rho * var_u
-    degenerate = den <= 1e-12 * scale
-    lam_raw = 0.0 if degenerate else float(np.ldexp(num / den, -e))
-    lam = lam_raw if clip is None or degenerate else min(max(lam_raw, clip[0]), clip[1])
-    return lam, lam_raw, degenerate, lam != lam_raw
-
-
 def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = None) -> float:
-    """Empirical variance-minimizing scaling of the score over {lambda * m}.
+    """Empirical variance-minimizing scaling of the score over {lambda * m}: aipw-em's fit.
 
     lambda_hat = Cov_L(Y, m) / [(1-rho) Var_L(m) + rho Var_U(m)], clamped to
     the clip interval when one is given. Returns 0 when the score has no
     variance in either sample (the coefficient is unidentified).
     """
-    lam, _, _, _ = _eem_lambda_full(design, clip)
-    return lam
-
-
-def _scaled(design: TwoSampleDesign, clip: Optional[Tuple[float, float]]) -> Adjuster:
-    """f = lambda_hat * m, so psi = mean_L(Y) + (1-rho) * lambda_hat * (mean_U(m) - mean_L(m))."""
-    lam, lam_raw, degenerate, clip_active = _eem_lambda_full(design, clip)
-    diagnostics = {
-        "lambda": lam,
-        "lambda_unclipped": lam_raw,
-        "clip": None if clip is None else list(clip),
-        "clip_active": clip_active,
-    }
-    if degenerate:
-        diagnostics["degenerate_score"] = True
-    return Adjuster(cal.AffineCalibrator(lam, 0.0), lambda scored: diagnostics)
-
-
-def _fit_aipw_em(design: TwoSampleDesign) -> Adjuster:
-    return _scaled(design, None)
-
-
-def _fit_ppi_pp(design: TwoSampleDesign) -> Adjuster:
-    """Clipped empirical efficiency maximization: lambda in [0, 1/(1-rho)]."""
-    return _scaled(design, (0.0, 1.0 / (1.0 - design.rho)))
+    facts = REGISTRY["aipw-em"].fit(design).describe(None)
+    return facts["lambda"] if clip is None or "degenerate_score" in facts else min(max(facts["lambda"], clip[0]), clip[1])
 
 
 def _calibrated(calibrator) -> Adjuster:
@@ -417,47 +379,15 @@ def _calibrated(calibrator) -> Adjuster:
     return Adjuster(calibrator, describe)
 
 
-def _fit_linear_cov(design: TwoSampleDesign) -> Adjuster:
-    lab = design.labeled
-    if lab.covariates is None:
-        raise DimensionError("linear-cov-cal needs labeled covariates")
-    calib = cal.fit_linear_cov(lab.scores, lab.outcomes, lab.covariates, clip=True)
-    if calib.cov_coefs and design.unlabeled.covariates is None:
-        raise DimensionError("covariate-adjusted calibration needs covariates in both samples")
-    return _calibrated(calib)
+def _fitted(maps) -> Adjuster:
+    """The adjuster of the calibrator of a k = 1 stack, with its fit and calibration facts."""
+    return _calibrated(maps.map(0))
 
 
-def _fit_venn_abers(design: TwoSampleDesign) -> Adjuster:
-    """Interval-calibrated predictions shrunk toward the raw-score aipw estimate.
-
-    Outcomes outside [0, 1] are affinely rescaled for the calibration step and
-    the predictions mapped back; the map is recorded in diagnostics. The
-    shrunk map is a step function, so the unlabeled side is counted per block.
-    The map is fit by fit_venn_abers' core on the labeled sample's cached
-    score order (by_score), with no second validation or sort.
-    """
-    m_l, y = design.labeled.scores, design.labeled.outcomes
-    if y.min() >= 0.0 and y.max() <= 1.0:
-        lo, span = 0.0, 1.0
-    else:
-        lo = float(y.min())
-        span = float(y.max()) - lo if y.max() > y.min() else 1.0
-    rho = design.rho
-    # the aipw estimate; the unlabeled score mean is the sample's cached one
-    with np.errstate(over="ignore", invalid="ignore"):
-        anchor = float(rho * m_l.mean() + (1.0 - rho) * design.unlabeled.score_moments[0]) + float((y - m_l).mean())
-    if not math.isfinite(anchor):
-        raise DataError("venn-abers: the aipw anchor overflows float64; rescale the scores and outcomes")
-    if math.isinf(span):
-        raise DataError("venn-abers: the labeled outcome range overflows float64; rescale the outcomes")
-    # the anchor must live on the calibration (rescaled) outcome scale
-    target_scaled = (anchor - lo) / span
-    if not math.isfinite(target_scaled):
-        raise DataError("venn-abers: the aipw anchor rescaled to the outcome range overflows float64; rescale the scores and outcomes")
-    s, y_sorted, _ = design.labeled.by_score
-    boundaries, values = cal._venn_abers(s, (y_sorted - lo) / span, target_scaled)
-    diagnostics = {"shrink_target": lo + span * target_scaled, "outcome_rescale": [lo, span]}
-    return Adjuster(cal.StepCalibrator(boundaries, lo + span * values), lambda scored: diagnostics)
+def _with_facts(maps) -> Adjuster:
+    """The adjuster of a k = 1 stack's map; its diagnostics are the fit's facts, if the stack has any."""
+    facts = maps.facts[0] if maps.facts else {}
+    return Adjuster(maps.map(0), lambda scored: facts)
 
 
 def calibrated_plugin(
@@ -496,33 +426,30 @@ def _check_n(design: TwoSampleDesign, name: str) -> None:
 class Method:
     """A registry entry: the fit that gives a method its adjuster f.
 
-    A selectable method is one fold-stacked fit core of labeled pairs,
-    stacked_fit(s, y, rows, bounds) (see calibrators' fold-stacked fits),
-    which fits k training sets, given as rows of a labeled sample in stable
-    score order, in one call and reads nothing else. fit(design) is its
-    k = 1 call on design.labeled.by_score, wrapped by adjuster; cross-fitting,
-    auto-cal's cross-validation, which runs the core on all its folds at
-    once, and the refitting bootstrap, which runs it on a chunk of
-    replicates at once, run the same code. An ordered core (iso-cal's) reads
-    each set in stable ascending score order, so its fit(design) runs on the
-    labeled sample in the sample's cached score_order. The others give the
-    same map for the pairs in any order, up to the order of their sums, and
-    read the rows as stored; auto-cal's folds and the bootstrap's replicates
-    give them each set in that order too. Any other method is its
-    design_fit. run and point share one fit and scoring: scored.
+    stacked_fit(s, y, rows, bounds, context) is the method's fold-stacked
+    fit core (see calibrators' fold-stacked fits), which fits k training
+    sets, given as rows of a labeled sample in stable score order, in one
+    call. fit(design) is its k = 1 call on design.labeled.by_score, with the
+    design's unlabeled sample as context, and adjuster turns the k = 1
+    stack into the method's Adjuster; cross-fitting, auto-cal's
+    cross-validation, which runs the core on all its folds at once, and the
+    refitting bootstrap, which runs it on a chunk of replicates at once, run
+    the same code. An ordered core (iso-cal's) reads each set in stable
+    ascending score order, so its fit(design) runs on the labeled sample in
+    the sample's cached score_order. The others give the same map for the
+    pairs in any order, up to the order of their sums, and read the rows as
+    stored; auto-cal's folds and the bootstrap's replicates give them each
+    set in that order too. run and point share one fit and scoring: scored.
     std_error(scored, core) gives the report's SE, the core's for every
     method but labeled-only.
     """
 
-    design_fit: Optional[Callable[[TwoSampleDesign], Adjuster]] = None
     stacked_fit: Optional[Callable[..., Any]] = None
     ordered: bool = False
-    adjuster: Callable[[Callable[..., np.ndarray]], Adjuster] = _calibrated
+    adjuster: Callable[[Any], Adjuster] = _fitted
 
     def fit(self, design: TwoSampleDesign, seed: int = 0) -> Adjuster:
-        if self.stacked_fit is None:
-            return self.design_fit(design)
-        return self.adjuster(self.stacked_fit(*cal._single(design.labeled, self.ordered)).map(0))
+        return self.adjuster(self.stacked_fit(*cal._single(design.labeled, self.ordered, design.unlabeled)))
 
     def scored(self, design: TwoSampleDesign, name: str, seed: int) -> Tuple[Adjuster, ScoredDesign]:
         """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE.
@@ -549,8 +476,8 @@ class Method:
     def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
         """run(...).estimate with the same refusals, but with no interval or diagnostics built.
 
-        The bootstrap's replicates of a method without a stacked fit, and
-        of any chunk of replicates with a refused one, run it per resample.
+        The bootstrap's replicates of auto-cal, and of any chunk of
+        replicates with a refused one, run it per resample.
         """
         _, scored = self.scored(design, name, seed)
         return _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name).psi
@@ -584,17 +511,17 @@ class _AutoCal(Method):
 
 
 REGISTRY = {
-    "labeled-only": _LabeledOnly(_fit_zero),
-    "ppi": Method(_fit_ppi),
-    "aipw": Method(stacked_fit=cal._unit_folds, adjuster=Adjuster),
-    "ppi-pp": Method(_fit_ppi_pp),
-    "aipw-em": Method(_fit_aipw_em),
-    "linear-cal": Method(stacked_fit=cal._linear_folds),
-    "linear-cov-cal": Method(_fit_linear_cov),
-    "platt-cal": Method(stacked_fit=cal._platt_folds),
-    "iso-cal": Method(stacked_fit=cal._isotonic_folds, ordered=True),
-    "hist-cal": Method(stacked_fit=cal._histogram_folds),
-    "venn-abers": Method(_fit_venn_abers),
+    "labeled-only": _LabeledOnly(partial(cal._unit_folds, slope=0.0), adjuster=_with_facts),
+    "ppi": Method(cal._ppi_folds, adjuster=_with_facts),
+    "aipw": Method(cal._unit_folds, adjuster=_with_facts),
+    "ppi-pp": Method(partial(cal._eem_folds, clip=True), adjuster=_with_facts),
+    "aipw-em": Method(cal._eem_folds, adjuster=_with_facts),
+    "linear-cal": Method(cal._linear_folds),
+    "linear-cov-cal": Method(cal._linear_cov_folds),
+    "platt-cal": Method(cal._platt_folds),
+    "iso-cal": Method(cal._isotonic_folds, ordered=True),
+    "hist-cal": Method(cal._histogram_folds),
+    "venn-abers": Method(cal._venn_abers_folds, adjuster=_with_facts),
     "auto-cal": _AutoCal(),
 }
 

@@ -1,10 +1,36 @@
 """Wald intervals and the refitting bootstrap.
 
 The influence-function standard error is computed by estimators._family_core.
-A bootstrap replicate of a method with a fold-stacked fit is one training
-set of that fit (see calibrators' fold-stacked fits): a chunk of replicates
-is fit in one call, its unlabeled summaries come from one call of
-estimators._summaries and its point estimates from one run of the core.
+
+A bootstrap replicate of every method but auto-cal is one training set of
+the method's fold-stacked fit (see calibrators' fold-stacked fits). The
+replicates are fit in chunks of max(1, _STACKED_ROWS // n), one stacked
+call per chunk, which bounds the stacked arrays at about 2**15 labeled rows.
+Each replicate's labeled rows, drawn from the same substream as
+bootstrap_indices', are taken as rows of the sample's sorted pairs
+(LabeledSample.by_score): in draw order, or for iso-cal in the replicate's
+own stable score order, from one stable sort of every replicate's tie-group
+ids (the dense ranks of the scores, small integers that numpy radix-sorts).
+The fit's context (calibrators._Context) draws, gathers and drops each
+replicate's unlabeled resample in turn on each pass over the resamples.
+One pass takes every resample's moments, which the fits of ppi-pp,
+aipw-em and venn-abers read and the summaries of affine maps reuse; the
+summaries of step maps and of maps evaluated per score, from one call of
+estimators._summaries, take another. So a chunk holds one unlabeled
+resample at a time: venn-abers draws each resample twice, labeled-only
+(whose f is the constant 0) none, and every other method once. The labeled values of every replicate
+come from one gather, and the family core runs once per chunk with one
+replicate per row; no design or calibrator is built per replicate. An
+auto-cal replicate, and each replicate of a chunk that holds a refused one,
+runs per replicate its two index draws, a gather of those rows
+(LabeledSample.take, UnlabeledSample.take, which do not re-check values
+the design already checked), the method's refit and its point estimate
+(Method.point); an auto-cal replicate runs the cross-validation and the
+winner's refit, then computes psi alone. What remains is mostly per
+replicate and fixed by the draws: the two keyed substreams and their index
+draws, and the unlabeled resample's gather and sort. platt-cal's Newton
+fits dominate its bootstrap, and linear-cov-cal's least squares and
+venn-abers' sweeps, one per replicate, theirs.
 """
 from __future__ import annotations
 
@@ -17,6 +43,7 @@ from typing import Tuple
 import numpy as np
 
 from ._rng import BOOT_RESAMPLE, _integer, derive_seed, substream
+from .calibrators import _Context, _tie_groups
 from .design import TwoSampleDesign
 from .exceptions import ConfigError, SsmeanError
 
@@ -116,8 +143,9 @@ def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps:
 
     Each replicate is one training set of rows of the labeled sample in
     score order (by_score): in draw order, or, for an ordered core, in the
-    replicate's own stable score order. Its labeled values come from one
-    gather, and the unlabeled summaries of all of them from one call of
+    replicate's own stable score order. The fit's context resamples the
+    unlabeled side per replicate. Its labeled values come from one gather,
+    and the unlabeled summaries of all of them from one call of
     estimators._summaries, each replicate's map on its own resample; the
     family core runs once on all of them, one replicate per row. Every
     value equals _replicate_points' bit for bit. A replicate that would be
@@ -132,16 +160,14 @@ def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps:
     pos = rank[np.stack([_draw(seed, i, 0, n) for i in reps])]
     rows = pos
     if method.ordered:
-        # a stable sort of each row's tie groups (the dense ranks of its scores)
-        # orders it as a stable sort of its scores does; numpy radix-sorts small integers
-        group = np.concatenate(([0], np.cumsum(s[1:] != s[:-1])))
-        group = group.astype(np.min_scalar_type(group[-1]))
-        rows = np.take_along_axis(pos, np.argsort(group[pos], axis=-1, kind="stable"), -1)
+        # each row in its stable score order, from its tie groups
+        rows = np.take_along_axis(pos, np.argsort(_tie_groups(s)[pos], axis=-1, kind="stable"), -1)
+    context = _Context(design.labeled, design.unlabeled, lambda: (_draw(seed, i, 1, design.N) for i in reps))
     # a value that overflows makes its replicate's total non-finite, which the core refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = method.stacked_fit(s, y, rows.ravel(), np.arange(r + 1) * n)
+        maps = method.stacked_fit(s, y, rows.ravel(), np.arange(r + 1) * n, context)
         f_l = maps.on_sample(np.repeat(np.arange(r), n), s, pos.ravel()).reshape(r, n)
-        mean, css = np.array(_summaries(maps, r, design.unlabeled, (_draw(seed, i, 1, design.N) for i in reps))).T
+        mean, css = np.array(_summaries(maps, r, context)).T
     return _family_core(f_l, y[pos], (design.N, mean, css), name).psi
 
 
@@ -154,19 +180,13 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     resampled data. Deterministic given the seed.
 
     The point estimate is estimate() on the design; it is the only report
-    built. A method with a fold-stacked fit (aipw, linear-cal, platt-cal,
-    iso-cal, hist-cal) fits its replicates in chunks of
-    max(1, _STACKED_ROWS // n), one stacked call, one call of the
-    unlabeled-summary core and one family core per chunk, each replicate a
-    training set of rows of the labeled sample; no design or calibrator is
-    built per replicate. Any other method runs, per replicate,
-    its two index draws (bootstrap_indices), the gather of those rows
-    (without re-checking values the design already checked), the method's
-    refit and its point estimate (Method.point). Both routes give each
-    replicate bit for bit as estimate() on the resampled design gives it,
-    and the bootstrap refuses exactly what estimate() on the first refused
-    resample refuses: a chunk with a refused replicate is replayed one
-    replicate at a time.
+    built. Every method but auto-cal fits its replicates in chunks, each
+    replicate one training set of the method's fold-stacked fit; auto-cal
+    refits per replicate (see the module docstring). Each replicate is bit
+    for bit what estimate() on the resampled design gives, and the
+    bootstrap refuses exactly what estimate() on the first refused resample
+    refuses: a chunk with a refused replicate is replayed one replicate at a
+    time. alpha is read as a Python float.
     """
     from .estimators import REGISTRY, estimate, method_name
 
@@ -174,30 +194,23 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     if b < 2:
         raise ConfigError(f"bootstrap needs b >= 2 replicates, got {b}")
     _check_alpha(alpha)
+    # a numpy float32 alpha would take its quantiles at float32 precision
+    alpha = float(alpha)
     point = estimate(design, method, alpha=alpha, seed=seed).estimate
     name = method_name(method)
     fit = REGISTRY[name]
-    chunk = b if fit.stacked_fit is None else max(1, _STACKED_ROWS // design.n)
+    points = _replicate_points if name == "auto-cal" else _stacked_points
+    chunk = max(1, _STACKED_ROWS // design.n)
     reps = np.empty(b)
     for start in range(0, b, chunk):
-        stop = min(start + chunk, b)
-        if fit.stacked_fit is not None:
-            try:
-                reps[start:stop] = _stacked_points(design, fit, name, seed, range(start, stop))
-                continue
-            except SsmeanError:
-                pass  # replayed below, so the refusal is estimate()'s on the first refused resample
-        reps[start:stop] = _replicate_points(design, fit, name, seed, range(start, stop))
+        part = range(start, min(start + chunk, b))
+        try:
+            reps[start : part.stop] = points(design, fit, name, seed, part)
+        except SsmeanError:
+            # replayed one replicate at a time, so the refusal is estimate()'s on the first refused resample
+            reps[start : part.stop] = _replicate_points(design, fit, name, seed, part)
     se_boot = float(np.std(reps, ddof=1))
     lo = float(np.quantile(reps, alpha / 2.0))
     hi = float(np.quantile(reps, 1.0 - alpha / 2.0))
     z = normal_quantile(1.0 - alpha / 2.0)
-    return BootstrapResult(
-        estimate=point,
-        replicates=reps,
-        se_boot=se_boot,
-        percentile_ci=(lo, hi),
-        normal_ci=(point - z * se_boot, point + z * se_boot),
-        seed=seed,
-        b=b,
-    )
+    return BootstrapResult(point, reps, se_boot, (lo, hi), (point - z * se_boot, point + z * se_boot), seed, b)

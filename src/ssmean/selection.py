@@ -3,22 +3,33 @@
 autocal_select picks among candidate estimators by the cross-validated
 influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
-fold plus a capped unlabeled subsample. A candidate's k fold fits are one
-call of its fold-stacked fit core (see calibrators), the method's only fit,
-on every fold's training rows of the labeled sample in its cached score
-order, stacked. The k maps are evaluated at once: the held-out values in one
+fold plus a capped unlabeled subsample. Every method but auto-cal is a
+candidate. A candidate's k fold fits are one call of its fold-stacked fit
+core (see calibrators), the method's only fit, on every fold's training
+rows of the labeled sample in its cached score order, stacked, with the
+subsample as every fold's unlabeled sample (ppi, ppi-pp, aipw-em and
+venn-abers read its size or cached moments). The cores: iso-cal pools every
+fold's tie blocks with one np.add.reduceat and runs PAVA once per fold;
+hist-cal takes every fold's edges (np.linspace once per distinct score
+range), counts and sums from one np.bincount over (fold, bin) keys;
+linear-cal, aipw, ppi, ppi-pp, aipw-em and labeled-only give k slopes,
+intercepts and clip ranges from per-fold sums; platt-cal's Newton
+iterations, linear-cov-cal's least squares and venn-abers' sweeps run once
+per fold. The k maps are evaluated at once: the held-out values in one
 gather, and on the subsample by one call of the unlabeled-summary core
 (estimators._summaries, whose docstring names its routes). The
 criterion of all folds comes from one call of the family core per
 candidate, which takes every fold as its own design from per-fold sums
 (np.bincount over fold ids); no design, report or calibrator is built per
-fold. The winner's refit, its diagnostics plus the CV table, is auto-cal's
-fit.
+fold. The labeled sample is sorted once per design, and its sorted pairs
+(LabeledSample.by_score) are shared by the folds and the winner's refit.
+The winner's refit, its diagnostics plus the CV table, is auto-cal's fit.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
 fit on the pooled out-of-fold pairs, and fold-averaged calibrated predictions
-for the unlabeled rows.
+for the unlabeled rows. Its calibration is any method but auto-cal, fit by
+the method's own fit on the design of the out-of-fold scores.
 """
 from __future__ import annotations
 
@@ -32,6 +43,7 @@ from . import calibrators as cal
 from ._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, _integer, substream
 from .design import EstimateReport, TwoSampleDesign, _as_matrix, design_from_arrays
 from .estimators import (
+    METHOD_NAMES,
     REGISTRY,
     Adjuster,
     ScoredDesign,
@@ -57,9 +69,8 @@ TIE_RTOL = 1e-12
 
 
 def _check_selectable(name: str, role: str) -> None:
-    if REGISTRY[name].stacked_fit is None:
-        choices = ", ".join(key for key, method in REGISTRY.items() if method.stacked_fit is not None)
-        raise ConfigError(f"{name!r} {role}; choose from {choices}")
+    if name == "auto-cal":
+        raise ConfigError(f"{name!r} {role}; choose from {', '.join(m for m in METHOD_NAMES if m != name)}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,7 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
         unl_sub = design.unlabeled
     # the sample in score order, every row held out by its own fold
     s, y, rank = design.labeled.by_score
+    context = cal._Context(design.labeled, unl_sub)
     fold = np.empty(n, dtype=np.intp)
     fold[rank] = fold_of
     held = np.bincount(fold, minlength=k)
@@ -135,8 +147,8 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
         # each fold's training rows of s in score order or in row order; one order is kept at a time
         if train[0] != method.ordered:
             train = (method.ordered, _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)])
-        maps = method.stacked_fit(s, y, train[1], bounds)
-        mu, css = np.array(_summaries(maps, k, unl_sub)).T
+        maps = method.stacked_fit(s, y, train[1], bounds, context)
+        mu, css = np.array(_summaries(maps, k, context)).T
         # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
         total = _family_core(maps.on_sample(fold, s, np.arange(n)), y, (cap, mu, css), "auto-cal", (fold, held)).total
         with np.errstate(over="ignore"):
@@ -148,12 +160,8 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
     best = min(criteria.values())
     winner = next(name for name, c in criteria.items() if c - best <= TIE_RTOL * best)
     fitted = REGISTRY[winner].fit(design)
-    cv = {
-        "selected": winner,
-        "cv_criteria": {name: float(v) for name, v in criteria.items()},
-        "cv_folds": int(k),
-        "cv_unlabeled_subsample": int(cap),
-    }
+    cv = {"selected": winner, "cv_criteria": {name: float(v) for name, v in criteria.items()},
+          "cv_folds": int(k), "cv_unlabeled_subsample": int(cap)}
     return winner, Adjuster(fitted.f, lambda scored: {**fitted.describe(scored), **cv})
 
 
@@ -196,14 +204,9 @@ def ols_trainer(covariates: np.ndarray, outcomes: np.ndarray) -> Callable[[np.nd
 
 
 def crossfit_calibrated(
-    labeled_covariates,
-    labeled_outcomes,
-    unlabeled_covariates,
+    labeled_covariates, labeled_outcomes, unlabeled_covariates,
     trainer: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]],
-    calibration_method: str = "iso-cal",
-    k: int = 5,
-    seed: int = 0,
-    alpha: float = 0.05,
+    calibration_method: str = "iso-cal", k: int = 5, seed: int = 0, alpha: float = 0.05,
 ) -> EstimateReport:
     """Cross-fitted calibrated estimate when the score model is trained in-house.
 
@@ -247,8 +250,9 @@ def crossfit_calibrated(
     if not (np.isfinite(oof).all() and np.isfinite(unl_by_fold).all()):
         raise DataError("trainer produced non-finite scores")
 
-    design = design_from_arrays(oof, y, unl_by_fold.mean(axis=0))
+    # only linear-cov-cal reads the covariates
+    design = design_from_arrays(oof, y, unl_by_fold.mean(axis=0), *((x_l, x_u) if name == "linear-cov-cal" else ()))
     f = REGISTRY[name].fit(design).f
-    pred_u = np.mean([cal.predict(f, unl_by_fold[j]) for j in range(k)], axis=0)
-    scored = ScoredDesign(design, cal.predict(f, oof), pred_u)
+    pred_u = np.mean([cal.predict(f, unl_by_fold[j], design.unlabeled.covariates) for j in range(k)], axis=0)
+    scored = ScoredDesign(design, cal.predict(f, oof, design.labeled.covariates), pred_u)
     return family_report(scored, f"crossfit-{name}", alpha, {"folds": int(k), "calibration": name})

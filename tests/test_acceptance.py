@@ -173,6 +173,7 @@ GRID_METHODS = [
     "aipw-em",
     "linear-cal",
     "iso-cal",
+    "hist-cal",
     "auto-cal",
 ]
 GRID_REPS = 500
@@ -340,3 +341,15 @@ def test_criterion_10a_nothing_after_isotonic():
         f"isotonic refit on its fitted values {worst_refit:.2e}; line of Y on them: "
         f"|slope - 1| {worst_slope:.2e}, |intercept| {worst_intercept:.2e}",
     )
+
+
+def test_criterion_10b_isotonic_beats_simpler_post_processing(mc_grid):
+    # Monte Carlo efficiency: isotonic calibration's RMSE is at most that of the
+    # raw score, its rescaling and the linear and histogram calibrations
+    rivals = ("aipw", "aipw-em", "linear-cal", "hist-cal")
+    parts, ok = [], True
+    for n in (800, 1200):
+        iso = mc_grid[("iso-cal", n)].rmse
+        ok = ok and all(iso <= mc_grid[(m, n)].rmse for m in rivals)
+        parts.append(f"n={n}: iso-cal {iso:.5f}, " + ", ".join(f"{m} {mc_grid[(m, n)].rmse:.5f}" for m in rivals))
+    _report("10b", ok, "; ".join(parts))

@@ -245,9 +245,9 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
         reports.append(method)
         return real_report(scored, method, *args, **kwargs)
 
-    def counting_fit(s, y, rows, bounds):
+    def counting_fit(s, y, rows, bounds, context):
         fits.append(len(bounds) - 1)
-        return aipw.stacked_fit(s, y, rows, bounds)
+        return aipw.stacked_fit(s, y, rows, bounds, context)
 
     def counting_point(self, design, name, seed):
         points.append(name)

@@ -38,7 +38,7 @@ from ssmean import (
     run_grid,
     wald_interval,
 )
-from ssmean.estimators import REGISTRY, UnlabeledSummary, _eem_lambda_full, family_report
+from ssmean.estimators import REGISTRY, UnlabeledSummary, family_report
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -355,8 +355,13 @@ def eem_designs(draw):
 @settings(max_examples=200, deadline=None)
 @given(eem_designs(), st.booleans())
 def test_eem_lambda_matches_the_pointwise_formula(design, clipped):
+    # ppi-pp's fit is aipw-em's clipped to [0, 1/(1-rho)]; both report lambda and its facts
     clip = (0.0, 1.0 / (1.0 - design.rho)) if clipped else None
-    lam, lam_raw, degenerate, clip_active = _eem_lambda_full(design, clip)
+    facts = REGISTRY["ppi-pp" if clipped else "aipw-em"].fit(design).describe(None)
+    lam, lam_raw, clip_active = facts["lambda"], facts["lambda_unclipped"], facts["clip_active"]
+    degenerate = facts.get("degenerate_score", False)
+    assert facts["clip"] == (None if clip is None else list(clip))
+    assert lam == eem_lambda(design, clip)
     want = pointwise_eem(design, clip)
     assert (degenerate, clip_active) == want[2:]
     for got, ref in ((lam, want[0]), (lam_raw, want[1])):

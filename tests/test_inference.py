@@ -361,7 +361,8 @@ def test_bootstrap_replicates_equal_estimate_on_materialized_resamples(name):
     assert ran >= 5
 
 
-STACKED = ("aipw", "linear-cal", "platt-cal", "iso-cal", "hist-cal")
+# every method but auto-cal bootstraps through its fold-stacked fit
+STACKED = tuple(name for name in METHOD_NAMES if name != "auto-cal")
 
 
 @pytest.mark.parametrize("name", STACKED)
@@ -371,9 +372,9 @@ def test_stacked_replicates_are_bit_identical_across_chunks(monkeypatch, name):
     method = REGISTRY[name]
     fits = []
 
-    def counting_fit(s, y, rows, bounds):
+    def counting_fit(s, y, rows, bounds, context):
         fits.append(len(bounds) - 1)
-        return method.stacked_fit(s, y, rows, bounds)
+        return method.stacked_fit(s, y, rows, bounds, context)
 
     monkeypatch.setitem(REGISTRY, name, dataclasses.replace(method, stacked_fit=counting_fit))
     ran = 0
@@ -402,8 +403,8 @@ def tie_heavy_bootstraps(draw):
     Scores lie on a grid of 9 levels, the grid moved to 1e6, 9 adjacent
     floats, or the grid times 1e153, whose squares overflow in some
     resamples and not in others; outcomes are binary (always for platt-cal)
-    or on a grid. Both samples carry a column of covariates, which
-    _materialized_replicates gathers.
+    or on a grid. Both samples carry a column of covariates on a grid of 5
+    levels, which _materialized_replicates gathers and linear-cov-cal reads.
     """
     name = draw(st.sampled_from(STACKED))
     n, N = draw(st.integers(2, 30)), draw(st.integers(1, 40))
@@ -417,7 +418,8 @@ def tie_heavy_bootstraps(draw):
     m_l, m_u = scores(n), scores(N)
     levels = 1 if name == "platt-cal" else draw(st.sampled_from([1, 4]))
     y = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
-    d = design_from_arrays(m_l, y, m_u, np.zeros((n, 1)), np.zeros((N, 1)))
+    x = np.array(draw(st.lists(st.integers(-2, 2), min_size=n + N, max_size=n + N))).reshape(-1, 1) / 2.0
+    d = design_from_arrays(m_l, y, m_u, x[:n], x[n:])
     return d, name, draw(st.integers(2, 7)), draw(st.integers(0, 2**16))
 
 
@@ -474,3 +476,32 @@ def test_bootstrap_replicate_count_must_be_an_integer(b):
     with pytest.raises(ConfigError, match=f"^bootstrap needs an integer number of replicates b, got {re.escape(repr(b))}$"):
         bootstrap(d, "aipw", b=b, seed=0)
     assert bootstrap(d, "aipw", b=np.int64(3), seed=0).b == 3
+
+
+def test_bootstrap_reads_a_numpy_float32_alpha_as_a_python_float():
+    d = draw_dataset(DgpSpec(200, 4, 0))
+    got = bootstrap(d, "aipw", b=20, seed=0, alpha=np.float32(0.05))
+    want = bootstrap(d, "aipw", b=20, seed=0, alpha=float(np.float32(0.05)))
+    assert (got.normal_ci, got.percentile_ci) == (want.normal_ci, want.percentile_ci)
+
+
+@pytest.mark.parametrize("name, draws", [("iso-cal", 16), ("aipw", 16), ("labeled-only", 8), ("ppi-pp", 16), ("venn-abers", 24)])
+def test_bootstrap_draws_each_resample_once_per_pass_over_the_unlabeled_side(monkeypatch, name, draws):
+    # b = 8: one labeled draw per replicate, and one unlabeled draw per pass
+    # over the resamples. A fit that reads their moments shares its pass with
+    # the summary of affine maps (ppi-pp); venn-abers' step maps are counted
+    # in each resample's sorted scores, a second pass; labeled-only's f = 0
+    # reads no resample
+    import ssmean.inference
+
+    calls = []
+    real_draw = ssmean.inference._draw
+
+    def counting_draw(seed, rep, side, size):
+        calls.append(side)
+        return real_draw(seed, rep, side, size)
+
+    monkeypatch.setattr(ssmean.inference, "_draw", counting_draw)
+    d = draw_dataset(DgpSpec(60, 4, 1))
+    bootstrap(d, name, b=8, seed=2)
+    assert len(calls) == draws and calls.count(0) == 8

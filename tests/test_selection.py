@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssmean import (
+    METHOD_NAMES,
     CandidateSet,
     ConfigError,
     DataError,
     DgpSpec,
     SsmeanError,
+    TwoSampleDesign,
     autocal_select,
     crossfit_calibrated,
     design_from_arrays,
@@ -20,6 +23,7 @@ from ssmean import (
     predict,
 )
 from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
+from ssmean.calibrators import _Context
 from ssmean.estimators import REGISTRY, ScoredDesign, _summaries, _unlabeled_side, family_report
 from ssmean.selection import TIE_RTOL, _training_rows
 
@@ -198,6 +202,9 @@ def selection_cases(draw):
 # platt-cal wins the CV, but its Newton fit on the full sample does not converge
 @example((design_from_arrays([1, .375, 1, .875, 1, 1, .5, 1], [1, 0, 1, 0, 1, 1, 0, 1], [0.0]),
           CandidateSet(["platt-cal"], folds=2, unlabeled_cap_factor=1), 0))
+# candidates whose fits read the subsample's size or cached moments, or sort each fold themselves
+@example((draw_dataset(DgpSpec(40, 4, 1)), CandidateSet(["labeled-only", "ppi-pp", "venn-abers"], folds=5), 7))
+@example((draw_dataset(DgpSpec(30, 2, 2)), CandidateSet(["ppi", "aipw-em", "venn-abers", "ppi"], folds=4), 3))
 def test_selection_matches_per_fold_oracle(case):
     d, cands, seed = case
     k = min(cands.folds, d.n // 2)
@@ -217,7 +224,25 @@ def test_selection_matches_per_fold_oracle(case):
     assert diag["cv_unlabeled_subsample"] == min(d.N, cands.unlabeled_cap_factor * d.n)
 
 
-SELECTABLE = ("aipw", "linear-cal", "platt-cal", "iso-cal", "hist-cal")
+# every method but auto-cal is a fold-stacked fit core, and so a candidate
+SELECTABLE = tuple(name for name in METHOD_NAMES if name != "auto-cal")
+
+
+def test_every_method_but_auto_cal_has_a_stacked_fit():
+    # and so is a candidate and a cross-fit calibration; linear-cov-cal's
+    # cross-fit calibration reads the covariates
+    assert [name for name, method in REGISTRY.items() if method.stacked_fit is None] == ["auto-cal"]
+    rng = np.random.default_rng(8)
+    x_l, x_u = rng.normal(size=(40, 2)), rng.normal(size=(60, 2))
+    y = (rng.random(40) < 1.0 / (1.0 + np.exp(-x_l[:, 0]))).astype(float)
+
+    def logistic_trainer(covariates, outcomes):
+        return lambda xnew: 1.0 / (1.0 + np.exp(-np.atleast_2d(xnew)[:, 0]))
+
+    for name in SELECTABLE:
+        assert CandidateSet([name]).methods == (name,)
+        report = crossfit_calibrated(x_l, y, x_u, logistic_trainer, name, k=4)
+        assert report.method == f"crossfit-{name}" and np.isfinite(report.std_error)
 
 
 @st.composite
@@ -229,7 +254,8 @@ def stacked_cases(draw):
     tie blocks, and the smallest and largest scores may share a fold, so
     some training sets lose an end of the range or keep a single value. The
     unlabeled scores lie on the same grid, some below or above the labeled
-    ones.
+    ones. Half the designs carry a column of covariates in both samples, for
+    linear-cov-cal.
     """
     k = draw(st.integers(2, 25))
     n = draw(st.integers(2, 40))
@@ -252,6 +278,9 @@ def stacked_cases(draw):
         fold_of[(s == s.min()) | (s == s.max())] = fold_of[0]
     # every fold keeps a training row
     assume(len(np.unique(fold_of)) > 1)
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n + len(u), max_size=n + len(u)))).reshape(-1, 1) / 2.0
+        return design_from_arrays(s, y, u, x[:n], x[n:]), fold_of, k
     return design_from_arrays(s, y, u), fold_of, k
 
 
@@ -266,41 +295,47 @@ def _bits(calibrator) -> dict:
 # a paper design on which a second summation order for one map (a BLAS dot) moves some fold's step-map summary
 @example((draw_dataset(DgpSpec(1200, 16, 0)), np.arange(1200) % 3, 3))
 def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
-    # fold j of one k-fold call of a family's core equals the method's own fit
-    # of fold j's training rows, bit for bit, and so do its held-out values;
-    # and its unlabeled summary in one call of the summary core, on one shared
-    # sample or on a sample per fold, equals the one-map summary of its map
+    # fold j of one k-fold call of a family's core, given one shared unlabeled
+    # sample or a sample per fold, equals the method's own fit of the design
+    # of fold j's training rows and that sample, bit for bit, facts included,
+    # and so do its held-out values; and its unlabeled summary in one call of
+    # the summary core equals the one-map summary of its map on that sample
     d, fold_of, k = case
     draws = np.random.default_rng(k).integers(0, d.N, size=(k, d.N))
     s, y, rank = d.labeled.by_score
     fold = np.empty(d.n, dtype=np.intp)
     fold[rank] = fold_of
     bounds = np.concatenate(([0], np.cumsum(d.n - np.bincount(fold, minlength=k))))
+    shared, per_fold = _Context(d.labeled, d.unlabeled), _Context(d.labeled, d.unlabeled, lambda: iter(draws))
+    # the covariates in score order, as the cores read them
+    x = None if d.labeled.covariates is None else d.labeled.covariates[d.labeled.score_order]
     for name in SELECTABLE:
         method = REGISTRY[name]
-
-        def fold_fit(j):
-            rest = fold_of != j
-            return method.fit(design_from_arrays(d.labeled.scores[rest], d.labeled.outcomes[rest], [0.0])).f
-
         rows = _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)]
-        try:
-            maps = method.stacked_fit(s, y, rows, bounds)
-        except SsmeanError as exc:
-            # the first fold whose own fit refuses refuses the same way
-            with pytest.raises(type(exc)):
-                for j in range(k):
-                    fold_fit(j)
-            continue
-        held_out = maps.on_sample(fold, s, np.arange(d.n))
-        shared, per_fold = _summaries(maps, k, d.unlabeled), _summaries(maps, k, d.unlabeled, draws)
-        for j in range(k):
-            f = fold_fit(j)
-            assert _bits(maps.map(j)) == _bits(f), (name, j)
-            assert held_out[fold == j].tobytes() == predict(f, s[fold == j]).tobytes(), (name, j)
-            for got, sample in ((shared[j], d.unlabeled), (per_fold[j], d.unlabeled.take(draws[j]))):
-                one = _unlabeled_side(maps.map(j), sample)
-                assert np.array(got).tobytes() == np.array(one[1:]).tobytes(), (name, j)
+        for context, samples in ((shared, [d.unlabeled] * k), (per_fold, [d.unlabeled.take(r) for r in draws])):
+
+            def fold_fit(j):
+                return method.fit(TwoSampleDesign(d.labeled.take(fold_of != j), samples[j]))
+
+            try:
+                maps = method.stacked_fit(s, y, rows, bounds, context)
+            except SsmeanError as exc:
+                # the first fold whose own fit refuses refuses the same way
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    for j in range(k):
+                        fold_fit(j)
+                continue
+            held_out = maps.on_sample(fold, s, np.arange(d.n))
+            summaries = _summaries(maps, k, context)
+            for j in range(k):
+                adjuster = fold_fit(j)
+                f, x_held = adjuster.f, None if x is None else x[fold == j]
+                assert _bits(maps.map(j)) == _bits(f), (name, j)
+                if getattr(maps, "facts", None):
+                    assert maps.facts[j] == adjuster.describe(None), (name, j)
+                assert held_out[fold == j].tobytes() == predict(f, s[fold == j], x_held).tobytes(), (name, j)
+                one = _unlabeled_side(maps.map(j), samples[j])
+                assert np.array(summaries[j]).tobytes() == np.array(one[1:]).tobytes(), (name, j)
 
 
 def test_candidate_validation():
@@ -308,8 +343,8 @@ def test_candidate_validation():
         CandidateSet([])
     with pytest.raises(ConfigError, match="^methods must be a list of method names, got the string 'aipw'$"):
         CandidateSet("aipw")
-    with pytest.raises(ConfigError):
-        CandidateSet(["labeled-only"])
+    with pytest.raises(ConfigError, match="^'auto-cal' is not selectable; choose from labeled-only, ppi, aipw, "):
+        CandidateSet(["auto-cal"])
     with pytest.raises(ConfigError):
         CandidateSet(["aipw"], folds=1)
 
@@ -439,7 +474,7 @@ def test_crossfit_errors():
     with pytest.raises(ConfigError):
         crossfit_calibrated(x, y, u, mean_trainer, k=9)
     with pytest.raises(ConfigError):
-        crossfit_calibrated(x, y, u, mean_trainer, calibration_method="venn-abers", k=2)
+        crossfit_calibrated(x, y, u, mean_trainer, calibration_method="auto-cal", k=2)
 
     def broken_trainer(cov, out):
         raise RuntimeError("boom")
