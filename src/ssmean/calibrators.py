@@ -20,10 +20,11 @@ points and block values through steps(), so the counts of a sorted sample
 in each block stand in for evaluating them per score (estimators._summaries).
 
 Every registry method but auto-cal has one fold-stacked fit core that fits
-k training sets in one call (see "fold-stacked fits" below); the method's
-fit and the matching fit_* function are its k = 1 call, auto-cal's
+k training sets in one call (see "fold-stacked fits" below); estimate() and
+the matching fit_* function are its k = 1 call, auto-cal's
 cross-validation calls it once on all its folds, and the refitting
-bootstrap once per chunk of replicates.
+bootstrap once per chunk of replicates. Only a fit_* function turns the
+stack into a calibrator.
 
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
@@ -251,12 +252,16 @@ def pava(values, weights) -> np.ndarray:
 # (_Context) gives the labeled covariates in the same score order and each
 # set's unlabeled sample, which ppi, ppi-pp, aipw-em, venn-abers and
 # linear-cov-cal read. The core returns the k maps stacked in one *Folds
-# value: map(j) is map j as a calibrator, and on_sample(fold, s, rows) is the
-# value of map fold[p] at s[rows[p]] for every p, in one gather. Every fit_*
-# function and every registry fit is the k = 1 call, so fold j of a k-fold
-# call equals the fit of fold j's rows alone, bit for bit. Auto-cal's
-# cross-validation holds out each row of s once (rows = arange(n)); the
-# refitting bootstrap fits each replicate as one training set.
+# value: map(j) is map j as a calibrator, described(j) the facts that
+# calibrator holds (an affine map's slope, intercept and clip_range, a
+# histogram's empty_bins, a Platt map's ridge_active), at(j, t, x) map j at
+# the scores t (and their covariate rows x), as its calibrator evaluates
+# them, and on_sample(fold, s, rows) the value of map fold[p] at s[rows[p]]
+# for every p, in one gather. Every fit_* function and every registry fit is
+# the k = 1 call, so fold j of a k-fold call equals the fit of fold j's rows
+# alone, bit for bit; estimate() builds no calibrator, only fit_* does.
+# Auto-cal's cross-validation holds out each row of s once (rows =
+# arange(n)); the refitting bootstrap fits each replicate as one training set.
 
 
 @dataclass
@@ -335,7 +340,12 @@ def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
 
 
 def _segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """values[a:b].mean() of each segment, bit for bit: mean is the pairwise sum over the count."""
+    """values[a:b].mean() of each segment, bit for bit: mean is the pairwise sum over the count.
+
+    One segment (a k = 1 fit) is one reduction, with no _by_segment pass.
+    """
+    if len(bounds) == 2:
+        return np.add.reduce(values, keepdims=True) / len(values)
     return _by_segment(lambda rows: np.add.reduce(rows, axis=1) / rows.shape[1], bounds, values)
 
 
@@ -383,6 +393,19 @@ class _StepFolds:
     def on_sample(self, fold: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         cut_fold, cuts, values = self.steps()
         return values[_cells(cut_fold, cuts, len(values) - len(cuts), s, fold * len(s) + rows)]
+
+    def at(self, fold: int, t: np.ndarray, x=None) -> np.ndarray:
+        """Map fold at every score of t, by StepCalibrator's floor lookup; x is ignored.
+
+        Map fold's cuts are cuts[a:b], and its values follow the fold maps
+        before it, each with one more value than cuts.
+        """
+        cut_fold, cuts, values = self.steps()
+        a, b = np.searchsorted(cut_fold, [fold, fold + 1]).tolist()
+        return values[a + fold + np.searchsorted(cuts[a:b], t, side="right")]
+
+    def described(self, j: int) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -487,9 +510,12 @@ class _AffineFolds:
             raise DataError("affine calibrator coefficients must be finite")
 
     def map(self, j: int = 0, fitted_on=None) -> AffineCalibrator:
+        return AffineCalibrator(**self.described(j), fitted_on=fitted_on, cov_coefs=() if self.cov is None else self.cov[j])
+
+    def described(self, j: int) -> dict:
+        """Map j's slope, intercept and clip_range, as its calibrator holds them."""
         clip = None if self.clip is None else (float(self.clip[0][j]), float(self.clip[1][j]))
-        cov = () if self.cov is None else self.cov[j]
-        return AffineCalibrator(float(self.slope[j]), float(self.intercept[j]), clip, fitted_on, cov)
+        return {"slope": float(self.slope[j]), "intercept": float(self.intercept[j]), "clip_range": clip}
 
     def at(self, fold, t, x=None) -> np.ndarray:
         """Map fold[i] at t[i], or map fold at every t for an integer fold.
@@ -700,9 +726,10 @@ class _SigmoidFolds:
             raise DataError("sigmoid calibrator coefficients must be finite")
 
     def map(self, j: int = 0, fitted_on=None) -> SigmoidCalibrator:
-        return SigmoidCalibrator(
-            float(self.scale[j]), float(self.shift[j]), self.logit_eps, fitted_on, bool(self.ridge_active[j])
-        )
+        return SigmoidCalibrator(float(self.scale[j]), float(self.shift[j]), self.logit_eps, fitted_on, **self.described(j))
+
+    def described(self, j: int) -> dict:
+        return {"ridge_active": bool(self.ridge_active[j])}
 
     def at(self, fold, t, x=None) -> np.ndarray:
         """Map fold[i] at t[i], or map fold at every t for an integer fold; x is ignored."""
@@ -751,9 +778,11 @@ class _BinnedFolds(_StepFolds):
 
     def map(self, j: int = 0, fitted_on=None) -> BinnedCalibrator:
         a, b = self.edge_bounds[j], self.edge_bounds[j + 1]
-        return BinnedCalibrator(
-            self.edges[a:b], self.values[a - j : b - j - 1], float(self.fallback[j]), int(self.empty_bins[j]), fitted_on
-        )
+        return BinnedCalibrator(self.edges[a:b], self.values[a - j : b - j - 1], float(self.fallback[j]),
+                                fitted_on=fitted_on, **self.described(j))
+
+    def described(self, j: int) -> dict:
+        return {"empty_bins": int(self.empty_bins[j])}
 
 
 def _range_edges(lo: float, hi: float) -> np.ndarray:

@@ -141,7 +141,13 @@ class LabeledSample:
 
     @cached_property
     def by_score(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(scores, outcomes, rank): the pairs in score_order, and the place in it of every row; read-only, on first use."""
+        """(scores, outcomes, rank): the pairs in score_order, and the place in it of every row; read-only, on first use.
+
+        With score_order it takes 32 bytes per labeled row, kept for the
+        sample's lifetime. Every method's fit, every auto-cal fold, the
+        winner's refit and the bootstrap's replicates read it, so the labeled
+        sample is sorted at most once.
+        """
         order = self.score_order
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -200,6 +206,13 @@ class UnlabeledSample:
         e is the exponent of the largest |score|, so the scaling is exact and
         no sum or square overflows; the root then scales with any coefficient
         applied to the scores without under- or overflowing in between.
+        ppi-pp's and aipw-em's fits take Var_U(m) and mean_U(m^2) from it, and
+        the unlabeled summary of an unclipped affine map of the score (and
+        venn-abers' anchor, through score_moments) the mean and root, so none
+        of them reads an unlabeled score. Computed once, on first use, and
+        kept with sorted_scores (8 bytes per row) for the sample's lifetime:
+        every method run on a design, and every auto-cal fold that shares its
+        sample, reuses both.
         """
         e = int(np.frexp(np.abs(self.scores).max())[1])
         dev = np.ldexp(self.scores, -e)

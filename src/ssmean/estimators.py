@@ -5,12 +5,12 @@ All estimators are members of one family indexed by an adjustment function f:
     psi_hat(f) = rho * mean_L{f} + (1 - rho) * mean_U{f} + mean_L{Y - f},
 
 which is unbiased for E[Y] for any fixed f. A method is nothing but its fit
-of f, an Adjuster: zero (labeled-only), the raw score (aipw), the raw score
-rescaled by 1/(1-rho) (ppi), the score times an empirical coefficient
-(ppi-pp / aipw-em), a fitted calibrator (the *-cal methods), the shrunk
-interval map of venn-abers, or auto-cal's cross-validated winner. REGISTRY
-maps every method name to its fit; every method's but auto-cal's is the
-k = 1 call of its fold-stacked fit core (see calibrators), which auto-cal's
+of f: zero (labeled-only), the raw score (aipw), the raw score rescaled by
+1/(1-rho) (ppi), the score times an empirical coefficient (ppi-pp /
+aipw-em), a fitted calibrator (the *-cal methods), the shrunk interval map
+of venn-abers, or auto-cal's cross-validated winner. REGISTRY maps every
+method name to its fit; every method's but auto-cal's is the k = 1 call of
+its fold-stacked fit core (see calibrators), which auto-cal's
 cross-validation calls once on all its folds and the refitting bootstrap
 once per chunk of replicates. A core's training sets are rows of the
 labeled sample in its cached stable score order (LabeledSample.by_score):
@@ -25,22 +25,29 @@ venn-abers its cached scaled_moments, and linear-cov-cal whether it has
 covariates. The bootstrap takes each resample's moments once, for the fits
 that read them and the summaries of affine maps; venn-abers, whose step
 maps are counted in each sorted resample, draws its resamples twice, and
-labeled-only, whose f is the constant 0, not at all. _family_core is the only code of the
-family algebra: from the labeled values of f, the outcomes and the
-unlabeled summary it gives the plug-in, the residual mean, psi, the labeled
-influence values and the sum of squares of the SE. Every method is fit and
-scored once (Method.scored) and Method.report builds its report from the
-core once and returns both, so ate_two_arm takes each arm's influence
-values and plug-in from its report's core; Method.point keeps psi alone;
-auto-cal's cross-validation runs the core once per candidate with every
-fold its own design; and the refitting bootstrap runs it once per chunk of
-replicates, each replicate a row of one matrix, after one stacked fit of
-the chunk.
+labeled-only, whose f is the constant 0, not at all.
+
+_family_core is the only code of the family algebra: from the labeled
+values of f, the outcomes and the unlabeled summary it gives the plug-in,
+the residual mean, psi, the labeled influence values and the sum of squares
+of the SE. estimate() runs every method as the bootstrap runs a replicate,
+with one training set (Method.run): the k = 1 stack, its values at the
+labeled scores, its unlabeled summary and the core, from which the report
+is built; no calibrator is built and none is evaluated through predict.
+The same route gives auto-cal's winner's refit, each arm of ate_two_arm
+(which takes the arm's influence values and plug-in from the core) and the
+bootstrap's replay of a replicate, psi alone. auto-cal's cross-validation
+runs the core once per candidate with every fold its own design, and the
+refitting bootstrap once per chunk of replicates, each replicate a row of
+one matrix, after one stacked fit of the chunk. Only calibrated_plugin,
+given a calibrator fitted elsewhere (or any callable), evaluates it through
+calibrators.predict.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). One function,
 _summaries, gives it for k stacked maps at once, and its docstring names
-its routes; a single map is its one-map stack (_unlabeled_side).
+its routes; a calibrator given to calibrated_plugin is its one-map stack
+where it can be (_unlabeled_side).
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -75,7 +82,6 @@ from .exceptions import ConfigError, DataError, DimensionError, MisuseError
 from .inference import _check_alpha, wald_interval
 
 __all__ = [
-    "Adjuster",
     "UnlabeledSummary",
     "ScoredDesign",
     "METHOD_NAMES",
@@ -145,7 +151,7 @@ def _summary(values: np.ndarray) -> UnlabeledSummary:
         if not math.isfinite(mean):
             raise DataError("adjustment values must be finite")
         dev = values - mean
-        return UnlabeledSummary(len(dev), mean, float(np.sum(np.square(dev, out=dev))))
+        return UnlabeledSummary(len(dev), mean, float(np.add.reduce(np.square(dev, out=dev))))
 
 
 # the family algebra of one design, or per fold of every fold's design
@@ -161,7 +167,7 @@ def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
     sum to css + count (mean - plugin)^2; SE = sqrt(total) / (n + count).
     folds = (fold, held) makes each fold j a design of its held[j] labeled
     rows and the summary's mean[j] and css[j], with per-fold results from
-    np.bincount sums. Without folds the sums are np.sum, as in .mean(), and
+    np.bincount sums. Without folds the sums are np.add.reduce, as in .mean(), and
     f_l and y may be (r, n) matrices, row i a design with the summary's
     mean[i] and css[i] (the bootstrap's replicates): numpy sums each row of
     a C-contiguous matrix exactly as it sums that row alone, so row i's
@@ -174,9 +180,9 @@ def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
         if folds is None:
             n = f_l.shape[-1]
             if f_l.ndim == 1:
-                per_row, summed = (lambda v: v), (lambda v: float(np.sum(v)))
+                per_row, summed = (lambda v: v), (lambda v: float(np.add.reduce(v)))
             else:
-                per_row, summed = (lambda v: np.expand_dims(v, -1)), (lambda v: np.sum(v, axis=-1))
+                per_row, summed = (lambda v: np.expand_dims(v, -1)), (lambda v: np.add.reduce(v, axis=-1))
         else:
             fold, n = folds
             k = len(n)
@@ -195,21 +201,15 @@ def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
     return _Core(plugin, residual_mean, psi, total, d_l)
 
 
-def _family_se(scored: ScoredDesign, core: _Core) -> float:
-    return math.sqrt(core.total) / scored.design.m_total
+def _family_se(design: TwoSampleDesign, core: _Core) -> float:
+    return math.sqrt(core.total) / design.m_total
 
 
-def _report(scored: ScoredDesign, method: str, alpha: float, describe, std_error=_family_se) -> Tuple[_Core, EstimateReport]:
-    """The core of scored and its report; std_error(scored, core) gives the SE.
-
-    describe(scored) and std_error run once the core has found its total finite.
-    """
-    d = scored.design
-    core = _family_core(scored.f_labeled, d.labeled.outcomes, scored.f_unlabeled, method)
-    se = std_error(scored, core)
+def _report(design: TwoSampleDesign, method: str, alpha: float, core: _Core, se: float, diagnostics: dict) -> EstimateReport:
+    """The report of core with standard error se; the method's diagnostics follow the core's."""
     lo, hi = wald_interval(core.psi, se, alpha)
-    diagnostics = {"plugin_estimate": core.plugin, "aipw_estimate": core.psi, "residual_mean": core.residual_mean}
-    return core, EstimateReport(core.psi, se, lo, hi, alpha, method, d.n, d.N, {**diagnostics, **describe(scored)})
+    own = {"plugin_estimate": core.plugin, "aipw_estimate": core.psi, "residual_mean": core.residual_mean}
+    return EstimateReport(core.psi, se, lo, hi, alpha, method, design.n, design.N, {**own, **diagnostics})
 
 
 def family_report(
@@ -224,11 +224,9 @@ def family_report(
     (the labeled mean of Y - f) and aipw_estimate (their sum, the estimate);
     the given diagnostics follow.
     """
-    return _report(scored, method, alpha, lambda _: diagnostics or {})[1]
-
-
-def _no_diagnostics(scored: ScoredDesign) -> dict:
-    return {}
+    d = scored.design
+    core = _family_core(scored.f_labeled, d.labeled.outcomes, scored.f_unlabeled, method)
+    return _report(d, method, alpha, core, _family_se(d, core), diagnostics or {})
 
 
 def _summaries(maps, k: int, context) -> list:
@@ -284,7 +282,7 @@ def _summaries(maps, k: int, context) -> list:
 
 
 def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
-    """The summary of f on an unlabeled sample.
+    """The summary of a calibrator given to calibrated_plugin on an unlabeled sample.
 
     A step map (StepCalibrator, BinnedCalibrator), or an affine map of the
     score alone with no clip, is passed to _summaries as a one-map stack:
@@ -305,89 +303,38 @@ def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
     return UnlabeledSummary(sample.n, mean, css)
 
 
-class Adjuster(NamedTuple):
-    """A fitted family member: its adjustment map f and its own diagnostics.
+def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_range=None, **own) -> dict:
+    """A calibrated method's diagnostics from its labeled values f_l and its map's facts.
 
-    f is evaluated on the labeled rows through calibrators.predict, so it is
-    any callable on scores, or a fitted calibrator (an AffineCalibrator
-    also receives the covariates), and summarised on the unlabeled sample by
-    _unlabeled_side. describe(scored) gives the member's diagnostics from
-    the values of f on a design.
+    The calibration MSEs of the raw score and of f, then an affine map's
+    slope and intercept, with its clip range and whether the clip moved the
+    labeled residual mean, then the map's other facts (empty_bins,
+    ridge_active). For mean-calibrated fits (isotonic, least-squares linear
+    with inactive clipping, histogram, covariate-adjusted linear) the
+    labeled residual mean is zero, so the pooled plug-in mean and its
+    residual-corrected form coincide to machine precision. When clipping is
+    active the two differ; the residual-corrected form is the estimate,
+    since it retains the family's unbiasedness, and clip_active records the
+    gap.
     """
-
-    f: Callable[..., np.ndarray]
-    describe: Callable[[ScoredDesign], dict] = _no_diagnostics
-
-    def scored(self, design: TwoSampleDesign) -> ScoredDesign:
-        lab = design.labeled
-        return ScoredDesign(
-            design,
-            cal.predict(self.f, lab.scores, lab.covariates),
-            _unlabeled_side(self.f, design.unlabeled),
-        )
-
-    def report(self, design: TwoSampleDesign, method: str, alpha: float = 0.05) -> EstimateReport:
-        return _report(self.scored(design), method, alpha, self.describe)[1]
-
-
-# --- adjusters ---------------------------------------------------------------
-
-
-def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = None) -> float:
-    """Empirical variance-minimizing scaling of the score over {lambda * m}: aipw-em's fit.
-
-    lambda_hat = Cov_L(Y, m) / [(1-rho) Var_L(m) + rho Var_U(m)], clamped to
-    the clip interval when one is given. Returns 0 when the score has no
-    variance in either sample (the coefficient is unidentified).
-    """
-    facts = REGISTRY["aipw-em"].fit(design).describe(None)
-    return facts["lambda"] if clip is None or "degenerate_score" in facts else min(max(facts["lambda"], clip[0]), clip[1])
-
-
-def _calibrated(calibrator) -> Adjuster:
-    """The adjuster of a fitted calibrator, with its fit and calibration facts.
-
-    For mean-calibrated fits (isotonic, least-squares linear with inactive
-    clipping, histogram, covariate-adjusted linear) the labeled residual mean
-    is zero, so the pooled plug-in mean and its residual-corrected form
-    coincide to machine precision. When clipping is active the two differ;
-    the residual-corrected form is the estimate, since it retains the
-    family's unbiasedness, and clip_active records the gap.
-    """
-
-    def describe(scored: ScoredDesign) -> dict:
-        lab = scored.design.labeled
-        y, pred_l = lab.outcomes, scored.f_labeled
-        with np.errstate(over="ignore"):
-            mse = [float(np.mean((y - pred) ** 2)) for pred in (lab.scores, pred_l)]
+    y = labeled.outcomes
+    # a sum that overflows raises no numpy warning, since a report may refuse it after this runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = [float(np.mean((y - pred) ** 2)) for pred in (labeled.scores, f_l)]
         # a mean square that overflows float64 is reported as unknown
         before, after = (v if math.isfinite(v) else None for v in mse)
         diagnostics = {"calibration_mse_before": before, "calibration_mse_after": after}
-        if isinstance(calibrator, cal.AffineCalibrator):
-            diagnostics["slope"] = calibrator.slope
-            diagnostics["intercept"] = calibrator.intercept
-            if calibrator.clip_range is not None:
-                residual_mean = float((y - pred_l).mean())
-                diagnostics["clip_range"] = list(calibrator.clip_range)
+        if slope is not None:
+            diagnostics["slope"], diagnostics["intercept"] = slope, intercept
+            if clip_range is not None:
+                residual_mean = float((y - f_l).mean())
+                diagnostics["clip_range"] = list(clip_range)
                 diagnostics["clip_active"] = abs(residual_mean) > MEAN_CALIBRATED_TOL * max(1.0, float(np.mean(np.abs(y))))
-        if isinstance(calibrator, cal.BinnedCalibrator):
-            diagnostics["empty_bins"] = calibrator.empty_bins
-        if isinstance(calibrator, cal.SigmoidCalibrator):
-            diagnostics["ridge_active"] = calibrator.ridge_active
-        return diagnostics
-
-    return Adjuster(calibrator, describe)
+    return {**diagnostics, **own}
 
 
-def _fitted(maps) -> Adjuster:
-    """The adjuster of the calibrator of a k = 1 stack, with its fit and calibration facts."""
-    return _calibrated(maps.map(0))
-
-
-def _with_facts(maps) -> Adjuster:
-    """The adjuster of a k = 1 stack's map; its diagnostics are the fit's facts, if the stack has any."""
-    facts = maps.facts[0] if maps.facts else {}
-    return Adjuster(maps.map(0), lambda scored: facts)
+# the facts of a calibrator that its report carries (see _calibration)
+_CALIBRATOR_FACTS = ("slope", "intercept", "clip_range", "empty_bins", "ridge_active")
 
 
 def calibrated_plugin(
@@ -402,36 +349,57 @@ def calibrated_plugin(
     pairs must be exactly this design's labeled (score, outcome) pairs, in any
     row order, or MisuseError is raised. A hand-built calibrator (fitted_on
     None, or any callable without it) is taken as given. estimate() runs no
-    check, since it fits its calibrators on the very labeled sample.
+    check, since it fits its maps on the very labeled sample. The labeled
+    values of f come from calibrators.predict, its unlabeled summary from
+    _unlabeled_side, and a calibrator's facts (_calibration) from its fields.
     """
+    lab = design.labeled
     pairs = getattr(calibrator, "fitted_on", None)
     if pairs is not None:
-        lab = design.labeled
         ours = np.column_stack((lab.scores, lab.outcomes))
         # equal as multisets: both sets of rows sorted by (outcome, score)
         if pairs.shape != ours.shape or not np.array_equal(pairs[np.lexsort(pairs.T)], ours[np.lexsort(ours.T)]):
             raise MisuseError("calibrator was not fit on this design's labeled sample")
-    return _calibrated(calibrator).report(design, method_name, alpha)
+    scored = ScoredDesign(design, cal.predict(calibrator, lab.scores, lab.covariates),
+                          _unlabeled_side(calibrator, design.unlabeled))
+    own = {}
+    if isinstance(calibrator, (cal.AffineCalibrator, cal.BinnedCalibrator, cal.SigmoidCalibrator)):
+        own = {k: getattr(calibrator, k) for k in _CALIBRATOR_FACTS if hasattr(calibrator, k)}
+    return family_report(scored, method_name, alpha, _calibration(lab, scored.f_labeled, **own))
+
+
+def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = None) -> float:
+    """Empirical variance-minimizing scaling of the score over {lambda * m}: aipw-em's fit.
+
+    lambda_hat = Cov_L(Y, m) / [(1-rho) Var_L(m) + rho Var_U(m)], clamped to
+    the clip interval when one is given. Returns 0 when the score has no
+    variance in either sample (the coefficient is unidentified). It reads
+    the facts of aipw-em's k = 1 stack.
+    """
+    facts = REGISTRY["aipw-em"].fit(design).maps.facts[0]
+    return facts["lambda"] if clip is None or "degenerate_score" in facts else min(max(facts["lambda"], clip[0]), clip[1])
 
 
 # --- registry ----------------------------------------------------------------
 
 
-def _check_n(design: TwoSampleDesign, name: str) -> None:
-    if design.n < 2:
-        raise DataError(f"{name} needs n >= 2 labeled points for a standard error, got n={design.n}")
+class _Fit(NamedTuple):
+    """A method's k = 1 fit on a design (Method.fit)."""
+
+    method: "Method"  # the method whose diagnostics the fit carries: auto-cal's winner
+    maps: Any  # the k = 1 stack (a calibrators *Folds value)
+    extra: dict  # diagnostics that follow the method's: auto-cal's CV table
 
 
 @dataclass(frozen=True)
 class Method:
-    """A registry entry: the fit that gives a method its adjuster f.
+    """A registry entry: the fit that gives a method its adjustment map f.
 
     stacked_fit(s, y, rows, bounds, context) is the method's fold-stacked
     fit core (see calibrators' fold-stacked fits), which fits k training
     sets, given as rows of a labeled sample in stable score order, in one
     call. fit(design) is its k = 1 call on design.labeled.by_score, with the
-    design's unlabeled sample as context, and adjuster turns the k = 1
-    stack into the method's Adjuster; cross-fitting, auto-cal's
+    design's unlabeled sample as context; cross-fitting, auto-cal's
     cross-validation, which runs the core on all its folds at once, and the
     refitting bootstrap, which runs it on a chunk of replicates at once, run
     the same code. An ordered core (iso-cal's) reads each set in stable
@@ -439,52 +407,57 @@ class Method:
     the sample's cached score_order. The others give the same map for the
     pairs in any order, up to the order of their sums, and read the rows as
     stored; auto-cal's folds and the bootstrap's replicates give them each
-    set in that order too. run and point share one fit and scoring: scored.
-    std_error(scored, core) gives the report's SE, the core's for every
-    method but labeled-only.
+    set in that order too. A calibrated method's diagnostics are its map's
+    calibration facts (_calibration); any other method's are its fit's facts,
+    if the stack has any. std_error(design, core) gives the report's SE, the
+    core's for every method but labeled-only.
     """
 
     stacked_fit: Optional[Callable[..., Any]] = None
     ordered: bool = False
-    adjuster: Callable[[Any], Adjuster] = _fitted
+    calibrated: bool = True
 
-    def fit(self, design: TwoSampleDesign, seed: int = 0) -> Adjuster:
-        return self.adjuster(self.stacked_fit(*cal._single(design.labeled, self.ordered, design.unlabeled)))
+    def fit(self, design: TwoSampleDesign, seed: int = 0) -> _Fit:
+        return _Fit(self, self.stacked_fit(*cal._single(design.labeled, self.ordered, design.unlabeled)), {})
 
-    def scored(self, design: TwoSampleDesign, name: str, seed: int) -> Tuple[Adjuster, ScoredDesign]:
-        """The method's adjuster and its values on design; every method needs n >= 2 for an honest SE.
+    def describe(self, maps, labeled, f_l: np.ndarray) -> dict:
+        if self.calibrated:
+            return _calibration(labeled, f_l, **maps.described(0))
+        return maps.facts[0] if maps.facts else {}
 
-        A value that overflows float64 is refused by the fit, ScoredDesign or
-        the family core, with no numpy warning before the refusal. A
-        DataError of the fit or the scoring names the method: one raised
-        below the registry (a calibrator's, ScoredDesign's) gets its prefix.
+    def run(self, design: TwoSampleDesign, name: str, alpha: Optional[float], seed: int) -> Tuple[_Core, Optional[EstimateReport], Any]:
+        """The core, the report and the k = 1 stack of the method on design: estimate()'s one route.
+
+        As the bootstrap runs a replicate, with one training set: the k = 1
+        fit, the map at the labeled scores (maps.at, in row order), its
+        unlabeled summary from _summaries, and the family core, which the
+        report is built from. Every method needs n >= 2 for an honest SE. A
+        value that overflows float64 is refused by the fit, the finiteness
+        check of the adjustment values or the family core, with no numpy
+        warning before the refusal. A DataError of the fit or the scoring
+        names the method: one raised below the registry gets its prefix.
+        With alpha None (the bootstrap's replay of a replicate) the report is
+        None: a replicate computes psi alone.
         """
-        _check_n(design, name)
+        if design.n < 2:
+            raise DataError(f"{name} needs n >= 2 labeled points for a standard error, got n={design.n}")
+        lab = design.labeled
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                adjuster = self.fit(design, seed)
-                return adjuster, adjuster.scored(design)
+                fitted, maps, extra = self.fit(design, seed)
+                f_l = maps.at(0, lab.scores, lab.covariates)
+                [(mean, css)] = _summaries(maps, 1, cal._Context(None, design.unlabeled))
+                if not (np.isfinite(f_l).all() and math.isfinite(mean)):
+                    raise DataError("adjustment values must be finite")
             except DataError as exc:
                 if str(exc).startswith(f"{name}: "):
                     raise
                 raise DataError(f"{name}: {exc}") from exc
-
-    def run(self, design: TwoSampleDesign, name: str, alpha: float, seed: int) -> EstimateReport:
-        adjuster, scored = self.scored(design, name, seed)
-        return self.report(scored, adjuster.describe, name, alpha)[1]
-
-    def point(self, design: TwoSampleDesign, name: str, seed: int) -> float:
-        """run(...).estimate with the same refusals, but with no interval or diagnostics built.
-
-        The bootstrap's replicates of auto-cal, and of any chunk of
-        replicates with a refused one, run it per resample.
-        """
-        _, scored = self.scored(design, name, seed)
-        return _family_core(scored.f_labeled, design.labeled.outcomes, scored.f_unlabeled, name).psi
-
-    def report(self, scored: ScoredDesign, describe, name: str, alpha: float) -> Tuple[_Core, EstimateReport]:
-        """The core of scored and the method's report built from it."""
-        return _report(scored, name, alpha, describe, self.std_error)
+        core = _family_core(f_l, lab.outcomes, (design.N, mean, css), name)
+        if alpha is None:
+            return core, None, maps
+        diagnostics = {**fitted.describe(maps, lab, f_l), **extra}
+        return core, _report(design, name, alpha, core, self.std_error(design, core), diagnostics), maps
 
     std_error = staticmethod(_family_se)
 
@@ -494,34 +467,37 @@ class _LabeledOnly(Method):
     mean; its estimate is the family's, so only its report's SE differs."""
 
     @staticmethod
-    def std_error(scored, core):
-        y = scored.design.labeled.outcomes
+    def std_error(design, core):
+        y = design.labeled.outcomes
         return float(y.std(ddof=1) / np.sqrt(len(y)))
 
 
+@dataclass(frozen=True)
 class _AutoCal(Method):
-    """The cross-validated winner among aipw, linear-cal, iso-cal and hist-cal
-    with CandidateSet's default folds and cap; see selection.autocal_select."""
+    """The cross-validated winner among candidates, by default
+    selection.AUTO_CAL_CANDIDATES; see selection.autocal_select. Its fit is
+    the winner's, with the CV table."""
+
+    candidates: Any = None
 
     def fit(self, design, seed=0):
         from . import selection
 
-        candidates = selection.CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"])
-        return selection._autocal_fit(design, candidates, seed)[1]
+        return selection._autocal_fit(design, self.candidates or selection.AUTO_CAL_CANDIDATES, seed)
 
 
 REGISTRY = {
-    "labeled-only": _LabeledOnly(partial(cal._unit_folds, slope=0.0), adjuster=_with_facts),
-    "ppi": Method(cal._ppi_folds, adjuster=_with_facts),
-    "aipw": Method(cal._unit_folds, adjuster=_with_facts),
-    "ppi-pp": Method(partial(cal._eem_folds, clip=True), adjuster=_with_facts),
-    "aipw-em": Method(cal._eem_folds, adjuster=_with_facts),
+    "labeled-only": _LabeledOnly(partial(cal._unit_folds, slope=0.0), calibrated=False),
+    "ppi": Method(cal._ppi_folds, calibrated=False),
+    "aipw": Method(cal._unit_folds, calibrated=False),
+    "ppi-pp": Method(partial(cal._eem_folds, clip=True), calibrated=False),
+    "aipw-em": Method(cal._eem_folds, calibrated=False),
     "linear-cal": Method(cal._linear_folds),
     "linear-cov-cal": Method(cal._linear_cov_folds),
     "platt-cal": Method(cal._platt_folds),
     "iso-cal": Method(cal._isotonic_folds, ordered=True),
     "hist-cal": Method(cal._histogram_folds),
-    "venn-abers": Method(cal._venn_abers_folds, adjuster=_with_facts),
+    "venn-abers": Method(cal._venn_abers_folds, calibrated=False),
     "auto-cal": _AutoCal(),
 }
 
@@ -550,4 +526,4 @@ def estimate(
     """
     name = method_name(method)
     _check_alpha(alpha)
-    return REGISTRY[name].run(design, name, alpha, _seed(seed))
+    return REGISTRY[name].run(design, name, alpha, _seed(seed))[1]

@@ -13,20 +13,23 @@ own stable score order, from one stable sort of every replicate's tie-group
 ids (the dense ranks of the scores, small integers that numpy radix-sorts).
 The fit's context (calibrators._Context) draws, gathers and drops each
 replicate's unlabeled resample in turn on each pass over the resamples.
-One pass takes every resample's moments, which the fits of ppi-pp,
-aipw-em and venn-abers read and the summaries of affine maps reuse; the
-summaries of step maps and of maps evaluated per score, from one call of
-estimators._summaries, take another. So a chunk holds one unlabeled
-resample at a time: venn-abers draws each resample twice, labeled-only
-(whose f is the constant 0) none, and every other method once. The labeled values of every replicate
-come from one gather, and the family core runs once per chunk with one
+A resample gathers the scores alone, unless the method is linear-cov-cal,
+the one method that reads the unlabeled covariates. One pass takes every
+resample's moments, which the fits of ppi-pp, aipw-em and venn-abers read
+and the summaries of affine maps reuse; the summaries of step maps and of
+maps evaluated per score, from one call of estimators._summaries, take
+another. So a chunk holds one unlabeled resample at a time: venn-abers
+draws each resample twice, labeled-only (whose f is the constant 0) none,
+and every other method once. The labeled values of every replicate come
+from one gather, and the family core runs once per chunk with one
 replicate per row; no design or calibrator is built per replicate. An
 auto-cal replicate, and each replicate of a chunk that holds a refused one,
 runs per replicate its two index draws, a gather of those rows
 (LabeledSample.take, UnlabeledSample.take, which do not re-check values
-the design already checked), the method's refit and its point estimate
-(Method.point); an auto-cal replicate runs the cross-validation and the
-winner's refit, then computes psi alone. What remains is mostly per
+the design already checked) and estimate()'s route, Method.run, with no
+report: the method's k = 1 refit and the family core, of which it keeps
+psi; an auto-cal replicate's refit is the cross-validation and the
+winner's refit. What remains is mostly per
 replicate and fixed by the draws: the two keyed substreams and their index
 draws, and the unlabeled resample's gather and sort. platt-cal's Newton
 fits dominate its bootstrap, and linear-cov-cal's least squares and
@@ -44,7 +47,7 @@ import numpy as np
 
 from ._rng import BOOT_RESAMPLE, _integer, derive_seed, substream
 from .calibrators import _Context, _tie_groups
-from .design import TwoSampleDesign
+from .design import TwoSampleDesign, UnlabeledSample
 from .exceptions import ConfigError, SsmeanError
 
 __all__ = [
@@ -128,13 +131,13 @@ _STACKED_ROWS = 2**15
 
 
 def _replicate_points(design: TwoSampleDesign, method, name: str, seed: int, reps: range) -> list:
-    """The point estimates of replicates reps, one resampled design and one Method.point each."""
-    lab, unl = design.labeled, design.unlabeled
+    """The point estimates of replicates reps, one resampled design and one Method.run, estimate()'s route, each."""
     out = []
     for i in reps:
         idx_l, idx_u = bootstrap_indices(seed, i, design.n, design.N)
         # the labeled rows stay in draw order: auto-cal's folds split them in that order
-        out.append(method.point(TwoSampleDesign(lab.take(idx_l), unl.take(idx_u)), name, derive_seed(seed, BOOT_RESAMPLE, i, 2)))
+        resample = TwoSampleDesign(design.labeled.take(idx_l), design.unlabeled.take(idx_u))
+        out.append(method.run(resample, name, None, derive_seed(seed, BOOT_RESAMPLE, i, 2))[0].psi)
     return out
 
 
@@ -199,6 +202,9 @@ def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: fl
     point = estimate(design, method, alpha=alpha, seed=seed).estimate
     name = method_name(method)
     fit = REGISTRY[name]
+    if name != "linear-cov-cal" and design.unlabeled.covariates is not None:
+        # no other method reads the unlabeled covariates, so its resamples gather the scores alone
+        design = TwoSampleDesign(design.labeled, UnlabeledSample(design.unlabeled.scores))
     points = _replicate_points if name == "auto-cal" else _stacked_points
     chunk = max(1, _STACKED_ROWS // design.n)
     reps = np.empty(b)

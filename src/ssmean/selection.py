@@ -23,13 +23,17 @@ candidate, which takes every fold as its own design from per-fold sums
 (np.bincount over fold ids); no design, report or calibrator is built per
 fold. The labeled sample is sorted once per design, and its sorted pairs
 (LabeledSample.by_score) are shared by the folds and the winner's refit.
-The winner's refit, its diagnostics plus the CV table, is auto-cal's fit.
+The winner's refit, the k = 1 call of its core (Method.fit) with the CV
+table as its last diagnostics, is auto-cal's fit, which estimate()'s route
+(Method.run) takes into the family core as it takes any method's; so does
+autocal_select, with its own candidates.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator
 fit on the pooled out-of-fold pairs, and fold-averaged calibrated predictions
 for the unlabeled rows. Its calibration is any method but auto-cal, fit by
-the method's own fit on the design of the out-of-fold scores.
+the method's own k = 1 fit on the design of the out-of-fold scores, whose
+map is evaluated at the scores of each fold model (the stack's at()).
 """
 from __future__ import annotations
 
@@ -45,8 +49,8 @@ from .design import EstimateReport, TwoSampleDesign, _as_matrix, design_from_arr
 from .estimators import (
     METHOD_NAMES,
     REGISTRY,
-    Adjuster,
     ScoredDesign,
+    _AutoCal,
     _family_core,
     _summaries,
     family_report,
@@ -99,6 +103,10 @@ class CandidateSet:
             raise ConfigError("unlabeled_cap_factor must be >= 1")
 
 
+# estimate()'s auto-cal: these four with CandidateSet's default folds and cap
+AUTO_CAL_CANDIDATES = CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"])
+
+
 def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> np.ndarray:
     """The fold of every row: a keyed permutation cut into k contiguous blocks
     of np.array_split's sizes (the first n % k of them one row longer)."""
@@ -115,14 +123,20 @@ def _training_rows(fold: np.ndarray, k: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n), (k, n))[fold != np.arange(k)[:, None]]
 
 
-def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -> Tuple[str, Adjuster]:
-    """The winner and auto-cal's adjuster: the winner's refit, its diagnostics plus the CV table."""
+def _cv_folds(design: TwoSampleDesign, candidates: CandidateSet) -> int:
+    """The number of folds; ConfigError unless candidates is a CandidateSet and the design has n >= 4."""
     if not isinstance(candidates, CandidateSet):
         raise ConfigError(f"candidates must be a CandidateSet, got {type(candidates).__name__}")
-    n, N = design.n, design.N
-    k = min(candidates.folds, n // 2)
+    k = min(candidates.folds, design.n // 2)
     if k < 2:
-        raise ConfigError(f"selection needs n >= 4 labeled points, got n={n}")
+        raise ConfigError(f"selection needs n >= 4 labeled points, got n={design.n}")
+    return k
+
+
+def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int):
+    """auto-cal's fit, as Method.fit gives it: the winner's refit, with the CV table."""
+    n, N = design.n, design.N
+    k = _cv_folds(design, candidates)
     fold_of = _fold_blocks(n, k, (seed, FOLD_SHUFFLE))
     cap = min(N, candidates.unlabeled_cap_factor * n)
     if cap < N:
@@ -159,10 +173,9 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int) -
 
     best = min(criteria.values())
     winner = next(name for name, c in criteria.items() if c - best <= TIE_RTOL * best)
-    fitted = REGISTRY[winner].fit(design)
     cv = {"selected": winner, "cv_criteria": {name: float(v) for name, v in criteria.items()},
           "cv_folds": int(k), "cv_unlabeled_subsample": int(cap)}
-    return winner, Adjuster(fitted.f, lambda scored: {**fitted.describe(scored), **cv})
+    return REGISTRY[winner].fit(design)._replace(extra=cv)
 
 
 def autocal_select(
@@ -187,8 +200,10 @@ def autocal_select(
     auto-cal's report, which carries the CV table in diagnostics.
     """
     _check_alpha(alpha)
-    winner, adjuster = _autocal_fit(design, candidates, seed)
-    return winner, adjuster.report(design, "auto-cal", alpha)
+    # refused before estimate()'s n >= 2 check, as a selection
+    _cv_folds(design, candidates)
+    report = _AutoCal(candidates=candidates).run(design, "auto-cal", alpha, seed)[1]
+    return report.diagnostics["selected"], report
 
 
 def ols_trainer(covariates: np.ndarray, outcomes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -252,7 +267,7 @@ def crossfit_calibrated(
 
     # only linear-cov-cal reads the covariates
     design = design_from_arrays(oof, y, unl_by_fold.mean(axis=0), *((x_l, x_u) if name == "linear-cov-cal" else ()))
-    f = REGISTRY[name].fit(design).f
-    pred_u = np.mean([cal.predict(f, unl_by_fold[j], design.unlabeled.covariates) for j in range(k)], axis=0)
-    scored = ScoredDesign(design, cal.predict(f, oof, design.labeled.covariates), pred_u)
+    maps = REGISTRY[name].fit(design).maps
+    pred_u = np.mean([maps.at(0, unl_by_fold[j], design.unlabeled.covariates) for j in range(k)], axis=0)
+    scored = ScoredDesign(design, maps.at(0, oof, design.labeled.covariates), pred_u)
     return family_report(scored, f"crossfit-{name}", alpha, {"folds": int(k), "calibration": name})

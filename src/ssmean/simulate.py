@@ -16,7 +16,6 @@ import numpy as np
 
 from ._rng import SIM_DRAW, _integer, _seed, derive_seed, standard_normal, substream
 from .design import EstimateReport, TwoSampleDesign, design_from_arrays
-from .calibrators import predict
 from .estimators import REGISTRY, estimate, method_name
 from .exceptions import ConfigError, DataError, DimensionError
 from .inference import _check_alpha, wald_interval
@@ -211,10 +210,8 @@ def _arm(own, outcomes, other, name: str, alpha: float, seed: int):
     units and D_U = f - plugin on the other arm's units.
     """
     design = design_from_arrays(own, outcomes, other)
-    method = REGISTRY[name]
-    adjuster, scored = method.scored(design, name, seed)
-    core, report = method.report(scored, adjuster.describe, name, alpha)
-    return report, core.d_l, predict(adjuster.f, design.unlabeled.scores) - core.plugin
+    core, report, maps = REGISTRY[name].run(design, name, alpha, seed)
+    return report, core.d_l, maps.at(0, design.unlabeled.scores) - core.plugin
 
 
 def ate_two_arm(

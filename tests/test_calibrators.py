@@ -21,7 +21,7 @@ from ssmean import (
     fit_venn_abers,
     predict,
 )
-from ssmean.calibrators import _platt_newton, _stabilized_logit
+from ssmean.calibrators import _Context, _eem_folds, _platt_newton, _segment_means, _stabilized_logit
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -691,3 +691,27 @@ def test_venn_abers_keeps_full_precision_at_large_n():
         got = fit_venn_abers(s, y, 0.3)(evals)
         for t, out in zip(evals, got):
             assert abs(out - va_oracle(s, y, t, 0.3)[2]) <= 2e-15
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-300, 1e300]))
+def test_one_segment_mean_is_the_arrays_mean_bit_for_bit(n, seed, scale):
+    # one segment takes one reduction, with no _by_segment pass; sums that overflow give the same inf
+    values = np.random.default_rng(seed).normal(size=n) * scale
+    with np.errstate(over="ignore"):
+        assert _segment_means(values, np.array([0, n])).tobytes() == np.array([values.mean()]).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 400), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_one_set_eem_fit_equals_each_set_of_a_two_set_call(n, seed, clip):
+    # the k = 1 fit of ppi-pp (clip) and aipw-em takes _segment_means' one-segment
+    # path, a two-set call its _by_segment pass; the facts and coefficients agree
+    rng = np.random.default_rng(seed)
+    d = design_from_arrays(rng.uniform(size=n), rng.normal(size=n), rng.uniform(size=3 * n))
+    s, y, rank = d.labeled.by_score
+    context = _Context(d.labeled, d.unlabeled)
+    one = _eem_folds(s, y, rank, np.array([0, n]), context, clip=clip)
+    two = _eem_folds(s, y, np.concatenate([rank, rank]), np.array([0, n, 2 * n]), context, clip=clip)
+    assert repr(one.facts) == repr(two.facts[:1]) == repr(two.facts[1:])
+    assert one.slope.tobytes() == two.slope[:1].tobytes() == two.slope[1:].tobytes()

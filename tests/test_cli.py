@@ -234,7 +234,7 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
     import ssmean.inference
 
     calls, reports, fits, points, designs = [], [], [], [], []
-    real, real_report, real_point = ssmean.estimators.estimate, ssmean.estimators._report, ssmean.estimators.Method.point
+    real, real_report, real_points = ssmean.estimators.estimate, ssmean.estimators._report, ssmean.inference._replicate_points
     real_design, aipw = ssmean.inference.TwoSampleDesign, ssmean.estimators.REGISTRY["aipw"]
 
     def counting(*args, **kwargs):
@@ -249,9 +249,9 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
         fits.append(len(bounds) - 1)
         return aipw.stacked_fit(s, y, rows, bounds, context)
 
-    def counting_point(self, design, name, seed):
+    def counting_points(design, method, name, seed, reps):
         points.append(name)
-        return real_point(self, design, name, seed)
+        return real_points(design, method, name, seed, reps)
 
     def counting_design(*args):
         designs.append(args)
@@ -261,7 +261,7 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
     monkeypatch.setattr(ssmean.cli, "estimate", counting)
     monkeypatch.setattr(ssmean.estimators, "_report", counting_report)
     monkeypatch.setitem(ssmean.estimators.REGISTRY, "aipw", dataclasses.replace(aipw, stacked_fit=counting_fit))
-    monkeypatch.setattr(ssmean.estimators.Method, "point", counting_point)
+    monkeypatch.setattr(ssmean.inference, "_replicate_points", counting_points)
     monkeypatch.setattr(ssmean.inference, "TwoSampleDesign", counting_design)
     # the toy has two labeled rows, so each stacked call fits two replicates
     monkeypatch.setattr(ssmean.inference, "_STACKED_ROWS", 4)
@@ -270,7 +270,7 @@ def test_bootstrap_computes_point_estimate_once(capsys, monkeypatch, toy_files):
     assert code == 0
     assert calls == reports == ["aipw"]  # one report, for the point estimate
     assert fits == [1, 2, 2, 1]  # the point estimate's fit, then one stacked call per chunk of replicates
-    assert points == designs == []  # no replicate builds a design or runs Method.point
+    assert points == designs == []  # no replicate builds a design or runs estimate()'s route alone
     assert json.loads(out)["estimate"] == real(ssmean.cli._load_design(lab, unl, None)[0], "aipw").estimate
 
 

@@ -357,7 +357,7 @@ def eem_designs(draw):
 def test_eem_lambda_matches_the_pointwise_formula(design, clipped):
     # ppi-pp's fit is aipw-em's clipped to [0, 1/(1-rho)]; both report lambda and its facts
     clip = (0.0, 1.0 / (1.0 - design.rho)) if clipped else None
-    facts = REGISTRY["ppi-pp" if clipped else "aipw-em"].fit(design).describe(None)
+    facts = REGISTRY["ppi-pp" if clipped else "aipw-em"].fit(design).maps.facts[0]
     lam, lam_raw, clip_active = facts["lambda"], facts["lambda_unclipped"], facts["clip_active"]
     degenerate = facts.get("degenerate_score", False)
     assert facts["clip"] == (None if clip is None else list(clip))
@@ -524,7 +524,7 @@ def test_iso_cal_registry_map_is_fit_isotonic_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     m_l = np.round(rng.uniform(size=300), 1)
     d = design_from_arrays(m_l, rng.normal(m_l), rng.uniform(size=50))
-    got = REGISTRY["iso-cal"].fit(d).f
+    got = REGISTRY["iso-cal"].fit(d).maps.map(0)
     want = fit_isotonic(m_l, d.labeled.outcomes)
     assert np.array_equal(got.boundaries, want.boundaries)
     assert np.array_equal(got.values, want.values)
@@ -605,6 +605,62 @@ def test_calibrated_plugin_accepts_exactly_the_labeled_pairs(case):
             return
         with pytest.raises(MisuseError):
             calibrated_plugin(d, other)
+
+
+@settings(max_examples=120)
+@given(
+    st.sampled_from(["iso-cal", "hist-cal", "linear-cal", "platt-cal"]),
+    st.integers(2, 300),
+    st.integers(1, 8),
+    st.integers(0, 2**31),
+)
+def test_estimate_is_calibrated_plugin_of_the_public_fit(name, n, ratio, seed):
+    # an oracle apart from estimate()'s route: the public fit, evaluated per
+    # score through predict and reported by calibrated_plugin; the same report
+    # to the byte, or the same refusal
+    d = draw_dataset(DgpSpec(n, ratio, seed))
+    lab = d.labeled
+
+    def outcome(run):
+        try:
+            return json.dumps(run().to_dict(), sort_keys=True)
+        except SsmeanError as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: calibrated_plugin(d, PLUGIN_FITS[name](lab.scores, lab.outcomes, None), method_name=name))
+    assert outcome(lambda: estimate(d, name)) == want
+
+
+def test_estimate_builds_no_calibrator_and_calls_no_predict(monkeypatch):
+    # every method, auto-cal included, runs its k = 1 stack straight into the family core
+    import ssmean.calibrators as cal
+
+    events = []
+    for cls in (cal.StepCalibrator, cal.AffineCalibrator, cal.BinnedCalibrator, cal.SigmoidCalibrator):
+
+        def counting(self, real=cls.__post_init__):
+            events.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    real_predict = cal.predict
+
+    def counting_predict(*args, **kwargs):
+        events.append("predict")
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(cal, "predict", counting_predict)
+    # binary outcomes and covariates, so every method applies
+    rng = np.random.default_rng(93)
+    x_l, x_u = rng.normal(size=(80, 2)), rng.normal(size=(400, 2))
+    m_l, m_u = (1.0 / (1.0 + np.exp(-x[:, 0])) for x in (x_l, x_u))
+    d = design_from_arrays(m_l, (rng.uniform(size=80) < m_l).astype(float), m_u, x_l, x_u)
+    for name in METHOD_NAMES:
+        estimate(d, name, seed=1)
+    assert events == []
+    # the counters see a calibrator given to calibrated_plugin
+    calibrated_plugin(d, fit_linear(m_l, d.labeled.outcomes))
+    assert events[0] == "AffineCalibrator" and "predict" in events
 
 
 # --- intercept-only representation -------------------------------------------------
@@ -911,18 +967,18 @@ def test_venn_abers_runs_one_sweep_per_estimate(monkeypatch):
 
     fits, evaluated = [], []
     real_fit = ssmean.calibrators._venn_abers
-    real_call = ssmean.calibrators.StepCalibrator.__call__
+    real_at = ssmean.calibrators._StepFolds.at
 
     def counting_fit(s, y, shrink_target):
         fits.append((len(s), len(y)))
         return real_fit(s, y, shrink_target)
 
-    def counting_call(self, scores):
+    def counting_at(self, fold, scores, x=None):
         evaluated.append(len(scores))
-        return real_call(self, scores)
+        return real_at(self, fold, scores, x)
 
     monkeypatch.setattr(ssmean.calibrators, "_venn_abers", counting_fit)
-    monkeypatch.setattr(ssmean.calibrators.StepCalibrator, "__call__", counting_call)
+    monkeypatch.setattr(ssmean.calibrators._StepFolds, "at", counting_at)
     rng = np.random.default_rng(17)
     d = design_from_arrays(rng.uniform(size=15), rng.uniform(size=15), rng.uniform(size=25))
     estimate(d, "venn-abers")
@@ -943,8 +999,8 @@ def test_registry_venn_abers_is_the_public_fit_of_the_rescaled_outcomes(data):
     rows = np.array(data.draw(st.permutations(range(n))))
     m_u = np.array(data.draw(st.lists(st.integers(-2, 8), min_size=1, max_size=20))) / 8.0
     d = design_from_arrays(scores[rows], (low + width * unit)[rows], m_u)
-    adjuster = REGISTRY["venn-abers"].fit(d)
-    diagnostics = adjuster.describe(None)
+    maps = REGISTRY["venn-abers"].fit(d).maps
+    diagnostics = maps.facts[0]
     lo, span = diagnostics["outcome_rescale"]
     m_l, y = d.labeled.scores, d.labeled.outcomes
     # the shrink target is the aipw estimate, on the rescaled outcome scale
@@ -952,8 +1008,8 @@ def test_registry_venn_abers_is_the_public_fit_of_the_rescaled_outcomes(data):
     target = (anchor - lo) / span
     assert lo + span * target == diagnostics["shrink_target"]
     public = fit_venn_abers(m_l, (y - lo) / span, target)
-    assert adjuster.f.boundaries.tobytes() == public.boundaries.tobytes()
-    assert adjuster.f.values.tobytes() == (lo + span * public.values).tobytes()
+    assert maps.map(0).boundaries.tobytes() == public.boundaries.tobytes()
+    assert maps.map(0).values.tobytes() == (lo + span * public.values).tobytes()
 
 
 def test_venn_abers_keeps_unit_interval_outcomes_unscaled():

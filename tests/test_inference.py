@@ -140,7 +140,7 @@ def test_every_method_matches_the_per_row_oracle(seed):
     for name in METHOD_NAMES:
         rep = estimate(d, name, seed=seed)
         # auto-cal reports its refit winner
-        f = REGISTRY[rep.diagnostics.get("selected", name)].fit(d).f
+        f = REGISTRY[rep.diagnostics.get("selected", name)].fit(d).maps.map(0)
         f_l, f_u = predict(f, lab.scores, lab.covariates), predict(f, unl.scores, unl.covariates)
         psi = d.rho * np.mean(f_l) + (1 - d.rho) * np.mean(f_u) + np.mean(lab.outcomes - f_l)
         if name == "labeled-only":
@@ -443,6 +443,27 @@ def test_stacked_replicates_equal_estimate_on_materialized_resamples(case):
                 bootstrap(d, name, b=b, seed=seed)
             return
         assert bootstrap(d, name, b=b, seed=seed).replicates.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["aipw", "ppi-pp", "iso-cal"])
+def test_covariates_leave_the_bootstrap_replicates_of_a_method_that_reads_none_unchanged(name, monkeypatch):
+    # only linear-cov-cal reads the unlabeled covariates; the others' resamples gather the scores alone
+    d = draw_dataset(DgpSpec(n=120, ratio=4, seed=2))
+    rng = np.random.default_rng(8)
+    lab, unl = d.labeled, d.unlabeled
+    with_x = design_from_arrays(lab.scores, lab.outcomes, unl.scores, rng.normal(size=(d.n, 2)), rng.normal(size=(d.N, 2)))
+    gathered, real_take = [], UnlabeledSample.take
+
+    def take(self, rows):
+        gathered.append(self.covariates is not None)
+        return real_take(self, rows)
+
+    monkeypatch.setattr(UnlabeledSample, "take", take)
+    got = bootstrap(with_x, name, b=40, seed=3)
+    assert gathered and not any(gathered)
+    want = bootstrap(d, name, b=40, seed=3)
+    assert got.replicates.tobytes() == want.replicates.tobytes()
+    assert got.estimate == want.estimate
 
 
 def test_auto_cal_bootstrap_builds_one_report(monkeypatch):

@@ -153,7 +153,7 @@ def cv_criteria_oracle(design, names, k, seed, cap_factor=10):
         total = 0.0
         for fold in folds:
             rest = np.setdiff1d(np.arange(design.n), fold)
-            f = REGISTRY[name].fit(design_from_arrays(lab.scores[rest], lab.outcomes[rest], unl)).f
+            f = REGISTRY[name].fit(design_from_arrays(lab.scores[rest], lab.outcomes[rest], unl)).maps.map(0)
             held_out = design_from_arrays(lab.scores[fold], lab.outcomes[fold], unl)
             scored = ScoredDesign(held_out, predict(f, held_out.labeled.scores), predict(f, unl))
             total += held_out.m_total * family_report(scored).std_error ** 2
@@ -315,7 +315,7 @@ def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
         for context, samples in ((shared, [d.unlabeled] * k), (per_fold, [d.unlabeled.take(r) for r in draws])):
 
             def fold_fit(j):
-                return method.fit(TwoSampleDesign(d.labeled.take(fold_of != j), samples[j]))
+                return method.fit(TwoSampleDesign(d.labeled.take(fold_of != j), samples[j])).maps
 
             try:
                 maps = method.stacked_fit(s, y, rows, bounds, context)
@@ -328,11 +328,11 @@ def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
             held_out = maps.on_sample(fold, s, np.arange(d.n))
             summaries = _summaries(maps, k, context)
             for j in range(k):
-                adjuster = fold_fit(j)
-                f, x_held = adjuster.f, None if x is None else x[fold == j]
+                own = fold_fit(j)
+                f, x_held = own.map(0), None if x is None else x[fold == j]
                 assert _bits(maps.map(j)) == _bits(f), (name, j)
                 if getattr(maps, "facts", None):
-                    assert maps.facts[j] == adjuster.describe(None), (name, j)
+                    assert maps.facts[j] == own.facts[0], (name, j)
                 assert held_out[fold == j].tobytes() == predict(f, s[fold == j], x_held).tobytes(), (name, j)
                 one = _unlabeled_side(maps.map(j), samples[j])
                 assert np.array(summaries[j]).tobytes() == np.array(one[1:]).tobytes(), (name, j)
