@@ -15,9 +15,13 @@ function. Its values come from two amortized-linear stack passes over one
 cumulative-sum diagram of the labeled sample, one per label, with no
 isotonic fit per evaluation point.
 
-The step maps (isotonic, Venn-Abers and histogram) also give their cut
-points and block values through steps(), so the counts of a sorted sample
-in each block stand in for evaluating them per score (estimators._summaries).
+Every fitted calibrator holds its one-map stack (see "fold-stacked fits"
+below), built when it is made. Calling it, or predict(), evaluates that
+stack's map, and estimators.calibrated_plugin summarises the map on the
+unlabeled sample and reads its facts as estimate() does its own stack: one
+evaluation and one unlabeled summary per map family. The step maps'
+(isotonic, Venn-Abers and histogram) summaries count a sorted sample in
+each block instead of evaluating them per score (estimators._summaries).
 
 Every registry method but auto-cal has one fold-stacked fit core that fits
 k training sets in one call (see "fold-stacked fits" below); estimate() and
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -78,8 +82,36 @@ def _pairs(sample: LabeledSample) -> np.ndarray:
     return _freeze(np.column_stack((sample.scores, sample.outcomes)))
 
 
-@dataclass(frozen=True)
-class StepCalibrator:
+class _Calibrator:
+    """A fitted calibrator: a frozen dataclass that holds its one-map stack.
+
+    Each calibrator builds its stack (a *Folds value, see "fold-stacked
+    fits" below) in __post_init__ as the attribute _stack, which is not a
+    field, so fields(), asdict, == and repr do not see it. Calling the
+    calibrator evaluates the stack's map 0, and estimators.calibrated_plugin
+    summarises and describes that map as estimate() does its own stack.
+    Calibrators compare and hash by their compared fields, an array field as
+    the tuple of its values.
+    """
+
+    def __call__(self, scores) -> np.ndarray:
+        return self._stack.at(0, np.asarray(scores, dtype=np.float64))
+
+    def _key(self) -> tuple:
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class StepCalibrator(_Calibrator):
     """Step function of the score: the isotonic fit, or the Venn-Abers map.
 
     The prediction is values[j] on [boundaries[j], boundaries[j+1]),
@@ -88,7 +120,8 @@ class StepCalibrator:
     smallest training score of block j, so this floor lookup reproduces the
     fitted value of every training point exactly. Equal boundaries leave an
     empty block; boundaries that are NaN or decrease are refused with
-    ConfigError, since the map would then disagree with its own steps().
+    ConfigError, since counting a sorted sample in the map's blocks would
+    then disagree with the map.
     """
 
     boundaries: np.ndarray
@@ -102,28 +135,20 @@ class StepCalibrator:
             raise ConfigError("boundaries must be a nonempty nondecreasing vector with no NaN")
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "values", _freeze(self.values))
-        if len(self.values) != len(self.boundaries):
+        if self.values.shape != b.shape:
             raise DimensionError("values must have one entry per boundary")
-
-    def __call__(self, scores) -> np.ndarray:
-        t = np.asarray(scores, dtype=np.float64)
-        idx = np.searchsorted(self.boundaries, t, side="right") - 1
-        return self.values[np.maximum(idx, 0, out=idx)]
-
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(cuts, values): values[j] on [cuts[j-1], cuts[j]), unbounded at both ends."""
-        return self.boundaries[1:], self.values
+        object.__setattr__(self, "_stack", _BoundaryFolds(b, self.values, np.array([0, len(b)])))
 
 
-@dataclass(frozen=True)
-class AffineCalibrator:
+@dataclass(frozen=True, eq=False)
+class AffineCalibrator(_Calibrator):
     """Affine map slope * score + intercept, optionally clipped.
 
     With covariate coefficients (fit_linear_cov) the map is
     (intercept + covariates @ cov_coefs) + slope * score, and it needs a
     covariate matrix of one row per score. cov_coefs is kept as a tuple of
-    floats, so maps compare and hash by value. Every coefficient must be
-    finite (DataError) and a clip range must have lo <= hi (ConfigError).
+    floats, and clip_range as a tuple of two floats lo <= hi (ConfigError
+    otherwise). Every coefficient must be finite (DataError, from the stack).
     """
 
     slope: float
@@ -137,38 +162,37 @@ class AffineCalibrator:
         if coefs.ndim != 1:
             raise DimensionError(f"cov_coefs must be a vector, got shape {coefs.shape}")
         object.__setattr__(self, "cov_coefs", tuple(coefs.tolist()))
-        if not all(map(math.isfinite, (self.slope, self.intercept, *self.cov_coefs))):
-            raise DataError("affine calibrator coefficients must be finite")
-        # a NaN bound fails the comparison
-        if self.clip_range is not None and not self.clip_range[0] <= self.clip_range[1]:
-            raise ConfigError(f"invalid clip range {self.clip_range}")
+        clip = self.clip_range
+        if clip is not None:
+            try:
+                lo, hi = clip
+            except (TypeError, ValueError):
+                lo = hi = None
+            # a NaN bound fails the comparison
+            if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and lo <= hi):
+                raise ConfigError(f"invalid clip range {clip}")
+            clip = (float(lo), float(hi))
+        object.__setattr__(self, "clip_range", clip)
+        object.__setattr__(self, "_stack", _AffineFolds(
+            np.array([self.slope], dtype=np.float64), np.array([self.intercept], dtype=np.float64),
+            None if clip is None else (np.array(clip[:1]), np.array(clip[1:])), np.array([coefs]) if len(coefs) else None))
 
     def __call__(self, scores, covariates=None) -> np.ndarray:
         t = np.asarray(scores, dtype=np.float64)
-        d = len(self.cov_coefs)
-        if d == 0:
-            return _affine(self.slope, self.intercept, self.clip_range, t)
-        if covariates is None:
-            raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
-        x = _as_matrix(covariates)
-        if x.shape != (len(t), d):
-            raise DimensionError(f"covariates have shape {x.shape}, expected ({len(t)}, {d})")
-        return _affine(self.slope, self.intercept + x @ self.cov_coefs, self.clip_range, t)
+        if self.cov_coefs and covariates is not None:
+            covariates = _as_matrix(covariates)
+            if covariates.shape != (len(t), len(self.cov_coefs)):
+                raise DimensionError(f"covariates have shape {covariates.shape}, expected ({len(t)}, {len(self.cov_coefs)})")
+        return self._stack.at(0, t, covariates)
 
 
-def _affine(slope, intercept, clip: Optional[Tuple], t: np.ndarray) -> np.ndarray:
-    """slope * t + intercept, clipped to clip = (lo, hi) unless None."""
-    out = slope * t
-    out += intercept
-    return out if clip is None else np.clip(out, clip[0], clip[1])
-
-
-@dataclass(frozen=True)
-class SigmoidCalibrator:
+@dataclass(frozen=True, eq=False)
+class SigmoidCalibrator(_Calibrator):
     """Platt map sigma(scale * logit(score) + shift); predictions in (0, 1).
 
     ridge_active records that the fit needed the ridge penalty (separable
-    labels or a near-singular Hessian).
+    labels or a near-singular Hessian). Both coefficients must be finite
+    (DataError, from the stack).
     """
 
     scale: float
@@ -180,11 +204,9 @@ class SigmoidCalibrator:
     def __post_init__(self):
         if not (0.0 < self.logit_eps < 0.5):
             raise ConfigError(f"logit_eps must lie in (0, 0.5), got {self.logit_eps}")
-        if not (np.isfinite(self.scale) and np.isfinite(self.shift)):
-            raise DataError("sigmoid calibrator coefficients must be finite")
-
-    def __call__(self, scores) -> np.ndarray:
-        return _sigmoid(self.scale, self.shift, self.logit_eps, scores)
+        object.__setattr__(self, "_stack", _SigmoidFolds(
+            np.array([self.scale], dtype=np.float64), np.array([self.shift], dtype=np.float64),
+            np.array([self.ridge_active]), self.logit_eps))
 
 
 def _checked_edges(edges) -> np.ndarray:
@@ -197,8 +219,8 @@ def _checked_edges(edges) -> np.ndarray:
     return edges
 
 
-@dataclass(frozen=True)
-class BinnedCalibrator:
+@dataclass(frozen=True, eq=False)
+class BinnedCalibrator(_Calibrator):
     """Per-bin outcome means on a fixed partition; empty bins use the fallback.
 
     Scores below and above the partition take the end bins' means, so this
@@ -214,19 +236,15 @@ class BinnedCalibrator:
     fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _checked_edges(self.edges))
+        edges = _checked_edges(self.edges)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "bin_means", _freeze(self.bin_means))
-        if len(self.bin_means) != len(self.edges) - 1:
+        if self.bin_means.shape != (len(edges) - 1,):
             raise DimensionError("bin_means must have one entry per bin")
-
-    def __call__(self, scores) -> np.ndarray:
-        t = np.asarray(scores, dtype=np.float64)
         # a score's bin is the count of inner edges at or below it; the end bins extend outward
-        return self.bin_means[np.searchsorted(self.edges[1:-1], t, side="right")]
-
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(cuts, values) as in StepCalibrator.steps: the inner edges and the bin means."""
-        return self.edges[1:-1], self.bin_means
+        object.__setattr__(self, "_stack", _BinnedFolds(
+            edges, np.array([0, len(edges)]), self.bin_means, np.array([self.fallback]), np.array([self.empty_bins]),
+            np.zeros(len(edges) - 2, dtype=np.intp), edges[1:-1]))
 
 
 def pava(values, weights) -> np.ndarray:
@@ -255,11 +273,12 @@ def pava(values, weights) -> np.ndarray:
 # value: map(j) is map j as a calibrator, described(j) the facts that
 # calibrator holds (an affine map's slope, intercept and clip_range, a
 # histogram's empty_bins, a Platt map's ridge_active), at(j, t, x) map j at
-# the scores t (and their covariate rows x), as its calibrator evaluates
-# them, and on_sample(fold, s, rows) the value of map fold[p] at s[rows[p]]
-# for every p, in one gather. Every fit_* function and every registry fit is
-# the k = 1 call, so fold j of a k-fold call equals the fit of fold j's rows
-# alone, bit for bit; estimate() builds no calibrator, only fit_* does.
+# the scores t (and their covariate rows x), and on_sample(fold, s, rows)
+# the value of map fold[p] at s[rows[p]] for every p, in one gather. Every
+# fit_* function and every registry fit is the k = 1 call, so fold j of a
+# k-fold call equals the fit of fold j's rows alone, bit for bit; estimate()
+# builds no calibrator, only fit_* does. A calibrator evaluates its own
+# one-map stack: at(0, t, x).
 # Auto-cal's cross-validation holds out each row of s once (rows =
 # arange(n)); the refitting bootstrap fits each replicate as one training set.
 
@@ -378,29 +397,21 @@ def _cells(cut_fold: np.ndarray, cuts: np.ndarray, k: int, s: np.ndarray, cell: 
 
 
 class _StepFolds:
-    """k step maps stacked; steps() gives (fold of each cut, cuts, values), each fold's cuts ascending.
-
-    _StepFolds(cut_fold, cuts, values) holds the given steps; a step
-    calibrator's steps(), every cut in map 0, are its one-map stack.
-    """
-
-    def __init__(self, cut_fold: np.ndarray, cuts: np.ndarray, values: np.ndarray):
-        self.cut_fold, self.cuts, self.values = cut_fold, cuts, values
-
-    def steps(self):
-        return self.cut_fold, self.cuts, self.values
+    """k step maps stacked; steps is (fold of each cut, cuts, values), each fold's cuts ascending."""
 
     def on_sample(self, fold: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        cut_fold, cuts, values = self.steps()
+        cut_fold, cuts, values = self.steps
         return values[_cells(cut_fold, cuts, len(values) - len(cuts), s, fold * len(s) + rows)]
 
     def at(self, fold: int, t: np.ndarray, x=None) -> np.ndarray:
-        """Map fold at every score of t, by StepCalibrator's floor lookup; x is ignored.
+        """Map fold at every score of t, by the floor lookup; x is ignored.
 
         Map fold's cuts are cuts[a:b], and its values follow the fold maps
-        before it, each with one more value than cuts.
+        before it, each with one more value than cuts; a score takes the
+        value after the last cut at or below it. This is every step
+        calibrator's evaluation.
         """
-        cut_fold, cuts, values = self.steps()
+        cut_fold, cuts, values = self.steps
         a, b = np.searchsorted(cut_fold, [fold, fold + 1]).tolist()
         return values[a + fold + np.searchsorted(cuts[a:b], t, side="right")]
 
@@ -425,6 +436,7 @@ class _BoundaryFolds(_StepFolds):
         rows = slice(self.bounds[j], self.bounds[j + 1])
         return StepCalibrator(self.boundaries[rows], self.values[rows], fitted_on)
 
+    @cached_property
     def steps(self):
         # a map's cuts are its boundaries but the first
         counts = self.bounds[1:] - self.bounds[:-1]
@@ -494,7 +506,7 @@ class _AffineFolds:
     A covariate map (linear-cov-cal's) adds covariates @ cov[j] to the
     intercept; x holds the labeled covariates in score order, which
     on_sample reads. facts[j], when given, is map j's fit facts. Every
-    coefficient must be finite (DataError), as AffineCalibrator's.
+    coefficient must be finite (DataError); this is AffineCalibrator's check.
     """
 
     slope: np.ndarray
@@ -518,13 +530,16 @@ class _AffineFolds:
         return {"slope": float(self.slope[j]), "intercept": float(self.intercept[j]), "clip_range": clip}
 
     def at(self, fold, t, x=None) -> np.ndarray:
-        """Map fold[i] at t[i], or map fold at every t for an integer fold.
+        """Map fold[i] at t[i], or map fold at every t for an integer fold: slope * t + intercept, then the clip.
 
-        A covariate map takes an integer fold and x, the covariate rows of t.
+        A covariate map takes an integer fold and x, the covariate rows of t
+        (DimensionError without them).
         """
-        clip = None if self.clip is None else (self.clip[0][fold], self.clip[1][fold])
-        intercept = self.intercept[fold] if self.cov is None else self.intercept[fold] + x @ self.cov[fold]
-        return _affine(self.slope[fold], intercept, clip, np.asarray(t, dtype=np.float64))
+        if x is None and self.cov is not None:
+            raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
+        out = self.slope[fold] * np.asarray(t, dtype=np.float64)
+        out += self.intercept[fold] if self.cov is None else self.intercept[fold] + x @ self.cov[fold]
+        return out if self.clip is None else np.clip(out, self.clip[0][fold], self.clip[1][fold])
 
     def on_sample(self, fold, s, rows) -> np.ndarray:
         if self.cov is None:
@@ -622,15 +637,6 @@ def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
     return np.log(clipped) - np.log1p(-clipped)
 
 
-def _sigmoid(scale, shift, eps: float, scores) -> np.ndarray:
-    """sigma(scale * logit(score) + shift), kept strictly inside (0, 1)."""
-    from scipy.special import expit
-
-    out = expit(scale * _stabilized_logit(np.asarray(scores, dtype=np.float64), eps) + shift)
-    # the sigmoid never reaches 0 or 1; undo float saturation
-    return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
-
-
 def _is_separable(t: np.ndarray, y: np.ndarray) -> bool:
     """Exact separation check for the scalar-feature logistic model.
 
@@ -714,7 +720,7 @@ def _platt_newton(t: np.ndarray, y: np.ndarray, ridge_active: bool):
 
 @dataclass(frozen=True)
 class _SigmoidFolds:
-    """k Platt maps sigma(scale[j] * logit(score) + shift[j]); every coefficient must be finite, as SigmoidCalibrator's."""
+    """k Platt maps sigma(scale[j] * logit(score) + shift[j]); every coefficient must be finite (DataError)."""
 
     scale: np.ndarray
     shift: np.ndarray
@@ -729,11 +735,15 @@ class _SigmoidFolds:
         return SigmoidCalibrator(float(self.scale[j]), float(self.shift[j]), self.logit_eps, fitted_on, **self.described(j))
 
     def described(self, j: int) -> dict:
-        return {"ridge_active": bool(self.ridge_active[j])}
+        return {"ridge_active": self.ridge_active.tolist()[j]}
 
     def at(self, fold, t, x=None) -> np.ndarray:
-        """Map fold[i] at t[i], or map fold at every t for an integer fold; x is ignored."""
-        return _sigmoid(self.scale[fold], self.shift[fold], self.logit_eps, t)
+        """Map fold[i] at t[i], or map fold at every t for an integer fold, strictly inside (0, 1); x is ignored."""
+        from scipy.special import expit
+
+        out = expit(self.scale[fold] * _stabilized_logit(np.asarray(t, dtype=np.float64), self.logit_eps) + self.shift[fold])
+        # the sigmoid never reaches 0 or 1; undo float saturation
+        return np.clip(out, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
 
     def on_sample(self, fold, s, rows) -> np.ndarray:
         return self.at(fold, s[rows])
@@ -781,8 +791,12 @@ class _BinnedFolds(_StepFolds):
         return BinnedCalibrator(self.edges[a:b], self.values[a - j : b - j - 1], float(self.fallback[j]),
                                 fitted_on=fitted_on, **self.described(j))
 
+    @property
+    def steps(self):
+        return self.cut_fold, self.cuts, self.values
+
     def described(self, j: int) -> dict:
-        return {"empty_bins": int(self.empty_bins[j])}
+        return {"empty_bins": self.empty_bins.tolist()[j]}
 
 
 def _range_edges(lo: float, hi: float) -> np.ndarray:

@@ -41,13 +41,15 @@ runs the core once per candidate with every fold its own design, and the
 refitting bootstrap once per chunk of replicates, each replicate a row of
 one matrix, after one stacked fit of the chunk. Only calibrated_plugin,
 given a calibrator fitted elsewhere (or any callable), evaluates it through
-calibrators.predict.
+calibrators.predict, on the labeled scores; a calibrator's unlabeled side
+is its one-map stack's summary, and only a plain callable is evaluated at
+every unlabeled score.
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). One function,
 _summaries, gives it for k stacked maps at once, and its docstring names
-its routes; a calibrator given to calibrated_plugin is its one-map stack
-where it can be (_unlabeled_side).
+its routes; a calibrator given to calibrated_plugin holds its one-map
+stack, which takes the same route.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -77,7 +79,7 @@ import numpy as np
 
 from . import calibrators as cal
 from ._rng import _seed
-from .design import EstimateReport, TwoSampleDesign, UnlabeledSample
+from .design import EstimateReport, TwoSampleDesign
 from .exceptions import ConfigError, DataError, DimensionError, MisuseError
 from .inference import _check_alpha, wald_interval
 
@@ -251,7 +253,7 @@ def _summaries(maps, k: int, context) -> list:
     """
     samples = repeat(context.unlabeled, k) if context.draws is None else map(context.unlabeled.take, context.draws())
     if isinstance(maps, cal._StepFolds):
-        cut_fold, cuts, values = maps.steps()
+        cut_fold, cuts, values = maps.steps
         per_map = np.bincount(cut_fold, minlength=k)
         # every map's cuts in its own sample, or all of them in the one shared sample at once
         pieces = [(context.unlabeled, cuts)] if context.draws is None else zip(samples, np.split(cuts, np.cumsum(per_map)[:-1]))
@@ -279,28 +281,6 @@ def _summaries(maps, k: int, context) -> list:
                 pairs.append((intercept, 0.0))
         return pairs
     return [_summary(maps.at(j, u.scores, u.covariates))[1:] for j, u in enumerate(samples)]
-
-
-def _unlabeled_side(f, sample: UnlabeledSample) -> UnlabeledSummary:
-    """The summary of a calibrator given to calibrated_plugin on an unlabeled sample.
-
-    A step map (StepCalibrator, BinnedCalibrator), or an affine map of the
-    score alone with no clip, is passed to _summaries as a one-map stack:
-    its steps(), or its slope and intercept. Any other f (a clipped,
-    covariate-adjusted or Platt map, or any callable) is evaluated at every
-    score (and covariate row) through calibrators.predict, and the values
-    are checked and summarised by _summary, as the core's per-score route
-    does.
-    """
-    if isinstance(f, (cal.StepCalibrator, cal.BinnedCalibrator)):
-        cuts, values = f.steps()
-        stack = cal._StepFolds(np.zeros(len(cuts), dtype=np.intp), cuts, values)
-    elif isinstance(f, cal.AffineCalibrator) and f.clip_range is None and not f.cov_coefs:
-        stack = cal._AffineFolds(np.array([f.slope]), np.array([f.intercept]))
-    else:
-        return _summary(cal.predict(f, sample.scores, sample.covariates))
-    [(mean, css)] = _summaries(stack, 1, cal._Context(None, sample))
-    return UnlabeledSummary(sample.n, mean, css)
 
 
 def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_range=None, **own) -> dict:
@@ -333,10 +313,6 @@ def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_rang
     return {**diagnostics, **own}
 
 
-# the facts of a calibrator that its report carries (see _calibration)
-_CALIBRATOR_FACTS = ("slope", "intercept", "clip_range", "empty_bins", "ridge_active")
-
-
 def calibrated_plugin(
     design: TwoSampleDesign,
     calibrator,
@@ -350,21 +326,26 @@ def calibrated_plugin(
     row order, or MisuseError is raised. A hand-built calibrator (fitted_on
     None, or any callable without it) is taken as given. estimate() runs no
     check, since it fits its maps on the very labeled sample. The labeled
-    values of f come from calibrators.predict, its unlabeled summary from
-    _unlabeled_side, and a calibrator's facts (_calibration) from its fields.
+    values of f come from calibrators.predict. A calibrator's unlabeled
+    summary and facts (_calibration) come from its one-map stack, as
+    Method.run takes them from a method's; any other callable is evaluated
+    at every unlabeled score and summarised by _summary.
     """
-    lab = design.labeled
+    lab, unl = design.labeled, design.unlabeled
     pairs = getattr(calibrator, "fitted_on", None)
     if pairs is not None:
+        pairs = np.asarray(pairs, dtype=np.float64)
         ours = np.column_stack((lab.scores, lab.outcomes))
         # equal as multisets: both sets of rows sorted by (outcome, score)
         if pairs.shape != ours.shape or not np.array_equal(pairs[np.lexsort(pairs.T)], ours[np.lexsort(ours.T)]):
             raise MisuseError("calibrator was not fit on this design's labeled sample")
-    scored = ScoredDesign(design, cal.predict(calibrator, lab.scores, lab.covariates),
-                          _unlabeled_side(calibrator, design.unlabeled))
-    own = {}
-    if isinstance(calibrator, (cal.AffineCalibrator, cal.BinnedCalibrator, cal.SigmoidCalibrator)):
-        own = {k: getattr(calibrator, k) for k in _CALIBRATOR_FACTS if hasattr(calibrator, k)}
+    f_l = cal.predict(calibrator, lab.scores, lab.covariates)
+    if isinstance(calibrator, cal._Calibrator):
+        [(mean, css)] = _summaries(calibrator._stack, 1, cal._Context(None, unl))
+        unlabeled, own = UnlabeledSummary(unl.n, mean, css), calibrator._stack.described(0)
+    else:
+        unlabeled, own = _summary(cal.predict(calibrator, unl.scores, unl.covariates)), {}
+    scored = ScoredDesign(design, f_l, unlabeled)
     return family_report(scored, method_name, alpha, _calibration(lab, scored.f_labeled, **own))
 
 

@@ -1,15 +1,19 @@
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmean import (
     AffineCalibrator,
     BinnedCalibrator,
     ConfigError,
+    ConvergenceError,
     DataError,
     DimensionError,
     SsmeanError,
+    SigmoidCalibrator,
     StepCalibrator,
     design_from_arrays,
     estimate,
@@ -534,6 +538,149 @@ def test_affine_calibrator_refuses_non_finite_covariate_coefficients(coefs):
 def test_affine_calibrator_refuses_a_nan_or_reversed_clip_range(clip):
     with pytest.raises(ConfigError, match="invalid clip range"):
         AffineCalibrator(1.0, 0.0, clip)
+
+
+@pytest.mark.parametrize("clip", [(0.0,), (0, 1, 2), 1.0, "01", (0.0, "1"), (None, 1.0)])
+def test_affine_calibrator_refuses_a_clip_range_that_is_not_two_numbers(clip):
+    with pytest.raises(ConfigError, match="^invalid clip range "):
+        AffineCalibrator(1.0, 0.0, clip)
+
+
+@pytest.mark.parametrize("clip", [[0, 1], (0, 1), np.array([0.0, 1.0]), (np.float32(0.0), np.int64(1))])
+def test_affine_clip_range_is_kept_as_a_tuple_of_two_floats(clip):
+    f = AffineCalibrator(1.0, 0.0, clip)
+    assert f.clip_range == (0.0, 1.0) and [type(b) for b in f.clip_range] == [float, float]
+    assert f == AffineCalibrator(1.0, 0.0, (0.0, 1.0))
+    assert hash(f) == hash(AffineCalibrator(1.0, 0.0, (0.0, 1.0)))
+
+
+def test_step_maps_compare_and_hash_by_value():
+    s, y = [0.0, 0.5, 0.5, 1.0, 0.25], [0.0, 1.0, 0.0, 1.0, 1.0]
+    for fit in (fit_isotonic, fit_histogram, lambda s, y: fit_venn_abers(s, y, 0.5)):
+        a, b = fit(s, y), fit(s, y)
+        assert a == b and hash(a) == hash(b)
+        # fitted_on is left out
+        assert a == replace(a, fitted_on=None) and hash(a) == hash(replace(a, fitted_on=None))
+        assert len({a, b}) == 1
+    assert StepCalibrator([0, 1], [0, 1]) == StepCalibrator([0.0, 1.0], [0.0, 1.0])
+    assert StepCalibrator([0.0, 1.0], [0.0, 1.0]) != StepCalibrator([0.0, 1.0], [0.0, 2.0])
+    assert StepCalibrator([0.0, 1.0], [0.0, 1.0]) != StepCalibrator([0.0, 2.0], [0.0, 1.0])
+    binned = BinnedCalibrator([0.0, 1.0], [0.5], 0.5)
+    assert binned == BinnedCalibrator([0, 1], [0.5], 0.5) and hash(binned) == hash(BinnedCalibrator([0, 1], [0.5], 0.5))
+    assert binned != BinnedCalibrator([0.0, 1.0], [0.5], 0.5, empty_bins=1)
+    assert binned != BinnedCalibrator([0.0, 1.0], [0.5], 0.25)
+    # the same numbers in another class are another map
+    assert StepCalibrator([0.0, 1.0], [0.5, 0.5]) != BinnedCalibrator([0.0, 1.0], [0.5], 0.5)
+
+
+def test_a_calibrators_one_map_stack_is_no_field():
+    for f in (fit_isotonic([0.0, 1.0], [0.0, 1.0]), fit_histogram([0.0, 1.0], [0.0, 1.0]),
+              fit_linear([0.0, 1.0], [0.0, 1.0], clip=True), fit_platt([0.0, 0.5, 1.0], [0.0, 1.0, 1.0])):
+        assert "_stack" not in {g.name for g in fields(f)} and "_stack" not in asdict(f)
+        assert "_stack" not in repr(f)
+
+
+# --- evaluation: every calibrator against a per-score formula -----------------
+# A calibrator evaluates its one-map stack, the code estimate() evaluates its
+# maps with; these formulas, one score at a time, are the reference for both.
+
+def per_score(f, t, x=None) -> np.ndarray:
+    """f at each score of t (and covariate row of x), one score at a time."""
+    from scipy.special import expit
+
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if isinstance(f, StepCalibrator):
+        out = [f.values[max(np.searchsorted(f.boundaries, v, "right") - 1, 0)] for v in t]
+    elif isinstance(f, BinnedCalibrator):
+        # a score's bin is the count of inner edges at or below it
+        out = [f.bin_means[np.searchsorted(f.edges[1:-1], v, "right")] for v in t]
+    elif isinstance(f, AffineCalibrator):
+        shift = f.intercept + x @ np.array(f.cov_coefs) if f.cov_coefs else np.full(len(t), f.intercept)
+        lo, hi = f.clip_range or (-np.inf, np.inf)
+        out = [np.clip(f.slope * v + shift[i], lo, hi) for i, v in enumerate(t)]
+    else:
+        tiny, below_one = np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0)
+        out = []
+        for v in t:
+            m = np.clip(v, f.logit_eps, 1.0 - f.logit_eps)
+            out.append(np.clip(expit(f.scale * (np.log(m) - np.log1p(-m)) + f.shift), tiny, below_one))
+    return np.array(out, dtype=np.float64).reshape(len(t))
+
+
+finite = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def calibrators_and_scores(draw):
+    """A public fit or a hand-built map of any class, scores to evaluate it at and their covariate rows."""
+    n = draw(st.integers(2, 24))
+    s = np.array(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 16.0
+    y01 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    y = y01 if draw(st.booleans()) else np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    d = draw(st.integers(1, 2))
+    x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
+    kind = draw(st.sampled_from(["isotonic", "venn-abers", "histogram", "histogram-edges", "linear", "linear-cov",
+                                 "platt", "step", "binned", "affine", "sigmoid"]))
+    clip = draw(st.booleans())
+    fits = {
+        "isotonic": lambda: fit_isotonic(s, y),
+        "venn-abers": lambda: fit_venn_abers(s, y01, draw(finite)),
+        "histogram": lambda: fit_histogram(s, y),
+        "histogram-edges": lambda: fit_histogram(s, y, np.linspace(-0.25, 1.25, draw(st.integers(2, 21)))),
+        "linear": lambda: fit_linear(s, y, clip),
+        "linear-cov": lambda: fit_linear_cov(s, y, x, clip),
+        "platt": lambda: fit_platt(s, y01),
+    }
+    if kind not in fits:
+        f = draw(hand_built(kind))
+    else:
+        try:
+            f = fits[kind]()
+        except (ConvergenceError, DataError):  # Platt without an optimum; too few or collinear rows
+            assume(False)
+    t = np.array(draw(st.lists(st.one_of(st.sampled_from(s.tolist()), st.floats(-2.0, 2.0)), max_size=30)))
+    width = len(f.cov_coefs) if isinstance(f, AffineCalibrator) else 0
+    x_t = None
+    if width:
+        x_t = np.array(draw(st.lists(st.integers(-3, 3), min_size=len(t) * width, max_size=len(t) * width)))
+        x_t = x_t.reshape(len(t), width).astype(float)
+    return f, t, x_t
+
+
+@st.composite
+def hand_built(draw, kind):
+    if kind == "step":
+        b = sorted(draw(st.lists(finite, min_size=1, max_size=8)))
+        if draw(st.booleans()):
+            b[0] = -np.inf
+        return StepCalibrator(b, draw(st.lists(finite, min_size=len(b), max_size=len(b))))
+    if kind == "binned":
+        edges = sorted(draw(st.sets(finite, min_size=2, max_size=8)))
+        return BinnedCalibrator(edges, draw(st.lists(finite, min_size=len(edges) - 1, max_size=len(edges) - 1)), 0.0)
+    if kind == "affine":
+        clip = tuple(sorted(draw(st.lists(finite, min_size=2, max_size=2)))) if draw(st.booleans()) else None
+        return AffineCalibrator(draw(finite), draw(finite), clip, cov_coefs=draw(st.lists(finite, max_size=2)))
+    return SigmoidCalibrator(draw(finite), draw(finite), draw(st.sampled_from([1e-6, 1e-3, 0.25])))
+
+
+@settings(max_examples=300)
+@given(calibrators_and_scores())
+def test_predict_is_the_per_score_formula_bit_for_bit(case):
+    f, t, x = case
+    assert predict(f, t, x).tobytes() == per_score(f, t, x).tobytes()
+    if x is None:
+        # a 0-d score gives a 0-d value
+        for v in t[:3]:
+            one = predict(f, v)
+            assert np.ndim(one) == 0 and np.asarray(one).tobytes() == per_score(f, v).tobytes()
+
+
+def test_every_class_evaluates_a_0d_score():
+    assert predict(StepCalibrator([0.0, 1.0], [0.0, 1.0]), 0.5) == 0.0
+    assert StepCalibrator([0.0, 1.0], [0.0, 1.0])(np.float64(1.0)) == 1.0
+    assert BinnedCalibrator([0.0, 0.5, 1.0], [0.25, 0.75], 0.5)(0.75) == 0.75
+    assert AffineCalibrator(2.0, 1.0)(0.5) == 2.0
+    assert SigmoidCalibrator(1.0, 0.0)(0.5) == 0.5
 
 
 # --- Venn-Abers ---------------------------------------------------------------

@@ -17,9 +17,11 @@ from ssmean import (
     ConfigError,
     ConvergenceError,
     DataError,
+    DimensionError,
     MisuseError,
     ScoredDesign,
     SsmeanError,
+    StepCalibrator,
     ate_two_arm,
     autocal_select,
     bootstrap,
@@ -607,6 +609,26 @@ def test_calibrated_plugin_accepts_exactly_the_labeled_pairs(case):
             calibrated_plugin(d, other)
 
 
+def test_calibrated_plugin_reads_a_hand_built_fitted_on_as_pairs():
+    d = design_from_arrays([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [0.25, 0.75])
+    # the design's pairs as a list, in another row order: accepted
+    f = StepCalibrator([0.0, 0.5], [0.0, 1.0], fitted_on=[[0.5, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    assert calibrated_plugin(d, f) == calibrated_plugin(d, replace(f, fitted_on=None))
+    # too few pairs, another outcome, or no pairs at all: refused
+    for pairs in ([[0.0, 0.0], [0.5, 1.0]], [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], [0.0, 0.5, 1.0], []):
+        with pytest.raises(MisuseError, match="^calibrator was not fit on this design's labeled sample$"):
+            calibrated_plugin(d, replace(f, fitted_on=pairs))
+
+
+def test_calibrated_plugin_refuses_a_covariate_map_without_unlabeled_covariates():
+    rng = np.random.default_rng(4)
+    s, x = rng.uniform(size=20), rng.normal(size=(20, 2))
+    f = fit_linear_cov(s, s + x[:, 0], x)
+    d = design_from_arrays(s, s + x[:, 0], rng.uniform(size=30), x)
+    with pytest.raises(DimensionError, match="^covariate-adjusted calibrator needs covariates at prediction time$"):
+        calibrated_plugin(d, f)
+
+
 @settings(max_examples=120)
 @given(
     st.sampled_from(["iso-cal", "hist-cal", "linear-cal", "platt-cal"]),
@@ -615,9 +637,10 @@ def test_calibrated_plugin_accepts_exactly_the_labeled_pairs(case):
     st.integers(0, 2**31),
 )
 def test_estimate_is_calibrated_plugin_of_the_public_fit(name, n, ratio, seed):
-    # an oracle apart from estimate()'s route: the public fit, evaluated per
-    # score through predict and reported by calibrated_plugin; the same report
-    # to the byte, or the same refusal
+    # the public route: the public fit, reported by calibrated_plugin through
+    # the calibrator's own one-map stack, whose evaluation
+    # test_predict_is_the_per_score_formula_bit_for_bit checks against a
+    # per-score formula; the same report to the byte, or the same refusal
     d = draw_dataset(DgpSpec(n, ratio, seed))
     lab = d.labeled
 

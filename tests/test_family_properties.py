@@ -20,7 +20,8 @@ from ssmean import (
     fit_isotonic,
     fit_venn_abers,
 )
-from ssmean.estimators import UnlabeledSummary, _unlabeled_side
+from ssmean.calibrators import _Context
+from ssmean.estimators import UnlabeledSummary, _summaries
 from ssmean.inference import normal_quantile
 
 SETTINGS = settings(max_examples=40)
@@ -153,8 +154,14 @@ def test_isotonic_invariant_under_increasing_score_map(design, g):
 # give the mean and centered sum of squares of f evaluated per score.
 
 
+def unlabeled_side(f, sample):
+    """The unlabeled summary calibrated_plugin takes of a calibrator: its one-map stack's."""
+    [(mean, css)] = _summaries(f._stack, 1, _Context(None, sample))
+    return UnlabeledSummary(sample.n, mean, css)
+
+
 def assert_matches_pointwise(f, scores):
-    got = _unlabeled_side(f, UnlabeledSample(scores))
+    got = unlabeled_side(f, UnlabeledSample(scores))
     assert isinstance(got, UnlabeledSummary)
     values = f(np.asarray(scores, dtype=float))
     mean = values.mean()
@@ -212,8 +219,7 @@ def test_venn_abers_counted_summary_matches_pointwise(fit, target, data):
     m_l = np.where(bumped, np.nextafter(m_l, np.inf), m_l)
     y = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     f = fit_venn_abers(m_l, y, target)
-    cuts, _ = f.steps()
-    assert_matches_pointwise(f, unlabeled_around(data.draw, cuts))
+    assert_matches_pointwise(f, unlabeled_around(data.draw, f.boundaries[1:]))
 
 
 @SETTINGS

@@ -24,7 +24,7 @@ from ssmean import (
 )
 from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from ssmean.calibrators import _Context
-from ssmean.estimators import REGISTRY, ScoredDesign, _summaries, _unlabeled_side, family_report
+from ssmean.estimators import REGISTRY, ScoredDesign, _summaries, family_report
 from ssmean.selection import TIE_RTOL, _training_rows
 
 
@@ -298,8 +298,10 @@ def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
     # fold j of one k-fold call of a family's core, given one shared unlabeled
     # sample or a sample per fold, equals the method's own fit of the design
     # of fold j's training rows and that sample, bit for bit, facts included,
-    # and so do its held-out values; and its unlabeled summary in one call of
-    # the summary core equals the one-map summary of its map on that sample
+    # and so do its held-out values (the public map's predict, which
+    # test_calibrators checks against a per-score formula); and its unlabeled
+    # summary in one call of the summary core equals the one-map summary of
+    # its map on that sample
     d, fold_of, k = case
     draws = np.random.default_rng(k).integers(0, d.N, size=(k, d.N))
     s, y, rank = d.labeled.by_score
@@ -334,8 +336,9 @@ def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
                 if getattr(maps, "facts", None):
                     assert maps.facts[j] == own.facts[0], (name, j)
                 assert held_out[fold == j].tobytes() == predict(f, s[fold == j], x_held).tobytes(), (name, j)
-                one = _unlabeled_side(maps.map(j), samples[j])
-                assert np.array(summaries[j]).tobytes() == np.array(one[1:]).tobytes(), (name, j)
+                # the summary calibrated_plugin takes of the public map: its own one-map stack's
+                [one] = _summaries(maps.map(j)._stack, 1, _Context(None, samples[j]))
+                assert np.array(summaries[j]).tobytes() == np.array(one).tobytes(), (name, j)
 
 
 def test_candidate_validation():
