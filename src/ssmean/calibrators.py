@@ -266,9 +266,11 @@ def pava(values, weights) -> np.ndarray:
 # context), that fits k training sets in one call. s and y are a labeled
 # sample in ascending score order (a stable sort); rows holds the k training
 # sets one after another, as indices into s and y: fold j's in
-# rows[bounds[j]:bounds[j+1]], in the order the fit reads them. context
-# (_Context) gives the labeled covariates in the same score order and each
-# set's unlabeled sample, which ppi, ppi-pp, aipw-em, venn-abers and
+# rows[bounds[j]:bounds[j+1]], as stored (a design's and a fold's rows in row
+# order, a replicate's in draw order), which is how every core reads them;
+# iso-cal and venn-abers sort each set by score themselves (_in_score_order).
+# context (_Context) gives the labeled covariates in the same score order and
+# each set's unlabeled sample, which ppi, ppi-pp, aipw-em, venn-abers and
 # linear-cov-cal read. The core returns the k maps stacked in one *Folds
 # value: map(j) is map j as a calibrator, described(j) the facts that
 # calibrator holds (an affine map's slope, intercept and clip_range, a
@@ -279,8 +281,6 @@ def pava(values, weights) -> np.ndarray:
 # k-fold call equals the fit of fold j's rows alone, bit for bit; estimate()
 # builds no calibrator, only fit_* does. A calibrator evaluates its own
 # one-map stack: at(0, t, x).
-# Auto-cal's cross-validation holds out each row of s once (rows =
-# arange(n)); the refitting bootstrap fits each replicate as one training set.
 
 
 @dataclass
@@ -311,24 +311,24 @@ class _Context:
         return [(u.scaled_moments, u.score_moments) for u in map(self.unlabeled.take, self.draws())]
 
 
-def _single(sample: LabeledSample, ordered: bool, unlabeled: Optional[UnlabeledSample] = None):
+def _single(sample: LabeledSample, unlabeled: Optional[UnlabeledSample] = None):
     """A core's arguments for its k = 1 call on a labeled sample: its pairs in score order (by_score).
 
-    The one training set is every row: in score order if ordered, else in
-    row order. Its map is summarised on unlabeled.
+    The one training set is every row, in row order (rank). Its map is
+    summarised on unlabeled.
     """
     s, y, rank = sample.by_score
-    return s, y, np.arange(len(s)) if ordered else rank, np.array([0, len(s)]), _Context(sample, unlabeled)
+    return s, y, rank, np.array([0, len(s)]), _Context(sample, unlabeled)
 
 
-def _fit(core, sample: LabeledSample, ordered: bool, *args):
+def _fit(core, sample: LabeledSample, *args):
     """A public fit: core's k = 1 call on the sample, as a calibrator that keeps the sample's pairs.
 
     A sum that overflows float64 raises no numpy warning; the map's own
     check, or _refuse_overflow, refuses it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return core(*_single(sample, ordered), *args).map(0, _pairs(sample))
+        return core(*_single(sample), *args).map(0, _pairs(sample))
 
 
 def _refuse_overflow(fit, family: str, *params):
@@ -339,13 +339,13 @@ def _refuse_overflow(fit, family: str, *params):
 
 
 def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
-    """reduce(*rows) over each segment [bounds[j], bounds[j+1]) of the arrays, one value per segment.
+    """reduce(*rows) over each segment [bounds[j], bounds[j+1]) of the arrays, concatenated.
 
-    A run of segments of one length is reduced as the rows of one matrix, and
-    numpy sums each row of a matrix exactly as it sums that row alone
-    (pairwise for mean, BLAS for vecdot); so segment j's value equals the
-    one-segment call's on its rows bit for bit. Fold sizes take at most two
-    lengths, so this is two reductions, not k.
+    A run of segments of one length goes to reduce as one matrix, a row per
+    segment; reduce gives a value per row, or the rows mapped and flattened.
+    numpy sums (pairwise for mean, BLAS for vecdot) and sorts each row of a
+    matrix as it does that row alone, so segment j's values equal the
+    one-segment call's bit for bit. Fold sizes take at most two lengths.
     """
     b = bounds.tolist()
     out, first = [], 0
@@ -467,12 +467,22 @@ def _tie_groups(s: np.ndarray) -> np.ndarray:
     return group.astype(np.min_scalar_type(group[-1]))
 
 
-def _isotonic_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
-    """The isotonic fits of k training sets; each set's scores s[rows] must ascend, its pairs in the fit's stable score order.
+def _in_score_order(s: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """rows with each set [bounds[j], bounds[j+1]) in stable ascending score order: tied rows as stored.
 
-    One np.add.reduceat pools every fold's tie blocks (_block_starts), and
-    PAVA runs once per fold.
+    One stable argsort of tie groups (_tie_groups) per run of sets of one length (_by_segment).
     """
+    group = _tie_groups(s)
+    return _by_segment(lambda sets: sets[np.arange(len(sets))[:, None], np.argsort(group[sets], kind="stable")].ravel(), bounds, rows)
+
+
+def _isotonic_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
+    """The isotonic fits of k training sets, each on its pairs in stable score order (_in_score_order).
+
+    One np.add.reduceat pools every fold's tie blocks (_block_starts, ties
+    as stored), and PAVA runs once per fold.
+    """
+    rows = _in_score_order(s, rows, bounds)
     edges = _block_starts(s[rows], bounds)
     first = edges[:-1]
     w_pooled = np.subtract(edges[1:], first, dtype=np.float64)
@@ -495,7 +505,7 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
     their count, so the fit is a genuine function of the score. On every
     fitted block the residuals sum to zero.
     """
-    fit = _fit(_isotonic_folds, LabeledSample(scores, outcomes), True)
+    fit = _fit(_isotonic_folds, LabeledSample(scores, outcomes))
     return _refuse_overflow(fit, "isotonic", fit.values)
 
 
@@ -629,7 +639,7 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     lab = LabeledSample(scores, outcomes)
     if lab.n < 2:
         raise DataError("linear calibration needs at least two labeled points")
-    return _fit(_linear_folds, lab, False, clip)
+    return _fit(_linear_folds, lab, clip)
 
 
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
@@ -770,7 +780,7 @@ def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> Sigmoid
     lab = LabeledSample(scores, outcomes)
     if lab.n < 2:
         raise DataError("Platt scaling needs at least two labeled points")
-    return _platt_folds(*_single(lab, ordered=False), logit_eps).map(0, _pairs(lab))
+    return _fit(_platt_folds, lab, logit_eps)
 
 
 @dataclass(frozen=True)
@@ -835,7 +845,7 @@ def _histogram_folds(s, y, rows, bounds, context, edges=None) -> _BinnedFolds:
     Every set takes the given edges, or by default its own (_default_edges
     of its score range). A row's bin is read from its position in the sorted
     sample (_cells), and one np.bincount over (fold, bin) keys gives every
-    fold's counts and sums, each bin's in row order.
+    fold's counts and sums, each bin's in the set's stored order.
     """
     k, starts, lengths = len(bounds) - 1, bounds[:-1], bounds[1:] - bounds[:-1]
     if edges is None:
@@ -873,7 +883,7 @@ def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
     lab = LabeledSample(scores, outcomes)
     if edges is not None:
         edges = _checked_edges(edges)
-    fit = _fit(_histogram_folds, lab, False, edges)
+    fit = _fit(_histogram_folds, lab, edges)
     return _refuse_overflow(fit, "histogram", fit.bin_means, fit.fallback)
 
 
@@ -913,7 +923,7 @@ def fit_linear_cov(scores, outcomes, covariates, clip: bool = False) -> AffineCa
     whose cov_coefs are the covariate coefficients, one per column.
     """
     # None too is refused, as a matrix of no dimensions
-    return _fit(_linear_cov_folds, LabeledSample(scores, outcomes, _as_matrix(covariates)), False, clip)
+    return _fit(_linear_cov_folds, LabeledSample(scores, outcomes, _as_matrix(covariates)), clip)
 
 
 def _prefix_sums(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1007,7 +1017,7 @@ def _venn_abers(s: np.ndarray, y: np.ndarray, shrink_target: float) -> Tuple[np.
     fold-stacked fit (_venn_abers_folds). The outcomes must lie in [0, 1]
     and the target be finite; the callers check them. The tie blocks are
     the runs of equal scores, and one np.bincount sums each block's outcomes
-    in row order, since a stable sort keeps tied rows in row order.
+    in the order given: as stored, since a stable sort keeps tied rows so.
     """
     edges = _block_starts(s, [0, len(s)])
     hi, lo = _prefix_sums(np.bincount(np.repeat(np.arange(len(edges) - 1), np.diff(edges)), weights=y))
@@ -1026,13 +1036,13 @@ def _venn_abers_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
 
     Outcomes outside [0, 1] are affinely rescaled for the calibration step
     and the values mapped back; facts[j] records the map and the target.
-    The anchor sums the set's rows as given (row order, or a replicate's
-    draw order) with the cached score mean of its unlabeled sample; the map
-    reads the set's pairs in its own stable score order, from one radix sort
-    of its tie groups (_tie_groups) per set, and one call of _venn_abers.
+    The anchor sums the set's rows as stored with the cached score mean of
+    its unlabeled sample; the map reads the set's pairs in stable score
+    order (_in_score_order, one sort for all sets), by one call of
+    _venn_abers.
     """
     means = [mean for _, (mean, _) in context.moments(len(bounds) - 1)]
-    group, maps, facts = _tie_groups(s), [], []
+    order, maps, facts = _in_score_order(s, rows, bounds), [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b, mean in zip(bounds[:-1].tolist(), bounds[1:].tolist(), means):
             m_l, y_l = s[rows[a:b]], y[rows[a:b]]
@@ -1049,8 +1059,7 @@ def _venn_abers_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
             if not math.isfinite(target):
                 raise DataError("venn-abers: the aipw anchor rescaled to the outcome range overflows float64; "
                                 "rescale the scores and outcomes")
-            order = rows[a:b][np.argsort(group[rows[a:b]], kind="stable")]
-            boundaries, shrunk = _venn_abers(s[order], (y[order] - lo) / span, target)
+            boundaries, shrunk = _venn_abers(s[order[a:b]], (y[order[a:b]] - lo) / span, target)
             maps.append((boundaries, lo + span * shrunk))
             facts.append({"shrink_target": lo + span * target, "outcome_rescale": [lo, span]})
     return _BoundaryFolds(*(np.concatenate(part) for part in zip(*maps)), np.cumsum([0] + [len(b) for b, _ in maps]), facts)

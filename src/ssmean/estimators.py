@@ -13,19 +13,19 @@ method name to its fit; every method's but auto-cal's is the k = 1 call of
 its fold-stacked fit core (see calibrators), which auto-cal's
 cross-validation calls once on all its folds and the refitting bootstrap
 once per chunk of replicates. A core's training sets are rows of the
-labeled sample in its cached stable score order (LabeledSample.by_score):
-iso-cal's core reads each set in that order, and the others read the rows
-as stored, a fold's in row order and a replicate's in draw order.
-venn-abers sorts each set itself, since its anchor sums the rows in row
-order. Beside the pairs, each core is given the labeled covariates in score
-order and each set's unlabeled sample: the design's in estimate(), the
-capped subsample in auto-cal's cross-validation and the replicate's
-resample in the bootstrap. ppi reads its count, ppi-pp, aipw-em and
-venn-abers its cached scaled_moments, and linear-cov-cal whether it has
-covariates. The bootstrap takes each resample's moments once, for the fits
-that read them and the summaries of affine maps; venn-abers, whose step
-maps are counted in each sorted resample, draws its resamples twice, and
-labeled-only, whose f is the constant 0, not at all.
+labeled sample in its cached stable score order (LabeledSample.by_score),
+and every core reads each set as stored: the design's rows and a fold's in
+row order, a replicate's in draw order; iso-cal and venn-abers put each
+set into stable score order themselves. Beside the pairs, each core is
+given the labeled covariates in score order and each set's unlabeled
+sample: the design's in estimate(), the capped subsample in auto-cal's
+cross-validation and the replicate's resample in the bootstrap. ppi reads
+its count, ppi-pp, aipw-em and venn-abers its cached scaled_moments, and
+linear-cov-cal whether it has covariates. The bootstrap takes each
+resample's moments once, for the fits that read them and the summaries of
+affine maps; venn-abers, whose step maps are counted in each sorted
+resample, draws its resamples twice, and labeled-only, whose f is the
+constant 0, not at all.
 
 _family_core is the only code of the family algebra: from the labeled
 values of f, the outcomes and the unlabeled summary it gives the plug-in,
@@ -383,23 +383,21 @@ class Method:
     design's unlabeled sample as context; cross-fitting, auto-cal's
     cross-validation, which runs the core on all its folds at once, and the
     refitting bootstrap, which runs it on a chunk of replicates at once, run
-    the same code. An ordered core (iso-cal's) reads each set in stable
-    ascending score order, so its fit(design) runs on the labeled sample in
-    the sample's cached score_order. The others give the same map for the
-    pairs in any order, up to the order of their sums, and read the rows as
-    stored; auto-cal's folds and the bootstrap's replicates give them each
-    set in that order too. A calibrated method's diagnostics are its map's
-    calibration facts (_calibration); any other method's are its fit's facts,
-    if the stack has any. std_error(design, core) gives the report's SE, the
-    core's for every method but labeled-only.
+    the same code. Every core reads each set as stored, the design's rows in
+    row order, and gives the same map for the pairs in any order up to the
+    order of its sums; a core that needs score order (iso-cal's,
+    venn-abers') sorts each set stably itself. A calibrated method's
+    diagnostics are its map's calibration facts (_calibration); any other
+    method's are its fit's facts, if the stack has any. std_error(design,
+    core) gives the report's SE, the core's for every method but
+    labeled-only.
     """
 
     stacked_fit: Optional[Callable[..., Any]] = None
-    ordered: bool = False
     calibrated: bool = True
 
     def fit(self, design: TwoSampleDesign, seed: int = 0) -> _Fit:
-        return _Fit(self, self.stacked_fit(*cal._single(design.labeled, self.ordered, design.unlabeled)), {})
+        return _Fit(self, self.stacked_fit(*cal._single(design.labeled, design.unlabeled)), {})
 
     def describe(self, maps, labeled, f_l: np.ndarray) -> dict:
         if self.calibrated:
@@ -476,7 +474,7 @@ REGISTRY = {
     "linear-cal": Method(cal._linear_folds),
     "linear-cov-cal": Method(cal._linear_cov_folds),
     "platt-cal": Method(cal._platt_folds),
-    "iso-cal": Method(cal._isotonic_folds, ordered=True),
+    "iso-cal": Method(cal._isotonic_folds),
     "hist-cal": Method(cal._histogram_folds),
     "venn-abers": Method(cal._venn_abers_folds, calibrated=False),
     "auto-cal": _AutoCal(),

@@ -8,9 +8,7 @@ replicates are fit in chunks of max(1, _STACKED_ROWS // n), one stacked
 call per chunk, which bounds the stacked arrays at about 2**15 labeled rows.
 Each replicate's labeled rows, drawn from the same substream as
 bootstrap_indices', are taken as rows of the sample's sorted pairs
-(LabeledSample.by_score): in draw order, or for iso-cal in the replicate's
-own stable score order, from one stable sort of every replicate's tie-group
-ids (the dense ranks of the scores, small integers that numpy radix-sorts).
+(LabeledSample.by_score) in draw order, the set as every core reads it.
 The fit's context (calibrators._Context) draws, gathers and drops each
 replicate's unlabeled resample in turn on each pass over the resamples.
 A resample gathers the scores alone, unless the method is linear-cov-cal,
@@ -46,7 +44,7 @@ from typing import Tuple
 import numpy as np
 
 from ._rng import BOOT_RESAMPLE, _integer, derive_seed, substream
-from .calibrators import _Context, _tie_groups
+from .calibrators import _Context
 from .design import TwoSampleDesign, UnlabeledSample
 from .exceptions import ConfigError, SsmeanError
 
@@ -145,8 +143,7 @@ def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps:
     """The point estimates of replicates reps from one call of the method's fold-stacked fit.
 
     Each replicate is one training set of rows of the labeled sample in
-    score order (by_score): in draw order, or, for an ordered core, in the
-    replicate's own stable score order. The fit's context resamples the
+    score order (by_score), in draw order. The fit's context resamples the
     unlabeled side per replicate. Its labeled values come from one gather,
     and the unlabeled summaries of all of them from one call of
     estimators._summaries, each replicate's map on its own resample; the
@@ -159,19 +156,15 @@ def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps:
 
     s, y, rank = design.labeled.by_score
     n, r = design.n, len(reps)
-    # every replicate's rows of s in draw order, one replicate per row
-    pos = rank[np.stack([_draw(seed, i, 0, n) for i in reps])]
-    rows = pos
-    if method.ordered:
-        # each row in its stable score order, from its tie groups
-        rows = np.take_along_axis(pos, np.argsort(_tie_groups(s)[pos], axis=-1, kind="stable"), -1)
+    # every replicate's rows of s in draw order, one replicate after another
+    pos = rank[np.stack([_draw(seed, i, 0, n) for i in reps])].ravel()
     context = _Context(design.labeled, design.unlabeled, lambda: (_draw(seed, i, 1, design.N) for i in reps))
     # a value that overflows makes its replicate's total non-finite, which the core refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = method.stacked_fit(s, y, rows.ravel(), np.arange(r + 1) * n, context)
-        f_l = maps.on_sample(np.repeat(np.arange(r), n), s, pos.ravel()).reshape(r, n)
+        maps = method.stacked_fit(s, y, pos, np.arange(r + 1) * n, context)
+        f_l = maps.on_sample(np.repeat(np.arange(r), n), s, pos).reshape(r, n)
         mean, css = np.array(_summaries(maps, r, context)).T
-    return _family_core(f_l, y[pos], (design.N, mean, css), name).psi
+    return _family_core(f_l, y[pos].reshape(r, n), (design.N, mean, css), name).psi
 
 
 def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: float = 0.05) -> BootstrapResult:

@@ -6,9 +6,10 @@ out-of-fold labeled data and its variance criterion evaluated on the held-out
 fold plus a capped unlabeled subsample. Every method but auto-cal is a
 candidate. A candidate's k fold fits are one call of its fold-stacked fit
 core (see calibrators), the method's only fit, on every fold's training
-rows of the labeled sample in its cached score order, stacked, with the
-subsample as every fold's unlabeled sample (ppi, ppi-pp, aipw-em and
-venn-abers read its size or cached moments). The cores: iso-cal pools every
+rows of the labeled sample in its cached score order, stacked, each fold's
+in row order, with the subsample as every fold's unlabeled sample (ppi,
+ppi-pp, aipw-em and venn-abers read its size or cached moments); one array
+of training rows serves every candidate. The cores: iso-cal pools every
 fold's tie blocks with one np.add.reduceat and runs PAVA once per fold;
 hist-cal takes every fold's edges (np.linspace once per distinct score
 range), counts and sums from one np.bincount over (fold, bin) keys;
@@ -151,17 +152,14 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int):
     fold[rank] = fold_of
     held = np.bincount(fold, minlength=k)
     bounds = np.concatenate(([0], np.cumsum(n - held)))
-    train = (None, None)
+    # each fold's training rows of s, in row order
+    train = rank[_training_rows(fold_of, k)]
 
     criteria = {}
     for name in candidates.methods:
         if name in criteria:  # duplicate candidates: first occurrence wins
             continue
-        method = REGISTRY[name]
-        # each fold's training rows of s in score order or in row order; one order is kept at a time
-        if train[0] != method.ordered:
-            train = (method.ordered, _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)])
-        maps = method.stacked_fit(s, y, train[1], bounds, context)
+        maps = REGISTRY[name].stacked_fit(s, y, train, bounds, context)
         mu, css = np.array(_summaries(maps, k, context)).T
         # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
         total = _family_core(maps.on_sample(fold, s, np.arange(n)), y, (cap, mu, css), "auto-cal", (fold, held)).total
@@ -190,14 +188,14 @@ def autocal_select(
     with K clamped so every fold holds at least two points; the unlabeled
     evaluation subsample of size min(N, cap_factor * n) is drawn once per
     call. A candidate's K fold fits are one call of its fold-stacked core
-    on every fold's training rows, in the order the method's own fit reads
-    them (score order for iso-cal, row order for the others), so fold j's
-    map is bit for bit the method's fit of the rows outside fold j. The
-    criterion of a candidate, sum_j M_j SE_j^2 / k over the held-out folds,
-    comes from the family core's per-fold totals. Criteria within TIE_RTOL
-    of the smallest count as tied, and the first of them in candidate order
-    wins. The winner is refit on the full sample; its name is returned with
-    auto-cal's report, which carries the CV table in diagnostics.
+    on every fold's training rows in row order, as the method's own fit
+    reads a design's rows, so fold j's map is bit for bit the method's fit
+    of the rows outside fold j. The criterion of a candidate, sum_j M_j
+    SE_j^2 / k over the held-out folds, comes from the family core's
+    per-fold totals. Criteria within TIE_RTOL of the smallest count as
+    tied, and the first of them in candidate order wins. The winner is
+    refit on the full sample; its name is returned with auto-cal's report,
+    which carries the CV table in diagnostics.
     """
     _check_alpha(alpha)
     # refused before estimate()'s n >= 2 check, as a selection

@@ -25,7 +25,7 @@ from ssmean import (
 from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from ssmean.calibrators import _Context
 from ssmean.estimators import REGISTRY, ScoredDesign, _summaries, family_report
-from ssmean.selection import TIE_RTOL, _training_rows
+from ssmean.selection import TIE_RTOL
 
 
 def make_design(rng, n=60, N=120):
@@ -296,28 +296,31 @@ def _bits(calibrator) -> dict:
 @example((draw_dataset(DgpSpec(1200, 16, 0)), np.arange(1200) % 3, 3))
 def test_each_fold_of_a_stacked_fit_is_the_fit_of_its_training_rows(case):
     # fold j of one k-fold call of a family's core, given one shared unlabeled
-    # sample or a sample per fold, equals the method's own fit of the design
-    # of fold j's training rows and that sample, bit for bit, facts included,
+    # sample or a sample per fold and fold j's training rows in a drawn order
+    # (the set as stored), equals the method's own fit of the design of those
+    # rows in that order and that sample, bit for bit, facts included,
     # and so do its held-out values (the public map's predict, which
     # test_calibrators checks against a per-score formula); and its unlabeled
     # summary in one call of the summary core equals the one-map summary of
     # its map on that sample
     d, fold_of, k = case
-    draws = np.random.default_rng(k).integers(0, d.N, size=(k, d.N))
+    rng = np.random.default_rng(k)
+    draws = rng.integers(0, d.N, size=(k, d.N))
+    stored = [rng.permutation(np.flatnonzero(fold_of != j)) for j in range(k)]
     s, y, rank = d.labeled.by_score
     fold = np.empty(d.n, dtype=np.intp)
     fold[rank] = fold_of
     bounds = np.concatenate(([0], np.cumsum(d.n - np.bincount(fold, minlength=k))))
+    rows = rank[np.concatenate(stored)]
     shared, per_fold = _Context(d.labeled, d.unlabeled), _Context(d.labeled, d.unlabeled, lambda: iter(draws))
     # the covariates in score order, as the cores read them
     x = None if d.labeled.covariates is None else d.labeled.covariates[d.labeled.score_order]
     for name in SELECTABLE:
         method = REGISTRY[name]
-        rows = _training_rows(fold, k) if method.ordered else rank[_training_rows(fold_of, k)]
         for context, samples in ((shared, [d.unlabeled] * k), (per_fold, [d.unlabeled.take(r) for r in draws])):
 
             def fold_fit(j):
-                return method.fit(TwoSampleDesign(d.labeled.take(fold_of != j), samples[j])).maps
+                return method.fit(TwoSampleDesign(d.labeled.take(stored[j]), samples[j])).maps
 
             try:
                 maps = method.stacked_fit(s, y, rows, bounds, context)
