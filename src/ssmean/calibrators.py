@@ -267,8 +267,9 @@ def pava(values, weights) -> np.ndarray:
 # sample in ascending score order (a stable sort); rows holds the k training
 # sets one after another, as indices into s and y: fold j's in
 # rows[bounds[j]:bounds[j+1]], as stored (a design's and a fold's rows in row
-# order, a replicate's in draw order), which is how every core reads them;
-# iso-cal and venn-abers sort each set by score themselves (_in_score_order).
+# order, a replicate's in draw order), which is how every core reads them.
+# No core sorts: iso-cal and venn-abers count each set into its tie blocks,
+# ascending, from the sample's tie groups (LabeledSample.tie_groups).
 # context (_Context) gives the labeled covariates in the same score order and
 # each set's unlabeled sample, which ppi, ppi-pp, aipw-em, venn-abers and
 # linear-cov-cal read. The core returns the k maps stacked in one *Folds
@@ -288,11 +289,11 @@ class _Context:
     """A fit core's inputs beside the labeled pairs.
 
     labeled is the sample the pairs come from; a core reads only its
-    covariates, in the pairs' score order. Every set's map is summarised
-    on the unlabeled sample, or, given draws (a function giving a fresh
-    iterator of k row selections), set j's on unlabeled.take of the j-th:
-    the bootstrap's resamples, each drawn, gathered and dropped when
-    reached. Their moments are drawn for once and kept, so a core that
+    covariates, in the pairs' score order, and its tie groups. Every set's
+    map is summarised on the unlabeled sample, or, given draws (a function
+    giving a fresh iterator of k row selections), set j's on unlabeled.take
+    of the j-th: the bootstrap's resamples, each drawn, gathered and dropped
+    when reached. Their moments are drawn for once and kept, so a core that
     reads them and the summary of its affine maps share one pass; a step or
     per-score summary draws the resamples again. A public fit_* call has no
     unlabeled sample (None).
@@ -314,8 +315,9 @@ class _Context:
 def _single(sample: LabeledSample, unlabeled: Optional[UnlabeledSample] = None):
     """A core's arguments for its k = 1 call on a labeled sample: its pairs in score order (by_score).
 
-    The one training set is every row, in row order (rank). Its map is
-    summarised on unlabeled.
+    The one training set is every row, in row order (rank), and the context
+    holds the sample, whose tie groups iso-cal and venn-abers count the set
+    into. Its map is summarised on unlabeled.
     """
     s, y, rank = sample.by_score
     return s, y, rank, np.array([0, len(s)]), _Context(sample, unlabeled)
@@ -342,10 +344,10 @@ def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
     """reduce(*rows) over each segment [bounds[j], bounds[j+1]) of the arrays, concatenated.
 
     A run of segments of one length goes to reduce as one matrix, a row per
-    segment; reduce gives a value per row, or the rows mapped and flattened.
-    numpy sums (pairwise for mean, BLAS for vecdot) and sorts each row of a
-    matrix as it does that row alone, so segment j's values equal the
-    one-segment call's bit for bit. Fold sizes take at most two lengths.
+    segment, and reduce gives a value per row. numpy sums each row of a
+    matrix (pairwise for mean, BLAS for vecdot) as it sums that row alone,
+    so segment j's values equal the one-segment call's bit for bit. Fold
+    sizes take at most two lengths.
     """
     b = bounds.tolist()
     out, first = [], 0
@@ -445,65 +447,49 @@ class _BoundaryFolds(_StepFolds):
         return np.repeat(np.arange(len(counts)), counts - 1), self.boundaries[inner], self.values
 
 
-def _block_starts(st: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The first row of every tie block of sorted segments of scores st, then len(st).
+def _tie_blocks(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bins, counts, sums) of the nonzero bins of keys: their ids ascending, their row counts and weight sums.
 
-    A block starts at each segment's first row and wherever a score differs
-    from its left neighbour.
+    np.bincount adds each bin's weights in the order the keys are stored.
     """
-    starts = np.empty(len(st) + 1, dtype=bool)
-    np.not_equal(st[1:], st[:-1], out=starts[1:-1])
-    starts[bounds] = True
-    return np.flatnonzero(starts)
-
-
-def _tie_groups(s: np.ndarray) -> np.ndarray:
-    """The dense rank of every score of the ascending s, in the smallest unsigned type that holds it.
-
-    A stable sort of a set's groups orders the set as a stable sort of its
-    scores does, and numpy radix-sorts small integers.
-    """
-    group = np.concatenate(([0], np.cumsum(s[1:] != s[:-1])))
-    return group.astype(np.min_scalar_type(group[-1]))
-
-
-def _in_score_order(s: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """rows with each set [bounds[j], bounds[j+1]) in stable ascending score order: tied rows as stored.
-
-    One stable argsort of tie groups (_tie_groups) per run of sets of one length (_by_segment).
-    """
-    group = _tie_groups(s)
-    return _by_segment(lambda sets: sets[np.arange(len(sets))[:, None], np.argsort(group[sets], kind="stable")].ravel(), bounds, rows)
+    counts = np.bincount(keys)
+    bins = np.flatnonzero(counts)
+    return bins, counts[bins], np.bincount(keys, weights)[bins]
 
 
 def _isotonic_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
-    """The isotonic fits of k training sets, each on its pairs in stable score order (_in_score_order).
+    """The isotonic fits of k training sets, each on its tie blocks in ascending score order.
 
-    One np.add.reduceat pools every fold's tie blocks (_block_starts, ties
-    as stored), and PAVA runs once per fold.
+    Set j's rows take the keys j * m + group over the m tie groups of the
+    labeled sample (LabeledSample.tie_groups), so one np.bincount
+    (_tie_blocks) gives every set's blocks in score order, their counts
+    (PAVA's weights) and their outcome sums, each over the set's rows as
+    stored. PAVA runs once per fold.
     """
-    rows = _in_score_order(s, rows, bounds)
-    edges = _block_starts(s[rows], bounds)
-    first = edges[:-1]
-    w_pooled = np.subtract(edges[1:], first, dtype=np.float64)
-    means = np.add.reduceat(y[rows], first) / w_pooled
+    group, distinct = context.labeled.tie_groups
+    m = len(distinct)
+    keys = np.repeat(np.arange(len(bounds) - 1) * m, np.diff(bounds)) + group[rows]
+    bins, counts, sums = _tie_blocks(keys, y[rows])
+    means = sums / counts
     # fold j's tie blocks are [blocks[j], blocks[j+1])
-    blocks = np.searchsorted(first, bounds)
-    fitted = np.concatenate([pava(means[a:b], w_pooled[a:b]) for a, b in zip(blocks[:-1], blocks[1:])])
+    blocks = np.searchsorted(bins, np.arange(len(bounds)) * m)
+    fitted = np.concatenate([pava(means[a:b], counts[a:b]) for a, b in zip(blocks[:-1], blocks[1:])])
     # a block is kept where its value rises, and at the start of each fold
     keep = np.empty(len(fitted), dtype=bool)
     np.greater(fitted[1:], fitted[:-1], out=keep[1:])
     keep[blocks[:-1]] = True
     kept = np.flatnonzero(keep)
-    return _BoundaryFolds(s[rows[first[kept]]], fitted[kept], np.searchsorted(kept, blocks))
+    return _BoundaryFolds(distinct[bins[kept] % m], fitted[kept], np.searchsorted(kept, blocks))
 
 
 def fit_isotonic(scores, outcomes) -> StepCalibrator:
     """Exact least-squares monotone nondecreasing fit of outcomes on scores.
 
     Equal scores are pooled by their mean before running PAVA, weighted by
-    their count, so the fit is a genuine function of the score. On every
-    fitted block the residuals sum to zero.
+    their count, so the fit is a genuine function of the score; each tie
+    block's outcomes are summed in row order (np.bincount), with no sort
+    beyond the sample's one. On every fitted block the residuals sum to
+    zero.
     """
     fit = _fit(_isotonic_folds, LabeledSample(scores, outcomes))
     return _refuse_overflow(fit, "isotonic", fit.values)
@@ -1010,24 +996,23 @@ def _finite_target(shrink_target) -> float:
     return shrink_target
 
 
-def _venn_abers(s: np.ndarray, y: np.ndarray, shrink_target: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(boundaries, values) of the Venn-Abers map of labeled pairs s, y in stable ascending score order.
+def _venn_abers(distinct, counts, sums, shrink_target: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(boundaries, values) of the Venn-Abers map of a labeled sample's tie blocks.
 
-    The one fit of fit_venn_abers and, once per training set, of venn-abers'
-    fold-stacked fit (_venn_abers_folds). The outcomes must lie in [0, 1]
-    and the target be finite; the callers check them. The tie blocks are
-    the runs of equal scores, and one np.bincount sums each block's outcomes
-    in the order given: as stored, since a stable sort keeps tied rows so.
+    The blocks are given by their scores, ascending, their row counts and
+    their outcome sums (_tie_blocks of the sample's tie groups, each sum
+    over the rows as stored). The one fit of fit_venn_abers and, once per
+    training set, of venn-abers' fold-stacked fit (_venn_abers_folds). The
+    outcomes must lie in [0, 1] and the target be finite; the callers check
+    them.
     """
-    edges = _block_starts(s, [0, len(s)])
-    hi, lo = _prefix_sums(np.bincount(np.repeat(np.arange(len(edges) - 1), np.diff(edges)), weights=y))
-    x = edges.astype(np.float64)
+    hi, lo = _prefix_sums(sums)
+    x = np.concatenate(([0], np.cumsum(counts))).astype(np.float64)
     f1 = np.repeat(_tied_values(x, hi, lo, 1.0), 2)
     f0 = -np.repeat(_tied_values(-x[::-1], hi[::-1], lo[::-1], 0.0)[::-1], 2)
     f0, f1 = np.concatenate(([0.0], f0)), np.concatenate((f1, [1.0]))
     mid = 0.5 * (f0 + f1)
-    uniq = s[edges[:-1]]
-    cuts = np.column_stack((uniq, np.nextafter(uniq, np.inf))).ravel()
+    cuts = np.column_stack((distinct, np.nextafter(distinct, np.inf))).ravel()
     return np.concatenate(([-np.inf], cuts)), mid + (f1 - f0) * (shrink_target - mid)
 
 
@@ -1037,12 +1022,13 @@ def _venn_abers_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
     Outcomes outside [0, 1] are affinely rescaled for the calibration step
     and the values mapped back; facts[j] records the map and the target.
     The anchor sums the set's rows as stored with the cached score mean of
-    its unlabeled sample; the map reads the set's pairs in stable score
-    order (_in_score_order, one sort for all sets), by one call of
-    _venn_abers.
+    its unlabeled sample, and the map is one call of _venn_abers on the
+    set's tie blocks, counted from its rows' tie groups
+    (LabeledSample.tie_groups) and rescaled outcomes as stored.
     """
     means = [mean for _, (mean, _) in context.moments(len(bounds) - 1)]
-    order, maps, facts = _in_score_order(s, rows, bounds), [], []
+    group, distinct = context.labeled.tie_groups
+    maps, facts = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b, mean in zip(bounds[:-1].tolist(), bounds[1:].tolist(), means):
             m_l, y_l = s[rows[a:b]], y[rows[a:b]]
@@ -1059,7 +1045,8 @@ def _venn_abers_folds(s, y, rows, bounds, context) -> _BoundaryFolds:
             if not math.isfinite(target):
                 raise DataError("venn-abers: the aipw anchor rescaled to the outcome range overflows float64; "
                                 "rescale the scores and outcomes")
-            boundaries, shrunk = _venn_abers(s[order[a:b]], (y[order[a:b]] - lo) / span, target)
+            bins, counts, sums = _tie_blocks(group[rows[a:b]], (y_l - lo) / span)
+            boundaries, shrunk = _venn_abers(distinct[bins], counts, sums, target)
             maps.append((boundaries, lo + span * shrunk))
             facts.append({"shrink_target": lo + span * target, "outcome_rescale": [lo, span]})
     return _BoundaryFolds(*(np.concatenate(part) for part in zip(*maps)), np.cumsum([0] + [len(b) for b, _ in maps]), facts)
@@ -1094,15 +1081,18 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     mirrored diagram (-x, C), whose values are the negated ones in reverse
     order. Both passes read the compensated prefix sums, so every value is a
     quotient of one exact-to-rounding block sum. The pairs are validated
-    once, sorted once (the sample's by_score), and fit by _venn_abers, the
-    fit venn-abers' fold-stacked fit runs once per set. The fit costs
-    O(n log n + k), and evaluating it at N scores O(N log k).
+    once, sorted once (the sample's by_score and tie_groups), counted into
+    tie blocks and fit by _venn_abers, the fit venn-abers' fold-stacked fit
+    runs once per set. The fit costs O(n log n + k), and evaluating it at N scores
+    O(N log k).
     """
     _finite_target(shrink_target)
     lab = LabeledSample(scores, outcomes)
     if (lab.outcomes < 0).any() or (lab.outcomes > 1).any():
         raise DataError("outcomes must lie in [0, 1]; rescale before calling")
-    return StepCalibrator(*_venn_abers(*lab.by_score[:2], shrink_target), _pairs(lab))
+    group, distinct = lab.tie_groups
+    bins, counts, sums = _tie_blocks(group[lab.by_score[2]], lab.outcomes)
+    return StepCalibrator(*_venn_abers(distinct[bins], counts, sums, shrink_target), _pairs(lab))
 
 
 def predict(calibrator, scores, covariates=None) -> np.ndarray:

@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only in place: the one array, or a tuple of them."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def _as_readonly_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -48,9 +55,7 @@ def _as_readonly_vector(x, name: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise DataError(f"{name} has non-finite value at index {bad[0]}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr.copy())
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -71,9 +76,7 @@ def _as_readonly_matrix(x, n_rows: int, name: str) -> np.ndarray:
     if bad.size:
         i, j = bad[0]
         raise DataError(f"{name} has non-finite value at row {i}, column {j}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr.copy())
 
 
 def _taken(sample, rows):
@@ -89,10 +92,7 @@ def _taken(sample, rows):
     out = object.__new__(type(sample))
     for name in (f.name for f in fields(sample)):
         arr = getattr(sample, name)
-        if arr is not None:
-            arr = arr[rows]
-            arr.setflags(write=False)
-        object.__setattr__(out, name, arr)
+        object.__setattr__(out, name, None if arr is None else _read_only(arr[rows]))
     if out.scores.size == 0:
         raise DataError(f"{type(sample).__name__}.take selects no rows")
     return out
@@ -135,9 +135,7 @@ class LabeledSample:
     @cached_property
     def score_order(self) -> np.ndarray:
         """Row indices of the scores in ascending order, ties in row order, read-only; sorted once, on first use."""
-        out = np.argsort(self.scores, kind="stable")
-        out.setflags(write=False)
-        return out
+        return _read_only(np.argsort(self.scores, kind="stable"))
 
     @cached_property
     def by_score(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,10 +149,32 @@ class LabeledSample:
         order = self.score_order
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        out = (self.scores[order], self.outcomes[order], rank)
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        return _read_only(self.scores[order], self.outcomes[order], rank)
+
+    @cached_property
+    def tie_groups(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(group, distinct): the tie group of every score of by_score, numbered up from 0, and each group's score.
+
+        A group is a run of equal scores, and distinct[g] is group g's
+        score. 0.0 and -0.0 are one group, whose score is 0.0, so it does not
+        depend on which rows a set holds. iso-cal and venn-abers count any set
+        of rows into its tie blocks from them, with no sort. Read-only, on
+        first use.
+        """
+        s = self.by_score[0]
+        first = np.concatenate(([True], s[1:] != s[:-1]))
+        return _read_only(np.cumsum(first) - 1, s[first] + 0.0)
+
+    @cached_property
+    def score_mse(self) -> float:
+        """mean((outcomes - scores)**2), the raw score's calibration MSE, inf or NaN where it overflows float64.
+
+        Every calibrated method's report gives it as calibration_mse_before
+        (None where it is not finite), so it is computed once, on first use,
+        with no numpy warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.mean((self.outcomes - self.scores) ** 2))
 
 
 @dataclass(frozen=True)
@@ -188,9 +208,7 @@ class UnlabeledSample:
     @cached_property
     def sorted_scores(self) -> np.ndarray:
         """The scores in ascending order, read-only; sorted once, on first use."""
-        out = np.sort(self.scores)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.sort(self.scores))
 
     @cached_property
     def score_moments(self) -> Tuple[float, float]:

@@ -15,8 +15,9 @@ cross-validation calls once on all its folds and the refitting bootstrap
 once per chunk of replicates. A core's training sets are rows of the
 labeled sample in its cached stable score order (LabeledSample.by_score),
 and every core reads each set as stored: the design's rows and a fold's in
-row order, a replicate's in draw order; iso-cal and venn-abers put each
-set into stable score order themselves. Beside the pairs, each core is
+row order, a replicate's in draw order. No core sorts: iso-cal and
+venn-abers count each set into its tie blocks from the sample's cached tie
+groups (LabeledSample.tie_groups). Beside the pairs, each core is
 given the labeled covariates in score order and each set's unlabeled
 sample: the design's in estimate(), the capped subsample in auto-cal's
 cross-validation and the replicate's resample in the bootstrap. ppi reads
@@ -208,10 +209,15 @@ def _family_se(design: TwoSampleDesign, core: _Core) -> float:
 
 
 def _report(design: TwoSampleDesign, method: str, alpha: float, core: _Core, se: float, diagnostics: dict) -> EstimateReport:
-    """The report of core with standard error se; the method's diagnostics follow the core's."""
+    """The report of core with standard error se; the method's diagnostics follow the core's.
+
+    An SE of exactly 0 gives a zero-width interval, which the report flags
+    with the warning code degenerate_se, last in its diagnostics.
+    """
     lo, hi = wald_interval(core.psi, se, alpha)
     own = {"plugin_estimate": core.plugin, "aipw_estimate": core.psi, "residual_mean": core.residual_mean}
-    return EstimateReport(core.psi, se, lo, hi, alpha, method, design.n, design.N, {**own, **diagnostics})
+    caveats = {"warnings": ["degenerate_se"]} if se == 0.0 else {}
+    return EstimateReport(core.psi, se, lo, hi, alpha, method, design.n, design.N, {**own, **diagnostics, **caveats})
 
 
 def family_report(
@@ -300,7 +306,7 @@ def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_rang
     y = labeled.outcomes
     # a sum that overflows raises no numpy warning, since a report may refuse it after this runs
     with np.errstate(over="ignore", invalid="ignore"):
-        mse = [float(np.mean((y - pred) ** 2)) for pred in (labeled.scores, f_l)]
+        mse = [labeled.score_mse, float(np.mean((y - f_l) ** 2))]
         # a mean square that overflows float64 is reported as unknown
         before, after = (v if math.isfinite(v) else None for v in mse)
         diagnostics = {"calibration_mse_before": before, "calibration_mse_after": after}
@@ -385,12 +391,12 @@ class Method:
     refitting bootstrap, which runs it on a chunk of replicates at once, run
     the same code. Every core reads each set as stored, the design's rows in
     row order, and gives the same map for the pairs in any order up to the
-    order of its sums; a core that needs score order (iso-cal's,
-    venn-abers') sorts each set stably itself. A calibrated method's
-    diagnostics are its map's calibration facts (_calibration); any other
-    method's are its fit's facts, if the stack has any. std_error(design,
-    core) gives the report's SE, the core's for every method but
-    labeled-only.
+    order of its sums; a step core (iso-cal's, venn-abers') counts each set
+    into its tie blocks, in score order, from the sample's tie groups, with
+    no sort. A calibrated method's diagnostics are its map's calibration
+    facts (_calibration); any other method's are its fit's facts, if the
+    stack has any. std_error(design, core) gives the report's SE, the
+    core's for every method but labeled-only.
     """
 
     stacked_fit: Optional[Callable[..., Any]] = None

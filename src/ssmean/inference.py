@@ -8,9 +8,12 @@ replicates are fit in chunks of max(1, _STACKED_ROWS // n), one stacked
 call per chunk, which bounds the stacked arrays at about 2**15 labeled rows.
 Each replicate's labeled rows, drawn from the same substream as
 bootstrap_indices', are taken as rows of the sample's sorted pairs
-(LabeledSample.by_score) in draw order, the set as every core reads it.
-The fit's context (calibrators._Context) draws, gathers and drops each
-replicate's unlabeled resample in turn on each pass over the resamples.
+(LabeledSample.by_score) in draw order, the set as every core reads it;
+no replicate is sorted. iso-cal counts a chunk of r replicates into r bins
+per tie group of the sample (one np.bincount), no more than the chunk's
+r * n stacked rows, so the chunk bound holds for them too. The fit's
+context (calibrators._Context) draws, gathers and drops each replicate's
+unlabeled resample in turn on each pass over the resamples.
 A resample gathers the scores alone, unless the method is linear-cov-cal,
 the one method that reads the unlabeled covariates. One pass takes every
 resample's moments, which the fits of ppi-pp, aipw-em and venn-abers read

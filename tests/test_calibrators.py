@@ -15,6 +15,7 @@ from ssmean import (
     SsmeanError,
     SigmoidCalibrator,
     StepCalibrator,
+    TwoSampleDesign,
     design_from_arrays,
     estimate,
     fit_histogram,
@@ -25,7 +26,16 @@ from ssmean import (
     fit_venn_abers,
     predict,
 )
-from ssmean.calibrators import _Context, _eem_folds, _platt_newton, _segment_means, _stabilized_logit
+from ssmean.calibrators import (
+    _Context,
+    _eem_folds,
+    _isotonic_folds,
+    _platt_newton,
+    _segment_means,
+    _stabilized_logit,
+    _venn_abers_folds,
+)
+from ssmean.estimators import REGISTRY
 from ssmean.simulate import DgpSpec, draw_dataset
 
 
@@ -862,3 +872,86 @@ def test_a_one_set_eem_fit_equals_each_set_of_a_two_set_call(n, seed, clip):
     two = _eem_folds(s, y, np.concatenate([rank, rank]), np.array([0, n, 2 * n]), context, clip=clip)
     assert repr(one.facts) == repr(two.facts[:1]) == repr(two.facts[1:])
     assert one.slope.tobytes() == two.slope[:1].tobytes() == two.slope[1:].tobytes()
+
+
+def _training_sets(rng, n: int) -> list:
+    """Three training sets of rows 0..n-1, as a fit core may be given them.
+
+    The rows outside a fold in row order, a drawn permutation of about
+    three quarters of the rows, and n draws with repeats (a bootstrap
+    replicate's rows, in draw order).
+    """
+    fold = rng.integers(0, 5, size=n)
+    return [np.flatnonzero(fold != 0), rng.permutation(np.flatnonzero(fold != 1)), rng.integers(0, n, size=n)]
+
+
+def _iso_oracle(scores, outcomes):
+    """The distinct scores and each one's isotonic value: outcome sums over the rows as given, then SciPy's PAVA."""
+    from scipy.optimize import isotonic_regression
+
+    distinct, group = np.unique(scores, return_inverse=True)
+    counts = np.bincount(group)
+    return distinct, isotonic_regression(np.bincount(group, outcomes) / counts, weights=counts).x
+
+
+@settings(max_examples=60)
+@given(st.integers(100, 400), st.integers(0, 2**32 - 1))
+def test_isotonic_block_values_pool_each_sets_rows_as_stored_bit_for_bit(n, seed):
+    # continuous outcomes on scores of one decimal, so most tie blocks hold 9
+    # or more rows, where a pairwise sum would round differently: the public
+    # fit, and each set of one stacked call (a fold's rows, a drawn
+    # permutation, a bootstrap replicate's draws), give the oracle's block
+    # values bit for bit
+    rng = np.random.default_rng(seed)
+    d = design_from_arrays(np.round(rng.uniform(size=n), 1), rng.normal(size=n), rng.uniform(size=n))
+    lab = d.labeled
+    distinct, values = _iso_oracle(lab.scores, lab.outcomes)
+    assert predict(fit_isotonic(lab.scores, lab.outcomes), distinct).tobytes() == values.tobytes()
+    sets = _training_sets(rng, n)
+    s, y, rank = lab.by_score
+    bounds = np.cumsum([0] + [len(rows) for rows in sets])
+    maps = _isotonic_folds(s, y, rank[np.concatenate(sets)], bounds, _Context(lab, d.unlabeled))
+    for j, rows in enumerate(sets):
+        distinct, values = _iso_oracle(lab.scores[rows], lab.outcomes[rows])
+        assert maps.at(j, distinct).tobytes() == values.tobytes(), j
+
+
+@pytest.mark.parametrize("core", [_isotonic_folds, _venn_abers_folds])
+def test_no_step_fit_core_sorts_a_training_set(core, monkeypatch):
+    # the labeled sample is sorted once, into by_score and its tie groups;
+    # the cores count any set of its rows into tie blocks with no sort
+    rng = np.random.default_rng(29)
+    n = 200
+    d = design_from_arrays(np.round(rng.uniform(size=n), 1), rng.uniform(size=n), rng.uniform(size=60))
+    lab = d.labeled
+    s, y, rank = lab.by_score
+    lab.tie_groups, d.unlabeled.score_moments
+    sets = _training_sets(rng, n)
+    calls = []
+    for name in ("argsort", "sort"):
+        real = getattr(np, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    np.sort(np.zeros(1))
+    assert calls == ["sort"]  # the counters see a call
+    maps = core(s, y, rank[np.concatenate(sets)], np.cumsum([0] + [len(rows) for rows in sets]), _Context(lab, d.unlabeled))
+    assert calls == ["sort"] and len(maps.bounds) == 4
+
+
+@pytest.mark.parametrize("name", ["iso-cal", "venn-abers"])
+def test_a_set_fits_the_same_map_whichever_signed_zeros_it_holds(name):
+    # 0.0 and -0.0 are one tie block, whose boundary is 0.0: a set without
+    # the sample's -0.0 rows fits, bit for bit, the map of its own design
+    d =design_from_arrays([-0.0, 0.0, 0.5, 0.0, -0.0, 0.5, 1.0, 0.0], [0.1, 0.4, 0.6, 0.2, 0.3, 0.9, 1.0, 0.2],
+                           [0.0, 0.5, 1.0])
+    s, y, rank = d.labeled.by_score
+    rows = np.array([1, 2, 3, 5, 6, 7])
+    method = REGISTRY[name]
+    stacked = method.stacked_fit(s, y, rank[rows], np.array([0, len(rows)]), _Context(d.labeled, d.unlabeled))
+    own = method.fit(TwoSampleDesign(d.labeled.take(rows), d.unlabeled)).maps
+    assert stacked.boundaries.tobytes() == own.boundaries.tobytes()
+    assert stacked.values.tobytes() == own.values.tobytes()

@@ -124,6 +124,22 @@ def test_labeled_only_constant():
     assert rep.ci_lower == rep.ci_upper == 1.0
 
 
+def test_a_zero_standard_error_is_flagged_degenerate_se():
+    # four outcomes equal to 1: these methods give SE 0 and the zero-width CI [1, 1],
+    # which the report flags, last in its diagnostics; no number moves
+    d = draw_dataset(DgpSpec(4, 16, 3))
+    for name in ("labeled-only", "ppi-pp", "aipw-em", "linear-cal", "iso-cal", "hist-cal", "auto-cal"):
+        rep = estimate(d, name)
+        assert rep.std_error == 0.0 and rep.ci_lower == rep.ci_upper == 1.0, name
+        assert rep.diagnostics["warnings"] == ["degenerate_se"], name
+        assert list(rep.diagnostics)[-1] == "warnings", name
+    for name in ("ppi", "aipw", "platt-cal", "venn-abers"):
+        rep = estimate(d, name)
+        assert rep.std_error > 0.0 and "warnings" not in rep.diagnostics, name
+    c = design_from_arrays([0.0, 0.0], [3.0, 3.0], [0.0])
+    assert family_report(ScoredDesign(c, [3.0, 3.0], [3.0])).diagnostics["warnings"] == ["degenerate_se"]
+
+
 def test_labeled_only_two_points():
     d = design_from_arrays([0.0, 0.0], [0.0, 2.0], [0.0])
     rep = estimate(d, "labeled-only")
@@ -992,9 +1008,10 @@ def test_venn_abers_runs_one_sweep_per_estimate(monkeypatch):
     real_fit = ssmean.calibrators._venn_abers
     real_at = ssmean.calibrators._StepFolds.at
 
-    def counting_fit(s, y, shrink_target):
-        fits.append((len(s), len(y)))
-        return real_fit(s, y, shrink_target)
+    def counting_fit(distinct, counts, sums, shrink_target):
+        # the scores have no ties, so each labeled pair is its own block
+        fits.append((len(distinct), int(counts.sum())))
+        return real_fit(distinct, counts, sums, shrink_target)
 
     def counting_at(self, fold, scores, x=None):
         evaluated.append(len(scores))

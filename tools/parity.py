@@ -15,11 +15,28 @@ fit_* (fields, repr and predictions) with calibrated_plugin of it;
 crossfit_calibrated, ate_two_arm and eem_lambda, about 1800 entries in a
 few seconds. ``--show ENTRY`` prints the hashed value of each entry whose
 name starts with ENTRY instead of its hash.
+
+To say by how much a change moves the outputs that differ, dump the hashed
+values in both checkouts and compare the dumps:
+
+    PYTHONPATH=src python tools/parity.py --dump values.jsonl > parity.txt
+    python tools/parity.py --diff old/values.jsonl new/values.jsonl
+
+``--dump FILE`` writes each entry's hashed value to FILE as one JSON line,
+``{"entry": name, "value": value}``, and prints the hashes as usual.
+``--diff OLD NEW`` reads two dumps and prints, for each entry that differs,
+how many floats differ (each float and each float64 array element counts
+once), the largest relative change |new - old| / |old| among them with its
+distance in units in the last place of the old value, where in the value
+it is and both values, and how many other values differ; it runs no entry.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -195,13 +212,76 @@ def entries():
                 c.labeled.outcomes, (c.labeled.scores, t.labeled.scores - 0.05), m, seed=5).to_dict()
 
 
+# a float as canon writes it: float.hex, or inf and nan
+_HEX_FLOAT = re.compile(r"-?(0x[0-9a-f]\.?[0-9a-f]*p[-+]\d+|inf)|nan")
+
+
+def _moved(old, new, out: dict, path: str = "") -> None:
+    """Add the differences of two canonical values at path to out: floats that differ, the largest change, other values."""
+    if isinstance(old, str) and isinstance(new, str) and old != new and _HEX_FLOAT.fullmatch(old) and _HEX_FLOAT.fullmatch(new):
+        pairs = np.array([float.fromhex(old)]), np.array([float.fromhex(new)])
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new) == 3 and old[0] == new[0] == "float64" \
+            and old[1] == new[1] and isinstance(old[2], str) and isinstance(new[2], str):
+        # a float64 array, as (dtype, shape, bytes in hex)
+        pairs = tuple(np.frombuffer(bytes.fromhex(v[2]), dtype=np.float64) for v in (old, new))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            if isinstance(a, list) and len(a) == 2 and isinstance(a[0], str) and a[0] == b[0]:
+                # a dict item, (key, value), is named by its key
+                _moved(a[1], b[1], out, f"{path}/{a[0]}")
+            else:
+                _moved(a, b, out, f"{path}/{i}")
+        return
+    else:
+        out["other"] += old != new
+        return
+    a, b = pairs
+    differ = a.view(np.int64) != b.view(np.int64)
+    out["floats"] += int(differ.sum())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rel = np.abs(b - a) / np.abs(a)
+        ulps = np.abs(b - a) / np.spacing(np.abs(a))
+    for i in np.flatnonzero(differ).tolist():
+        # a NaN change (one side NaN) ranks above every finite one
+        if out["rel"] is None or not rel[i] <= out["rel"]:
+            out.update(rel=float(rel[i]), ulps=float(ulps[i]), at=path if len(a) == 1 else f"{path}[{i}]",
+                       was=float(a[i]), now=float(b[i]))
+
+
+def diff(old_path: str, new_path: str) -> None:
+    """Print, for each entry of two --dump files that differs, how much of it moved."""
+    dumps = []
+    for path in (old_path, new_path):
+        with open(path) as f:
+            dumps.append({row["entry"]: row["value"] for row in map(json.loads, f)})
+    old, new = dumps
+    for name in [*old, *(name for name in new if name not in old)]:
+        if name not in old or name not in new:
+            print(name, "only in", old_path if name in old else new_path)
+        elif old[name] != new[name]:
+            out = {"floats": 0, "rel": None, "other": 0}
+            _moved(old[name], new[name], out)
+            change = "" if out["rel"] is None else \
+                f", largest relative change {out['rel']:.3g} ({out['ulps']:.3g} ulp) at {out['at']}: " \
+                f"{out['was']!r} -> {out['now']!r}"
+            print(f"{name}: {out['floats']} floats differ{change}; {out['other']} other values differ")
+
+
 def main(argv) -> None:
+    if "--diff" in argv:
+        i = argv.index("--diff")
+        return diff(argv[i + 1], argv[i + 2])
     show = argv[argv.index("--show") + 1] if "--show" in argv else None
-    for name, call in entries():
-        if show is None:
-            print(name, hashlib.sha256(repr(record(call)).encode()).hexdigest())
-        elif name.startswith(show):
-            print(name, record(call))
+    with open(argv[argv.index("--dump") + 1], "w") if "--dump" in argv else contextlib.nullcontext() as dump:
+        for name, call in entries():
+            if show is not None:
+                if name.startswith(show):
+                    print(name, record(call))
+                continue
+            value = record(call)
+            print(name, hashlib.sha256(repr(value).encode()).hexdigest())
+            if dump is not None:
+                dump.write(json.dumps({"entry": name, "value": value}) + "\n")
 
 
 if __name__ == "__main__":
