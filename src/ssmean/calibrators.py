@@ -317,7 +317,8 @@ def _single(sample: LabeledSample, unlabeled: Optional[UnlabeledSample] = None):
 
     The one training set is every row, in row order (rank), and the context
     holds the sample, whose tie groups iso-cal and venn-abers count the set
-    into. Its map is summarised on unlabeled.
+    into and hist-cal reads its score range from. Its map is summarised on
+    unlabeled.
     """
     s, y, rank = sample.by_score
     return s, y, rank, np.array([0, len(s)]), _Context(sample, unlabeled)
@@ -813,8 +814,8 @@ def _default_edges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     DEFAULT_HISTOGRAM_BINS equal-width bins from np.linspace, fewer when a
     range holds fewer distinct floats, and one bin for a range of one value
     (_range_edges). np.linspace runs once per distinct range, told apart by
-    bit pattern, so 0.0 and -0.0 differ; folds and bootstrap replicates
-    differ in a few rows, so they share few ranges.
+    bit pattern; folds and bootstrap replicates differ in a few rows, so
+    they share few ranges.
     """
     table, edges = {}, []
     bits = zip(lo.view(np.int64).tolist(), hi.view(np.int64).tolist())
@@ -835,8 +836,11 @@ def _histogram_folds(s, y, rows, bounds, context, edges=None) -> _BinnedFolds:
     """
     k, starts, lengths = len(bounds) - 1, bounds[:-1], bounds[1:] - bounds[:-1]
     if edges is None:
-        # s ascends, so each set's lowest and highest rows hold its score range
-        edges, count = _default_edges(s[np.minimum.reduceat(rows, starts)], s[np.maximum.reduceat(rows, starts)])
+        # s ascends, so each set's lowest and highest rows hold its score range, read from
+        # their tie groups' scores, where a zero is 0.0 whichever zeros the set holds
+        group, distinct = context.labeled.tie_groups
+        lo, hi = (distinct[group[reduce.reduceat(rows, starts)]] for reduce in (np.minimum, np.maximum))
+        edges, count = _default_edges(lo, hi)
     else:
         edges, count = np.tile(edges, k), np.full(k, len(edges))
     edge_bounds = np.concatenate(([0], np.cumsum(count)))

@@ -12,8 +12,11 @@ comma-delimited, with RFC-4180 double-quote quoting. Blank lines are
 skipped, and every field of a used column must parse as a float (``nan``
 and ``inf`` parse; estimation then refuses non-finite values). Columns are
 found by name; other columns are ignored, and of two columns with one name
-the last is read. A pipe (``--unlabeled /dev/stdin``) is read once, row by
-row.
+the last is read. A file's header is read once, by one reader that stays
+open; the body of a regular file is parsed in one ``np.loadtxt`` pass where
+it can be, and otherwise row by row by that reader, with errors that cite
+the file, line and column. A pipe (``--unlabeled /dev/stdin``) is read
+once, row by row.
 """
 from __future__ import annotations
 
@@ -44,78 +47,61 @@ _WRITE_CHUNK_ROWS = 65536
 def _read_csv_columns(path: str, required: List[str], optional: List[str]) -> dict:
     """Read named numeric columns as float64 vectors.
 
-    The body of a regular file is parsed in one ``np.loadtxt`` pass. Wherever
-    that pass might differ from the row loop, or whenever it raises or warns,
-    the row loop reads the file instead: its values and its error messages
-    (which cite the file, line and column) are the only ones there are. A
-    pipe or other stream goes straight to the row loop, which reads it once:
-    the header read and ``loadtxt`` would each open it, and the bytes the
-    first one buffered would be lost to the second.
+    The path is opened once for one csv.reader, which reads the header once
+    and raises the empty-file and missing-column errors. When the header is
+    one physical line of a regular file and the wanted names are distinct,
+    one ``np.loadtxt`` pass parses the body. It reads the path itself:
+    numpy reads a path in large blocks, but an open handle line by line,
+    about a quarter slower. Otherwise, or when that pass raises or warns,
+    the row loop (_read_rows) reads the body from the same reader, still
+    just past the header: its values and its error messages (which cite the
+    file, line and column) are the only ones there are. A pipe or other
+    stream goes straight to the row loop, and so is read once.
     """
-    try:
-        columns = _read_columns_at_once(path, required, optional)
-    except Exception:  # the row loop names what is wrong
-        columns = None
-    return _read_columns_by_row(path, required, optional) if columns is None else columns
-
-
-def _read_columns_at_once(path: str, required: List[str], optional: List[str]) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    with open(path, newline="", encoding=_ENCODING) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or reader.line_num != 1:  # skiprows=1 counts physical lines
-            return None
-    index = {name: i for i, name in enumerate(header)}  # the last of a repeated name, as DictReader keeps
-    names = required + [name for name in optional if name in index]
-    if len(set(names)) < len(names) or not all(name in index for name in required):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt warns on a body with no rows
-        table = np.loadtxt(
-            path,
-            dtype=np.float64,
-            delimiter=",",
-            skiprows=1,
-            usecols=[index[name] for name in names],
-            ndmin=2,
-            comments=None,
-            quotechar='"',
-            encoding=_ENCODING,
-        )
-    return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
-
-
-def _read_columns_by_row(path: str, required: List[str], optional: List[str]) -> dict:
-    """Read named numeric columns; errors cite the file, line, and column."""
-    columns = {name: [] for name in required + optional}
     try:
         handle = open(path, newline="", encoding=_ENCODING)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
+        index = {name: i for i, name in enumerate(header)}  # the last of a repeated name, as DictReader keeps
         for name in required:
-            if name not in reader.fieldnames:
+            if name not in index:
                 raise DataError(f"{path}: missing column '{name}'")
-        present_optional = [name for name in optional if name in reader.fieldnames]
-        for name in optional:
-            if name not in reader.fieldnames:
-                del columns[name]
-        for row in reader:
-            for name in required + present_optional:
-                raw = row.get(name)
-                if raw is None or raw == "":
-                    raise DataError(f"{path} line {reader.line_num}: empty value in column '{name}'")
-                try:
-                    columns[name].append(float(raw))
-                except ValueError:
-                    raise DataError(
-                        f"{path} line {reader.line_num}: could not parse {raw!r} in column '{name}'"
-                    ) from None
+        names = required + [name for name in optional if name in index]
+        usecols = [index[name] for name in names]
+        # skiprows=1 counts physical lines
+        if reader.line_num == 1 and len(set(names)) == len(names) and os.path.isfile(path):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+                    table = np.loadtxt(path, dtype=np.float64, delimiter=",", skiprows=1, usecols=usecols, ndmin=2,
+                                       comments=None, quotechar='"', encoding=_ENCODING)
+                return {name: np.ascontiguousarray(table[:, j]) for j, name in enumerate(names)}
+            except Exception:  # the row loop names what is wrong
+                pass
+        return _read_rows(reader, path, names, usecols)
+
+
+def _read_rows(reader, path: str, names: List[str], usecols: List[int]) -> dict:
+    """The named columns (at usecols) of the rows left in reader; errors cite the file, line and column."""
+    columns = {name: [] for name in names}
+    for row in reader:
+        if not row:
+            continue  # a blank line
+        for name, i in zip(names, usecols):
+            raw = row[i] if i < len(row) else ""
+            if raw == "":
+                raise DataError(f"{path} line {reader.line_num}: empty value in column '{name}'")
+            try:
+                columns[name].append(float(raw))
+            except ValueError:
+                raise DataError(
+                    f"{path} line {reader.line_num}: could not parse {raw!r} in column '{name}'"
+                ) from None
     return {name: np.array(vals, dtype=np.float64) for name, vals in columns.items()}
 
 
@@ -199,16 +185,6 @@ def write_unlabeled_csv(path: str, scores, covariates=None, covariate_names=None
     _write_float_csv(path, ["score"] + names, columns)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     """Write text, ending in a newline, to stdout or to the --output file."""
     if not text.endswith("\n"):
@@ -223,7 +199,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 @_data_command
 def cmd_estimate(args, design: TwoSampleDesign) -> int:
     report = estimate(design, args.method.strip(), alpha=args.alpha, seed=args.seed)
-    _emit(json.dumps(report.to_dict(), indent=2, default=_json_default), args.output)
+    _emit(json.dumps(report.to_dict(), indent=2), args.output)
     return 0
 
 
@@ -304,7 +280,7 @@ def cmd_bootstrap(args, design: TwoSampleDesign) -> int:
         "n": design.n,
         "N": design.N,
     }
-    _emit(json.dumps(payload, indent=2, default=_json_default), args.output)
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 
@@ -375,10 +351,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SsmeanError as exc:
-        print(f"ssmean: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SsmeanError, OSError) as exc:
         print(f"ssmean: error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -158,8 +158,8 @@ class LabeledSample:
         A group is a run of equal scores, and distinct[g] is group g's
         score. 0.0 and -0.0 are one group, whose score is 0.0, so it does not
         depend on which rows a set holds. iso-cal and venn-abers count any set
-        of rows into its tie blocks from them, with no sort. Read-only, on
-        first use.
+        of rows into its tie blocks from them, with no sort, and hist-cal
+        reads a set's score range from them. Read-only, on first use.
         """
         s = self.by_score[0]
         first = np.concatenate(([True], s[1:] != s[:-1]))

@@ -942,16 +942,21 @@ def test_no_step_fit_core_sorts_a_training_set(core, monkeypatch):
     assert calls == ["sort"] and len(maps.bounds) == 4
 
 
-@pytest.mark.parametrize("name", ["iso-cal", "venn-abers"])
+@pytest.mark.parametrize("name", ["iso-cal", "venn-abers", "hist-cal"])
 def test_a_set_fits_the_same_map_whichever_signed_zeros_it_holds(name):
-    # 0.0 and -0.0 are one tie block, whose boundary is 0.0: a set without
-    # the sample's -0.0 rows fits, bit for bit, the map of its own design
-    d =design_from_arrays([-0.0, 0.0, 0.5, 0.0, -0.0, 0.5, 1.0, 0.0], [0.1, 0.4, 0.6, 0.2, 0.3, 0.9, 1.0, 0.2],
-                           [0.0, 0.5, 1.0])
-    s, y, rank = d.labeled.by_score
-    rows = np.array([1, 2, 3, 5, 6, 7])
+    # 0.0 and -0.0 are one tie block, whose boundary is 0.0, and a score range
+    # that ends at a zero ends at 0.0: a set fits, bit for bit, the map of its
+    # own design, whichever of the sample's zeros it holds
+    cases = [
+        (design_from_arrays([-0.0, 0.0, 0.5, 0.0, -0.0, 0.5, 1.0, 0.0], [0.1, 0.4, 0.6, 0.2, 0.3, 0.9, 1.0, 0.2],
+                            [0.0, 0.5, 1.0]), [1, 2, 3, 5, 6, 7]),
+        (design_from_arrays([0.0, -0.0, 0.0, 0.5], [0.1, 0.4, 0.6, 0.2], [0.0, 0.5]), [2, 1]),
+    ]
     method = REGISTRY[name]
-    stacked = method.stacked_fit(s, y, rank[rows], np.array([0, len(rows)]), _Context(d.labeled, d.unlabeled))
-    own = method.fit(TwoSampleDesign(d.labeled.take(rows), d.unlabeled)).maps
-    assert stacked.boundaries.tobytes() == own.boundaries.tobytes()
-    assert stacked.values.tobytes() == own.values.tobytes()
+    for d, rows in cases:
+        s, y, rank = d.labeled.by_score
+        rows = np.array(rows)
+        stacked = method.stacked_fit(s, y, rank[rows], np.array([0, len(rows)]), _Context(d.labeled, d.unlabeled))
+        own = method.fit(TwoSampleDesign(d.labeled.take(rows), d.unlabeled)).maps
+        for field in ("edges", "values") if name == "hist-cal" else ("boundaries", "values"):
+            assert getattr(stacked, field).tobytes() == getattr(own, field).tobytes()

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssmean.cli
+from ssmean import METHOD_NAMES, design_from_arrays, estimate
 from ssmean.cli import _read_csv_columns, main, write_labeled_csv, write_unlabeled_csv
-from ssmean.exceptions import DataError
+from ssmean.exceptions import DataError, SsmeanError
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +283,31 @@ def test_negative_seed_is_a_usage_error(capsys, toy_files):
     assert err.strip() == "ssmean: error: seed must be a non-negative integer, got -1"
 
 
+@pytest.mark.parametrize("outcomes", ["binary", "continuous", "equal"])
+def test_every_report_dumps_to_json_with_no_default(outcomes):
+    """The CLI's json.dumps takes no default: every report field is a plain Python value.
+
+    Each design holds covariates, so linear-cov-cal runs on it too.
+    """
+    rng = np.random.default_rng(85)
+    n, N = 60, 240
+    s, s_u = rng.uniform(size=n), rng.uniform(size=N)
+    x, x_u = rng.normal(size=(n, 2)), rng.normal(size=(N, 2))
+    y = {
+        "binary": (rng.uniform(size=n) < s).astype(float),
+        "continuous": s + x @ [1.0, -0.5] + rng.normal(size=n),
+        "equal": np.full(n, 1.0),
+    }[outcomes]
+    design = design_from_arrays(s, y, s_u, x, x_u)
+    for name in METHOD_NAMES:
+        if name == "platt-cal" and outcomes == "continuous":
+            with pytest.raises(SsmeanError):  # its outcomes are not binary
+                estimate(design, name)
+            continue
+        report = estimate(design, name).to_dict()
+        assert json.loads(json.dumps(report))["method"] == report["method"]
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(82)
     scores = rng.normal(size=40)
@@ -444,7 +470,7 @@ def test_well_formed_files_never_reach_the_row_loop(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("row loop called")
 
-    monkeypatch.setattr(ssmean.cli, "_read_columns_by_row", refuse)
+    monkeypatch.setattr(ssmean.cli, "_read_rows", refuse)
     path = tmp_path / "in.csv"
     path.write_bytes(b'\xef\xbb\xbfnote,y,score,y\r\n"a,""b""\r\nc",9,0.25,1e-3\r\n\r\n x ,9,-0.0,nan\r\n')
     cols = _read_csv_columns(str(path), required=["y", "score"], optional=["age"])

@@ -12,9 +12,13 @@ entry. It covers every method's estimate(...).to_dict() on seeded
 draw_dataset designs, tie-heavy, covariate, near-limit and refusal designs;
 bootstrap replicates (auto-cal at b=3); autocal_select's CV tables; every
 fit_* (fields, repr and predictions) with calibrated_plugin of it;
-crossfit_calibrated, ate_two_arm and eem_lambda, about 1800 entries in a
-few seconds. ``--show ENTRY`` prints the hashed value of each entry whose
-name starts with ENTRY instead of its hash.
+crossfit_calibrated, ate_two_arm and eem_lambda; and the exit code, stdout
+and stderr of ssmean.cli.main (estimate, compare, bootstrap) on fixed CSV
+files, a well-formed pair and odd ones (a byte-order mark, a quoted newline
+in the header, blank lines, a malformed field, a missing column, an empty
+body, covariates): about 1800 entries in a few seconds. ``--show ENTRY``
+prints the hashed value of each entry whose name starts with ENTRY instead
+of its hash.
 
 To say by how much a change moves the outputs that differ, dump the hashed
 values in both checkouts and compare the dumps:
@@ -35,9 +39,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import re
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -46,6 +53,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import ssmean  # noqa: E402
+import ssmean.cli  # noqa: E402
 from ssmean import (  # noqa: E402
     METHOD_NAMES,
     CandidateSet,
@@ -210,6 +218,61 @@ def entries():
             yield f"ate/{i}/{method}", lambda t=t, c=c, m=method: ate_two_arm(
                 t.labeled.outcomes, (t.labeled.scores, c.labeled.scores + 0.05),
                 c.labeled.outcomes, (c.labeled.scores, t.labeled.scores - 0.05), m, seed=5).to_dict()
+
+    yield from cli_entries()
+
+
+def cli_files() -> dict:
+    """(labeled, unlabeled) CSV text for each CLI entry: a well-formed pair, then one odd file each."""
+    rng = np.random.default_rng(20261021)
+    s_l, s_u = np.round(rng.uniform(size=40), 3), np.round(rng.uniform(size=120), 3)
+    y = (rng.uniform(size=40) < s_l).astype(int).tolist()
+    x_l, x_u = np.round(rng.normal(size=40), 2).tolist(), np.round(rng.normal(size=120), 2).tolist()
+    s_l, s_u = s_l.tolist(), s_u.tolist()
+    lab = "y,score\r\n" + "".join(f"{a},{b!r}\r\n" for a, b in zip(y, s_l))
+    unl = "score\n" + "".join(f"{b!r}\n" for b in s_u)
+    rows = lab.split("\r\n")
+    return {
+        "pair": (lab, unl),
+        "bom": ("\ufeff" + lab, "\ufeff" + unl),
+        "quoted-newline-header": ('y,"note\nkept",score\r\n' + "".join(f"{a},n,{b!r}\r\n" for a, b in zip(y, s_l)),
+                                  unl),
+        "blank-lines": ("\r\n".join(rows[:5] + ["", ""] + rows[5:]), unl.replace("\n", "\n\n", 3)),
+        "malformed-field": ("\r\n".join(rows[:7] + ["1,0.5x"] + rows[7:]), unl),
+        "missing-column": (lab.replace("y,score", "outcome,score", 1), unl),
+        "empty-body": (lab, "score\n"),
+        "covariates": ("y,score,x1\n" + "".join(f"{a},{b!r},{c!r}\n" for a, b, c in zip(y, s_l, x_l)),
+                       "x1,score\n" + "".join(f"{c!r},{b!r}\n" for b, c in zip(s_u, x_u))),
+    }
+
+
+def run_cli(files, *argv):
+    """ssmean.cli.main's exit code, stdout and stderr on the two files, named relative to a fresh directory."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # contextlib.chdir is Python 3.11 on
+        try:
+            for name, text in zip(("labeled.csv", "unlabeled.csv"), files):
+                with open(name, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = ssmean.cli.main([*argv, "--labeled", "labeled.csv", "--unlabeled", "unlabeled.csv"])
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_entries():
+    """Yield (name, call) for each CLI run: estimate, compare and bootstrap on the pair, estimate on each odd file."""
+    files = cli_files()
+    pair = files.pop("pair")
+    for method in ("aipw", "iso-cal"):
+        yield f"cli/estimate/pair/{method}", lambda m=method: run_cli(pair, "estimate", "--method", m)
+    yield "cli/compare/pair", lambda: run_cli(pair, "compare")
+    yield "cli/bootstrap/pair/iso-cal", lambda: run_cli(pair, "bootstrap", "--method", "iso-cal", "--b", "5")
+    for label, case in files.items():
+        argv = ("--method", "linear-cov-cal", "--covariates", "x1") if label == "covariates" else ()
+        yield f"cli/estimate/{label}", lambda case=case, argv=argv: run_cli(case, "estimate", *argv)
 
 
 # a float as canon writes it: float.hex, or inf and nan
