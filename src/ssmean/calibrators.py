@@ -291,12 +291,13 @@ class _Context:
     labeled is the sample the pairs come from; a core reads only its
     covariates, in the pairs' score order, and its tie groups. Every set's
     map is summarised on the unlabeled sample, or, given draws (a function
-    giving a fresh iterator of k row selections), set j's on unlabeled.take
-    of the j-th: the bootstrap's resamples, each drawn, gathered and dropped
-    when reached. Their moments are drawn for once and kept, so a core that
-    reads them and the summary of its affine maps share one pass; a step or
-    per-score summary draws the resamples again. A public fit_* call has no
-    unlabeled sample (None).
+    giving a fresh iterator of k row selections), set j's on the j-th
+    selection of its rows: the bootstrap's resamples, each drawn and dropped
+    when reached. Their moments are drawn for once and kept, each resample
+    gathered (unlabeled.take), so a core that reads them and the summary of
+    its affine maps share one pass; a step or per-score summary draws the
+    resamples again, and only the per-score one gathers them. A public
+    fit_* call has no unlabeled sample (None).
     """
 
     labeled: Optional[LabeledSample]

@@ -13,12 +13,15 @@ also kept scaled by the power of two that brings the scores into (-1, 1).
 Every estimate run on a sample, and every auto-cal fold that shares it,
 reuses them; this is what lets estimators._summaries summarise step and
 affine adjustments on the unlabeled side without evaluating them per row.
+A third, the order of its scores (score_order, 8 more bytes per row), is
+computed only when a step map is bootstrapped on the sample: it gives every
+row its slot among a chunk's cuts, so no resample is gathered or sorted.
 A labeled sample keeps the stable order of its scores (score_order), and its
 pairs in that order with the place of every row in it (by_score), which every
 method's fit, auto-cal's folds, the winner's refit and the bootstrap's
 replicates all read. A sample's take(rows) gathers rows into a new sample
-without checking the values again; the bootstrap's unlabeled resamples, and
-auto-cal's replicates, are built that way.
+without checking the values again; the bootstrap's unlabeled resamples for
+moments and per-score maps, and auto-cal's replicates, are built that way.
 """
 from __future__ import annotations
 
@@ -199,9 +202,11 @@ class UnlabeledSample:
     def take(self, rows) -> "UnlabeledSample":
         """The sample restricted to rows (an index array or a boolean mask), in that order.
 
-        Scores and covariate rows stay aligned; the sorted copy and moments
-        are computed afresh for the new sample on first use. The values are
-        not checked again, since they passed this sample's checks.
+        Scores and covariate rows stay aligned; the sorted copy, the score
+        order (8 bytes per row, computed only when a step map is
+        bootstrapped on the new sample) and the moments are computed afresh
+        for the new sample on first use. The values are not checked again,
+        since they passed this sample's checks.
         """
         return _taken(self, rows)
 
@@ -209,6 +214,16 @@ class UnlabeledSample:
     def sorted_scores(self) -> np.ndarray:
         """The scores in ascending order, read-only; sorted once, on first use."""
         return _read_only(np.sort(self.scores))
+
+    @cached_property
+    def score_order(self) -> np.ndarray:
+        """Row indices that put the scores in ascending order, read-only; sorted once, on first use.
+
+        8 bytes per row, kept for the sample's lifetime. Only the bootstrap
+        of a step map reads it (estimators._summaries), to give every row
+        its slot among a chunk's cuts, so tied rows may come in any order.
+        """
+        return _read_only(np.argsort(self.scores))
 
     @cached_property
     def score_moments(self) -> Tuple[float, float]:

@@ -24,9 +24,10 @@ cross-validation and the replicate's resample in the bootstrap. ppi reads
 its count, ppi-pp, aipw-em and venn-abers its cached scaled_moments, and
 linear-cov-cal whether it has covariates. The bootstrap takes each
 resample's moments once, for the fits that read them and the summaries of
-affine maps; venn-abers, whose step maps are counted in each sorted
-resample, draws its resamples twice, and labeled-only, whose f is the
-constant 0, not at all.
+affine maps; the step maps' summaries count each resample's drawn rows
+into the chunk's cut slots, with no resample gathered, so venn-abers
+draws its resamples twice, and labeled-only, whose f is the constant 0,
+not at all.
 
 _family_core is the only code of the family algebra: from the labeled
 values of f, the outcomes and the unlabeled summary it gives the plug-in,
@@ -243,11 +244,19 @@ def _summaries(maps, k: int, context) -> list:
     maps is a calibrators *Folds value, and each map j is summarised on set
     j's unlabeled sample of context (calibrators._Context): one shared
     sample, or the bootstrap's resamples of unlabeled.n rows each, each
-    taken, read and dropped in turn. Every summary from block counts or
+    drawn, read and dropped in turn. Every summary from block counts or
     cached moments is computed here, by one of three routes:
-    - step maps (iso-cal, hist-cal, venn-abers) from the counts of each
-      sample's once-sorted scores in each of their blocks, in O(blocks log N),
-      every block of every map summed by one np.bincount over map ids;
+    - step maps (iso-cal, hist-cal, venn-abers) from the count of scores in
+      each of their blocks, every block of every map summed by one
+      np.bincount over map ids. On one shared sample (estimate(), auto-cal's
+      folds, calibrated_plugin) the counts below every cut come from one
+      np.searchsorted into its once-sorted scores, in O(cuts log N). On the
+      bootstrap's resamples every unlabeled row is first given its slot, the
+      number of the chunk's distinct cuts at or below its score, in O(N)
+      from the sample's sorted scores and cached score_order (one argsort
+      per sample, on first use); a resample is then one gather of its rows'
+      slots and one np.bincount, O(N) with no resample gathered or sorted,
+      and its count below a cut is the cumulative count at the cut's slot;
     - unclipped affine maps of the score alone (labeled-only, ppi, aipw,
       ppi-pp, aipw-em, linear fits without clip) from each sample's cached
       score moments, in O(1) per map, in Python floats;
@@ -257,14 +266,23 @@ def _summaries(maps, k: int, context) -> list:
     its own one-map call's bit for bit: estimate(), auto-cal's folds and
     the bootstrap's replicates share one summation order.
     """
-    samples = repeat(context.unlabeled, k) if context.draws is None else map(context.unlabeled.take, context.draws())
+    u = context.unlabeled
     if isinstance(maps, cal._StepFolds):
         cut_fold, cuts, values = maps.steps
         per_map = np.bincount(cut_fold, minlength=k)
-        # every map's cuts in its own sample, or all of them in the one shared sample at once
-        pieces = [(context.unlabeled, cuts)] if context.draws is None else zip(samples, np.split(cuts, np.cumsum(per_map)[:-1]))
-        below = np.concatenate([np.searchsorted(u.sorted_scores, c) for u, c in pieces])
-        counts = cal._block_counts(cut_fold, below, k, context.unlabeled.n)
+        if context.draws is None:
+            # all maps' cuts in the one shared sample at once
+            below = np.searchsorted(u.sorted_scores, cuts)
+        else:
+            # every row's slot: how many of the chunk's distinct cuts lie at or below its score
+            slots, inverse = np.unique(cuts, return_inverse=True)
+            runs = np.diff(np.searchsorted(u.sorted_scores, slots), prepend=0, append=u.n)
+            slot = np.empty(u.n, dtype=np.intp)
+            slot[u.score_order] = np.repeat(np.arange(len(slots) + 1), runs)
+            # a resample's scores below slots[m] are its rows in slots 0 to m
+            pieces = zip(context.draws(), np.split(inverse, np.cumsum(per_map)[:-1]))
+            below = np.concatenate([np.cumsum(np.bincount(slot[rows], minlength=len(slots) + 1))[c] for rows, c in pieces])
+        counts = cal._block_counts(cut_fold, below, k, u.n)
         # only the values some score takes, as when a map is evaluated per score
         taken = counts > 0
         block = np.repeat(np.arange(k), per_map + 1)[taken]
@@ -272,7 +290,7 @@ def _summaries(maps, k: int, context) -> list:
         # a sum or square that overflows makes a mean or css non-finite, which
         # ScoredDesign or _family_core refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.bincount(block, counts * values, k) / context.unlabeled.n
+            mean = np.bincount(block, counts * values, k) / u.n
             dev = values - mean[block]
             return list(zip(mean.tolist(), np.bincount(block, counts * (dev * dev), k).tolist()))
     if isinstance(maps, cal._AffineFolds) and maps.clip is None and maps.cov is None:
@@ -286,7 +304,8 @@ def _summaries(maps, k: int, context) -> list:
             else:  # constant, even where the scores' root overflows
                 pairs.append((intercept, 0.0))
         return pairs
-    return [_summary(maps.at(j, u.scores, u.covariates))[1:] for j, u in enumerate(samples)]
+    samples = repeat(u, k) if context.draws is None else map(u.take, context.draws())
+    return [_summary(maps.at(j, v.scores, v.covariates))[1:] for j, v in enumerate(samples)]
 
 
 def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_range=None, **own) -> dict:

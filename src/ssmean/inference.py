@@ -12,27 +12,32 @@ bootstrap_indices', are taken as rows of the sample's sorted pairs
 no replicate is sorted. iso-cal counts a chunk of r replicates into r bins
 per tie group of the sample (one np.bincount), no more than the chunk's
 r * n stacked rows, so the chunk bound holds for them too. The fit's
-context (calibrators._Context) draws, gathers and drops each replicate's
-unlabeled resample in turn on each pass over the resamples.
-A resample gathers the scores alone, unless the method is linear-cov-cal,
-the one method that reads the unlabeled covariates. One pass takes every
+context (calibrators._Context) draws and drops each replicate's unlabeled
+resample in turn on each pass over the resamples. One pass takes every
 resample's moments, which the fits of ppi-pp, aipw-em and venn-abers read
 and the summaries of affine maps reuse; the summaries of step maps and of
 maps evaluated per score, from one call of estimators._summaries, take
-another. So a chunk holds one unlabeled resample at a time: venn-abers
-draws each resample twice, labeled-only (whose f is the constant 0) none,
-and every other method once. The labeled values of every replicate come
-from one gather, and the family core runs once per chunk with one
-replicate per row; no design or calibrator is built per replicate. An
+another. Only those that read values of the resample gather it: the
+moments and the maps evaluated per score. A step map's summary gathers
+and sorts no resample: it counts the drawn rows' slots among the chunk's
+distinct cuts, which every unlabeled row is given once per chunk. A
+gathered resample holds the scores alone, unless the method is
+linear-cov-cal, the one method that reads the unlabeled covariates. So a
+chunk holds one unlabeled resample at a time: venn-abers draws each
+resample twice, labeled-only (whose f is the constant 0) none, and every
+other method once. The labeled values of every replicate come from one
+gather, and the family core runs once per chunk with one replicate per
+row; no design or calibrator is built per replicate. An
 auto-cal replicate, and each replicate of a chunk that holds a refused one,
 runs per replicate its two index draws, a gather of those rows
 (LabeledSample.take, UnlabeledSample.take, which do not re-check values
 the design already checked) and estimate()'s route, Method.run, with no
 report: the method's k = 1 refit and the family core, of which it keeps
 psi; an auto-cal replicate's refit is the cross-validation and the
-winner's refit. What remains is mostly per
-replicate and fixed by the draws: the two keyed substreams and their index
-draws, and the unlabeled resample's gather and sort. platt-cal's Newton
+winner's refit. What remains is mostly per replicate and fixed by the
+draws: the two keyed substreams and their index draws, then the unlabeled
+resample's gather for its moments or a map evaluated per score, or, for a
+step map, the gather and count of its rows' slots. platt-cal's Newton
 fits dominate its bootstrap, and linear-cov-cal's least squares and
 venn-abers' sweeps, one per replicate, theirs.
 """

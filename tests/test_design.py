@@ -100,6 +100,22 @@ def test_labeled_score_order_is_stable_cached_and_read_only():
     assert taken.score_order.tolist() == [1, 3, 0, 2]
 
 
+def test_unlabeled_score_order_is_a_cached_read_only_permutation_that_sorts_the_scores():
+    unl = UnlabeledSample([0.5, -0.0, 2.0, 0.0, -1.0, 0.5, -0.0])
+    order = unl.score_order
+    assert order is unl.score_order
+    assert sorted(order.tolist()) == list(range(unl.n))
+    # tied rows, signed zeros included, may come in any order
+    assert np.array_equal(unl.scores[order], unl.sorted_scores)
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 0
+    # a taken sample sorts its own rows rather than inheriting its parent's order
+    taken = unl.take([2, 4, 0, 4])
+    assert "score_order" not in vars(taken)
+    assert taken.score_order.tolist() in ([1, 3, 2, 0], [3, 1, 2, 0])
+
+
 def test_score_moments_survive_overflowing_squares():
     # the centered squares near 1e160 overflow, but the root of their sum does not
     s = UnlabeledSample(np.array([1.0, 2.0, 3.0, 6.0]) * 1e160)

@@ -428,6 +428,28 @@ def tie_heavy_bootstraps(draw):
 # replicate 2 of 6 refuses (platt-cal's Newton fit does not converge), one replicate per chunk
 @example((design_from_arrays([0.5, 0.25, 0.0, 1.0, 0.625, 0.125, 0.75, 0.125], [1, 1, 0, 0, 0, 1, 1, 1], [0.5],
                              np.zeros((8, 1)), np.zeros((1, 1))), "platt-cal", 6, 1))
+# the step maps' counting route: a cut at zero among unlabeled -0.0 and 0.0 scores
+@example((design_from_arrays([-0.5, 0.0, -0.0, 0.5], [0.0, 0.5, 0.25, 1.0], [-0.0, 0.0, 0.5, -0.0, -0.5, 0.0, 1.0],
+                             np.zeros((4, 1)), np.zeros((7, 1))), "iso-cal", 7, 3))
+@example((design_from_arrays([-0.5, 0.0, -0.0, 0.5], [0.0, 0.5, 0.25, 1.0], [-0.0, 0.0, 0.5, -0.0, -0.5, 0.0, 1.0],
+                             np.zeros((4, 1)), np.zeros((7, 1))), "hist-cal", 7, 3))
+# unlabeled scores all below, then all above, every labeled score
+@example((design_from_arrays([0.25, 0.5, 0.75, 0.5], [0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.125, -0.0, 0.25 - 2.0**-54],
+                             np.zeros((4, 1)), np.zeros((5, 1))), "iso-cal", 6, 5))
+@example((design_from_arrays([0.25, 0.5, 0.75, 0.5], [0.0, 1.0, 1.0, 0.0], [0.875, 1.0, 3.0, 0.75 + 2.0**-53, 1e6],
+                             np.zeros((4, 1)), np.zeros((5, 1))), "iso-cal", 6, 5))
+# venn-abers' nextafter cuts on adjacent floats, each cut a score of both samples
+@example((design_from_arrays(0.5 + np.array([0, 1, 2, 3, 4, 1]) * 2.0**-53, [0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+                             0.5 + np.array([4, 0, 2, 2, 1, 3, 0, 4]) * 2.0**-53, np.zeros((6, 1)), np.zeros((8, 1))),
+          "venn-abers", 7, 2))
+# all labeled scores equal: no map has a cut
+@example((design_from_arrays([0.25] * 4, [0.0, 1.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0, 0.25], np.zeros((4, 1)),
+                             np.zeros((5, 1))), "iso-cal", 5, 1))
+@example((design_from_arrays([0.25] * 4, [0.0, 1.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0, 0.25], np.zeros((4, 1)),
+                             np.zeros((5, 1))), "hist-cal", 5, 1))
+# hist-cal replicates with different score ranges, so a chunk's maps have different cuts
+@example((design_from_arrays([0.0, 0.125, 0.25, 4.0], [0.0, 0.5, 1.0, 1.0], [0.0, 0.0625, 0.5, 1.0, 2.0, 3.0, 4.0, 0.25],
+                             np.zeros((4, 1)), np.zeros((8, 1))), "hist-cal", 7, 11))
 def test_stacked_replicates_equal_estimate_on_materialized_resamples(case):
     import ssmean.inference
 
@@ -445,9 +467,10 @@ def test_stacked_replicates_equal_estimate_on_materialized_resamples(case):
         assert bootstrap(d, name, b=b, seed=seed).replicates.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("name", ["aipw", "ppi-pp", "iso-cal"])
+@pytest.mark.parametrize("name", ["aipw", "ppi-pp", "iso-cal", "hist-cal"])
 def test_covariates_leave_the_bootstrap_replicates_of_a_method_that_reads_none_unchanged(name, monkeypatch):
-    # only linear-cov-cal reads the unlabeled covariates; the others' resamples gather the scores alone
+    # only linear-cov-cal reads the unlabeled covariates; the others' resamples gather the scores alone,
+    # and a step map's are counted into its cut slots, with no resample gathered at all
     d = draw_dataset(DgpSpec(n=120, ratio=4, seed=2))
     rng = np.random.default_rng(8)
     lab, unl = d.labeled, d.unlabeled
@@ -460,7 +483,10 @@ def test_covariates_leave_the_bootstrap_replicates_of_a_method_that_reads_none_u
 
     monkeypatch.setattr(UnlabeledSample, "take", take)
     got = bootstrap(with_x, name, b=40, seed=3)
-    assert gathered and not any(gathered)
+    if name in ("iso-cal", "hist-cal"):
+        assert not gathered
+    else:
+        assert gathered and not any(gathered)
     want = bootstrap(d, name, b=40, seed=3)
     assert got.replicates.tobytes() == want.replicates.tobytes()
     assert got.estimate == want.estimate

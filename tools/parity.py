@@ -5,20 +5,28 @@ Run it from the root of each of two checkouts and compare the outputs:
     PYTHONPATH=src python tools/parity.py > parity.txt
     diff old/parity.txt new/parity.txt
 
+The first line names the Python, numpy and SciPy versions. The output at
+the last change that moved an output is committed as tests/data/parity.txt,
+which tests/test_parity.py compares entry by entry; a change that moves an
+output on purpose regenerates it with
+
+    PYTHONPATH=src python tools/parity.py > tests/data/parity.txt
+
 Every entry hashes its output exactly: floats by float.hex, arrays by dtype,
 shape and bytes, dict keys in their order, and a refusal by its exception
 class and message. Any numpy warning raised on the way is part of the
 entry. It covers every method's estimate(...).to_dict() on seeded
-draw_dataset designs, tie-heavy, covariate, near-limit and refusal designs;
-bootstrap replicates (auto-cal at b=3); autocal_select's CV tables; every
-fit_* (fields, repr and predictions) with calibrated_plugin of it;
-crossfit_calibrated, ate_two_arm and eem_lambda; and the exit code, stdout
-and stderr of ssmean.cli.main (estimate, compare, bootstrap) on fixed CSV
-files, a well-formed pair and odd ones (a byte-order mark, a quoted newline
-in the header, blank lines, a malformed field, a missing column, an empty
-body, covariates): about 1800 entries in a few seconds. ``--show ENTRY``
-prints the hashed value of each entry whose name starts with ENTRY instead
-of its hash.
+draw_dataset designs, tie-heavy, covariate, near-limit, signed-zero and
+refusal designs; bootstrap replicates (auto-cal at b=3; iso-cal, hist-cal
+and venn-abers also at n=1200 with b=100, four chunks); autocal_select's
+CV tables; every fit_* (fields, repr and predictions) with
+calibrated_plugin of it; crossfit_calibrated, ate_two_arm and eem_lambda;
+and the exit code, stdout and stderr of ssmean.cli.main (estimate,
+compare, bootstrap) on fixed CSV files, a well-formed pair and odd ones (a
+byte-order mark, a quoted newline in the header, blank lines, a malformed
+field, a missing column, an empty body, covariates): about 1850 entries in
+a few seconds. ``--show ENTRY`` prints the hashed value of each entry
+whose name starts with ENTRY instead of its hash.
 
 To say by how much a change moves the outputs that differ, dump the hashed
 values in both checkouts and compare the dumps:
@@ -42,6 +50,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -49,6 +58,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -105,7 +115,7 @@ def record(call) -> tuple:
 
 
 def designs() -> dict:
-    """Paper designs at three sizes, then tie-heavy, covariate, near-limit and refusal designs."""
+    """Paper designs at three sizes, then tie-heavy, covariate, near-limit, refusal and signed-zero designs."""
     out = {}
     for n, ratio, seeds in ((1200, 16, 8), (200, 5, 30), (50, 4, 30)):
         for seed in range(seeds):
@@ -138,6 +148,11 @@ def designs() -> dict:
     out["collinear-cov"] = design_from_arrays(x[:10, 0], rng.normal(size=10), x[10:, 0], np.hstack([x[:10], x[:10]]),
                                               np.hstack([x[10:], x[10:]]))
     out["labeled-cov-only"] = design_from_arrays(x[:10, 0], rng.normal(size=10), x[10:, 0], x[:10])
+    # -0.0 and 0.0 in both samples: one tie group, and a cut at zero in the step maps
+    zeros = np.array([-0.0, 0.0, -0.5, 0.5, 1.0])
+    s_l = rng.choice(zeros, 30)
+    out["signed-zeros"] = design_from_arrays(s_l, (rng.uniform(size=30) < 0.5 + 0.4 * s_l).astype(float),
+                                             rng.choice(zeros, 90))
     return out
 
 
@@ -151,7 +166,7 @@ def entries():
 
     boots = ["dgp1200x16s0", "dgp1200x16s1", "dgp200x5s0", "dgp200x5s1", "dgp50x4s0", "ties-continuous12",
              "ties-binary400", "ties-continuous30", "ties-binary120", "cov90d2", "cov40d1-ties", "offset1e6",
-             "outcomes1e308", "binary-n8"]
+             "outcomes1e308", "binary-n8", "signed-zeros"]
     for label in boots:
         for method in METHOD_NAMES:
             b = 3 if method == "auto-cal" else (30 if ds[label].n > 1000 else 12)
@@ -161,6 +176,10 @@ def entries():
                 return res.estimate, res.replicates, res.se_boot, res.percentile_ci, res.normal_ci
 
             yield f"bootstrap/{label}/{method}", boot
+    # the step maps at paper size over 4 chunks of replicates
+    for method in ("iso-cal", "hist-cal", "venn-abers"):
+        yield f"bootstrap-b100/dgp1200x16s0/{method}", lambda m=method: bootstrap(ds["dgp1200x16s0"], m, b=100,
+                                                                                  seed=11).replicates
 
     candidate_sets = {
         "default": CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal"]),
@@ -330,21 +349,34 @@ def diff(old_path: str, new_path: str) -> None:
             print(f"{name}: {out['floats']} floats differ{change}; {out['other']} other values differ")
 
 
+def header() -> str:
+    """The output's first line: the Python, numpy and SciPy versions the hashes were taken under."""
+    return f"# python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}"
+
+
+def hashed(dump=None):
+    """Yield the header, then one "<entry> <sha256>" line per entry; dump, if given, gets each hashed value."""
+    yield header()
+    for name, call in entries():
+        value = record(call)
+        if dump is not None:
+            dump.write(json.dumps({"entry": name, "value": value}) + "\n")
+        yield f"{name} {hashlib.sha256(repr(value).encode()).hexdigest()}"
+
+
 def main(argv) -> None:
     if "--diff" in argv:
         i = argv.index("--diff")
         return diff(argv[i + 1], argv[i + 2])
-    show = argv[argv.index("--show") + 1] if "--show" in argv else None
-    with open(argv[argv.index("--dump") + 1], "w") if "--dump" in argv else contextlib.nullcontext() as dump:
+    if "--show" in argv:
+        show = argv[argv.index("--show") + 1]
         for name, call in entries():
-            if show is not None:
-                if name.startswith(show):
-                    print(name, record(call))
-                continue
-            value = record(call)
-            print(name, hashlib.sha256(repr(value).encode()).hexdigest())
-            if dump is not None:
-                dump.write(json.dumps({"entry": name, "value": value}) + "\n")
+            if name.startswith(show):
+                print(name, record(call))
+        return
+    with open(argv[argv.index("--dump") + 1], "w") if "--dump" in argv else contextlib.nullcontext() as dump:
+        for line in hashed(dump):
+            print(line)
 
 
 if __name__ == "__main__":
