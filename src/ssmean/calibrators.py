@@ -15,20 +15,11 @@ function. Its values come from two amortized-linear stack passes over one
 cumulative-sum diagram of the labeled sample, one per label, with no
 isotonic fit per evaluation point.
 
-Every fitted calibrator holds its one-map stack (see "fold-stacked fits"
-below), built when it is made. Calling it, or predict(), evaluates that
-stack's map, and estimators.calibrated_plugin summarises the map on the
-unlabeled sample and reads its facts as estimate() does its own stack: one
-evaluation and one unlabeled summary per map family. The step maps'
-(isotonic, Venn-Abers and histogram) summaries count a sorted sample in
-each block instead of evaluating them per score (estimators._summaries).
-
 Every registry method but auto-cal has one fold-stacked fit core that fits
-k training sets in one call (see "fold-stacked fits" below); estimate() and
-the matching fit_* function are its k = 1 call, auto-cal's
-cross-validation calls it once on all its folds, and the refitting
-bootstrap once per chunk of replicates. Only a fit_* function turns the
-stack into a calibrator.
+k training sets in one call, and the matching fit_* function is its k = 1
+call. The comment "fold-stacked fits" below tells the whole route from a
+core to a report; every fitted calibrator holds its one-map stack, which
+calling it, or predict(), evaluates.
 
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
@@ -88,14 +79,13 @@ class _Calibrator:
     Each calibrator builds its stack (a *Folds value, see "fold-stacked
     fits" below) in __post_init__ as the attribute _stack, which is not a
     field, so fields(), asdict, == and repr do not see it. Calling the
-    calibrator evaluates the stack's map 0, and estimators.calibrated_plugin
-    summarises and describes that map as estimate() does its own stack.
-    Calibrators compare and hash by their compared fields, an array field as
-    the tuple of its values.
+    calibrator, with the covariate rows of the scores where its map reads
+    them, evaluates the stack's map 0. Calibrators compare and hash by their
+    compared fields, an array field as the tuple of its values.
     """
 
-    def __call__(self, scores) -> np.ndarray:
-        return self._stack.at(0, np.asarray(scores, dtype=np.float64))
+    def __call__(self, scores, covariates=None) -> np.ndarray:
+        return self._stack.at(0, np.asarray(scores, dtype=np.float64), covariates)
 
     def _key(self) -> tuple:
         return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
@@ -177,14 +167,6 @@ class AffineCalibrator(_Calibrator):
             np.array([self.slope], dtype=np.float64), np.array([self.intercept], dtype=np.float64),
             None if clip is None else (np.array(clip[:1]), np.array(clip[1:])), np.array([coefs]) if len(coefs) else None))
 
-    def __call__(self, scores, covariates=None) -> np.ndarray:
-        t = np.asarray(scores, dtype=np.float64)
-        if self.cov_coefs and covariates is not None:
-            covariates = _as_matrix(covariates)
-            if covariates.shape != (len(t), len(self.cov_coefs)):
-                raise DimensionError(f"covariates have shape {covariates.shape}, expected ({len(t)}, {len(self.cov_coefs)})")
-        return self._stack.at(0, t, covariates)
-
 
 @dataclass(frozen=True, eq=False)
 class SigmoidCalibrator(_Calibrator):
@@ -262,26 +244,57 @@ def pava(values, weights) -> np.ndarray:
 
 # --- fold-stacked fits ---------------------------------------------------------
 #
-# Each registry method but auto-cal has one fit core, core(s, y, rows, bounds,
-# context), that fits k training sets in one call. s and y are a labeled
-# sample in ascending score order (a stable sort); rows holds the k training
-# sets one after another, as indices into s and y: fold j's in
-# rows[bounds[j]:bounds[j+1]], as stored (a design's and a fold's rows in row
-# order, a replicate's in draw order), which is how every core reads them.
-# No core sorts: iso-cal and venn-abers count each set into its tie blocks,
-# ascending, from the sample's tie groups (LabeledSample.tie_groups).
-# context (_Context) gives the labeled covariates in the same score order and
-# each set's unlabeled sample, which ppi, ppi-pp, aipw-em, venn-abers and
-# linear-cov-cal read. The core returns the k maps stacked in one *Folds
-# value: map(j) is map j as a calibrator, described(j) the facts that
-# calibrator holds (an affine map's slope, intercept and clip_range, a
-# histogram's empty_bins, a Platt map's ridge_active), at(j, t, x) map j at
-# the scores t (and their covariate rows x), and on_sample(fold, s, rows)
-# the value of map fold[p] at s[rows[p]] for every p, in one gather. Every
-# fit_* function and every registry fit is the k = 1 call, so fold j of a
-# k-fold call equals the fit of fold j's rows alone, bit for bit; estimate()
-# builds no calibrator, only fit_* does. A calibrator evaluates its own
-# one-map stack: at(0, t, x).
+# The stacked route from labeled pairs to a report, told here once; the other
+# modules state their own part and point here.
+#
+# The fit. Each registry method but auto-cal has one fit core, core(s, y,
+# rows, bounds, context), that fits k training sets in one call. s and y are
+# a labeled sample in ascending score order (a stable sort, cached as
+# LabeledSample.by_score); rows holds the k training sets one after another,
+# as indices into s and y: set j's in rows[bounds[j]:bounds[j+1]], as stored
+# (a design's and a fold's rows in row order, a replicate's in draw order),
+# which is how every core reads them. No core sorts: iso-cal and venn-abers
+# count each set into its tie blocks, ascending, from the sample's cached tie
+# groups (LabeledSample.tie_groups). context (_Context) gives the labeled
+# covariates in the same score order and each set's unlabeled sample, whose
+# size ppi reads, whose cached moments ppi-pp, aipw-em and venn-abers read,
+# and whether it holds covariates, which linear-cov-cal checks.
+#
+# The maps. The core returns the k maps stacked in one *Folds value: map(j)
+# is map j as a calibrator, described(j) the facts that calibrator holds (an
+# affine map's slope, intercept and clip_range, a histogram's empty_bins, a
+# Platt map's ridge_active), at(j, t, x) map j at the scores t (and their
+# covariate rows x), and on_sample(fold, s, rows) the value of map fold[p] at
+# s[rows[p]] for every p, in one gather. Every fit_* function and every
+# registry fit is the k = 1 call, so set j of a k-set call equals the fit of
+# set j's rows alone, bit for bit. Only fit_* turns a stack into a
+# calibrator, which keeps its one-map stack and evaluates it: at(0, t, x).
+#
+# The report. A stack reaches the family core (estimators._family_core) as
+# its labeled values and one unlabeled summary per map, the count, mean and
+# centered sum of squares of f (estimators._summaries, whose docstring names
+# its three routes: block counts for step maps, cached score moments for
+# unclipped affine maps, per-score evaluation for the rest). Its callers:
+# - estimate() runs the k = 1 call on the design (estimators.Method.run):
+#   the map at the labeled scores, its summary, the core and the report;
+#   calibrated_plugin runs a calibrator's one-map stack, or a plain
+#   callable, by the same route, so estimate() builds no calibrator and
+#   calls no predict;
+# - auto-cal's cross-validation (selection) calls each candidate's core once
+#   on all its folds' training rows, with a capped unlabeled subsample as
+#   every fold's, takes the held-out values in one gather and the summaries
+#   in one call, and runs the core once with per-fold sums; the winner's
+#   refit is its k = 1 call, which Method.run then takes like any method's;
+# - the refitting bootstrap (inference) calls the core once per chunk of
+#   replicates, each replicate's labeled rows a training set in draw order.
+#   The context draws each replicate's unlabeled resample when reached and
+#   drops it: one pass takes every resample's moments, for the fits and the
+#   affine summaries; step summaries count each replicate's drawn rows into
+#   the chunk's cut slots, with no resample gathered; per-score summaries
+#   gather it again. The core then runs once, one replicate per row.
+#   auto-cal's replicates, and a chunk that holds a refused one, run
+#   Method.run per replicate on a gathered resample instead.
+# No design, report or calibrator is built per fold or per stacked replicate.
 
 
 @dataclass
@@ -530,11 +543,16 @@ class _AffineFolds:
     def at(self, fold, t, x=None) -> np.ndarray:
         """Map fold[i] at t[i], or map fold at every t for an integer fold: slope * t + intercept, then the clip.
 
-        A covariate map takes an integer fold and x, the covariate rows of t
-        (DimensionError without them).
+        A covariate map takes an integer fold and x, the covariate rows of t,
+        one row per score and one column per coefficient (DimensionError
+        otherwise).
         """
-        if x is None and self.cov is not None:
-            raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
+        if self.cov is not None:
+            if x is None:
+                raise DimensionError("covariate-adjusted calibrator needs covariates at prediction time")
+            x = _as_matrix(x)
+            if x.shape != (len(t), self.cov.shape[1]):
+                raise DimensionError(f"covariates have shape {x.shape}, expected ({len(t)}, {self.cov.shape[1]})")
         out = self.slope[fold] * np.asarray(t, dtype=np.float64)
         out += self.intercept[fold] if self.cov is None else self.intercept[fold] + x @ self.cov[fold]
         return out if self.clip is None else np.clip(out, self.clip[0][fold], self.clip[1][fold])
@@ -1103,10 +1121,10 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
 def predict(calibrator, scores, covariates=None) -> np.ndarray:
     """Evaluate a fitted calibrator, or any callable on scores, at the given scores.
 
-    Only an AffineCalibrator receives the covariates, which it reads when it
-    has covariate coefficients.
+    Every calibrator receives the covariates, which only an affine map with
+    covariate coefficients reads.
     """
-    if isinstance(calibrator, AffineCalibrator):
+    if isinstance(calibrator, _Calibrator):
         return calibrator(scores, covariates)
     return calibrator(np.asarray(scores, dtype=np.float64))
 

@@ -6,22 +6,17 @@ model evaluated at each unit's covariates. Optional covariate matrices are
 carried only for the covariate-adjusted linear calibration method.
 
 All arrays are stored as read-only float64; instances are immutable and safe
-to share across threads. An unlabeled sample also keeps two things computed
-from its scores on first use: a sorted copy (8 bytes per row, held for the
-sample's lifetime) and the scores' mean and root centered sum of squares,
-also kept scaled by the power of two that brings the scores into (-1, 1).
-Every estimate run on a sample, and every auto-cal fold that shares it,
-reuses them; this is what lets estimators._summaries summarise step and
-affine adjustments on the unlabeled side without evaluating them per row.
-A third, the order of its scores (score_order, 8 more bytes per row), is
-computed only when a step map is bootstrapped on the sample: it gives every
-row its slot among a chunk's cuts, so no resample is gathered or sorted.
-A labeled sample keeps the stable order of its scores (score_order), and its
-pairs in that order with the place of every row in it (by_score), which every
-method's fit, auto-cal's folds, the winner's refit and the bootstrap's
-replicates all read. A sample's take(rows) gathers rows into a new sample
-without checking the values again; the bootstrap's unlabeled resamples for
-moments and per-score maps, and auto-cal's replicates, are built that way.
+to share across threads. A sample keeps what the stacked fits and the
+unlabeled summaries read (see calibrators' comment "fold-stacked fits"),
+each computed on first use and held for the sample's lifetime. An
+unlabeled sample keeps a sorted copy of its scores (8 bytes per row), their
+mean and root centered sum of squares, also scaled by the power of two that
+brings the scores into (-1, 1), and, only once a step map is bootstrapped
+on it, the order of its scores (score_order, 8 more bytes per row). A
+labeled sample keeps the stable order of its scores (score_order), its
+pairs in that order with the place of every row in it (by_score), and its
+tie groups. A sample's take(rows) gathers rows into a new sample without
+checking the values again.
 """
 from __future__ import annotations
 

@@ -9,49 +9,15 @@ of f: zero (labeled-only), the raw score (aipw), the raw score rescaled by
 1/(1-rho) (ppi), the score times an empirical coefficient (ppi-pp /
 aipw-em), a fitted calibrator (the *-cal methods), the shrunk interval map
 of venn-abers, or auto-cal's cross-validated winner. REGISTRY maps every
-method name to its fit; every method's but auto-cal's is the k = 1 call of
-its fold-stacked fit core (see calibrators), which auto-cal's
-cross-validation calls once on all its folds and the refitting bootstrap
-once per chunk of replicates. A core's training sets are rows of the
-labeled sample in its cached stable score order (LabeledSample.by_score),
-and every core reads each set as stored: the design's rows and a fold's in
-row order, a replicate's in draw order. No core sorts: iso-cal and
-venn-abers count each set into its tie blocks from the sample's cached tie
-groups (LabeledSample.tie_groups). Beside the pairs, each core is
-given the labeled covariates in score order and each set's unlabeled
-sample: the design's in estimate(), the capped subsample in auto-cal's
-cross-validation and the replicate's resample in the bootstrap. ppi reads
-its count, ppi-pp, aipw-em and venn-abers its cached scaled_moments, and
-linear-cov-cal whether it has covariates. The bootstrap takes each
-resample's moments once, for the fits that read them and the summaries of
-affine maps; the step maps' summaries count each resample's drawn rows
-into the chunk's cut slots, with no resample gathered, so venn-abers
-draws its resamples twice, and labeled-only, whose f is the constant 0,
-not at all.
-
-_family_core is the only code of the family algebra: from the labeled
-values of f, the outcomes and the unlabeled summary it gives the plug-in,
-the residual mean, psi, the labeled influence values and the sum of squares
-of the SE. estimate() runs every method as the bootstrap runs a replicate,
-with one training set (Method.run): the k = 1 stack, its values at the
-labeled scores, its unlabeled summary and the core, from which the report
-is built; no calibrator is built and none is evaluated through predict.
-The same route gives auto-cal's winner's refit, each arm of ate_two_arm
-(which takes the arm's influence values and plug-in from the core) and the
-bootstrap's replay of a replicate, psi alone. auto-cal's cross-validation
-runs the core once per candidate with every fold its own design, and the
-refitting bootstrap once per chunk of replicates, each replicate a row of
-one matrix, after one stacked fit of the chunk. Only calibrated_plugin,
-given a calibrator fitted elsewhere (or any callable), evaluates it through
-calibrators.predict, on the labeled scores; a calibrator's unlabeled side
-is its one-map stack's summary, and only a plain callable is evaluated at
-every unlabeled score.
+method name to its fit (Method), and estimate() runs it by one route,
+Method.run, which calibrated_plugin shares; how a fit reaches the family
+core, in estimate(), auto-cal's cross-validation and the bootstrap, is told
+once in calibrators' comment "fold-stacked fits".
 
 The core reads the unlabeled side only as a summary: the count N, the mean
-of f and its centered sum of squares (UnlabeledSummary). One function,
-_summaries, gives it for k stacked maps at once, and its docstring names
-its routes; a calibrator given to calibrated_plugin holds its one-map
-stack, which takes the same route.
+of f and its centered sum of squares (UnlabeledSummary). _family_core is
+the only code of the family algebra and _summaries the only code that
+summarises a stack of maps; their docstrings give their contracts.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -308,8 +274,8 @@ def _summaries(maps, k: int, context) -> list:
     return [_summary(maps.at(j, v.scores, v.covariates))[1:] for j, v in enumerate(samples)]
 
 
-def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_range=None, **own) -> dict:
-    """A calibrated method's diagnostics from its labeled values f_l and its map's facts.
+def _calibration(labeled, f_l: np.ndarray, residual_mean: float, slope=None, intercept=None, clip_range=None, **own) -> dict:
+    """A calibrated method's diagnostics from its labeled values f_l, the core's residual mean and its map's facts.
 
     The calibration MSEs of the raw score and of f, then an affine map's
     slope and intercept, with its clip range and whether the clip moved the
@@ -332,10 +298,24 @@ def _calibration(labeled, f_l: np.ndarray, slope=None, intercept=None, clip_rang
         if slope is not None:
             diagnostics["slope"], diagnostics["intercept"] = slope, intercept
             if clip_range is not None:
-                residual_mean = float((y - f_l).mean())
                 diagnostics["clip_range"] = list(clip_range)
                 diagnostics["clip_active"] = abs(residual_mean) > MEAN_CALIBRATED_TOL * max(1.0, float(np.mean(np.abs(y))))
     return {**diagnostics, **own}
+
+
+class _CallableMap(NamedTuple):
+    """Any callable on scores as a one-map stack with no facts: calibrated_plugin's map for it."""
+
+    f: Callable
+
+    def at(self, fold, t, x=None) -> np.ndarray:
+        values = np.asarray(cal.predict(self.f, t), dtype=np.float64)
+        if values.shape != t.shape:
+            raise DimensionError(f"adjustment values have shape {values.shape}, expected {t.shape}")
+        return values
+
+    def described(self, j: int) -> dict:
+        return {}
 
 
 def calibrated_plugin(
@@ -344,34 +324,28 @@ def calibrated_plugin(
     alpha: float = 0.05,
     method_name: str = "calibrated",
 ) -> EstimateReport:
-    """Report of a calibrator fitted elsewhere, in residual-corrected form.
+    """Report of a calibrator fitted elsewhere, or of any callable on scores, in residual-corrected form.
 
     The one place that checks what a calibrator was fit on: its fitted_on
     pairs must be exactly this design's labeled (score, outcome) pairs, in any
     row order, or MisuseError is raised. A hand-built calibrator (fitted_on
     None, or any callable without it) is taken as given. estimate() runs no
-    check, since it fits its maps on the very labeled sample. The labeled
-    values of f come from calibrators.predict. A calibrator's unlabeled
-    summary and facts (_calibration) come from its one-map stack, as
-    Method.run takes them from a method's; any other callable is evaluated
-    at every unlabeled score and summarised by _summary.
+    check, since it fits its maps on the very labeled sample. The map then
+    takes estimate()'s route (Method.run) under method_name: a calibrator's
+    is its one-map stack, and any other callable's is evaluated at every
+    score. So the report is estimate()'s for the same map, n < 2 is refused,
+    and a DataError of the scoring or the core names method_name.
     """
-    lab, unl = design.labeled, design.unlabeled
     pairs = getattr(calibrator, "fitted_on", None)
     if pairs is not None:
-        pairs = np.asarray(pairs, dtype=np.float64)
-        ours = np.column_stack((lab.scores, lab.outcomes))
+        pairs, ours = np.asarray(pairs, dtype=np.float64), cal._pairs(design.labeled)
         # equal as multisets: both sets of rows sorted by (outcome, score)
         if pairs.shape != ours.shape or not np.array_equal(pairs[np.lexsort(pairs.T)], ours[np.lexsort(ours.T)]):
             raise MisuseError("calibrator was not fit on this design's labeled sample")
-    f_l = cal.predict(calibrator, lab.scores, lab.covariates)
-    if isinstance(calibrator, cal._Calibrator):
-        [(mean, css)] = _summaries(calibrator._stack, 1, cal._Context(None, unl))
-        unlabeled, own = UnlabeledSummary(unl.n, mean, css), calibrator._stack.described(0)
-    else:
-        unlabeled, own = _summary(cal.predict(calibrator, unl.scores, unl.covariates)), {}
-    scored = ScoredDesign(design, f_l, unlabeled)
-    return family_report(scored, method_name, alpha, _calibration(lab, scored.f_labeled, **own))
+    _check_alpha(alpha)
+    maps = calibrator._stack if isinstance(calibrator, cal._Calibrator) else _CallableMap(calibrator)
+    # a calibrated method whose fit is the given map
+    return Method(lambda *_: maps).run(design, method_name, alpha, 0)[1]
 
 
 def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = None) -> float:
@@ -402,20 +376,13 @@ class Method:
     """A registry entry: the fit that gives a method its adjustment map f.
 
     stacked_fit(s, y, rows, bounds, context) is the method's fold-stacked
-    fit core (see calibrators' fold-stacked fits), which fits k training
-    sets, given as rows of a labeled sample in stable score order, in one
-    call. fit(design) is its k = 1 call on design.labeled.by_score, with the
-    design's unlabeled sample as context; cross-fitting, auto-cal's
-    cross-validation, which runs the core on all its folds at once, and the
-    refitting bootstrap, which runs it on a chunk of replicates at once, run
-    the same code. Every core reads each set as stored, the design's rows in
-    row order, and gives the same map for the pairs in any order up to the
-    order of its sums; a step core (iso-cal's, venn-abers') counts each set
-    into its tie blocks, in score order, from the sample's tie groups, with
-    no sort. A calibrated method's diagnostics are its map's calibration
-    facts (_calibration); any other method's are its fit's facts, if the
-    stack has any. std_error(design, core) gives the report's SE, the
-    core's for every method but labeled-only.
+    fit core, which fits k training sets in one call (see calibrators'
+    comment "fold-stacked fits"), and fit(design) is its k = 1 call on the
+    design. run takes a fit to the family core and the report. A calibrated
+    method's diagnostics are its map's calibration facts (_calibration);
+    any other method's are its fit's facts, if the stack has any.
+    std_error(design, core) gives the report's SE, the core's for every
+    method but labeled-only.
     """
 
     stacked_fit: Optional[Callable[..., Any]] = None
@@ -424,24 +391,23 @@ class Method:
     def fit(self, design: TwoSampleDesign, seed: int = 0) -> _Fit:
         return _Fit(self, self.stacked_fit(*cal._single(design.labeled, design.unlabeled)), {})
 
-    def describe(self, maps, labeled, f_l: np.ndarray) -> dict:
+    def describe(self, maps, labeled, f_l: np.ndarray, core: _Core) -> dict:
         if self.calibrated:
-            return _calibration(labeled, f_l, **maps.described(0))
+            return _calibration(labeled, f_l, core.residual_mean, **maps.described(0))
         return maps.facts[0] if maps.facts else {}
 
     def run(self, design: TwoSampleDesign, name: str, alpha: Optional[float], seed: int) -> Tuple[_Core, Optional[EstimateReport], Any]:
         """The core, the report and the k = 1 stack of the method on design: estimate()'s one route.
 
-        As the bootstrap runs a replicate, with one training set: the k = 1
-        fit, the map at the labeled scores (maps.at, in row order), its
-        unlabeled summary from _summaries, and the family core, which the
-        report is built from. Every method needs n >= 2 for an honest SE. A
-        value that overflows float64 is refused by the fit, the finiteness
-        check of the adjustment values or the family core, with no numpy
-        warning before the refusal. A DataError of the fit or the scoring
-        names the method: one raised below the registry gets its prefix.
-        With alpha None (the bootstrap's replay of a replicate) the report is
-        None: a replicate computes psi alone.
+        The k = 1 fit, the map at the labeled scores (maps.at, in row
+        order), its unlabeled summary from _summaries, and the family core,
+        which the report is built from. Every method needs n >= 2 for an
+        honest SE. A value that overflows float64 is refused by the fit, the
+        finiteness check of the adjustment values or the family core, with
+        no numpy warning before the refusal. A DataError of the fit or the
+        scoring names the method: one raised below the registry gets its
+        prefix. With alpha None (the bootstrap's replay of a replicate) the
+        report is None: a replicate computes psi alone.
         """
         if design.n < 2:
             raise DataError(f"{name} needs n >= 2 labeled points for a standard error, got n={design.n}")
@@ -460,7 +426,7 @@ class Method:
         core = _family_core(f_l, lab.outcomes, (design.N, mean, css), name)
         if alpha is None:
             return core, None, maps
-        diagnostics = {**fitted.describe(maps, lab, f_l), **extra}
+        diagnostics = {**fitted.describe(maps, lab, f_l, core), **extra}
         return core, _report(design, name, alpha, core, self.std_error(design, core), diagnostics), maps
 
     std_error = staticmethod(_family_se)

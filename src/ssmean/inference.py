@@ -2,44 +2,20 @@
 
 The influence-function standard error is computed by estimators._family_core.
 
-A bootstrap replicate of every method but auto-cal is one training set of
-the method's fold-stacked fit (see calibrators' fold-stacked fits). The
-replicates are fit in chunks of max(1, _STACKED_ROWS // n), one stacked
-call per chunk, which bounds the stacked arrays at about 2**15 labeled rows.
-Each replicate's labeled rows, drawn from the same substream as
-bootstrap_indices', are taken as rows of the sample's sorted pairs
-(LabeledSample.by_score) in draw order, the set as every core reads it;
-no replicate is sorted. iso-cal counts a chunk of r replicates into r bins
-per tie group of the sample (one np.bincount), no more than the chunk's
-r * n stacked rows, so the chunk bound holds for them too. The fit's
-context (calibrators._Context) draws and drops each replicate's unlabeled
-resample in turn on each pass over the resamples. One pass takes every
-resample's moments, which the fits of ppi-pp, aipw-em and venn-abers read
-and the summaries of affine maps reuse; the summaries of step maps and of
-maps evaluated per score, from one call of estimators._summaries, take
-another. Only those that read values of the resample gather it: the
-moments and the maps evaluated per score. A step map's summary gathers
-and sorts no resample: it counts the drawn rows' slots among the chunk's
-distinct cuts, which every unlabeled row is given once per chunk. A
-gathered resample holds the scores alone, unless the method is
-linear-cov-cal, the one method that reads the unlabeled covariates. So a
-chunk holds one unlabeled resample at a time: venn-abers draws each
-resample twice, labeled-only (whose f is the constant 0) none, and every
-other method once. The labeled values of every replicate come from one
-gather, and the family core runs once per chunk with one replicate per
-row; no design or calibrator is built per replicate. An
-auto-cal replicate, and each replicate of a chunk that holds a refused one,
-runs per replicate its two index draws, a gather of those rows
-(LabeledSample.take, UnlabeledSample.take, which do not re-check values
-the design already checked) and estimate()'s route, Method.run, with no
-report: the method's k = 1 refit and the family core, of which it keeps
-psi; an auto-cal replicate's refit is the cross-validation and the
-winner's refit. What remains is mostly per replicate and fixed by the
-draws: the two keyed substreams and their index draws, then the unlabeled
-resample's gather for its moments or a map evaluated per score, or, for a
-step map, the gather and count of its rows' slots. platt-cal's Newton
-fits dominate its bootstrap, and linear-cov-cal's least squares and
-venn-abers' sweeps, one per replicate, theirs.
+bootstrap refits the method on every replicate and keeps each replicate's
+psi alone. Every method but auto-cal fits its replicates as training sets
+of its fold-stacked fit, in chunks of max(1, _STACKED_ROWS // n), which
+bounds the stacked arrays at about 2**15 labeled rows; calibrators' comment
+"fold-stacked fits" tells how a chunk reaches the family core. An auto-cal
+replicate, and each replicate of a chunk that holds a refused one, is a
+gathered resample run by estimate()'s route (Method.run) with no report. A
+replicate's labeled and unlabeled rows are drawn from two substreams keyed
+by (seed, replicate) (bootstrap_indices), so a replicate's value does not
+depend on its chunk or its route. A gathered unlabeled resample holds the scores alone,
+unless the method is linear-cov-cal, the one method that reads the
+unlabeled covariates. platt-cal's Newton fits dominate its bootstrap, and
+linear-cov-cal's least squares and venn-abers' sweeps, one per replicate,
+theirs.
 """
 from __future__ import annotations
 

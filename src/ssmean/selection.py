@@ -5,31 +5,14 @@ influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
 fold plus a capped unlabeled subsample. Every method but auto-cal is a
 candidate. A candidate's k fold fits are one call of its fold-stacked fit
-core (see calibrators), the method's only fit, on every fold's training
-rows of the labeled sample in its cached score order, stacked, each fold's
-in row order, with the subsample as every fold's unlabeled sample (ppi,
-ppi-pp, aipw-em and venn-abers read its size or cached moments); one array
-of training rows serves every candidate. The cores: iso-cal counts every
-fold's tie blocks, their row counts and outcome sums from one np.bincount
-over (fold, tie group) keys and runs PAVA once per fold; hist-cal takes
-every fold's edges (np.linspace once per distinct score range), counts and
-sums from one np.bincount over (fold, bin) keys;
-linear-cal, aipw, ppi, ppi-pp, aipw-em and labeled-only give k slopes,
-intercepts and clip ranges from per-fold sums; platt-cal's Newton
-iterations, linear-cov-cal's least squares and venn-abers' sweeps run once
-per fold. The k maps are evaluated at once: the held-out values in one
-gather, and on the subsample by one call of the unlabeled-summary core
-(estimators._summaries, whose docstring names its routes). The
-criterion of all folds comes from one call of the family core per
-candidate, which takes every fold as its own design from per-fold sums
-(np.bincount over fold ids); no design, report or calibrator is built per
-fold. The labeled sample is sorted once per design, and its sorted pairs
-(LabeledSample.by_score) and tie groups are shared by the folds and the
-winner's refit.
-The winner's refit, the k = 1 call of its core (Method.fit) with the CV
+core, on every fold's training rows, with one capped unlabeled subsample
+as every fold's unlabeled sample; one array of training rows serves every
+candidate, and the criterion of all folds comes from one call of the
+family core per candidate (calibrators' comment "fold-stacked fits" tells
+this route). The winner's refit, the k = 1 call of its core with the CV
 table as its last diagnostics, is auto-cal's fit, which estimate()'s route
-(Method.run) takes into the family core as it takes any method's; so does
-autocal_select, with its own candidates.
+(Method.run) takes as it takes any method's; so does autocal_select, with
+its own candidates.
 
 crossfit_calibrated implements the out-of-fold pipeline for a user-supplied
 score trainer: out-of-fold predictions for the labeled rows, one calibrator

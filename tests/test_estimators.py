@@ -37,6 +37,7 @@ from ssmean import (
     fit_platt,
     fit_venn_abers,
     ols_trainer,
+    predict,
     run_grid,
     wald_interval,
 )
@@ -645,6 +646,39 @@ def test_calibrated_plugin_refuses_a_covariate_map_without_unlabeled_covariates(
         calibrated_plugin(d, f)
 
 
+@pytest.mark.parametrize("f", [StepCalibrator([0.0], [0.3]), AffineCalibrator(1.0, 0.0), lambda t: 2 * t])
+def test_calibrated_plugin_refuses_one_labeled_point_as_estimate_does(f):
+    d = design_from_arrays([0.5], [1.0], [0.2, 0.7])
+    with pytest.raises(DataError, match="^calibrated needs n >= 2 labeled points for a standard error, got n=1$"):
+        calibrated_plugin(d, f)
+
+
+def test_a_calibrated_plugin_data_error_names_its_method():
+    d = design_from_arrays([0.1, 0.5, 0.9], [0.0, 1.0, 1.0], [0.2, 0.7])
+    with pytest.raises(DataError, match="^mine: adjustment values must be finite$"):
+        calibrated_plugin(d, lambda t: np.full_like(t, np.inf), method_name="mine")
+
+
+@pytest.mark.parametrize("f", [lambda t: 0.5, lambda t: t[:1], lambda t: np.column_stack((t, t))])
+def test_calibrated_plugin_refuses_a_callable_of_another_shape(f):
+    d = design_from_arrays([0.1, 0.5, 0.9], [0.0, 1.0, 1.0], [0.2, 0.7])
+    with pytest.raises(DimensionError, match=r"^adjustment values have shape \(.*\), expected \(3,\)$"):
+        calibrated_plugin(d, f)
+
+
+@pytest.mark.parametrize("coefs", [(1.0, 2.0, 3.0), (1.0,)])
+def test_a_covariate_map_of_another_width_is_refused(coefs):
+    rng = np.random.default_rng(5)
+    s, x = rng.uniform(size=10), rng.normal(size=(10, 2))
+    d = design_from_arrays(s, s + x[:, 0], rng.uniform(size=30), x, rng.normal(size=(30, 2)))
+    f = AffineCalibrator(1.0, 0.0, cov_coefs=coefs)
+    message = re.escape(f"covariates have shape (10, 2), expected (10, {len(coefs)})")
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        calibrated_plugin(d, f)
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        predict(f, s, x)
+
+
 @settings(max_examples=120)
 @given(
     st.sampled_from(["iso-cal", "hist-cal", "linear-cal", "platt-cal"]),
@@ -697,9 +731,12 @@ def test_estimate_builds_no_calibrator_and_calls_no_predict(monkeypatch):
     for name in METHOD_NAMES:
         estimate(d, name, seed=1)
     assert events == []
-    # the counters see a calibrator given to calibrated_plugin
+    # a fitted calibrator given to calibrated_plugin: only the fit builds one, and its stack runs as estimate()'s
     calibrated_plugin(d, fit_linear(m_l, d.labeled.outcomes))
-    assert events[0] == "AffineCalibrator" and "predict" in events
+    assert events == ["AffineCalibrator"]
+    # a plain callable is evaluated through predict, at the labeled and at the unlabeled scores
+    calibrated_plugin(d, lambda t: 2 * t)
+    assert events == ["AffineCalibrator", "predict", "predict"]
 
 
 # --- intercept-only representation -------------------------------------------------

@@ -2,10 +2,11 @@
 
     python tools/codelines.py
 
-prints one line per module, ``<code lines> <lines> <path>``, and the totals.
-A code line is a non-blank line that holds a token other than a comment or
-a docstring (the first statement of a module, class or function body, when
-it is a string); lines are counted as ``wc -l`` counts them, by newlines.
+prints one line per module, ``<code lines> <docstring lines> <lines> <path>``,
+and the totals. A code line is a non-blank line that holds a token other
+than a comment or a docstring (the first statement of a module, class or
+function body, when it is a string); a docstring line is a line that a
+docstring spans. Lines are counted as ``wc -l`` counts them, by newlines.
 """
 from __future__ import annotations
 
@@ -31,25 +32,25 @@ def docstring_starts(tree: ast.AST) -> set:
     return starts
 
 
-def code_lines(text: str) -> int:
-    """The number of lines of text that hold a token other than a comment or a docstring."""
+def line_counts(text: str) -> tuple:
+    """The number of code lines of text and the number of lines its docstrings span."""
     docstrings = docstring_starts(ast.parse(text))
-    lines = set()
+    code, doc = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        if tok.type in _NOT_CODE or (tok.type == tokenize.STRING and tok.start in docstrings):
-            continue
-        lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines)
+        if tok.type not in _NOT_CODE:
+            lines = doc if tok.type == tokenize.STRING and tok.start in docstrings else code
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code), len(doc)
 
 
 def main() -> None:
-    total_code = total_lines = 0
+    totals = [0, 0, 0]
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
-        code, lines = code_lines(text), text.count("\n")
-        total_code, total_lines = total_code + code, total_lines + lines
-        print(f"{code:6d} {lines:6d} {path.relative_to(SRC.parents[1])}")
-    print(f"{total_code:6d} {total_lines:6d} total")
+        counts = (*line_counts(text), text.count("\n"))
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(*(f"{c:6d}" for c in counts), path.relative_to(SRC.parents[1]))
+    print(*(f"{t:6d}" for t in totals), "total")
 
 
 if __name__ == "__main__":
