@@ -11,9 +11,9 @@ a fixed partition, and Venn-Abers interval shrinkage. The Venn-Abers
 interval at a score holds the values there of the isotonic fits with that
 score added under label 0 and under label 1; it depends only on the score's
 place among the unique labeled scores, so the shrunk map is a step
-function. Its values come from two amortized-linear stack passes over one
-cumulative-sum diagram of the labeled sample, one per label, with no
-isotonic fit per evaluation point.
+function. Its values come from one scan of the lower hull of the labeled
+sample's cumulative-sum diagram, then one amortized-linear bridge pass per
+label, with no isotonic fit per evaluation point.
 
 Every registry method but auto-cal has one fold-stacked fit core that fits
 k training sets in one call, and the matching fit_* function is its k = 1
@@ -950,36 +950,15 @@ def _prefix_sums(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, np.concatenate(([0.0], np.cumsum(errors)))
 
 
-def _tied_values(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, label: float) -> list:
-    """Isotonic fitted value of a point with outcome label tied with each of the k labeled blocks.
+def _lower_hull(xs: list, his: list, los: list) -> Tuple[list, list]:
+    """The lower hull of the diagram P_j = (xs[j], his[j] + los[j]), j = 0..k, from one right-to-left stack scan.
 
-    x[j] counts the rows of blocks 0..j-1 and C_j = hi[j] + lo[j] sums their
-    outcomes (_prefix_sums), so the diagram P_j = (x[j], C_j), j = 0..k, has
-    a vertex at the end of every tie-pooled labeled block. A point tied with
-    block j joins the block from P_j to P_j+1. Moving the prefix P_0..P_j by
-    (-1, -label), rather than the suffix by (1, label), leaves every slope
-    as it is, and the fitted value is the slope of the bridge between the
-    moved prefix and the suffix,
-
-        max over i <= j of  min over r > j of  (C_r - C_i + label) / (x_r - x_i + 1),
-
-    with C_r - C_i taken as (hi[r] - hi[i]) + (lo[r] - lo[i]), as accurate
-    as the block sum it stands for. One pass over j = 0..k-1 finds them all
-    (Vovk, Petej and Fedorova, 2015, Algorithms 1-4). A stack holds the
-    lower hull of the unmoved suffix, its left end on top, with the slope of
-    each vertex's right edge. At step j, P_j moves. If it falls below the
-    bridge, or the bridge ended at its own vertex, it starts the new bridge:
-    it pops its own vertex and every vertex it sees past, and the new value
-    is its slope to the top. Otherwise the bridge and its value stay. Each
-    vertex is pushed and popped at most once, so the pass is O(k). Every
-    block mean must be at most label: then the moved P_j sees its own
-    unmoved vertex at the steepest slope, and no suffix point that vertex
-    hides can start a bridge. The slopes are written out in the loops, not
-    taken from a helper, since a Python call per slope is a large part of
-    the pass's cost.
+    Returns the vertices, P_k first and P_0 last, and the slope of the edge
+    right of each (inf for P_k). A vertex is popped when the point left of
+    it sees it at a slope no less than its right edge's, so no hull vertex
+    is collinear with its neighbours. Each point is pushed and popped at
+    most once, so the scan is O(k).
     """
-    xs, his, los = x.tolist(), hi.tolist(), lo.tolist()
-    # the hull's vertices, its left end last, and the slope of the edge right of each
     hull, slopes = [len(xs) - 1], [math.inf]
     for v in range(len(xs) - 2, -1, -1):
         w = hull[-1]
@@ -991,6 +970,38 @@ def _tied_values(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, label: float) ->
             slope = ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
         hull.append(v)
         slopes.append(slope)
+    return hull, slopes
+
+
+def _bridges(xs: list, his: list, los: list, hull: list, slopes: list, label: float) -> list:
+    """Isotonic fitted value of a point with outcome label tied with each of the k labeled blocks.
+
+    xs[j] counts the rows of blocks 0..j-1 and C_j = his[j] + los[j] sums
+    their outcomes (_prefix_sums), so the diagram P_j = (xs[j], C_j) has a
+    vertex at the end of every tie-pooled labeled block; hull and slopes are
+    its lower hull (_lower_hull), which the pass consumes. A point tied with
+    block j joins the block from P_j to P_j+1. Moving the prefix P_0..P_j by
+    (-1, -label), rather than the suffix by (1, label), leaves every slope
+    as it is, and the fitted value is the slope of the bridge between the
+    moved prefix and the suffix,
+
+        max over i <= j of  min over r > j of  (C_r - C_i + label) / (x_r - x_i + 1),
+
+    with C_r - C_i taken as (his[r] - his[i]) + (los[r] - los[i]), as
+    accurate as the block sum it stands for. One pass over j = 0..k-1 finds
+    them all (Vovk, Petej and Fedorova, 2015, Algorithms 1-4). The stack
+    holds the lower hull of the unmoved suffix, its left end on top, with
+    the slope of each vertex's right edge. At step j, P_j moves. If it falls
+    below the bridge, or the bridge ended at its own vertex, it starts the
+    new bridge: it pops its own vertex and every vertex it sees past, and
+    the new value is its slope to the top. Otherwise the bridge and its
+    value stay. Each vertex is popped at most once, so the pass is O(k).
+    Every block mean must be at most label: then the moved P_j sees its own
+    unmoved vertex at the steepest slope, and no suffix point that vertex
+    hides can start a bridge. The slopes are written out in the loop, not
+    taken from a helper, since a Python call per slope is a large part of
+    the pass's cost.
+    """
     values, value = [], -math.inf
     for j in range(len(xs) - 1):
         if hull[-1] == j:
@@ -1028,11 +1039,31 @@ def _venn_abers(distinct, counts, sums, shrink_target: float) -> Tuple[np.ndarra
     training set, of venn-abers' fold-stacked fit (_venn_abers_folds). The
     outcomes must lie in [0, 1] and the target be finite; the callers check
     them.
+
+    The diagram's lower hull is scanned once (_lower_hull), and each label
+    runs one bridge pass from it (_bridges). Label 1 runs on the diagram
+    (x, C). Label 0 runs on the mirrored diagram (-x[::-1], C[::-1]), whose
+    values are the negated ones in reverse order; its hull is the same hull
+    mirrored, the vertices k - v in reverse order, and each edge slope is
+    exactly the negated one, since IEEE subtraction and negation are exact.
+    So label 1's values are those of a scan of its own, and label 0's are
+    those of a scan of the mirrored diagram whenever the slope comparisons
+    are exact. That holds on binary outcomes and on outcomes on a coarse
+    dyadic grid: the prefix sums are exact (lo is 0), every slope is a
+    correctly rounded quotient with denominator at most n, and two distinct
+    slopes differ by at least 1/n^2, far above rounding for n below about
+    6e7, so a scan in either direction keeps the same vertices. On other
+    outcomes a vertex within an ulp of collinear can survive one direction
+    and not the other, which moves a label-0 value by an ulp or so.
     """
     hi, lo = _prefix_sums(sums)
     x = np.concatenate(([0], np.cumsum(counts))).astype(np.float64)
-    f1 = np.repeat(_tied_values(x, hi, lo, 1.0), 2)
-    f0 = -np.repeat(_tied_values(-x[::-1], hi[::-1], lo[::-1], 0.0)[::-1], 2)
+    xs, his, los = x.tolist(), hi.tolist(), lo.tolist()
+    hull, slopes = _lower_hull(xs, his, los)
+    # label 0's hull on the mirrored diagram: the vertices k - v in reverse order, the slopes negated
+    mirrored = [len(xs) - 1 - v for v in reversed(hull)], [math.inf] + [-slope for slope in slopes[:0:-1]]
+    f0 = -np.repeat(_bridges((-x[::-1]).tolist(), his[::-1], los[::-1], *mirrored, 0.0)[::-1], 2)
+    f1 = np.repeat(_bridges(xs, his, los, hull, slopes, 1.0), 2)
     f0, f1 = np.concatenate(([0.0], f0)), np.concatenate((f1, [1.0]))
     mid = 0.5 * (f0 + f1)
     cuts = np.column_stack((distinct, np.nextafter(distinct, np.inf))).ravel()
@@ -1095,19 +1126,20 @@ def fit_venn_abers(scores, outcomes, shrink_target: float) -> StepCalibrator:
     are adjacent floats leave an empty block between them).
 
     The classes reduce to k values per label (the min-max bridge formula of
-    _tied_values): a point strictly between blocks j - 1 and j has the f1 of a
+    _bridges): a point strictly between blocks j - 1 and j has the f1 of a
     point tied with block j and the f0 of one tied with block j - 1, and
     f0 = 0 below all blocks and f1 = 1 above them. Following the
     cumulative-sum-diagram construction of inductive Venn-Abers predictors
     (Vovk, Petej and Fedorova, 2015), each label's tied values come from one
-    stack pass over the diagram of the tie-pooled sample; label 0 runs on the
-    mirrored diagram (-x, C), whose values are the negated ones in reverse
-    order. Both passes read the compensated prefix sums, so every value is a
-    quotient of one exact-to-rounding block sum. The pairs are validated
-    once, sorted once (the sample's by_score and tie_groups), counted into
-    tie blocks and fit by _venn_abers, the fit venn-abers' fold-stacked fit
-    runs once per set. The fit costs O(n log n + k), and evaluating it at N scores
-    O(N log k).
+    stack pass over the diagram of the tie-pooled sample, and both passes
+    start from its lower hull, scanned once (_venn_abers); label 0 runs on
+    the mirrored diagram (-x, C), whose values are the negated ones in
+    reverse order. Both passes read the compensated prefix sums, so every
+    value is a quotient of one exact-to-rounding block sum. The pairs are
+    validated once, sorted once (the sample's by_score and tie_groups),
+    counted into tie blocks and fit by _venn_abers, the fit venn-abers'
+    fold-stacked fit runs once per set. The fit costs O(n log n + k), and
+    evaluating it at N scores O(N log k).
     """
     _finite_target(shrink_target)
     lab = LabeledSample(scores, outcomes)

@@ -344,8 +344,7 @@ def calibrated_plugin(
             raise MisuseError("calibrator was not fit on this design's labeled sample")
     _check_alpha(alpha)
     maps = calibrator._stack if isinstance(calibrator, cal._Calibrator) else _CallableMap(calibrator)
-    # a calibrated method whose fit is the given map
-    return Method(lambda *_: maps).run(design, method_name, alpha, 0)[1]
+    return _GivenMap(maps=maps).run(design, method_name, alpha, 0)[1]
 
 
 def eem_lambda(design: TwoSampleDesign, clip: Optional[Tuple[float, float]] = None) -> float:
@@ -454,6 +453,17 @@ class _AutoCal(Method):
         from . import selection
 
         return selection._autocal_fit(design, self.candidates or selection.AUTO_CAL_CANDIDATES, seed)
+
+
+@dataclass(frozen=True)
+class _GivenMap(Method):
+    """calibrated_plugin's method: a calibrated method whose fit is the given
+    stack, which it returns without reading the design."""
+
+    maps: Any = None
+
+    def fit(self, design, seed=0):
+        return _Fit(self, self.maps, {})
 
 
 REGISTRY = {

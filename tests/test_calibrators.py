@@ -1,8 +1,9 @@
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssmean import (
@@ -31,8 +32,10 @@ from ssmean.calibrators import (
     _eem_folds,
     _isotonic_folds,
     _platt_newton,
+    _prefix_sums,
     _segment_means,
     _stabilized_logit,
+    _venn_abers,
     _venn_abers_folds,
 )
 from ssmean.estimators import REGISTRY
@@ -848,6 +851,117 @@ def test_venn_abers_keeps_full_precision_at_large_n():
         got = fit_venn_abers(s, y, 0.3)(evals)
         for t, out in zip(evals, got):
             assert abs(out - va_oracle(s, y, t, 0.3)[2]) <= 2e-15
+
+
+def _two_scan_tied_values(x, hi, lo, label):
+    """Each label's tied values from its own scan of its own diagram: the sweep as
+    it ran before the two labels shared one hull scan, kept as it was."""
+    xs, his, los = x.tolist(), hi.tolist(), lo.tolist()
+    # the hull's vertices, its left end last, and the slope of the edge right of each
+    hull, slopes = [len(xs) - 1], [math.inf]
+    for v in range(len(xs) - 2, -1, -1):
+        w = hull[-1]
+        slope = ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
+        while slope >= slopes[-1]:
+            hull.pop()
+            slopes.pop()
+            w = hull[-1]
+            slope = ((his[w] - his[v]) + (los[w] - los[v])) / (xs[w] - xs[v])
+        hull.append(v)
+        slopes.append(slope)
+    values, value = [], -math.inf
+    for j in range(len(xs) - 1):
+        if hull[-1] == j:
+            # the bridge ended at P_j's own vertex (always so at j = 0): P_j starts the new one
+            hull.pop()
+            slopes.pop()
+            value = -math.inf
+        # the slope of the moved P_j to the unmoved P_r; every slope is finite
+        r = hull[-1]
+        slope = ((his[r] - his[j]) + (los[r] - los[j]) + label) / (xs[r] - xs[j] + 1.0)
+        if slope > value:
+            while slope >= slopes[-1]:
+                hull.pop()
+                slopes.pop()
+                r = hull[-1]
+                slope = ((his[r] - his[j]) + (los[r] - los[j]) + label) / (xs[r] - xs[j] + 1.0)
+            value = slope
+        values.append(value)
+    return values
+
+
+def _two_scan_venn_abers(distinct, counts, sums, shrink_target):
+    """_venn_abers with label 0 scanning the mirrored diagram (-x, C) for its own hull."""
+    hi, lo = _prefix_sums(sums)
+    x = np.concatenate(([0], np.cumsum(counts))).astype(np.float64)
+    f1 = np.repeat(_two_scan_tied_values(x, hi, lo, 1.0), 2)
+    f0 = -np.repeat(_two_scan_tied_values(-x[::-1], hi[::-1], lo[::-1], 0.0)[::-1], 2)
+    f0, f1 = np.concatenate(([0.0], f0)), np.concatenate((f1, [1.0]))
+    mid = 0.5 * (f0 + f1)
+    cuts = np.column_stack((distinct, np.nextafter(distinct, np.inf))).ravel()
+    return np.concatenate(([-np.inf], cuts)), mid + (f1 - f0) * (shrink_target - mid)
+
+
+# tie blocks whose outcomes put the lower hull's slope comparisons within an ulp of a tie,
+# where a right-to-left and a left-to-right scan keep different vertices
+NEAR_COLLINEAR_DECIMAL = (
+    np.repeat(np.arange(34), [2, 2, 1, 2, 2, 3, 3, 3, 1, 3, 3, 3, 3, 2, 1, 1, 2, 1, 1, 3, 1, 1, 2, 2, 1, 1, 2, 2, 3, 1,
+                              1, 2, 1, 1]) / 100,
+    np.array([0.3, 0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.3, 0.7, 0.3, 0.5, 0.8, 0.9, 0.0, 0.5, 0.5, 0.1, 0.8, 0.1, 0.4, 0.2,
+              0.6, 0.7, 0.4, 0.3, 0.9, 0.9, 0.9, 0.5, 0.6, 0.9, 0.8, 0.6, 0.7, 0.3, 1.0, 0.2, 0.6, 0.8, 0.3, 0.5, 0.2,
+              0.8, 0.5, 0.9, 0.4, 0.9, 0.1, 0.3, 0.4, 0.5, 0.9, 0.8, 0.1, 0.3, 0.0, 0.2, 0.9, 0.8, 0.8, 0.3, 0.6, 0.5]),
+)
+
+
+def _tie_heavy_outcomes(n, grid, kind, rng):
+    """n scores on a grid of the given size, with outcomes in [0, 1] of one kind."""
+    s = rng.integers(0, grid, n) / grid
+    y = {
+        "binary": lambda: (rng.uniform(size=n) < s).astype(float),
+        "eighths": lambda: rng.integers(0, 9, n) / 8,
+        "uniform": lambda: rng.uniform(size=n),
+        "decimal": lambda: np.round(rng.uniform(size=n), 1),
+    }[kind]()
+    return s, y
+
+
+@example(NEAR_COLLINEAR_DECIMAL, -0.5)
+@given(st.builds(
+    lambda n, grid, kind, seed: _tie_heavy_outcomes(n, grid, kind, np.random.default_rng(seed)),
+    st.integers(1, 400), st.integers(1, 60), st.sampled_from(["binary", "eighths", "uniform", "decimal"]),
+    st.integers(0, 2**32 - 1),
+), st.floats(-0.5, 1.5))
+@settings(max_examples=150)
+def test_venn_abers_shared_hull_matches_a_scan_per_label(sample, target):
+    # label 1's pass is unchanged; label 0's starts from label 1's hull mirrored. On
+    # binary and dyadic outcomes every slope comparison is exact, so it keeps the
+    # vertices of its own scan; on other outcomes a near-collinear vertex may go
+    s, y = sample
+    distinct, blocks, counts = np.unique(s, return_inverse=True, return_counts=True)
+    sums = np.bincount(blocks, weights=y)
+    got_cuts, got = _venn_abers(distinct, counts, sums, target)
+    want_cuts, want = _two_scan_venn_abers(distinct, counts, sums, target)
+    assert got_cuts.tobytes() == want_cuts.tobytes()
+    if np.array_equal(y * 8, np.round(y * 8)):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+
+
+def test_venn_abers_scans_the_hull_once(monkeypatch):
+    import ssmean.calibrators
+
+    scans = []
+    real_scan = ssmean.calibrators._lower_hull
+
+    def counting_scan(*diagram):
+        scans.append(len(diagram[0]))
+        return real_scan(*diagram)
+
+    monkeypatch.setattr(ssmean.calibrators, "_lower_hull", counting_scan)
+    s, y = NEAR_COLLINEAR_DECIMAL
+    fit_venn_abers(s, y, 0.3)
+    assert scans == [35]  # one scan, of the diagram's k + 1 = 35 points, for both labels
 
 
 @settings(max_examples=100)

@@ -646,6 +646,15 @@ def test_calibrated_plugin_refuses_a_covariate_map_without_unlabeled_covariates(
         calibrated_plugin(d, f)
 
 
+def test_calibrated_plugin_does_not_sort_the_labeled_sample():
+    # the given map is the fit: nothing reads the design's score order, so it is never computed
+    rng = np.random.default_rng(6)
+    s, y = rng.uniform(size=40), rng.uniform(size=40)
+    d = design_from_arrays(s, y, rng.uniform(size=120))
+    calibrated_plugin(d, fit_isotonic(s, y))
+    assert "by_score" not in vars(d.labeled)
+
+
 @pytest.mark.parametrize("f", [StepCalibrator([0.0], [0.3]), AffineCalibrator(1.0, 0.0), lambda t: 2 * t])
 def test_calibrated_plugin_refuses_one_labeled_point_as_estimate_does(f):
     d = design_from_arrays([0.5], [1.0], [0.2, 0.7])

@@ -222,6 +222,14 @@ def entries():
             yield f"predict/{label}/{fname}", lambda f=f: predict(f, grid, x_grid)
             yield f"calibrated_plugin/{label}/{fname}", lambda f=f, d=d, fname=fname: calibrated_plugin(
                 d, f, method_name=fname).to_dict()
+    # one-decimal outcomes whose diagram has a vertex within an ulp of collinear with its hull neighbours:
+    # its label-0 values depend on the direction the hull is scanned in
+    s = np.repeat(np.arange(34), [2, 2, 1, 2, 2, 3, 3, 3, 1, 3, 3, 3, 3, 2, 1, 1, 2, 1, 1, 3, 1, 1, 2, 2, 1, 1, 2, 2, 3,
+                                  1, 1, 2, 1, 1]) / 100
+    y = [0.3, 0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.3, 0.7, 0.3, 0.5, 0.8, 0.9, 0.0, 0.5, 0.5, 0.1, 0.8, 0.1, 0.4, 0.2, 0.6,
+         0.7, 0.4, 0.3, 0.9, 0.9, 0.9, 0.5, 0.6, 0.9, 0.8, 0.6, 0.7, 0.3, 1.0, 0.2, 0.6, 0.8, 0.3, 0.5, 0.2, 0.8, 0.5,
+         0.9, 0.4, 0.9, 0.1, 0.3, 0.4, 0.5, 0.9, 0.8, 0.1, 0.3, 0.0, 0.2, 0.9, 0.8, 0.8, 0.3, 0.6, 0.5]
+    yield "fit/near-collinear-decimal/venn-abers", lambda s=s, y=y: ssmean.fit_venn_abers(s, y, -0.5)
 
     for label in ("cov90d2", "cov300d3", "cov40d1-ties"):
         d = ds[label]
