@@ -280,20 +280,24 @@ def pava(values, weights) -> np.ndarray:
 #   calibrated_plugin runs a calibrator's one-map stack, or a plain
 #   callable, by the same route, so estimate() builds no calibrator and
 #   calls no predict;
-# - auto-cal's cross-validation (selection) calls each candidate's core once
-#   on all its folds' training rows, with a capped unlabeled subsample as
-#   every fold's, takes the held-out values in one gather and the summaries
-#   in one call, and runs the core once with per-fold sums; the winner's
-#   refit is its k = 1 call, which Method.run then takes like any method's;
-# - the refitting bootstrap (inference) calls the core once per chunk of
-#   replicates, each replicate's labeled rows a training set in draw order.
-#   The context draws each replicate's unlabeled resample when reached and
+# - auto-cal's cross-validation and the refitting bootstrap take one route,
+#   estimators._stacked_core: one call of the core on k training sets, set
+#   j's map scored at segment j of given rows in one gather (on_sample), the
+#   summaries in one call, and the family core once per run of equal-size
+#   segments (_by_segment), one segment per row, so each set's results are
+#   the one-design core's of its segment, bit for bit;
+# - auto-cal's sets (selection) are its folds' training rows, with a capped
+#   unlabeled subsample as every fold's, and fold j's map is scored at its
+#   held-out rows in row order. The winner's refit is its k = 1 call, which
+#   Method.run then takes like any method's;
+# - the bootstrap's sets (inference) are a chunk of replicates, each
+#   replicate's labeled rows in draw order, scored at those rows. The
+#   context draws each replicate's unlabeled resample when reached and
 #   drops it: one pass takes every resample's moments, for the fits and the
 #   affine summaries; step summaries count each replicate's drawn rows into
 #   the chunk's cut slots, with no resample gathered; per-score summaries
-#   gather it again. The core then runs once, one replicate per row.
-#   auto-cal's replicates, and a chunk that holds a refused one, run
-#   Method.run per replicate on a gathered resample instead.
+#   gather it again. auto-cal's replicates, and a chunk that holds a refused
+#   one, run Method.run per replicate on a gathered resample instead.
 # No design, report or calibrator is built per fold or per stacked replicate.
 
 
@@ -359,10 +363,10 @@ def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
     """reduce(*rows) over each segment [bounds[j], bounds[j+1]) of the arrays, concatenated.
 
     A run of segments of one length goes to reduce as one matrix, a row per
-    segment, and reduce gives a value per row. numpy sums each row of a
-    matrix (pairwise for mean, BLAS for vecdot) as it sums that row alone,
-    so segment j's values equal the one-segment call's bit for bit. Fold
-    sizes take at most two lengths.
+    segment, and reduce gives a value per row, along its last axis. numpy
+    sums each row of a matrix (pairwise for mean and the family core, BLAS
+    for vecdot) as it sums that row alone, so segment j's values equal the
+    one-segment call's bit for bit. Fold sizes take at most two lengths.
     """
     b = bounds.tolist()
     out, first = [], 0
@@ -372,7 +376,7 @@ def _by_segment(reduce, bounds: np.ndarray, *arrays) -> np.ndarray:
             rows = slice(b[first], b[j])
             out.append(reduce(*(x[rows].reshape(j - first, -1) for x in arrays)))
             first = j
-    return out[0] if len(out) == 1 else np.concatenate(out)
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
 def _segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:

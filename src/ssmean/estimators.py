@@ -16,8 +16,10 @@ once in calibrators' comment "fold-stacked fits".
 
 The core reads the unlabeled side only as a summary: the count N, the mean
 of f and its centered sum of squares (UnlabeledSummary). _family_core is
-the only code of the family algebra and _summaries the only code that
-summarises a stack of maps; their docstrings give their contracts.
+the only code of the family algebra, _summaries the only code that
+summarises a stack of maps, and _stacked_core the one route from a
+fold-stacked fit of many training sets to the core; their docstrings give
+their contracts.
 
 Standard errors follow the influence-function plug-in: the adjustment values
 are recentered so their pooled weighted mean equals the point estimate (the
@@ -124,45 +126,38 @@ def _summary(values: np.ndarray) -> UnlabeledSummary:
         return UnlabeledSummary(len(dev), mean, float(np.add.reduce(np.square(dev, out=dev))))
 
 
-# the family algebra of one design, or per fold of every fold's design
+# the family algebra of one design, or of each row of a matrix of equal-size designs
 _Core = namedtuple("_Core", "plugin residual_mean psi total d_l")
 
 
-def _family_core(f_l, y, unlabeled, method: str, folds=None) -> _Core:
+def _family_core(f_l, y, unlabeled, method: str) -> _Core:
     """The family algebra: plugin, residual mean, psi, total = sum D_L^2 + sum D_U^2, and D_L.
 
     f_l and y are the labeled values of f and the outcomes, and unlabeled is
     (count, mean, css) of f on the unlabeled rows. With a = f + (psi - plugin),
     D_L = a - psi + (Y - a)/rho and D_U = a - psi = f - plugin, whose squares
     sum to css + count (mean - plugin)^2; SE = sqrt(total) / (n + count).
-    folds = (fold, held) makes each fold j a design of its held[j] labeled
-    rows and the summary's mean[j] and css[j], with per-fold results from
-    np.bincount sums. Without folds the sums are np.add.reduce, as in .mean(), and
-    f_l and y may be (r, n) matrices, row i a design with the summary's
-    mean[i] and css[i] (the bootstrap's replicates): numpy sums each row of
-    a C-contiguous matrix exactly as it sums that row alone, so row i's
-    results equal its own call's bit for bit. A total that overflows
+    The sums are np.add.reduce, as in .mean(). f_l and y are one design's
+    n values (estimate()'s route), or (r, n) matrices, row i a design with
+    the summary's mean[i] and css[i] (_stacked_core's route): numpy sums each
+    row of a C-contiguous matrix exactly as it sums that row alone, so row
+    i's results equal its own call's bit for bit. A total that overflows
     float64 is refused with DataError naming method.
     """
     count, mean_u, css = unlabeled
+    n = f_l.shape[-1]
+    if f_l.ndim == 1:
+        per_row, summed = (lambda v: v), (lambda v: float(np.add.reduce(v)))
+    else:
+        per_row, summed = (lambda v: v[:, None]), (lambda v: np.add.reduce(v, axis=-1))
     # an overflowing value makes total non-finite, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        if folds is None:
-            n = f_l.shape[-1]
-            if f_l.ndim == 1:
-                per_row, summed = (lambda v: v), (lambda v: float(np.add.reduce(v)))
-            else:
-                per_row, summed = (lambda v: np.expand_dims(v, -1)), (lambda v: np.add.reduce(v, axis=-1))
-        else:
-            fold, n = folds
-            k = len(n)
-            per_row, summed = (lambda v: v[fold]), (lambda v: np.bincount(fold, v, k))
         mean_l, residual_mean = summed(f_l) / n, summed(y - f_l) / n
         rho = n / (n + count)
         plugin = rho * mean_l + (1.0 - rho) * mean_u
         psi = plugin + residual_mean
         a_l = f_l + per_row(psi - plugin)
-        d_l = a_l - per_row(psi) + (y - a_l) / per_row(rho)
+        d_l = a_l - per_row(psi) + (y - a_l) / rho
         sq = d_l * d_l
         gap = mean_u - plugin
         total = summed(sq) + css + count * gap * gap
@@ -272,6 +267,38 @@ def _summaries(maps, k: int, context) -> list:
         return pairs
     samples = repeat(u, k) if context.draws is None else map(u.take, context.draws())
     return [_summary(maps.at(j, v.scores, v.covariates))[1:] for j, v in enumerate(samples)]
+
+
+def _stacked_core(method: "Method", context, sets, scored, name: str) -> _Core:
+    """The family core of each of k training sets, from one call of method's fold-stacked fit.
+
+    context (calibrators._Context) holds the labeled sample, whose pairs in
+    score order (by_score) the rows index, and each set's unlabeled sample.
+    sets = (rows, bounds) gives the k training sets, and scored = (rows,
+    bounds) k segments of the same pairs: set j's map is scored at segment
+    j (a bootstrap replicate's own rows, or auto-cal fold j's held-out rows
+    in row order) and summarised on its unlabeled sample (_summaries). The
+    core runs once per run of equal-size segments (calibrators._by_segment),
+    one segment per row, so set j's plugin, residual_mean, psi and total,
+    the k-vectors returned (with no d_l), equal the 1-D core's of segment j
+    bit for bit. A refusal raises an SsmeanError, not necessarily the one
+    the first refused set's own run raises.
+    """
+    s, y, _ = context.labeled.by_score
+    rows, bounds = scored
+    k = len(bounds) - 1
+    fold = np.arange(k).repeat(bounds[1:] - bounds[:-1])
+    # a value that overflows makes its set's total non-finite, which the core refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = method.stacked_fit(s, y, *sets, context)
+        f_l = maps.on_sample(fold, s, rows)
+        mean, css = np.array(_summaries(maps, k, context)).T
+
+    def run(j, f_l, y):
+        j = j[:, 0]  # the set of each row
+        return _family_core(f_l, y, (context.unlabeled.n, mean[j], css[j]), name)[:4]
+
+    return _Core(*cal._by_segment(run, bounds, fold, f_l, y[rows]), None)
 
 
 def _calibration(labeled, f_l: np.ndarray, residual_mean: float, slope=None, intercept=None, clip_range=None, **own) -> dict:

@@ -1,12 +1,13 @@
 """Wald intervals and the refitting bootstrap.
 
-The influence-function standard error is computed by estimators._family_core.
+The influence-function standard error is computed by the family core in estimators.
 
 bootstrap refits the method on every replicate and keeps each replicate's
 psi alone. Every method but auto-cal fits its replicates as training sets
 of its fold-stacked fit, in chunks of max(1, _STACKED_ROWS // n), which
-bounds the stacked arrays at about 2**15 labeled rows; calibrators' comment
-"fold-stacked fits" tells how a chunk reaches the family core. An auto-cal
+bounds the stacked arrays at about 2**15 labeled rows; a chunk is one call
+of estimators._stacked_core, whose route calibrators' comment "fold-stacked
+fits" tells. An auto-cal
 replicate, and each replicate of a chunk that holds a refused one, is a
 gathered resample run by estimate()'s route (Method.run) with no report. A
 replicate's labeled and unlabeled rows are drawn from two substreams keyed
@@ -124,31 +125,23 @@ def _replicate_points(design: TwoSampleDesign, method, name: str, seed: int, rep
 
 
 def _stacked_points(design: TwoSampleDesign, method, name: str, seed: int, reps: range) -> np.ndarray:
-    """The point estimates of replicates reps from one call of the method's fold-stacked fit.
+    """The point estimates of replicates reps from one call of estimators._stacked_core.
 
     Each replicate is one training set of rows of the labeled sample in
-    score order (by_score), in draw order. The fit's context resamples the
-    unlabeled side per replicate. Its labeled values come from one gather,
-    and the unlabeled summaries of all of them from one call of
-    estimators._summaries, each replicate's map on its own resample; the
-    family core runs once on all of them, one replicate per row. Every
-    value equals _replicate_points' bit for bit. A replicate that would be
+    score order (by_score), in draw order, and its map is scored at those
+    same rows. The context resamples the unlabeled side per replicate, and
+    each replicate's map is summarised on its own resample. Every value
+    equals _replicate_points' bit for bit. A replicate that would be
     refused raises an SsmeanError, but not necessarily the one estimate()
     raises on the first refused resample.
     """
-    from .estimators import _family_core, _summaries
+    from .estimators import _stacked_core
 
-    s, y, rank = design.labeled.by_score
-    n, r = design.n, len(reps)
-    # every replicate's rows of s in draw order, one replicate after another
-    pos = rank[np.stack([_draw(seed, i, 0, n) for i in reps])].ravel()
+    rank, n = design.labeled.by_score[2], design.n
+    # every replicate's rows of the sample in score order, in draw order, one replicate after another
+    sets = rank[np.stack([_draw(seed, i, 0, n) for i in reps])].ravel(), np.arange(len(reps) + 1) * n
     context = _Context(design.labeled, design.unlabeled, lambda: (_draw(seed, i, 1, design.N) for i in reps))
-    # a value that overflows makes its replicate's total non-finite, which the core refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        maps = method.stacked_fit(s, y, pos, np.arange(r + 1) * n, context)
-        f_l = maps.on_sample(np.repeat(np.arange(r), n), s, pos).reshape(r, n)
-        mean, css = np.array(_summaries(maps, r, context)).T
-    return _family_core(f_l, y[pos].reshape(r, n), (design.N, mean, css), name).psi
+    return _stacked_core(method, context, sets, sets, name).psi
 
 
 def bootstrap(design: TwoSampleDesign, method: str, b: int, seed: int, alpha: float = 0.05) -> BootstrapResult:

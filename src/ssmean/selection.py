@@ -4,12 +4,15 @@ autocal_select picks among candidate estimators by the cross-validated
 influence-function variance: each candidate's calibration step is refit on
 out-of-fold labeled data and its variance criterion evaluated on the held-out
 fold plus a capped unlabeled subsample. Every method but auto-cal is a
-candidate. A candidate's k fold fits are one call of its fold-stacked fit
-core, on every fold's training rows, with one capped unlabeled subsample
-as every fold's unlabeled sample; one array of training rows serves every
-candidate, and the criterion of all folds comes from one call of the
-family core per candidate (calibrators' comment "fold-stacked fits" tells
-this route). The winner's refit, the k = 1 call of its core with the CV
+candidate. A candidate's criterion comes from one call of
+estimators._stacked_core: its k fold fits in one call of its fold-stacked
+fit core, on every fold's training rows, with one capped unlabeled
+subsample as every fold's unlabeled sample, and fold j's map scored at the
+fold's held-out rows in row order, so fold j's term is, bit for bit, the
+family core of the design of those rows and the subsample. One array of
+training rows and one of held-out rows serve every candidate
+(calibrators' comment "fold-stacked fits" tells this route). The winner's
+refit, the k = 1 call of its core with the CV
 table as its last diagnostics, is auto-cal's fit, which estimate()'s route
 (Method.run) takes as it takes any method's; so does autocal_select, with
 its own candidates.
@@ -37,8 +40,7 @@ from .estimators import (
     REGISTRY,
     ScoredDesign,
     _AutoCal,
-    _family_core,
-    _summaries,
+    _stacked_core,
     family_report,
     method_name,
 )
@@ -98,15 +100,16 @@ def _fold_blocks(n: int, k: int, rng_key: Tuple[int, ...]) -> np.ndarray:
     of np.array_split's sizes (the first n % k of them one row longer)."""
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
-    fold = np.empty(n, dtype=np.intp)
+    # the smallest integer type: _fold_rows sorts and compares the fold ids
+    fold = np.empty(n, dtype=np.min_scalar_type(k))
     fold[substream(*rng_key).permutation(n)] = np.repeat(np.arange(k), sizes)
     return fold
 
 
-def _training_rows(fold: np.ndarray, k: int) -> np.ndarray:
-    """Every fold's training rows, fold-major: for j = 0..k-1 the ascending i with fold[i] != j."""
-    n = len(fold)
-    return np.broadcast_to(np.arange(n), (k, n))[fold != np.arange(k)[:, None]]
+def _fold_rows(fold: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every fold's held-out rows and every fold's training rows, each fold-major, each fold's ascending."""
+    grid = np.broadcast_to(np.arange(len(fold)), (k, len(fold)))
+    return np.argsort(fold, kind="stable"), grid[fold != np.arange(k, dtype=fold.dtype)[:, None]]
 
 
 def _cv_folds(design: TwoSampleDesign, candidates: CandidateSet) -> int:
@@ -130,24 +133,20 @@ def _autocal_fit(design: TwoSampleDesign, candidates: CandidateSet, seed: int):
     else:
         # the folds then share the design's sample, and its sort, with the winner's refit
         unl_sub = design.unlabeled
-    # the sample in score order, every row held out by its own fold
-    s, y, rank = design.labeled.by_score
     context = cal._Context(design.labeled, unl_sub)
-    fold = np.empty(n, dtype=np.intp)
-    fold[rank] = fold_of
-    held = np.bincount(fold, minlength=k)
-    bounds = np.concatenate(([0], np.cumsum(n - held)))
-    # each fold's training rows of s, in row order
-    train = rank[_training_rows(fold_of, k)]
+    # each fold's held-out and training rows of the sample in score order, in row order
+    rank = design.labeled.by_score[2]
+    held_out, train = (rank[rows] for rows in _fold_rows(fold_of, k))
+    held = np.bincount(fold_of, minlength=k)
+    scored = held_out, np.concatenate(([0], np.cumsum(held)))
+    sets = train, np.concatenate(([0], np.cumsum(n - held)))
 
     criteria = {}
     for name in candidates.methods:
         if name in criteria:  # duplicate candidates: first occurrence wins
             continue
-        maps = REGISTRY[name].stacked_fit(s, y, train, bounds, context)
-        mu, css = np.array(_summaries(maps, k, context)).T
         # sum_j M_j SE_j^2 / k: each fold a design of its held-out rows and the subsample
-        total = _family_core(maps.on_sample(fold, s, np.arange(n)), y, (cap, mu, css), "auto-cal", (fold, held)).total
+        total = _stacked_core(REGISTRY[name], context, sets, scored, "auto-cal").total
         with np.errstate(over="ignore"):
             criterion = float(np.sum(total / (held + cap))) / k
         if not math.isfinite(criterion):
@@ -175,9 +174,10 @@ def autocal_select(
     call. A candidate's K fold fits are one call of its fold-stacked core
     on every fold's training rows in row order, as the method's own fit
     reads a design's rows, so fold j's map is bit for bit the method's fit
-    of the rows outside fold j. The criterion of a candidate, sum_j M_j
-    SE_j^2 / k over the held-out folds, comes from the family core's
-    per-fold totals. Criteria within TIE_RTOL of the smallest count as
+    of the rows outside fold j. The criterion of a candidate is sum_j M_j
+    SE_j^2 / k over the held-out folds, where M_j SE_j^2 is, bit for bit,
+    the family core's total for the design of fold j's held-out rows, in
+    row order, and the subsample. Criteria within TIE_RTOL of the smallest count as
     tied, and the first of them in candidate order wins. The winner is
     refit on the full sample; its name is returned with auto-cal's report,
     which carries the CV table in diagnostics.

@@ -6,6 +6,9 @@ the Python, numpy and SciPy versions it was taken under; a failure names
 every entry that differs, their count, and any version that differs.
 """
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +31,16 @@ def test_every_output_equals_the_committed_parity_set():
         f"{name}: {'missing here' if name not in got else 'not committed' if name not in want else 'hash differs'}"
         for name in differ
     )
+
+
+def test_pythonpath_chooses_the_code_the_tool_hashes(tmp_path):
+    # an ssmean first on PYTHONPATH is the one imported; with no PYTHONPATH
+    # the tool falls back to its own checkout's src
+    (tmp_path / "ssmean").mkdir()
+    (tmp_path / "ssmean" / "__init__.py").write_text('raise SystemExit("stub ssmean imported")\n')
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    tool = [sys.executable, str(ROOT / "tools" / "parity.py"), "--show", "estimate/dgp50x4s0/aipw"]
+    stub = subprocess.run(tool, env={**env, "PYTHONPATH": str(tmp_path)}, cwd=tmp_path, capture_output=True, text=True)
+    assert (stub.returncode, stub.stderr.strip()) == (1, "stub ssmean imported")
+    own = subprocess.run(tool, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert own.returncode == 0 and own.stdout.startswith("estimate/dgp50x4s0/aipw ('value', "), own.stderr

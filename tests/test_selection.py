@@ -24,7 +24,7 @@ from ssmean import (
 )
 from ssmean._rng import CROSSFIT_SHUFFLE, FOLD_SHUFFLE, UNLABELED_SUBSAMPLE, substream
 from ssmean.calibrators import _Context
-from ssmean.estimators import REGISTRY, ScoredDesign, _summaries, family_report
+from ssmean.estimators import REGISTRY, ScoredDesign, _family_core, _summaries, family_report
 from ssmean.selection import TIE_RTOL
 
 
@@ -222,6 +222,36 @@ def test_selection_matches_per_fold_oracle(case):
     assert winner == diag["selected"] == first_within_tie(want)
     assert diag["cv_folds"] == k
     assert diag["cv_unlabeled_subsample"] == min(d.N, cands.unlabeled_cap_factor * d.n)
+
+
+@pytest.mark.parametrize("n", [120, 123])  # 8 folds of 15 rows; 3 folds of 16 rows and 5 of 15
+def test_each_cv_term_is_the_family_core_of_its_held_out_fold(n):
+    # bit for bit, criterion = sum_j total_j / (held_j + cap) / k, where total_j
+    # is the one-design family core of fold j's held-out rows in row order,
+    # with fold j's values from the stacked fit of every fold's training rows
+    # and its summary on the capped subsample; a per-fold sum in another
+    # order (np.bincount over the rows in score order) moves some criteria
+    # by an ulp or two
+    d, k, seed = draw_dataset(DgpSpec(n, 4, 1)), 8, 3
+    cands = CandidateSet(["aipw", "linear-cal", "iso-cal", "hist-cal", "venn-abers"], folds=k, unlabeled_cap_factor=2)
+    got = autocal_select(d, cands, seed=seed)[1].diagnostics["cv_criteria"]
+    cap = 2 * n
+    unl = d.unlabeled.take(substream(seed, UNLABELED_SUBSAMPLE).choice(d.N, size=cap, replace=False))
+    held_out = [np.sort(rows) for rows in np.array_split(substream(seed, FOLD_SHUFFLE).permutation(n), k)]
+    held = np.array([len(rows) for rows in held_out])
+    assert sorted(set(held.tolist())) == ([15] if n == 120 else [15, 16])
+    s, y, rank = d.labeled.by_score
+    train = rank[np.concatenate([np.setdiff1d(np.arange(n), rows) for rows in held_out])]
+    context = _Context(d.labeled, unl)
+    for name in cands.methods:
+        maps = REGISTRY[name].stacked_fit(s, y, train, np.concatenate(([0], np.cumsum(n - held))), context)
+        summaries = _summaries(maps, k, context)
+        totals = []
+        for j, rows in enumerate(held_out):
+            f_l = maps.on_sample(np.full(len(rows), j), s, rank[rows])
+            totals.append(_family_core(f_l, y[rank[rows]], (cap, *summaries[j]), name).total)
+        want = float(np.sum(np.array(totals) / (held + cap))) / k
+        assert got[name].hex() == want.hex(), name
 
 
 # every method but auto-cal is a fold-stacked fit core, and so a candidate

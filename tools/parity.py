@@ -5,6 +5,9 @@ Run it from the root of each of two checkouts and compare the outputs:
     PYTHONPATH=src python tools/parity.py > parity.txt
     diff old/parity.txt new/parity.txt
 
+The code hashed is the first ssmean on the import path: PYTHONPATH chooses
+it, and without one the tool falls back to its own checkout's src.
+
 The first line names the Python, numpy and SciPy versions. The output at
 the last change that moved an output is committed as tests/data/parity.txt,
 which tests/test_parity.py compares entry by entry; a change that moves an
@@ -60,7 +63,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# appended, so an ssmean earlier on the path (PYTHONPATH=<checkout>/src) is the code hashed
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import ssmean  # noqa: E402
 import ssmean.cli  # noqa: E402
