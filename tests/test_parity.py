@@ -44,3 +44,20 @@ def test_pythonpath_chooses_the_code_the_tool_hashes(tmp_path):
     assert (stub.returncode, stub.stderr.strip()) == (1, "stub ssmean imported")
     own = subprocess.run(tool, env=env, cwd=tmp_path, capture_output=True, text=True)
     assert own.returncode == 0 and own.stdout.startswith("estimate/dgp50x4s0/aipw ('value', "), own.stderr
+
+
+def test_diff_compares_a_dataclass_by_its_fields(tmp_path, capsys):
+    # the repr restates the moved float, so it is not counted again beside it
+    tool = _parity_tool()
+    report = tool.ssmean.EstimateReport(0.5, 0.1, 0.3, 0.7, 0.05, "iso-cal", 50, 800, {"slope": 1.0})
+    moved = tool.dataclasses.replace(report, std_error=0.1 + 2**-55)
+    paths = []
+    for name, value in (("old", report), ("new", moved), ("relabeled", tool.dataclasses.replace(report, n=51))):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text(tool.json.dumps({"entry": "e", "value": tool.record(lambda v=value: v)}) + "\n")
+    tool.diff(*map(str, paths[:2]))
+    tool.diff(str(paths[0]), str(paths[2]))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("e: 1 floats differ, largest relative change ") and " at /1/std_error: " in lines[0]
+    assert lines[0].endswith("; 0 other values differ")
+    assert lines[1] == "e: 0 floats differ; 1 other values differ"

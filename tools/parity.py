@@ -44,6 +44,8 @@ how many floats differ (each float and each float64 array element counts
 once), the largest relative change |new - old| / |old| among them with its
 distance in units in the last place of the old value, where in the value
 it is and both values, and how many other values differ; it runs no entry.
+A dataclass is compared by its fields: its repr, which restates them,
+counts as one other value only when no field differs.
 """
 from __future__ import annotations
 
@@ -310,6 +312,12 @@ def cli_entries():
 _HEX_FLOAT = re.compile(r"-?(0x[0-9a-f]\.?[0-9a-f]*p[-+]\d+|inf)|nan")
 
 
+def _is_dataclass(v) -> bool:
+    """Whether v, loaded from a dump, is canon's form of a dataclass: [name, repr, [field, value], ...]."""
+    return isinstance(v, list) and len(v) >= 2 and isinstance(v[0], str) and isinstance(v[1], str) \
+        and v[1].startswith(v[0] + "(") and all(isinstance(f, list) and len(f) == 2 and isinstance(f[0], str) for f in v[2:])
+
+
 def _moved(old, new, out: dict, path: str = "") -> None:
     """Add the differences of two canonical values at path to out: floats that differ, the largest change, other values."""
     if isinstance(old, str) and isinstance(new, str) and old != new and _HEX_FLOAT.fullmatch(old) and _HEX_FLOAT.fullmatch(new):
@@ -318,6 +326,12 @@ def _moved(old, new, out: dict, path: str = "") -> None:
             and old[1] == new[1] and isinstance(old[2], str) and isinstance(new[2], str):
         # a float64 array, as (dtype, shape, bytes in hex)
         pairs = tuple(np.frombuffer(bytes.fromhex(v[2]), dtype=np.float64) for v in (old, new))
+    elif _is_dataclass(old) and _is_dataclass(new) and old[0] == new[0] and len(old) == len(new):
+        # compared by its fields; the repr, which restates them, counts only when no field differs
+        before = (out["floats"], out["other"])
+        _moved(old[2:], new[2:], out, path)
+        out["other"] += before == (out["floats"], out["other"]) and old[1] != new[1]
+        return
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
             if isinstance(a, list) and len(a) == 2 and isinstance(a[0], str) and a[0] == b[0]:
