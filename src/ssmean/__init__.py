@@ -12,7 +12,6 @@ calibrated_plugin, or through CandidateSet with autocal_select.
 """
 from .calibrators import (
     AffineCalibrator,
-    BinnedCalibrator,
     SigmoidCalibrator,
     StepCalibrator,
     fit_histogram,

@@ -7,7 +7,8 @@ least-squares monotone fit via pooled adjacent violators), affine least
 squares in the score and, through fit_linear_cov, in covariates (one
 AffineCalibrator class, whose covariate coefficients are otherwise empty),
 Platt scaling (logistic loss on the stabilized logit), histogram binning on
-a fixed partition, and Venn-Abers interval shrinkage. The Venn-Abers
+a fixed partition (a step function of the score, as the isotonic fit is),
+and Venn-Abers interval shrinkage. The Venn-Abers
 interval at a score holds the values there of the isotonic fits with that
 score added under label 0 and under label 1; it depends only on the score's
 place among the unique labeled scores, so the shrunk map is a step
@@ -18,8 +19,9 @@ label, with no isotonic fit per evaluation point.
 Every registry method but auto-cal has one fold-stacked fit core that fits
 k training sets in one call, and the matching fit_* function is its k = 1
 call. The comment "fold-stacked fits" below tells the whole route from a
-core to a report; every fitted calibrator holds its one-map stack, which
-calling it, or predict(), evaluates.
+core to a report. Every calibrator holds a one-map stack, which calling it,
+or predict(), evaluates: a public fit's calibrator keeps the stack its core
+built, and a hand-built one builds its own.
 
 Fitted calibrators are immutable. A fit keeps a read-only copy of its
 training (score, outcome) pairs in fitted_on, which is left out of equality
@@ -43,7 +45,6 @@ __all__ = [
     "StepCalibrator",
     "AffineCalibrator",
     "SigmoidCalibrator",
-    "BinnedCalibrator",
     "fit_isotonic",
     "fit_linear",
     "fit_platt",
@@ -76,9 +77,11 @@ def _pairs(sample: LabeledSample) -> np.ndarray:
 class _Calibrator:
     """A fitted calibrator: a frozen dataclass that holds its one-map stack.
 
-    Each calibrator builds its stack (a *Folds value, see "fold-stacked
-    fits" below) in __post_init__ as the attribute _stack, which is not a
-    field, so fields(), asdict, == and repr do not see it. Calling the
+    The stack (a *Folds value, see "fold-stacked fits" below) is the
+    attribute _stack, which is not a field, so fields(), asdict, == and repr
+    do not see it. A public fit's calibrator keeps the k = 1 stack its core
+    built (_fit); a hand-built calibrator checks its fields and builds its
+    stack in __post_init__. Calling the
     calibrator, with the covariate rows of the scores where its map reads
     them, evaluates the stack's map 0. Calibrators compare and hash by their
     compared fields, an array field as the tuple of its values.
@@ -102,13 +105,15 @@ class _Calibrator:
 
 @dataclass(frozen=True, eq=False)
 class StepCalibrator(_Calibrator):
-    """Step function of the score: the isotonic fit, or the Venn-Abers map.
+    """Step function of the score: the isotonic fit, the histogram fit, or the Venn-Abers map.
 
     The prediction is values[j] on [boundaries[j], boundaries[j+1]),
     values[0] below boundaries[1] and values[-1] from boundaries[-1] on. For
     the isotonic fit, values are nondecreasing and boundaries[j] is the
     smallest training score of block j, so this floor lookup reproduces the
-    fitted value of every training point exactly. Equal boundaries leave an
+    fitted value of every training point exactly. For the histogram fit,
+    boundaries are the edges but the last and values the bin means, so a
+    score outside the edges takes an end bin's mean. Equal boundaries leave an
     empty block; boundaries that are NaN or decrease are refused with
     ConfigError, since counting a sorted sample in the map's blocks would
     then disagree with the map.
@@ -184,8 +189,7 @@ class SigmoidCalibrator(_Calibrator):
     ridge_active: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.logit_eps < 0.5):
-            raise ConfigError(f"logit_eps must lie in (0, 0.5), got {self.logit_eps}")
+        _check_logit_eps(self.logit_eps)
         object.__setattr__(self, "_stack", _SigmoidFolds(
             np.array([self.scale], dtype=np.float64), np.array([self.shift], dtype=np.float64),
             np.array([self.ridge_active]), self.logit_eps))
@@ -199,34 +203,6 @@ def _checked_edges(edges) -> np.ndarray:
     if not (increasing and math.isfinite(edges[0]) and math.isfinite(edges[-1])):
         raise ConfigError("edges must be a finite, strictly increasing vector with at least two entries")
     return edges
-
-
-@dataclass(frozen=True, eq=False)
-class BinnedCalibrator(_Calibrator):
-    """Per-bin outcome means on a fixed partition; empty bins use the fallback.
-
-    Scores below and above the partition take the end bins' means, so this
-    is a step function with StepCalibrator's floor lookup at the inner edges.
-    The edges must be finite and strictly increasing, at least two of them
-    (ConfigError otherwise).
-    """
-
-    edges: np.ndarray
-    bin_means: np.ndarray
-    fallback: float
-    empty_bins: int = 0
-    fitted_on: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        edges = _checked_edges(self.edges)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "bin_means", _freeze(self.bin_means))
-        if self.bin_means.shape != (len(edges) - 1,):
-            raise DimensionError("bin_means must have one entry per bin")
-        # a score's bin is the count of inner edges at or below it; the end bins extend outward
-        object.__setattr__(self, "_stack", _BinnedFolds(
-            edges, np.array([0, len(edges)]), self.bin_means, np.array([self.fallback]), np.array([self.empty_bins]),
-            np.zeros(len(edges) - 2, dtype=np.intp), edges[1:-1]))
 
 
 def pava(values, weights) -> np.ndarray:
@@ -260,15 +236,17 @@ def pava(values, weights) -> np.ndarray:
 # size ppi reads, whose cached moments ppi-pp, aipw-em and venn-abers read,
 # and whether it holds covariates, which linear-cov-cal checks.
 #
-# The maps. The core returns the k maps stacked in one *Folds value: map(j)
-# is map j as a calibrator, described(j) the facts that calibrator holds (an
-# affine map's slope, intercept and clip_range, a histogram's empty_bins, a
-# Platt map's ridge_active), at(j, t, x) map j at the scores t (and their
+# The maps. The core returns the k maps stacked in one *Folds value: fields(j)
+# is map j's calibrator fields, map(j) map j as a calibrator built from them,
+# described(j) the facts a report's diagnostics take of map j (an affine
+# map's slope, intercept and clip_range, a Platt map's ridge_active, a
+# histogram's empty_bins), at(j, t, x) map j at the scores t (and their
 # covariate rows x), and on_sample(fold, s, rows) the value of map fold[p] at
 # s[rows[p]] for every p, in one gather. Every fit_* function and every
 # registry fit is the k = 1 call, so set j of a k-set call equals the fit of
 # set j's rows alone, bit for bit. Only fit_* turns a stack into a
-# calibrator, which keeps its one-map stack and evaluates it: at(0, t, x).
+# calibrator (_fit), which keeps that k = 1 stack as its one-map stack and
+# evaluates it: at(0, t, x).
 #
 # The report. A stack reaches the family core (estimators._family_core) as
 # its labeled values and one unlabeled summary per map, the count, mean and
@@ -345,11 +323,17 @@ def _single(sample: LabeledSample, unlabeled: Optional[UnlabeledSample] = None):
 def _fit(core, sample: LabeledSample, *args):
     """A public fit: core's k = 1 call on the sample, as a calibrator that keeps the sample's pairs.
 
-    A sum that overflows float64 raises no numpy warning; the map's own
-    check, or _refuse_overflow, refuses it.
+    The calibrator's fields are the stack's fields(0), and the stack is its
+    one-map stack: nothing is checked or built again. A sum that overflows
+    float64 raises no numpy warning; the stack's own check, or
+    _refuse_overflow, refuses it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return core(*_single(sample), *args).map(0, _pairs(sample))
+        stack = core(*_single(sample), *args)
+    fit = object.__new__(stack.calibrator)
+    for name, value in {**stack.fields(0), "fitted_on": _pairs(sample), "_stack": stack}.items():
+        object.__setattr__(fit, name, value)
+    return fit
 
 
 def _refuse_overflow(fit, family: str, *params):
@@ -417,8 +401,47 @@ def _cells(cut_fold: np.ndarray, cuts: np.ndarray, k: int, s: np.ndarray, cell: 
     return np.repeat(np.arange(len(counts)), counts)[cell]
 
 
-class _StepFolds:
-    """k step maps stacked; steps is (fold of each cut, cuts, values), each fold's cuts ascending."""
+class _Folds:
+    """A *Folds stack: calibrator is its maps' class, and fields(j) map j's fields as that class holds them."""
+
+    def map(self, j: int = 0, fitted_on=None) -> _Calibrator:
+        """Map j as a hand-built calibrator of its fields, which builds a one-map stack of its own.
+
+        A public fit's calibrator keeps its k = 1 stack instead (_fit).
+        """
+        return self.calibrator(**self.fields(j), fitted_on=fitted_on)
+
+
+@dataclass(frozen=True)
+class _BoundaryFolds(_Folds):
+    """k step maps stacked: the isotonic, histogram or Venn-Abers fits.
+
+    Map j is StepCalibrator(boundaries[a:b], values[a:b]) with a, b =
+    bounds[j:j+2]; facts[j], when given, is map j's fit facts, which
+    described(j) gives. steps is (fold of each cut, cuts, values), each
+    fold's cuts ascending.
+    """
+
+    boundaries: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+    facts: Optional[list] = None
+    calibrator = StepCalibrator
+
+    def fields(self, j: int) -> dict:
+        rows = slice(self.bounds[j], self.bounds[j + 1])
+        return {"boundaries": _freeze(self.boundaries[rows]), "values": _freeze(self.values[rows])}
+
+    def described(self, j: int) -> dict:
+        return self.facts[j] if self.facts else {}
+
+    @cached_property
+    def steps(self):
+        # a map's cuts are its boundaries but the first
+        counts = self.bounds[1:] - self.bounds[:-1]
+        inner = np.ones(len(self.values), dtype=bool)
+        inner[self.bounds[:-1]] = False
+        return np.repeat(np.arange(len(counts)), counts - 1), self.boundaries[inner], self.values
 
     def on_sample(self, fold: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         cut_fold, cuts, values = self.steps
@@ -435,35 +458,6 @@ class _StepFolds:
         cut_fold, cuts, values = self.steps
         a, b = np.searchsorted(cut_fold, [fold, fold + 1]).tolist()
         return values[a + fold + np.searchsorted(cuts[a:b], t, side="right")]
-
-    def described(self, j: int) -> dict:
-        return {}
-
-
-@dataclass(frozen=True)
-class _BoundaryFolds(_StepFolds):
-    """k step calibrators, the isotonic or the Venn-Abers fits.
-
-    Map j is StepCalibrator(boundaries[a:b], values[a:b]) with a, b =
-    bounds[j:j+2]; facts[j], when given, is map j's fit facts.
-    """
-
-    boundaries: np.ndarray
-    values: np.ndarray
-    bounds: np.ndarray
-    facts: Optional[list] = None
-
-    def map(self, j: int = 0, fitted_on=None) -> StepCalibrator:
-        rows = slice(self.bounds[j], self.bounds[j + 1])
-        return StepCalibrator(self.boundaries[rows], self.values[rows], fitted_on)
-
-    @cached_property
-    def steps(self):
-        # a map's cuts are its boundaries but the first
-        counts = self.bounds[1:] - self.bounds[:-1]
-        inner = np.ones(len(self.values), dtype=bool)
-        inner[self.bounds[:-1]] = False
-        return np.repeat(np.arange(len(counts)), counts - 1), self.boundaries[inner], self.values
 
 
 def _tie_blocks(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -515,7 +509,7 @@ def fit_isotonic(scores, outcomes) -> StepCalibrator:
 
 
 @dataclass(frozen=True)
-class _AffineFolds:
+class _AffineFolds(_Folds):
     """k affine maps slope[j] * score + intercept[j], each clipped to (lo[j], hi[j]) when clip is (lo, hi).
 
     A covariate map (linear-cov-cal's) adds covariates @ cov[j] to the
@@ -530,14 +524,15 @@ class _AffineFolds:
     cov: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
     facts: Optional[list] = None
+    calibrator = AffineCalibrator
 
     def __post_init__(self):
         cov = [] if self.cov is None else self.cov.ravel().tolist()
         if not all(map(math.isfinite, [*self.slope.tolist(), *self.intercept.tolist(), *cov])):
             raise DataError("affine calibrator coefficients must be finite")
 
-    def map(self, j: int = 0, fitted_on=None) -> AffineCalibrator:
-        return AffineCalibrator(**self.described(j), fitted_on=fitted_on, cov_coefs=() if self.cov is None else self.cov[j])
+    def fields(self, j: int) -> dict:
+        return {**self.described(j), "cov_coefs": () if self.cov is None else tuple(self.cov[j].tolist())}
 
     def described(self, j: int) -> dict:
         """Map j's slope, intercept and clip_range, as its calibrator holds them."""
@@ -652,6 +647,12 @@ def fit_linear(scores, outcomes, clip: bool = False) -> AffineCalibrator:
     return _fit(_linear_folds, lab, clip)
 
 
+def _check_logit_eps(logit_eps) -> None:
+    """ConfigError unless logit_eps lies in (0, 0.5)."""
+    if not (0.0 < logit_eps < 0.5):
+        raise ConfigError(f"logit_eps must lie in (0, 0.5), got {logit_eps}")
+
+
 def _stabilized_logit(m: np.ndarray, eps: float) -> np.ndarray:
     clipped = np.clip(m, eps, 1.0 - eps)
     return np.log(clipped) - np.log1p(-clipped)
@@ -739,20 +740,22 @@ def _platt_newton(t: np.ndarray, y: np.ndarray, ridge_active: bool):
 
 
 @dataclass(frozen=True)
-class _SigmoidFolds:
+class _SigmoidFolds(_Folds):
     """k Platt maps sigma(scale[j] * logit(score) + shift[j]); every coefficient must be finite (DataError)."""
 
     scale: np.ndarray
     shift: np.ndarray
     ridge_active: np.ndarray
     logit_eps: float = DEFAULT_LOGIT_EPS
+    calibrator = SigmoidCalibrator
 
     def __post_init__(self):
         if not all(map(math.isfinite, [*self.scale.tolist(), *self.shift.tolist()])):
             raise DataError("sigmoid calibrator coefficients must be finite")
 
-    def map(self, j: int = 0, fitted_on=None) -> SigmoidCalibrator:
-        return SigmoidCalibrator(float(self.scale[j]), float(self.shift[j]), self.logit_eps, fitted_on, **self.described(j))
+    def fields(self, j: int) -> dict:
+        return {"scale": float(self.scale[j]), "shift": float(self.shift[j]), "logit_eps": self.logit_eps,
+                **self.described(j)}
 
     def described(self, j: int) -> dict:
         return {"ridge_active": self.ridge_active.tolist()[j]}
@@ -777,8 +780,7 @@ def _platt_folds(s, y, rows, bounds, context, logit_eps: float = DEFAULT_LOGIT_E
     y = y[rows]
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("Platt scaling requires binary outcomes in {0, 1}")
-    if not (0.0 < logit_eps < 0.5):
-        raise ConfigError(f"logit_eps must lie in (0, 0.5), got {logit_eps}")
+    _check_logit_eps(logit_eps)
     t = _stabilized_logit(s[rows], logit_eps)
     fits = [_platt_newton(t[a:b], y[a:b], _is_separable(t[a:b], y[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
     theta = np.array([theta for theta, _, _ in fits])
@@ -791,32 +793,6 @@ def fit_platt(scores, outcomes, logit_eps: float = DEFAULT_LOGIT_EPS) -> Sigmoid
     if lab.n < 2:
         raise DataError("Platt scaling needs at least two labeled points")
     return _fit(_platt_folds, lab, logit_eps)
-
-
-@dataclass(frozen=True)
-class _BinnedFolds(_StepFolds):
-    """k histogram fits: map j has edges[a:b] with a, b = edge_bounds[j:j+2], the bin means
-    values[a-j:b-j-1], and fallback[j] and empty_bins[j]; the cuts are the inner edges."""
-
-    edges: np.ndarray
-    edge_bounds: np.ndarray
-    values: np.ndarray
-    fallback: np.ndarray
-    empty_bins: np.ndarray
-    cut_fold: np.ndarray
-    cuts: np.ndarray
-
-    def map(self, j: int = 0, fitted_on=None) -> BinnedCalibrator:
-        a, b = self.edge_bounds[j], self.edge_bounds[j + 1]
-        return BinnedCalibrator(self.edges[a:b], self.values[a - j : b - j - 1], float(self.fallback[j]),
-                                fitted_on=fitted_on, **self.described(j))
-
-    @property
-    def steps(self):
-        return self.cut_fold, self.cuts, self.values
-
-    def described(self, j: int) -> dict:
-        return {"empty_bins": self.empty_bins.tolist()[j]}
 
 
 def _range_edges(lo: float, hi: float) -> np.ndarray:
@@ -849,13 +825,16 @@ def _default_edges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return np.concatenate(edges), np.array([len(e) for e in edges])
 
 
-def _histogram_folds(s, y, rows, bounds, context, edges=None) -> _BinnedFolds:
+def _histogram_folds(s, y, rows, bounds, context, edges=None) -> _BoundaryFolds:
     """The histogram fits of k training sets: per-bin outcome means, empty bins at the set's mean.
 
     Every set takes the given edges, or by default its own (_default_edges
-    of its score range). A row's bin is read from its position in the sorted
-    sample (_cells), and one np.bincount over (fold, bin) keys gives every
-    fold's counts and sums, each bin's in the set's stored order.
+    of its score range). Set j's map is the step map whose boundaries are
+    its edges but the last and whose values are its bin means, so its cuts
+    are its inner edges; facts[j] counts its empty bins. A row's bin is read
+    from its position in the sorted sample (_cells), and one np.bincount
+    over (fold, bin) keys gives every fold's counts and sums, each bin's in
+    the set's stored order.
     """
     k, starts, lengths = len(bounds) - 1, bounds[:-1], bounds[1:] - bounds[:-1]
     if edges is None:
@@ -867,37 +846,42 @@ def _histogram_folds(s, y, rows, bounds, context, edges=None) -> _BinnedFolds:
     else:
         edges, count = np.tile(edges, k), np.full(k, len(edges))
     edge_bounds = np.concatenate(([0], np.cumsum(count)))
-    fold_of_bin = np.repeat(np.arange(k), count - 1)
-    # a fold's cuts are its edges but the first and last, one fewer than its bins
+    # a fold's boundaries are its edges but the last, and its cuts its edges but the first and the last
     inner = np.ones(len(edges), dtype=bool)
-    inner[edge_bounds[:-1]] = inner[edge_bounds[1:] - 1] = False
+    inner[edge_bounds[1:] - 1] = False
+    boundaries = edges[inner]
+    inner[edge_bounds[:-1]] = False
     cut_fold, cuts = np.repeat(np.arange(k), count - 2), edges[inner]
     bins = _cells(cut_fold, cuts, k, s, np.repeat(np.arange(k) * len(s), lengths) + rows)
     y = y[rows]
-    counts = np.bincount(bins, minlength=len(fold_of_bin))
-    sums = np.bincount(bins, weights=y, minlength=len(fold_of_bin))
-    fallback = _segment_means(y, bounds)
-    bin_means = np.repeat(fallback, count - 1)
+    counts = np.bincount(bins, minlength=len(boundaries))
+    sums = np.bincount(bins, weights=y, minlength=len(boundaries))
+    bin_means = np.repeat(_segment_means(y, bounds), count - 1)
     nonempty = counts > 0
     bin_means[nonempty] = sums[nonempty] / counts[nonempty]
-    empty = np.bincount(fold_of_bin[~nonempty], minlength=k)
-    return _BinnedFolds(edges, edge_bounds, bin_means, fallback, empty, cut_fold, cuts)
+    empty = np.bincount(np.repeat(np.arange(k), count - 1)[~nonempty], minlength=k)
+    maps = _BoundaryFolds(boundaries, bin_means, edge_bounds - np.arange(k + 1), [{"empty_bins": e} for e in empty.tolist()])
+    maps.__dict__["steps"] = cut_fold, cuts, bin_means  # the cached steps, found once above
+    return maps
 
 
-def fit_histogram(scores, outcomes, edges=None) -> BinnedCalibrator:
-    """Per-bin outcome means over a fixed partition of the score range.
+def fit_histogram(scores, outcomes, edges=None) -> StepCalibrator:
+    """Per-bin outcome means over a fixed partition of the score range, as a step map.
 
     Default edges: DEFAULT_HISTOGRAM_BINS equal-width bins over the labeled
     score range (fewer when the range holds fewer distinct floats). Given
     edges must be finite and strictly increasing, at least two of them.
     Scores outside [edges[0], edges[-1]] clamp to the end bins; empty bins
-    predict the global labeled outcome mean.
+    predict the global labeled outcome mean. The map's boundaries are the
+    edges but the last, and its values the bin means.
     """
     lab = LabeledSample(scores, outcomes)
     if edges is not None:
         edges = _checked_edges(edges)
     fit = _fit(_histogram_folds, lab, edges)
-    return _refuse_overflow(fit, "histogram", fit.bin_means, fit.fallback)
+    # the labeled mean, which an empty bin takes, must be finite even where no bin is empty
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _refuse_overflow(fit, "histogram", fit.values, np.mean(lab.outcomes))
 
 
 def _linear_cov_folds(s, y, rows, bounds, context, clip: bool = True) -> _AffineFolds:

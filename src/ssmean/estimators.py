@@ -228,7 +228,7 @@ def _summaries(maps, k: int, context) -> list:
     the bootstrap's replicates share one summation order.
     """
     u = context.unlabeled
-    if isinstance(maps, cal._StepFolds):
+    if isinstance(maps, cal._BoundaryFolds):
         cut_fold, cuts, values = maps.steps
         per_map = np.bincount(cut_fold, minlength=k)
         if context.draws is None:
@@ -304,10 +304,11 @@ def _stacked_core(method: "Method", context, sets, scored, name: str) -> _Core:
 def _calibration(labeled, f_l: np.ndarray, residual_mean: float, slope=None, intercept=None, clip_range=None, **own) -> dict:
     """A calibrated method's diagnostics from its labeled values f_l, the core's residual mean and its map's facts.
 
-    The calibration MSEs of the raw score and of f, then an affine map's
-    slope and intercept, with its clip range and whether the clip moved the
-    labeled residual mean, then the map's other facts (empty_bins,
-    ridge_active). For mean-calibrated fits (isotonic, least-squares linear
+    The facts are the stack's described(0). The calibration MSEs of the raw
+    score and of f, then an affine map's slope and intercept, with its clip
+    range and whether the clip moved the labeled residual mean, then the
+    map's other facts: a Platt map's ridge_active, or a histogram's
+    empty_bins, which its stack keeps and no calibrator field holds. For mean-calibrated fits (isotonic, least-squares linear
     with inactive clipping, histogram, covariate-adjusted linear) the
     labeled residual mean is zero, so the pooled plug-in mean and its
     residual-corrected form coincide to machine precision. When clipping is

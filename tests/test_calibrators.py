@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ssmean import (
     AffineCalibrator,
-    BinnedCalibrator,
     ConfigError,
     ConvergenceError,
     DataError,
@@ -17,6 +16,7 @@ from ssmean import (
     SigmoidCalibrator,
     StepCalibrator,
     TwoSampleDesign,
+    calibrated_plugin,
     design_from_arrays,
     estimate,
     fit_histogram,
@@ -33,6 +33,7 @@ from ssmean.calibrators import (
     _isotonic_folds,
     _platt_newton,
     _prefix_sums,
+    _range_edges,
     _segment_means,
     _stabilized_logit,
     _venn_abers,
@@ -401,15 +402,19 @@ def test_platt_predictions_strictly_inside_unit_interval():
 # --- histogram ----------------------------------------------------------------
 
 def test_histogram_bin_means():
-    cal = fit_histogram([0.2, 0.3, 0.7], [0.0, 1.0, 1.0], edges=[0.0, 0.5, 1.0])
-    assert np.array_equal(cal.bin_means, [0.5, 1.0])
-    assert cal.empty_bins == 0
+    s, y = [0.2, 0.3, 0.7], [0.0, 1.0, 1.0]
+    cal = fit_histogram(s, y, edges=[0.0, 0.5, 1.0])
+    # the step map on the edges but the last, valued at the bin means
+    assert cal == StepCalibrator([0.0, 0.5], [0.5, 1.0])
+    assert calibrated_plugin(design_from_arrays(s, y, [0.9]), cal).diagnostics["empty_bins"] == 0
 
 
 def test_histogram_empty_bin_uses_global_mean():
-    cal = fit_histogram([0.1, 0.2], [0.0, 1.0], edges=[0.0, 0.5, 1.0])
-    assert cal.bin_means[1] == pytest.approx(0.5)
-    assert cal.empty_bins == 1
+    s, y = [0.1, 0.2], [0.0, 1.0]
+    cal = fit_histogram(s, y, edges=[0.0, 0.5, 1.0])
+    assert cal.values[1] == pytest.approx(0.5)
+    # the fitted map keeps its empty-bin count for the report
+    assert calibrated_plugin(design_from_arrays(s, y, [0.9]), cal).diagnostics["empty_bins"] == 1
     assert predict(cal, [0.9])[0] == pytest.approx(0.5)
 
 
@@ -419,13 +424,10 @@ def test_histogram_single_datum_per_bin_is_identity():
 
 
 def test_histogram_unsorted_edges_rejected():
-    # a hand-built map with a decreasing edge gave a counted unlabeled mean unlike its values per score
     malformed = ([1.0, 0.0], [0.0, 0.7, 0.3, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [0.5], [0.0, 0.0, 1.0])
     for edges in malformed:
         with pytest.raises(ConfigError, match="^edges must be a finite, strictly increasing vector"):
             fit_histogram([0.5], [1.0], edges=edges)
-        with pytest.raises(ConfigError, match="^edges must be a finite, strictly increasing vector"):
-            BinnedCalibrator(edges, np.full(max(len(edges) - 1, 0), 0.5), 0.5)
 
 
 @pytest.mark.parametrize(
@@ -437,8 +439,10 @@ def test_histogram_default_edges_hold_for_any_finite_scores(scores):
     s = np.array(scores * 2)
     y = np.array([0.0, 1.0, 1.0, 0.0])
     cal = fit_histogram(s, y)
-    assert np.isfinite(cal.edges).all() and (cal.edges[1:] > cal.edges[:-1]).all()
-    assert cal.edges[0] <= s.min() and s.max() <= cal.edges[-1]
+    edges = _range_edges(float(s.min()), float(s.max()))
+    assert np.isfinite(edges).all() and (edges[1:] > edges[:-1]).all()
+    assert edges[0] <= s.min() and s.max() <= edges[-1]
+    assert cal.boundaries.tobytes() == edges[:-1].tobytes()
     rep = estimate(design_from_arrays(s, y, s[:3]), "hist-cal")
     assert rep.estimate == pytest.approx(float(np.mean(predict(cal, s[:3]))) * 3 / 7 + 0.5 * 4 / 7)
 
@@ -465,8 +469,41 @@ def test_histogram_default_edges():
     rng = np.random.default_rng(17)
     s = rng.uniform(size=50)
     cal = fit_histogram(s, rng.normal(size=50))
-    assert len(cal.edges) == 11
-    assert cal.edges[0] == s.min() and cal.edges[-1] == s.max()
+    edges = _range_edges(float(s.min()), float(s.max()))
+    assert len(edges) == 11 and cal.boundaries.tobytes() == edges[:-1].tobytes()
+    assert edges[0] == s.min() and edges[-1] == s.max()
+
+
+def old_histogram(s, y, edges):
+    """The per-bin formula of a histogram fit: a score's bin is the count of inner edges at or below it, and a bin
+    takes the mean of its outcomes, summed in row order as np.bincount sums them, or the labeled mean when empty."""
+    bins = np.searchsorted(edges[1:-1], s, "right")
+    means = [sum(y[bins == b].tolist()) / np.count_nonzero(bins == b) if (bins == b).any() else np.mean(y)
+             for b in range(len(edges) - 1)]
+    return np.array(means)
+
+
+def test_histogram_map_predicts_the_per_bin_formula_bit_for_bit():
+    rng = np.random.default_rng(36)
+    given = {"default": None, "given": np.linspace(-0.5, 1.5, 21), "zero-edge": np.array([-1.0, -0.25, 0.0, 0.25, 1.0])}
+    for n in (5, 50, 200):
+        for rep in range(5):
+            s = rng.uniform(-1.0, 1.0, size=n)
+            if rep == 4:
+                # no score in [0, 0.3), so the bins there are empty and take the labeled mean
+                s = np.where((s >= 0.0) & (s < 0.3), s - 0.3, s)
+            y = rng.normal(size=n) if rep % 2 else (rng.uniform(size=n) < 0.5).astype(float)
+            for label, edges in given.items():
+                f = fit_histogram(s, y, edges)
+                edges = np.linspace(s.min(), s.max(), 11) if edges is None else edges
+                means = old_histogram(s, y, edges)
+                t = np.concatenate((edges, np.nextafter(edges, -np.inf), [-5.0, 5.0, 0.0, -0.0]))
+                want = means[np.searchsorted(edges[1:-1], t, "right")]
+                assert predict(f, t).tobytes() == want.tobytes(), (n, rep, label)
+                assert predict(f, s).tobytes() == means[np.searchsorted(edges[1:-1], s, "right")].tobytes()
+                if rep == 4 and label != "default":
+                    empty = np.setdiff1d(np.arange(len(edges) - 1), np.searchsorted(edges[1:-1], s, "right"))
+                    assert len(empty) and (f.values[empty] == np.mean(y)).all(), (n, label)
 
 
 # --- covariate-adjusted linear --------------------------------------------------
@@ -578,12 +615,9 @@ def test_step_maps_compare_and_hash_by_value():
     assert StepCalibrator([0, 1], [0, 1]) == StepCalibrator([0.0, 1.0], [0.0, 1.0])
     assert StepCalibrator([0.0, 1.0], [0.0, 1.0]) != StepCalibrator([0.0, 1.0], [0.0, 2.0])
     assert StepCalibrator([0.0, 1.0], [0.0, 1.0]) != StepCalibrator([0.0, 2.0], [0.0, 1.0])
-    binned = BinnedCalibrator([0.0, 1.0], [0.5], 0.5)
-    assert binned == BinnedCalibrator([0, 1], [0.5], 0.5) and hash(binned) == hash(BinnedCalibrator([0, 1], [0.5], 0.5))
-    assert binned != BinnedCalibrator([0.0, 1.0], [0.5], 0.5, empty_bins=1)
-    assert binned != BinnedCalibrator([0.0, 1.0], [0.5], 0.25)
-    # the same numbers in another class are another map
-    assert StepCalibrator([0.0, 1.0], [0.5, 0.5]) != BinnedCalibrator([0.0, 1.0], [0.5], 0.5)
+    # a fitted map equals the hand-built map of its fields, whatever facts its stack keeps
+    hist = fit_histogram(s, y, edges=[0.0, 0.5, 1.0])
+    assert hist == StepCalibrator(hist.boundaries, hist.values) and hash(hist) == hash(StepCalibrator([0.0, 0.5], hist.values))
 
 
 def test_a_calibrators_one_map_stack_is_no_field():
@@ -591,6 +625,41 @@ def test_a_calibrators_one_map_stack_is_no_field():
               fit_linear([0.0, 1.0], [0.0, 1.0], clip=True), fit_platt([0.0, 0.5, 1.0], [0.0, 1.0, 1.0])):
         assert "_stack" not in {g.name for g in fields(f)} and "_stack" not in asdict(f)
         assert "_stack" not in repr(f)
+
+
+def test_each_public_fit_builds_one_stack_and_keeps_it(monkeypatch):
+    # the fit's k = 1 stack is the calibrator's one-map stack: no second stack is built, and
+    # fit_platt checks logit_eps once
+    import ssmean.calibrators as cal
+
+    built, checked = [], []
+    for cls in (cal._BoundaryFolds, cal._AffineFolds, cal._SigmoidFolds):
+
+        def counting(self, *args, real=cls.__init__, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    real_check = cal._check_logit_eps
+    monkeypatch.setattr(cal, "_check_logit_eps", lambda eps: checked.append(eps) or real_check(eps))
+    rng = np.random.default_rng(14)
+    s, x = rng.uniform(size=30), rng.normal(size=(30, 2))
+    y = (rng.uniform(size=30) < s).astype(float)
+    fits = {
+        "isotonic": lambda: fit_isotonic(s, y),
+        "linear": lambda: fit_linear(s, y),
+        "linear-clip": lambda: fit_linear(s, y, clip=True),
+        "linear-cov": lambda: fit_linear_cov(s, y, x),
+        "platt": lambda: fit_platt(s, y, logit_eps=1e-3),
+        "histogram": lambda: fit_histogram(s, y),
+        "histogram-edges": lambda: fit_histogram(s, y, edges=[0.0, 0.5, 1.0]),
+        "venn-abers": lambda: fit_venn_abers(s, y, 0.5),
+    }
+    for name, fit in fits.items():
+        built.clear()
+        f = fit()
+        assert len(built) == 1 and f._stack is built[0], (name, [type(b).__name__ for b in built])
+    assert checked == [1e-3]
 
 
 # --- evaluation: every calibrator against a per-score formula -----------------
@@ -604,9 +673,6 @@ def per_score(f, t, x=None) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if isinstance(f, StepCalibrator):
         out = [f.values[max(np.searchsorted(f.boundaries, v, "right") - 1, 0)] for v in t]
-    elif isinstance(f, BinnedCalibrator):
-        # a score's bin is the count of inner edges at or below it
-        out = [f.bin_means[np.searchsorted(f.edges[1:-1], v, "right")] for v in t]
     elif isinstance(f, AffineCalibrator):
         shift = f.intercept + x @ np.array(f.cov_coefs) if f.cov_coefs else np.full(len(t), f.intercept)
         lo, hi = f.clip_range or (-np.inf, np.inf)
@@ -633,7 +699,7 @@ def calibrators_and_scores(draw):
     d = draw(st.integers(1, 2))
     x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
     kind = draw(st.sampled_from(["isotonic", "venn-abers", "histogram", "histogram-edges", "linear", "linear-cov",
-                                 "platt", "step", "binned", "affine", "sigmoid"]))
+                                 "platt", "step", "affine", "sigmoid"]))
     clip = draw(st.booleans())
     fits = {
         "isotonic": lambda: fit_isotonic(s, y),
@@ -667,9 +733,6 @@ def hand_built(draw, kind):
         if draw(st.booleans()):
             b[0] = -np.inf
         return StepCalibrator(b, draw(st.lists(finite, min_size=len(b), max_size=len(b))))
-    if kind == "binned":
-        edges = sorted(draw(st.sets(finite, min_size=2, max_size=8)))
-        return BinnedCalibrator(edges, draw(st.lists(finite, min_size=len(edges) - 1, max_size=len(edges) - 1)), 0.0)
     if kind == "affine":
         clip = tuple(sorted(draw(st.lists(finite, min_size=2, max_size=2)))) if draw(st.booleans()) else None
         return AffineCalibrator(draw(finite), draw(finite), clip, cov_coefs=draw(st.lists(finite, max_size=2)))
@@ -691,7 +754,6 @@ def test_predict_is_the_per_score_formula_bit_for_bit(case):
 def test_every_class_evaluates_a_0d_score():
     assert predict(StepCalibrator([0.0, 1.0], [0.0, 1.0]), 0.5) == 0.0
     assert StepCalibrator([0.0, 1.0], [0.0, 1.0])(np.float64(1.0)) == 1.0
-    assert BinnedCalibrator([0.0, 0.5, 1.0], [0.25, 0.75], 0.5)(0.75) == 0.75
     assert AffineCalibrator(2.0, 1.0)(0.5) == 2.0
     assert SigmoidCalibrator(1.0, 0.0)(0.5) == 0.5
 
@@ -1072,5 +1134,5 @@ def test_a_set_fits_the_same_map_whichever_signed_zeros_it_holds(name):
         rows = np.array(rows)
         stacked = method.stacked_fit(s, y, rank[rows], np.array([0, len(rows)]), _Context(d.labeled, d.unlabeled))
         own = method.fit(TwoSampleDesign(d.labeled.take(rows), d.unlabeled)).maps
-        for field in ("edges", "values") if name == "hist-cal" else ("boundaries", "values"):
+        for field in ("boundaries", "values"):
             assert getattr(stacked, field).tobytes() == getattr(own, field).tobytes()

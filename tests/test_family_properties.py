@@ -206,7 +206,7 @@ def test_histogram_counted_summary_matches_pointwise(fit, own_edges, data):
     if own_edges:
         edges = np.array(sorted(data.draw(st.sets(st.integers(-4, 16), min_size=2, max_size=8)))) / 8.0
     f = fit_histogram(*fit, edges=edges)
-    assert_matches_pointwise(f, unlabeled_around(data.draw, f.edges))
+    assert_matches_pointwise(f, unlabeled_around(data.draw, f.boundaries if edges is None else edges))
 
 
 @SETTINGS
